@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .estimator import EnergyMap, electrical_angles, peak_index
+from .estimator import EnergyMap, peak_index
 from .geometry import steering_vector
+from .wavemodel import synthesize_received
 
 
 class DegenerateField(ValueError):
@@ -77,43 +78,33 @@ class MomentTriple:
 
 
 def clean_field(inp):
-    """Noiseless unit-power receive field, one column per snapshot (N x T).
+    """Noiseless unit-power receive field, one column per snapshot (R x T).
 
     Entry (n, t) is the n-th receive sample when the input layer runs
-    snapshot t's phase profile against a unit plane wave from the true
-    direction; SNR and symbol scaling are applied by the callers.
+    snapshot t's phase profile from the protocol's cached lattice against
+    a unit plane wave from the true direction: the clean snapshot that
+    ``collect_snapshots`` records at unit SNR and symbol. SNR and symbol
+    scaling are applied by the callers.
     """
-    proto = inp.proto
-    n = inp.n_x * inp.n_y
-    idx = np.arange(n)
-    ax = idx % inp.n_x        # 0-based x-fastest grid coordinates
-    ay = idx // inp.n_x
-    tdx = np.arange(proto.t)
-    tx = tdx % proto.t_x
-    ty = tdx // proto.t_x
-    phase = (-2.0 * np.pi / (inp.n_x * proto.t_x)) * np.outer(ax, tx) \
-        + (-2.0 * np.pi / (inp.n_y * proto.t_y)) * np.outer(ay, ty)
     sv = steering_vector(np.pi * inp.psi_x, np.pi * inp.psi_y, inp.n_x, inp.n_y)
-    return inp.g @ (np.exp(1j * phase) * sv.entries[:, None])
+    return synthesize_received(inp.g, inp.proto.lattice(inp.n_x, inp.n_y).zeroth,
+                               sv, 1.0, 1.0)
 
 
 def noncentrality_map(inp):
     """Noncentrality delta^2 = 2*rho*|field*s|^2 for every (n, t) cell."""
-    field = clean_field(inp)
-    return 2.0 * inp.rho * np.abs(field * inp.s) ** 2
+    return 2.0 * inp.rho * np.abs(clean_field(inp) * inp.s) ** 2
 
 
-def noncentrality(inp, n, t):
-    """Single-cell noncentrality parameter (1-based antenna and snapshot)."""
-    return float(noncentrality_map(inp)[n - 1, t - 1])
+def _noiseless_peak(power):
+    if not np.any(power > 0.0):
+        raise DegenerateField("noiseless field is identically zero")
+    return peak_index(EnergyMap(power))
 
 
 def peak_index_noiseless(inp):
     """1-based (n, t) of the strongest noiseless cell, estimator tie rule."""
-    power = np.abs(clean_field(inp) * inp.s) ** 2
-    if not np.any(power > 0.0):
-        raise DegenerateField("noiseless field is identically zero")
-    return peak_index(EnergyMap(power))
+    return _noiseless_peak(np.abs(clean_field(inp) * inp.s) ** 2)
 
 
 def moments(delta_nt, delta_peak):
@@ -170,17 +161,6 @@ def detection_prob_bound(mt, peak_cell=False):
                                   np.array([-mt.mu3]))[0])
 
 
-def _angle_grids(proto, n_x, n_y):
-    """Lattice electrical angles per (n, t) cell as two (N, T) arrays."""
-    n = n_x * n_y
-    gx = np.empty((n, proto.t))
-    gy = np.empty((n, proto.t))
-    for t in range(1, proto.t + 1):
-        for i in range(1, n + 1):
-            gx[i - 1, t - 1], gy[i - 1, t - 1] = electrical_angles(i, t, n_x, n_y, proto)
-    return gx, gy
-
-
 def mse_bound(inp):
     """Per-axis MSE upper bounds for one realized (source, symbol) pair.
 
@@ -188,15 +168,16 @@ def mse_bound(inp):
     period-2 circle) times its win-probability bound; the peak cell
     carries the trivial probability 1.
     """
-    delta = noncentrality_map(inp)
-    n_pk, t_pk = peak_index_noiseless(inp)
+    power = np.abs(clean_field(inp) * inp.s) ** 2
+    n_pk, t_pk = _noiseless_peak(power)
+    delta = 2.0 * inp.rho * power
     d_peak = delta[n_pk - 1, t_pk - 1]
     nu1 = d_peak - delta
     probs = _wilson_hilferty(nu1, 4.0 + 2.0 * (delta + d_peak), 3.0 * nu1)
     probs[n_pk - 1, t_pk - 1] = 1.0
-    gx, gy = _angle_grids(inp.proto, inp.n_x, inp.n_y)
-    err_x = np.mod(inp.psi_x - gx + 1.0, 2.0) - 1.0
-    err_y = np.mod(inp.psi_y - gy + 1.0, 2.0) - 1.0
+    lattice = inp.proto.lattice(inp.n_x, inp.n_y)
+    err_x = np.mod(inp.psi_x - lattice.psi_x + 1.0, 2.0) - 1.0
+    err_y = np.mod(inp.psi_y - lattice.psi_y + 1.0, 2.0) - 1.0
     return float(np.sum(err_x ** 2 * probs)), float(np.sum(err_y ** 2 * probs))
 
 

@@ -62,10 +62,20 @@ def _get(section, key, kind, path, default=None, required=False):
     value = section[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigValueError(f"'{path}.{key}' must be {kind.__name__},"
                                f" got {type(value).__name__}")
     return value
+
+
+def _snr_db(value, key):
+    """An SNR entry in dB: a number or 'inf' (noise-free); -inf and NaN are refused."""
+    if value == "inf":
+        return math.inf
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not (value == math.inf or math.isfinite(value)):
+        raise ConfigValueError(f"'{key}' must be a number or 'inf'")
+    return float(value)
 
 
 def _get_list(section, key, path, required=False, default=None):
@@ -183,18 +193,10 @@ def _parse_run(section, path, defaults):
     allowed = {"snr_db", "seed", "ideal"}
     _check_keys(section, allowed, path)
     snr = section.get("snr_db", defaults.get("snr_db"))
-    if snr is not None:
-        if isinstance(snr, str):
-            if snr != "inf":
-                raise ConfigValueError(f"'{path}.snr_db' must be a number or 'inf'")
-            snr = math.inf
-        elif isinstance(snr, bool) or not isinstance(snr, (int, float)):
-            raise ConfigValueError(f"'{path}.snr_db' must be a number or 'inf'")
-        snr = float(snr)
     return {
-        "snr_db": snr,
+        "snr_db": None if snr is None else _snr_db(snr, f"{path}.snr_db"),
         "seed": _get(section, "seed", int, path, defaults.get("seed", 0)),
-        "ideal": bool(section.get("ideal", defaults.get("ideal", False))),
+        "ideal": _get(section, "ideal", bool, path, defaults.get("ideal", False)),
     }
 
 
@@ -202,17 +204,10 @@ def _parse_montecarlo(section):
     allowed = {"trials", "snr_db", "seed", "source_mode", "symbol", "pipeline",
                "with_bound", "ideal"}
     _check_keys(section, allowed, "montecarlo")
-    snrs = []
     raw = section.get("snr_db")
     if not isinstance(raw, list) or not raw:
         raise ConfigValueError("'montecarlo.snr_db' must be a nonempty list")
-    for i, v in enumerate(raw):
-        if v == "inf":
-            snrs.append(math.inf)
-        elif isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigValueError(f"'montecarlo.snr_db[{i}]' must be a number or 'inf'")
-        else:
-            snrs.append(float(v))
+    snrs = [_snr_db(v, f"montecarlo.snr_db[{i}]") for i, v in enumerate(raw)]
     mode = _get(section, "source_mode", str, "montecarlo", "parameter")
     if mode not in ("parameter", "solid", "uniform-psi"):
         raise ConfigValueError(f"'montecarlo.source_mode' unknown: {mode}")
@@ -229,8 +224,8 @@ def _parse_montecarlo(section):
         "source_mode": mode,
         "symbol": symbol,
         "pipeline": pipeline,
-        "with_bound": bool(section.get("with_bound", True)),
-        "ideal": bool(section.get("ideal", False)),
+        "with_bound": _get(section, "with_bound", bool, "montecarlo", True),
+        "ideal": _get(section, "ideal", bool, "montecarlo", False),
     }
 
 
@@ -382,12 +377,17 @@ def load_stack(path):
         magic = fh.read(len(_STACK_MAGIC))
         if magic != _STACK_MAGIC:
             raise IOError(f"{path} is not a phase-stack file")
-        version, layers, m = struct.unpack("<III", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise IOError(f"{path}: truncated stack file")
+        version, layers, m = struct.unpack("<III", header)
         if version != 1:
             raise IOError(f"{path}: unsupported stack file version {version}")
         data = np.frombuffer(fh.read(layers * m * 8), dtype="<f8")
         if data.size != layers * m:
             raise IOError(f"{path}: truncated stack file")
+    if not np.all(np.isfinite(data)):
+        raise IOError(f"{path}: stack file holds non-finite phases")
     return PhaseStack(list(data.reshape(layers, m).copy()))
 
 
@@ -407,8 +407,7 @@ def _outdir(args):
 def _response_for(config, args, command):
     """Resolve (g, beta, n_x, n_y) from --stack, ideal flag, or inline fit."""
     geom = _need(config, "geometry", command)
-    section = config.get(command, {})
-    ideal = bool(section.get("ideal")) if isinstance(section, dict) else False
+    ideal = config.get(command, {}).get("ideal", False)
     if getattr(args, "stack", None):
         if not os.path.exists(args.stack):
             raise IOError(f"stack file not found: {args.stack}")

@@ -27,6 +27,33 @@ class ProtocolConfig:
         """1-based (t_x, t_y) coordinates of snapshot t."""
         return linear_to_grid(t, self.t_x, self.t_y)
 
+    def lattice(self, n_x, n_y):
+        """This schedule's SnapshotLattice on an (n_x, n_y) grid, kept on the instance."""
+        cache = self.__dict__.setdefault("_lattices", {})
+        if (n_x, n_y) not in cache:
+            snapshots = range(1, self.t + 1)
+            zeroth = ZerothLayerConfig(np.column_stack(
+                [zeroth_layer_config(t, n_x, n_y, self).xi0 for t in snapshots]))
+            angles = np.array([[electrical_angles(n, t, n_x, n_y, self) for t in snapshots]
+                               for n in range(1, n_x * n_y + 1)])
+            for arr in (zeroth.xi0, angles):
+                arr.flags.writeable = False
+            cache[n_x, n_y] = SnapshotLattice(zeroth, angles[..., 0], angles[..., 1])
+        return cache[n_x, n_y]
+
+
+@dataclass(frozen=True)
+class SnapshotLattice:
+    """A protocol's schedule on one input grid as read-only (N, T) arrays.
+
+    Column t - 1 of ``zeroth.xi0`` is ``zeroth_layer_config(t).xi0`` and cell
+    (n - 1, t - 1) of ``psi_x``/``psi_y`` is ``electrical_angles(n, t)``, bit for bit.
+    """
+
+    zeroth: ZerothLayerConfig
+    psi_x: np.ndarray
+    psi_y: np.ndarray
+
 
 @dataclass(frozen=True)
 class EnergyMap:
@@ -99,37 +126,20 @@ def zeroth_layer_config(t, n_x, n_y, proto):
 def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None):
     """Run the T-snapshot schedule through response ``g`` and record powers.
 
+    One ``synthesize_received`` call on the protocol's cached lattice.
     ``s_seq`` is a single complex symbol reused every snapshot or a
     length-T sequence. ``noise`` is None (clean), a numpy Generator
     (unit-variance complex noise drawn per snapshot), or a preset (R, T)
     complex array.
     """
     g = np.asarray(g)
-    r_count = g.shape[0]
-    total = proto.t
-    symbols = np.broadcast_to(np.asarray(s_seq, dtype=complex).ravel(), (total,)) \
-        if np.ndim(s_seq) == 0 else np.asarray(s_seq, dtype=complex)
-    if symbols.shape != (total,):
-        raise ValueError(f"expected {total} symbols, got {symbols.shape}")
-
-    preset = None
-    if isinstance(noise, np.ndarray):
-        preset = np.asarray(noise, dtype=complex)
-        if preset.shape != (r_count, total):
-            raise ValueError(f"noise shape {preset.shape} does not match ({r_count}, {total})")
-
-    values = np.empty((r_count, total))
-    for t in range(1, total + 1):
-        zeroth = zeroth_layer_config(t, n_x, n_y, proto)
-        if preset is not None:
-            w = preset[:, t - 1]
-        elif noise is not None:
-            w = cn_noise(noise, r_count)
-        else:
-            w = None
-        r = synthesize_received(g, zeroth, sv, symbols[t - 1], rho, w)
-        values[:, t - 1] = np.abs(r) ** 2
-    return EnergyMap(values)
+    symbols = np.asarray(s_seq, dtype=complex)
+    if symbols.ndim and symbols.shape != (proto.t,):
+        raise ValueError(f"expected {proto.t} symbols, got {symbols.shape}")
+    if noise is not None and not isinstance(noise, np.ndarray):
+        noise = np.column_stack([cn_noise(noise, g.shape[0]) for _ in range(proto.t)])
+    r = synthesize_received(g, proto.lattice(n_x, n_y).zeroth, sv, symbols, rho, noise)
+    return EnergyMap(np.abs(r) ** 2)
 
 
 def peak_index(emap):
@@ -207,13 +217,12 @@ def angular_spectrum(emap, proto, n_x, n_y):
     step_y = 2.0 / ky
     axis_x = -1.0 + step_x * np.arange(kx)
     axis_y = -1.0 + step_y * np.arange(ky)
+    lattice = proto.lattice(n_x, n_y)
     power = np.zeros((ky, kx))
-    for t in range(1, proto.t + 1):
-        for n in range(1, n_x * n_y + 1):
-            px, py = electrical_angles(n, t, n_x, n_y, proto)
-            ix = int(round((px + 1.0) / step_x))
-            iy = int(round((py + 1.0) / step_y))
-            power[iy, ix] = emap.values[n - 1, t - 1]
+    # flattened snapshot-major, so where cells share a bin the later snapshot wins
+    iy = np.rint((lattice.psi_y.T.ravel() + 1.0) / step_y).astype(int)
+    ix = np.rint((lattice.psi_x.T.ravel() + 1.0) / step_x).astype(int)
+    power[iy, ix] = emap.values.T.ravel()
     top = power.max()
     if top > 0.0:
         power = power / top

@@ -10,12 +10,11 @@ import numpy as np
 
 from . import analysis
 from .estimator import (EnergyMap, ProtocolConfig, collect_snapshots,
-                        estimate_from_map, steering_for, wrapped_angle_error,
-                        zeroth_layer_config)
+                        estimate_from_map, steering_for, wrapped_angle_error)
 from .geometry import (SimGeometry, build_propagation_matrices,
                        check_feasibility, dft_matrix)
 from .trainer import TrainConfig, train, train_restarts
-from .wavemodel import cn_noise, forward_response, optimal_scale
+from .wavemodel import cn_noise, forward_response, matvec_columns, optimal_scale
 
 # half-wavelength receive lattice used when a full geometry is not in play
 _HALF_WAVE = SimpleNamespace(d_x=0.5, d_y=0.5, kappa=2.0 * np.pi)
@@ -121,8 +120,8 @@ class McConfig:
         if self.pipeline == "wave" and self.g is None:
             raise ValueError("wave pipeline needs a response matrix g")
         for v in self.snr_db:
-            if not (math.isinf(v) or math.isfinite(v)):
-                raise ValueError("snr entries must be finite or inf")
+            if not (v == math.inf or math.isfinite(v)):
+                raise ValueError("snr entries must be finite or +inf")
 
 
 @dataclass(frozen=True)
@@ -149,9 +148,10 @@ def _trial_rng(seed, snr_index, trial):
 def digital_baseline(source, proto, n_x, n_y, rho, rng, noise=None):
     """Estimate via element-space sampling plus a numeric DFT.
 
-    The array observes x_t = sqrt(rho) * Upsilon_t a s + u directly, the
-    exact DFT matrix is applied digitally, and the same peak search and
-    angle recovery run on the resulting energies. Antenna noise has
+    The array observes x_t = sqrt(rho) * Upsilon_t a s + u directly over
+    the protocol's cached lattice, the exact DFT matrix is applied
+    digitally, and the same peak search and angle recovery run on the
+    resulting energies. Antenna noise has
     variance 1/N per element so the post-DFT noise is unit variance,
     making rho directly comparable with the wave path's effective SNR
     axis. ``noise`` may preset the (N, T) antenna noise draws.
@@ -161,13 +161,11 @@ def digital_baseline(source, proto, n_x, n_y, rho, rng, noise=None):
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
     if noise is None and rng is not None:
         noise = cn_noise(rng, (n, proto.t), variance=1.0 / n)
-    values = np.empty((n, proto.t))
-    for t in range(1, proto.t + 1):
-        zeroth = zeroth_layer_config(t, n_x, n_y, proto)
-        x = np.sqrt(rho) * (zeroth.transmission() * sv.entries) * source.s
-        if noise is not None:
-            x = x + noise[:, t - 1]
-        values[:, t - 1] = np.abs(f @ x) ** 2
+    schedule = proto.lattice(n_x, n_y).zeroth.transmission()
+    x = np.sqrt(rho) * (schedule * sv.entries[:, None]) * source.s
+    if noise is not None:
+        x = x + noise
+    values = np.abs(matvec_columns(f, x)) ** 2
     return estimate_from_map(EnergyMap(values), proto, n_x, n_y, geom=_HALF_WAVE)
 
 
@@ -241,6 +239,8 @@ def run_monte_carlo(cfg):
     (cfg.seed, point index, trial index), so results are independent of
     execution order and of how trials are distributed over workers.
     """
+    # built here so worker processes receive it with the pickled config
+    cfg.proto.lattice(cfg.n_x, cfg.n_y)
     points = []
     for si, snr in enumerate(cfg.snr_db):
         if math.isinf(snr):

@@ -6,6 +6,7 @@ matrices, plane-wave steering vectors, and the 2D DFT target matrix.
 """
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -331,14 +332,16 @@ def steering_vector(psi_x, psi_y, n_x, n_y):
         raise ValueError("steering angles must be finite")
     ax = np.exp(1j * psi_x * np.arange(n_x))
     ay = np.exp(1j * psi_y * np.arange(n_y))
-    return SteeringVector(entries=np.kron(ay, ax), psi_x=float(psi_x), psi_y=float(psi_y))
+    return SteeringVector(entries=np.outer(ay, ax).ravel(), psi_x=float(psi_x), psi_y=float(psi_y))
 
 
+@functools.lru_cache(maxsize=8)  # bounded: a 32x32 grid's matrix alone is 16 MB
 def dft_matrix(n_x, n_y):
     """2D DFT matrix over an (n_x, n_y) grid, in x-fastest linear ordering.
 
     Entry (n, n_breve) is exp(-2j*pi*(n_x-1)(n_breve_x-1)/N_x) times the
-    matching y factor. Satisfies F @ F^H = N * I.
+    matching y factor. Satisfies F @ F^H = N * I. Built once per grid and
+    shared, so the matrix is read-only.
     """
     n_x, n_y = int(n_x), int(n_y)
     if n_x < 1 or n_y < 1:
@@ -348,7 +351,9 @@ def dft_matrix(n_x, n_y):
         np.outer(ix - 1, ix - 1) / n_x
         + np.outer(iy - 1, iy - 1) / n_y
     )
-    return DftTarget(matrix=np.exp(-2j * math.pi * phase), n_x=n_x, n_y=n_y)
+    matrix = np.exp(-2j * math.pi * phase)
+    matrix.flags.writeable = False
+    return DftTarget(matrix=matrix, n_x=n_x, n_y=n_y)
 
 
 def check_feasibility(geom):

@@ -31,7 +31,7 @@ class PhaseStack:
 
 @dataclass
 class ZerothLayerConfig:
-    """Phase vector applied on the input layer for one snapshot."""
+    """Input-layer phases: one snapshot's vector (N,), or one column per snapshot (N, T)."""
 
     xi0: np.ndarray
 
@@ -40,14 +40,6 @@ class ZerothLayerConfig:
 
     def transmission(self):
         return np.exp(1j * self.xi0)
-
-
-@dataclass(frozen=True)
-class SimResponse:
-    """Cascade response G together with its fitted scale factor."""
-
-    g: np.ndarray
-    beta: complex
 
 
 def random_stack(layers, m, rng):
@@ -96,14 +88,27 @@ def fitting_loss(g, f, beta):
     return loss, max(10.0 * np.log10(loss / ref), DB_FLOOR)
 
 
-def synthesize_received(g, zeroth, sv, s, rho, noise=None):
-    """Received snapshot sqrt(rho) * G Y_0 a s + noise.
+def matvec_columns(m, x):
+    """``m @ x`` batched by column: each equals ``m @ x[:, t]`` bit for bit.
 
-    ``noise`` is a length-R complex vector or None for the clean field.
+    One GEMM sums in another order and does not. A 1-D ``x`` is one column.
+    """
+    return (m @ np.asarray(x).T[..., None])[..., 0].T
+
+
+def synthesize_received(g, zeroth, sv, s, rho, noise=None):
+    """Received snapshots sqrt(rho) * G Y_0 a s + noise.
+
+    ``zeroth`` holds one snapshot's phases (N,) for a length-R result, or
+    T snapshots as columns (N, T) for an R x T result, each column equal
+    to its one-snapshot call; ``s`` is a scalar or one symbol per snapshot.
+    ``noise`` has the result's shape, or is None for the clean field.
     """
     if rho < 0.0:
         raise ValueError("rho must be >= 0")
-    r = np.sqrt(rho) * (g @ (zeroth.transmission() * sv.entries)) * s
+    # transposes put the snapshot axis last, so ``a`` scales each phase profile
+    x = (zeroth.transmission().T * sv.entries).T
+    r = np.sqrt(rho) * matvec_columns(g, x) * s
     if noise is not None:
         noise = np.asarray(noise)
         if noise.shape != r.shape:

@@ -11,7 +11,6 @@ from simdoa.analysis import (
     detection_prob_bound,
     moments,
     mse_bound,
-    noncentrality,
     noncentrality_map,
     peak_index_noiseless,
     q_function,
@@ -19,6 +18,11 @@ from simdoa.analysis import (
 )
 from simdoa.estimator import ProtocolConfig, collect_snapshots, electrical_angles, steering_for
 from simdoa.geometry import dft_matrix
+
+
+def noncentrality(inp, n, t):
+    """Single-cell noncentrality parameter (1-based antenna and snapshot)."""
+    return float(noncentrality_map(inp)[n - 1, t - 1])
 
 
 def make_inputs(psi_x, psi_y, rho=1.0, s=1.0 + 0j, proto=None):
@@ -79,6 +83,17 @@ def test_noncentrality_matches_collected_energies():
     inp = make_inputs(0.41, -0.77, rho=rho, s=s, proto=proto)
     assert np.allclose(noncentrality_map(inp), 2.0 * emap.values, rtol=1e-10)
     assert noncentrality(inp, 3, 5) == pytest.approx(2.0 * emap.values[2, 4], rel=1e-10)
+
+
+def test_clean_field_is_the_clean_snapshot_exactly():
+    # one schedule (the protocol's lattice) feeds both the estimator and the bound
+    proto = ProtocolConfig(t_x=3, t_y=2)
+    rng = np.random.default_rng(2)
+    g = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    inp = BoundInputs(g=g, proto=proto, n_x=3, n_y=2, psi_x=0.27, psi_y=-0.64,
+                      rho=1.0, s=1.0 + 0j)
+    emap = collect_snapshots(g, steering_for(0.27, -0.64, 3, 2), 1.0 + 0j, 1.0, proto, 3, 2)
+    assert np.array_equal(np.abs(clean_field(inp)) ** 2, emap.values)
 
 
 def test_noiseless_peak_matches_estimator():
@@ -204,6 +219,25 @@ def test_mse_bound_vanishes_at_high_snr_on_lattice():
     bx, by = mse_bound(make_inputs(psi[0], psi[1], rho=1e4, proto=proto))
     assert bx < 1e-100
     assert by < 1e-100
+
+
+def test_mse_bound_matches_cell_by_cell_evaluation():
+    proto = ProtocolConfig(t_x=3, t_y=2)
+    inp = BoundInputs(g=dft_matrix(2, 3).matrix, proto=proto, n_x=2, n_y=3,
+                      psi_x=0.31, psi_y=-0.52, rho=4.0, s=0.6 - 0.8j)
+    delta = noncentrality_map(inp)
+    n_pk, t_pk = peak_index_noiseless(inp)
+    want_x = want_y = 0.0
+    for n in range(1, 7):
+        for t in range(1, 7):
+            mt = moments(delta[n - 1, t - 1], delta[n_pk - 1, t_pk - 1])
+            prob = detection_prob_bound(mt, peak_cell=(n, t) == (n_pk, t_pk))
+            gx, gy = electrical_angles(n, t, 2, 3, proto)
+            want_x += (math.remainder(inp.psi_x - gx, 2.0)) ** 2 * prob
+            want_y += (math.remainder(inp.psi_y - gy, 2.0)) ** 2 * prob
+    bx, by = mse_bound(inp)
+    assert bx == pytest.approx(want_x, rel=1e-12)
+    assert by == pytest.approx(want_y, rel=1e-12)
 
 
 def test_mse_bound_symmetric_axes():

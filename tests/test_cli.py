@@ -303,3 +303,85 @@ def test_sweep_receiver_csv(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["u_x", "u_x", "rotation"]
     assert float(rows[1][1]) == pytest.approx(0.5 * LAM)
     assert float(rows[3][1]) == pytest.approx(math.radians(30.0))
+
+
+# ----------------------------------------------------------------- bad inputs
+
+MC_DOC = {"geometry": {"n_x": 2, "n_y": 2},
+          "protocol": {"t_x": 2, "t_y": 2},
+          "montecarlo": {"trials": 4, "snr_db": [10, 0], "ideal": True}}
+RUN_DOC = {"geometry": {"n_x": 2, "n_y": 2},
+           "protocol": {"t_x": 2, "t_y": 2},
+           "source": {"psi_x": 0.1, "psi_y": 0.2}}
+
+
+def _config_error(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path / "c.yaml", doc)
+    code = main([command, "--config", cfg, "--outdir", str(tmp_path / "run"), "-j", "1"])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [-math.inf, math.nan])
+def test_montecarlo_refuses_minus_inf_and_nan_snr(tmp_path, capsys, value):
+    # -inf once ran as the noise-free limit and reported the lattice floor
+    doc = {**MC_DOC, "montecarlo": {**MC_DOC["montecarlo"], "snr_db": [10, value]}}
+    code, err = _config_error(tmp_path, capsys, "montecarlo", doc)
+    assert code == 2
+    assert "montecarlo.snr_db[1]" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "spectrum"])
+def test_run_commands_refuse_minus_inf_snr(tmp_path, capsys, command):
+    doc = {**RUN_DOC, command: {"ideal": True, "snr_db": -math.inf}}
+    code, err = _config_error(tmp_path, capsys, command, doc)
+    assert code == 2
+    assert f"{command}.snr_db" in err
+
+
+@pytest.mark.parametrize("command,key", [("montecarlo", "with_bound"),
+                                         ("montecarlo", "ideal"),
+                                         ("estimate", "ideal"),
+                                         ("spectrum", "ideal")])
+def test_flags_must_be_yaml_booleans(tmp_path, capsys, command, key):
+    # 'no' is a string; bool('no') would have read it as true
+    base = MC_DOC if command == "montecarlo" else {**RUN_DOC, command: {"ideal": True}}
+    doc = {**base, command: {**base[command], key: "no"}}
+    code, err = _config_error(tmp_path, capsys, command, doc)
+    assert code == 2
+    assert f"{command}.{key}" in err
+
+
+def _stack_bytes(tmp_path):
+    path = tmp_path / "s.bin"
+    save_stack(path, random_stack(2, 4, np.random.default_rng(3)))
+    return path, path.read_bytes()
+
+
+def test_load_stack_refuses_truncated_header(tmp_path):
+    path, data = _stack_bytes(tmp_path)
+    for cut in (6, 10):  # right after the magic, and inside the header
+        path.write_bytes(data[:cut])
+        with pytest.raises(IOError, match="truncated"):
+            load_stack(path)
+
+
+def test_load_stack_refuses_non_finite_phases(tmp_path):
+    path, data = _stack_bytes(tmp_path)
+    for bad in (math.nan, math.inf):
+        path.write_bytes(data[:-8] + np.array([bad], dtype="<f8").tobytes())
+        with pytest.raises(IOError, match="non-finite"):
+            load_stack(path)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "nan"])
+def test_corrupt_stack_exits_1(tmp_path, capsys, damage):
+    path, data = _stack_bytes(tmp_path)
+    path.write_bytes(data[:6] if damage == "truncate"
+                     else data[:-8] + np.array([math.nan], dtype="<f8").tobytes())
+    doc = {**RUN_DOC, "geometry": {"n_x": 2, "n_y": 2, "m_x": 2, "m_y": 2,
+                                   "layers": 2, "thickness": 2.0}}
+    cfg = write_config(tmp_path / "c.yaml", doc)
+    code = main(["estimate", "--config", cfg, "--stack", str(path),
+                 "--outdir", str(tmp_path / "run")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from simdoa.estimator import (
     zeroth_layer_phase,
 )
 from simdoa.geometry import SimGeometry, dft_matrix
+from simdoa.wavemodel import cn_noise
 
 LAM = 0.005
 
@@ -70,6 +71,32 @@ def test_zeroth_config_matches_scalar():
     assert cfg.xi0.shape == (4,)
     for n in range(1, 5):
         assert cfg.xi0[n - 1] == zeroth_layer_phase(n, 7, 2, 2, proto)
+
+
+def test_lattice_matches_scalar_definitions():
+    # n_x != n_y and t_x != t_y, so a swapped axis anywhere would show
+    proto = ProtocolConfig(t_x=3, t_y=2)
+    lattice = proto.lattice(3, 2)
+    assert lattice.zeroth.xi0.shape == lattice.psi_x.shape == lattice.psi_y.shape == (6, 6)
+    schedule = lattice.zeroth.transmission()
+    for t in range(1, 7):
+        column = zeroth_layer_config(t, 3, 2, proto)
+        assert np.array_equal(lattice.zeroth.xi0[:, t - 1], column.xi0)
+        assert np.array_equal(schedule[:, t - 1], column.transmission())
+        for n in range(1, 7):
+            assert (lattice.psi_x[n - 1, t - 1], lattice.psi_y[n - 1, t - 1]) \
+                == electrical_angles(n, t, 3, 2, proto)
+
+
+def test_lattice_is_cached_per_instance_and_read_only():
+    proto = ProtocolConfig(t_x=2, t_y=3)
+    lattice = proto.lattice(2, 2)
+    assert proto.lattice(2, 2) is lattice
+    assert proto.lattice(3, 2) is not lattice
+    assert ProtocolConfig(t_x=2, t_y=3).lattice(2, 2) is not lattice
+    for arr in (lattice.zeroth.xi0, lattice.psi_x, lattice.psi_y):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 # ------------------------------------------------------------------ energy map
@@ -130,6 +157,37 @@ def test_collect_matches_direct_dft_computation():
         xi0 = zeroth_layer_config(t, 2, 2, proto).xi0
         r = math.sqrt(rho) * (f @ (np.exp(1j * xi0) * sv.entries)) * s
         assert np.allclose(emap.values[:, t - 1], np.abs(r) ** 2, rtol=1e-12)
+
+
+def _per_snapshot_energies(g, sv, symbols, rho, proto, n_x, n_y, noise):
+    """The snapshot-by-snapshot loop that the lattice replaced, as an oracle."""
+    values = np.empty((g.shape[0], proto.t))
+    for t in range(1, proto.t + 1):
+        zeroth = zeroth_layer_config(t, n_x, n_y, proto)
+        r = np.sqrt(rho) * (g @ (zeroth.transmission() * sv.entries)) * symbols[t - 1]
+        if isinstance(noise, np.ndarray):
+            r = r + noise[:, t - 1]
+        elif noise is not None:
+            r = r + cn_noise(noise, g.shape[0])
+        values[:, t - 1] = np.abs(r) ** 2
+    return values
+
+
+@pytest.mark.parametrize("kind", ["clean", "generator", "preset"])
+def test_collect_matches_per_snapshot_loop_exactly(kind):
+    rng = np.random.default_rng(21)
+    proto = ProtocolConfig(t_x=3, t_y=4)
+    g = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    sv = steering_for(0.41, -0.73, 3, 2)
+    symbols = cn_noise(rng, proto.t)
+    noise = {"clean": lambda: None,
+             "generator": lambda: np.random.default_rng(8),
+             "preset": lambda: cn_noise(np.random.default_rng(8), (5, proto.t))}[kind]
+    for s in (symbols, symbols[0]):
+        want = _per_snapshot_energies(g, sv, np.broadcast_to(s, (proto.t,)), 2.5,
+                                      proto, 3, 2, noise())
+        got = collect_snapshots(g, sv, s, 2.5, proto, 3, 2, noise=noise())
+        assert np.array_equal(got.values, want)
 
 
 def test_collect_symbol_sequence():
@@ -264,6 +322,19 @@ def test_spectrum_peak_snaps_to_nearest_cell():
     iy, ix = np.unravel_index(np.argmax(power), power.shape)
     assert abs(ax[ix] - 0.48) <= 1.0 / 32 + 1e-12
     assert abs(ay[iy] - 0.23) <= 1.0 / 32 + 1e-12
+
+
+def test_spectrum_places_every_cell_like_the_scalar_loop():
+    proto = ProtocolConfig(t_x=3, t_y=2)
+    values = np.random.default_rng(4).uniform(0.5, 1.0, (6, 6))
+    ax, ay, power = angular_spectrum(EnergyMap(values), proto, 3, 2)
+    want = np.zeros((4, 9))
+    for t in range(1, 7):
+        for n in range(1, 7):
+            px, py = electrical_angles(n, t, 3, 2, proto)
+            want[int(round((py + 1.0) / (2.0 / 4))), int(round((px + 1.0) / (2.0 / 9)))] \
+                = values[n - 1, t - 1]
+    assert np.array_equal(power, want / want.max())
 
 
 def test_spectrum_rejects_mismatched_map():

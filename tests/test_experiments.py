@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from simdoa import estimator, experiments
 from simdoa.analysis import quantization_floor
-from simdoa.estimator import ProtocolConfig, electrical_angles
+from simdoa.estimator import ProtocolConfig, electrical_angles, steering_for
 from simdoa.experiments import (
     McConfig,
     SourceTruth,
@@ -21,6 +22,7 @@ from simdoa.experiments import (
 )
 from simdoa.geometry import SimGeometry, build_propagation_matrices, dft_matrix
 from simdoa.trainer import TrainConfig, train
+from simdoa.wavemodel import cn_noise
 
 LAM = 0.005
 
@@ -103,6 +105,45 @@ def test_digital_on_lattice_exact():
         assert (est.psi_x, est.psi_y) == (src.psi_x, src.psi_y)
 
 
+def _per_snapshot_digital_energies(source, proto, n_x, n_y, rho, noise):
+    """The snapshot-by-snapshot loop that the lattice replaced, as an oracle."""
+    f = dft_matrix(n_x, n_y).matrix
+    sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
+    values = np.empty((n_x * n_y, proto.t))
+    for t in range(1, proto.t + 1):
+        zeroth = estimator.zeroth_layer_config(t, n_x, n_y, proto)
+        x = np.sqrt(rho) * (zeroth.transmission() * sv.entries) * source.s
+        if noise is not None:
+            x = x + noise[:, t - 1]
+        values[:, t - 1] = np.abs(f @ x) ** 2
+    return values
+
+
+@pytest.mark.parametrize("kind", ["clean", "generator", "preset"])
+def test_digital_matches_per_snapshot_loop_exactly(kind, monkeypatch):
+    maps = []
+    real = experiments.estimate_from_map
+
+    def capture(emap, *args, **kwargs):
+        maps.append(emap.values)
+        return real(emap, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_from_map", capture)
+    proto = ProtocolConfig(t_x=3, t_y=4)
+    src = SourceTruth(phi=0.0, theta=0.0, psi_x=0.37, psi_y=-0.58, s=0.3 - 1.1j)
+    noise = cn_noise(np.random.default_rng(5), (6, proto.t), variance=1.0 / 6)
+    if kind == "clean":
+        digital_baseline(src, proto, 3, 2, 4.0, rng=None)
+        want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, None)
+    elif kind == "generator":
+        digital_baseline(src, proto, 3, 2, 4.0, rng=np.random.default_rng(5))
+        want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, noise)
+    else:
+        digital_baseline(src, proto, 3, 2, 4.0, rng=None, noise=noise)
+        want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, noise)
+    assert np.array_equal(maps[0], want)
+
+
 def test_paired_trial_ideal_paths_always_agree():
     f = dft_matrix(2, 2).matrix
     proto = ProtocolConfig(t_x=4, t_y=4)
@@ -160,6 +201,34 @@ def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(n_x=2, n_y=2, proto=proto, snr_db=(float("nan"),), trials=5,
                  pipeline="digital")
+
+
+def test_mc_config_rejects_minus_inf():
+    # -inf once ran as the noise-free limit and reported the lattice floor
+    with pytest.raises(ValueError):
+        McConfig(n_x=2, n_y=2, proto=ProtocolConfig(), snr_db=(0.0, -math.inf),
+                 trials=5, pipeline="digital")
+
+
+@pytest.mark.parametrize("pipeline", ["wave", "digital"])
+def test_mc_builds_the_lattice_once_per_protocol(pipeline, monkeypatch):
+    calls = []
+    real = estimator.zeroth_layer_config
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(estimator, "zeroth_layer_config", counting)
+    proto = ProtocolConfig(t_x=2, t_y=3)
+    cfg = McConfig(n_x=2, n_y=2, proto=proto, snr_db=(10.0, math.inf), trials=6,
+                   g=dft_matrix(2, 2).matrix, seed=4, pipeline=pipeline)
+    run_monte_carlo(cfg)
+    run_monte_carlo(cfg)
+    assert calls == list(range(1, proto.t + 1))
+    # the cache lives on the instance: an equal but new protocol builds again
+    run_monte_carlo(dataclasses.replace(cfg, proto=ProtocolConfig(t_x=2, t_y=3)))
+    assert len(calls) == 2 * proto.t
 
 
 def test_mc_fixed_lattice_source_noise_free_is_exact():

@@ -210,6 +210,16 @@ def test_steering_kronecker_oracle():
     assert sv.entries == pytest.approx(np.kron(ay, ax), rel=1e-15)
 
 
+def test_steering_equals_kronecker_product_exactly():
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        nx, ny = (int(v) for v in rng.integers(1, 9, 2))
+        px, py = rng.uniform(-4.0, 4.0, 2)
+        ax = np.exp(1j * px * np.arange(nx))
+        ay = np.exp(1j * py * np.arange(ny))
+        assert np.array_equal(steering_vector(px, py, nx, ny).entries, np.kron(ay, ax))
+
+
 @given(st.floats(-10, 10), st.floats(-10, 10))
 @settings(max_examples=50)
 def test_steering_unit_modulus(px, py):
@@ -239,6 +249,13 @@ def test_dft_scaled_unitary(nx, ny):
     n = nx * ny
     assert np.linalg.norm(f @ f.conj().T - n * np.eye(n)) <= 1e-12 * n
     assert np.linalg.norm(f, "fro") ** 2 == pytest.approx(n * n)
+
+
+def test_dft_is_shared_and_read_only():
+    f = dft_matrix(3, 2)
+    assert dft_matrix(3, 2) is f
+    with pytest.raises(ValueError):
+        f.matrix[0, 0] = 0.0
 
 
 def test_dft_structure():
