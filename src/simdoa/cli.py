@@ -47,111 +47,114 @@ class ConfigValueError(ConfigError):
     pass
 
 
-def _check_keys(section, allowed, path):
-    for key in section:
-        if key not in allowed:
-            raise ConfigKeyError(f"unknown key '{path}.{key}'"
-                                 f" (allowed: {', '.join(sorted(allowed))})")
+_REQUIRED = object()  # table default of a key that must be given
+_SNR_DB = "a number or 'inf'"  # the SNR kind: dB, or 'inf' for noise-free
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_FINITE = (math.isfinite, "must be finite")
 
 
-def _get(section, key, kind, path, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigValueError(f"missing required key '{path}.{key}'")
-        return default
-    value = section[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+def _value(value, kind, key, check=None):
+    """``value`` checked as ``kind``; a ConfigValueError names ``key``.
+
+    A kind is a type (ints widen to float, nothing else is coerced), a tuple of
+    choices, ``[kind]`` for a nonempty list (read as a tuple) or _SNR_DB.
+    """
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigValueError(f"'{key}' must be a nonempty list")
+        return tuple(_value(v, kind[0], f"{key}[{i}]", check)
+                     for i, v in enumerate(value))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is _SNR_DB:
+        if not (value == "inf" or number and (value == math.inf or math.isfinite(value))):
+            raise ConfigValueError(f"'{key}' must be {_SNR_DB}")
         value = float(value)
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ConfigValueError(f"'{path}.{key}' must be {kind.__name__},"
-                               f" got {type(value).__name__}")
+    elif isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigValueError(f"'{key}' must be one of: {', '.join(kind)}")
+    else:
+        if kind is float and number:
+            value = float(value)
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigValueError(f"'{key}' must be {kind.__name__},"
+                                   f" got {type(value).__name__}")
+    if check is not None and not check[0](value):
+        raise ConfigValueError(f"'{key}' {check[1]}")
     return value
 
 
-def _snr_db(value, key):
-    """An SNR entry in dB: a number or 'inf' (noise-free); -inf and NaN are refused."""
-    if value == "inf":
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not (value == math.inf or math.isfinite(value)):
-        raise ConfigValueError(f"'{key}' must be a number or 'inf'")
-    return float(value)
-
-
-def _get_list(section, key, path, required=False, default=None):
-    if key not in section:
-        if required:
+def _read(section, path, table):
+    """Values of ``section`` by ``table``: {key: (kind, default[, (test, message)])}."""
+    for key in section:
+        if key not in table:
+            raise ConfigKeyError(f"unknown key '{path}.{key}'"
+                                 f" (allowed: {', '.join(sorted(table))})")
+    values = {}
+    for key, (kind, default, *check) in table.items():
+        if key in section:
+            values[key] = _value(section[key], kind, f"{path}.{key}", *check)
+        elif default is _REQUIRED:
             raise ConfigValueError(f"missing required key '{path}.{key}'")
-        return default
-    value = section[key]
-    if not isinstance(value, list) or not value:
-        raise ConfigValueError(f"'{path}.{key}' must be a nonempty list")
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigValueError(f"'{path}.{key}[{i}]' must be a number")
-        out.append(float(v))
-    return out
+        else:
+            values[key] = default
+    return values
 
 
-def _parse_geometry(section):
-    allowed = {"n_x", "n_y", "d_x", "d_y", "m_x", "m_y", "s_x", "s_y",
-               "layers", "thickness", "u_x", "u_y", "rotation_deg",
-               "wavelength_mm"}
-    _check_keys(section, allowed, "geometry")
-    lam = _get(section, "wavelength_mm", float, "geometry", 5.0) * 1e-3
-    # unspecified stack fields fall back to the best known 7-layer design
-    kwargs = dict(
-        wavelength=lam,
-        n_x=_get(section, "n_x", int, "geometry", required=True),
-        n_y=_get(section, "n_y", int, "geometry", required=True),
-        d_x=_get(section, "d_x", float, "geometry", 0.5) * lam,
-        d_y=_get(section, "d_y", float, "geometry", 0.5) * lam,
-        m_x=_get(section, "m_x", int, "geometry", 11),
-        m_y=_get(section, "m_y", int, "geometry", 11),
-        s_x=_get(section, "s_x", float, "geometry", 0.5) * lam,
-        s_y=_get(section, "s_y", float, "geometry", 0.5) * lam,
-        layers=_get(section, "layers", int, "geometry", 7),
-        thickness=_get(section, "thickness", float, "geometry", 9.0) * lam,
-        rotation=math.radians(_get(section, "rotation_deg", float, "geometry", 0.0)),
-    )
-    u_x = _get(section, "u_x", float, "geometry")
-    u_y = _get(section, "u_y", float, "geometry")
-    if u_x is not None:
-        kwargs["u_x"] = u_x * lam
-    if u_y is not None:
-        kwargs["u_y"] = u_y * lam
-    try:
-        return SimGeometry(**kwargs)
-    except ValueError as exc:
-        raise ConfigValueError(f"geometry: {exc}") from exc
+def _from_fields(cls):
+    """Parser of a section whose keys, types and defaults are ``cls``'s fields."""
+    table = {f.name: (f.type, f.default) for f in dataclasses.fields(cls)}
+    return lambda section, path: cls(**_read(section, path, table))
 
 
-def _parse_train(section):
-    allowed = {"eta0", "zeta", "max_iters", "rel_tolerance", "seed", "restarts"}
-    _check_keys(section, allowed, "train")
-    try:
-        return TrainConfig(
-            eta0=_get(section, "eta0", float, "train", 0.1),
-            zeta=_get(section, "zeta", float, "train", 0.8),
-            max_iters=_get(section, "max_iters", int, "train", 200),
-            rel_tolerance=_get(section, "rel_tolerance", float, "train", 0.0),
-            seed=_get(section, "seed", int, "train", 0),
-            restarts=_get(section, "restarts", int, "train", 1),
-        )
-    except ValueError as exc:
-        raise ConfigValueError(f"train: {exc}") from exc
+# Lengths are in wavelengths; unset stack fields give the best known 7-layer design.
+_GEOMETRY = {
+    "n_x": (int, _REQUIRED), "n_y": (int, _REQUIRED),
+    "d_x": (float, 0.5), "d_y": (float, 0.5),
+    "m_x": (int, 11), "m_y": (int, 11),
+    "s_x": (float, 0.5), "s_y": (float, 0.5),
+    "layers": (int, 7), "thickness": (float, 9.0),
+    "u_x": (float, None), "u_y": (float, None),  # None: the input spacing
+    "rotation_deg": (float, 0.0),
+    "wavelength_mm": (float, 5.0),
+}
+# Either angle form may be given (None: not given), not both.
+_SOURCE = {
+    "psi_x": (float, None), "psi_y": (float, None),
+    "phi_deg": (float, None), "theta_deg": (float, None),
+    "s_real": (float, 1.0), "s_imag": (float, 0.0),
+}
+_RUN = {"snr_db": (_SNR_DB, math.inf), "seed": (int, 0), "ideal": (bool, False)}
+_BOUND = {"snr_db": ([float], _REQUIRED, _FINITE)}
+_MONTECARLO = {
+    "trials": (int, _REQUIRED, _AT_LEAST_ONE),
+    "snr_db": ([_SNR_DB], _REQUIRED),
+    "seed": (int, 0, _NON_NEGATIVE),
+    "source_mode": (("parameter", "solid", "uniform-psi"), "parameter"),
+    "symbol": (("cscg", "phase"), "cscg"),
+    "pipeline": (("wave", "digital"), "wave"),
+    "with_bound": (bool, True),
+    "ideal": (bool, False),
+}
+_SWEEP_RUNS = {"runs": (int, 3, _AT_LEAST_ONE), "seed": (int, 0, _NON_NEGATIVE)}
+_SWEEP = {  # one table per sweep mode
+    "ablation": {**_SWEEP_RUNS, "thickness": ([float], _REQUIRED),
+                 "layers": ([int], _REQUIRED), "atoms": ([int], _REQUIRED),
+                 "spacing": ([float], _REQUIRED)},
+    "receiver": {**_SWEEP_RUNS, "u_x": ([float], ()), "rotation_deg": ([float], ()),
+                 "layers": ([int], ())},
+}
+_SWEEP_MODE = {"mode": (tuple(_SWEEP), "ablation")}
 
 
-def _parse_protocol(section):
-    _check_keys(section, {"t_x", "t_y"}, "protocol")
-    try:
-        return ProtocolConfig(
-            t_x=_get(section, "t_x", int, "protocol", 1),
-            t_y=_get(section, "t_y", int, "protocol", 1),
-        )
-    except ValueError as exc:
-        raise ConfigValueError(f"protocol: {exc}") from exc
+def _parse_geometry(section, path):
+    values = _read(section, path, _GEOMETRY)
+    lam = values.pop("wavelength_mm") * 1e-3
+    rotation = math.radians(values.pop("rotation_deg"))
+    # every other float is a length in wavelengths
+    return SimGeometry(wavelength=lam, rotation=rotation,
+                       **{k: v * lam if isinstance(v, float) else v
+                          for k, v in values.items()})
 
 
 @dataclass(frozen=True)
@@ -161,119 +164,49 @@ class CliSource:
     s: complex
 
 
-def _parse_source(section):
-    allowed = {"psi_x", "psi_y", "phi_deg", "theta_deg", "s_real", "s_imag"}
-    _check_keys(section, allowed, "source")
-    have_psi = "psi_x" in section or "psi_y" in section
-    have_ang = "phi_deg" in section or "theta_deg" in section
-    if have_psi and have_ang:
-        raise ConfigValueError("source: give psi_x/psi_y or phi_deg/theta_deg,"
-                               " not both")
-    if have_ang:
-        phi = math.radians(_get(section, "phi_deg", float, "source", required=True))
-        theta = math.radians(_get(section, "theta_deg", float, "source", required=True))
+def _parse_source(section, path):
+    v = _read(section, path, _SOURCE)
+    angles = v["phi_deg"] is not None or v["theta_deg"] is not None
+    if angles and (v["psi_x"] is not None or v["psi_y"] is not None):
+        raise ValueError("give psi_x/psi_y or phi_deg/theta_deg, not both")
+    for key in ("phi_deg", "theta_deg") if angles else ("psi_x", "psi_y"):
+        if v[key] is None:
+            raise ConfigValueError(f"missing required key '{path}.{key}'")
+    if angles:
+        phi, theta = math.radians(v["phi_deg"]), math.radians(v["theta_deg"])
         if not 0.0 <= theta <= math.pi / 2.0:
-            raise ConfigValueError("source: theta_deg must lie in [0, 90]")
+            raise ValueError("theta_deg must lie in [0, 90]")
         psi_x = math.sin(theta) * math.cos(phi)
         psi_y = math.sin(theta) * math.sin(phi)
     else:
-        psi_x = _get(section, "psi_x", float, "source", required=True)
-        psi_y = _get(section, "psi_y", float, "source", required=True)
+        psi_x, psi_y = v["psi_x"], v["psi_y"]
         if not (-1.0 <= psi_x < 1.0 and -1.0 <= psi_y < 1.0):
-            raise ConfigValueError("source: psi values must lie in [-1, 1)")
-    s = complex(_get(section, "s_real", float, "source", 1.0),
-                _get(section, "s_imag", float, "source", 0.0))
+            raise ValueError("psi values must lie in [-1, 1)")
+    s = complex(v["s_real"], v["s_imag"])
     if s == 0:
-        raise ConfigValueError("source: symbol must be nonzero")
+        raise ValueError("symbol must be nonzero")
     return CliSource(psi_x=psi_x, psi_y=psi_y, s=s)
 
 
-def _parse_run(section, path, defaults):
-    """Shared shape for estimate/spectrum run options."""
-    allowed = {"snr_db", "seed", "ideal"}
-    _check_keys(section, allowed, path)
-    snr = section.get("snr_db", defaults.get("snr_db"))
-    return {
-        "snr_db": None if snr is None else _snr_db(snr, f"{path}.snr_db"),
-        "seed": _get(section, "seed", int, path, defaults.get("seed", 0)),
-        "ideal": _get(section, "ideal", bool, path, defaults.get("ideal", False)),
-    }
-
-
-def _parse_montecarlo(section):
-    allowed = {"trials", "snr_db", "seed", "source_mode", "symbol", "pipeline",
-               "with_bound", "ideal"}
-    _check_keys(section, allowed, "montecarlo")
-    raw = section.get("snr_db")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigValueError("'montecarlo.snr_db' must be a nonempty list")
-    snrs = [_snr_db(v, f"montecarlo.snr_db[{i}]") for i, v in enumerate(raw)]
-    mode = _get(section, "source_mode", str, "montecarlo", "parameter")
-    if mode not in ("parameter", "solid", "uniform-psi"):
-        raise ConfigValueError(f"'montecarlo.source_mode' unknown: {mode}")
-    symbol = _get(section, "symbol", str, "montecarlo", "cscg")
-    if symbol not in ("cscg", "phase"):
-        raise ConfigValueError(f"'montecarlo.symbol' unknown: {symbol}")
-    pipeline = _get(section, "pipeline", str, "montecarlo", "wave")
-    if pipeline not in ("wave", "digital"):
-        raise ConfigValueError(f"'montecarlo.pipeline' unknown: {pipeline}")
-    return {
-        "trials": _get(section, "trials", int, "montecarlo", required=True),
-        "snr_db": tuple(snrs),
-        "seed": _get(section, "seed", int, "montecarlo", 0),
-        "source_mode": mode,
-        "symbol": symbol,
-        "pipeline": pipeline,
-        "with_bound": _get(section, "with_bound", bool, "montecarlo", True),
-        "ideal": _get(section, "ideal", bool, "montecarlo", False),
-    }
-
-
-def _parse_sweep(section):
-    allowed = {"mode", "thickness", "layers", "atoms", "spacing", "u_x",
-               "rotation_deg", "runs", "seed"}
-    _check_keys(section, allowed, "sweep")
-    mode = _get(section, "mode", str, "sweep", "ablation")
-    if mode not in ("ablation", "receiver"):
-        raise ConfigValueError(f"'sweep.mode' unknown: {mode}")
-    out = {
-        "mode": mode,
-        "runs": _get(section, "runs", int, "sweep", 3),
-        "seed": _get(section, "seed", int, "sweep", 0),
-    }
-    if mode == "ablation":
-        out["thickness"] = _get_list(section, "thickness", "sweep", required=True)
-        layers = _get_list(section, "layers", "sweep", required=True)
-        atoms = _get_list(section, "atoms", "sweep", required=True)
-        out["layers"] = tuple(int(v) for v in layers)
-        out["atoms"] = tuple(int(v) for v in atoms)
-        out["spacing"] = _get_list(section, "spacing", "sweep", required=True)
-    else:
-        out["u_x"] = _get_list(section, "u_x", "sweep", default=[])
-        out["rotation_deg"] = _get_list(section, "rotation_deg", "sweep", default=[])
-        layers = _get_list(section, "layers", "sweep", default=[])
-        out["layers"] = tuple(int(v) for v in layers)
-        if not (out["u_x"] or out["rotation_deg"] or out["layers"]):
-            raise ConfigValueError("sweep: receiver mode needs at least one of"
-                                   " u_x, rotation_deg, layers")
-    return out
-
-
-def _parse_bound(section):
-    _check_keys(section, {"snr_db"}, "bound")
-    snrs = _get_list(section, "snr_db", "bound", required=True)
-    return {"snr_db": tuple(snrs)}
+def _parse_sweep(section, path):
+    mode = _read({k: section[k] for k in _SWEEP_MODE if k in section}, path, _SWEEP_MODE)["mode"]
+    values = _read(section, path, {**_SWEEP_MODE, **_SWEEP[mode]})
+    if mode == "receiver" and not (values["u_x"] or values["rotation_deg"]
+                                   or values["layers"]):
+        raise ValueError("receiver mode needs at least one of"
+                         " u_x, rotation_deg, layers")
+    return values
 
 
 _SECTION_PARSERS = {
     "geometry": _parse_geometry,
-    "train": _parse_train,
-    "protocol": _parse_protocol,
+    "train": _from_fields(TrainConfig),
+    "protocol": _from_fields(ProtocolConfig),
     "source": _parse_source,
-    "estimate": lambda s: _parse_run(s, "estimate", {"snr_db": math.inf}),
-    "spectrum": lambda s: _parse_run(s, "spectrum", {"snr_db": math.inf}),
-    "bound": _parse_bound,
-    "montecarlo": _parse_montecarlo,
+    "estimate": lambda s, path: _read(s, path, _RUN),
+    "spectrum": lambda s, path: _read(s, path, _RUN),
+    "bound": lambda s, path: _read(s, path, _BOUND),
+    "montecarlo": lambda s, path: _read(s, path, _MONTECARLO),
     "sweep": _parse_sweep,
 }
 
@@ -281,9 +214,9 @@ _SECTION_PARSERS = {
 def parse_config(path):
     """Load and validate a YAML config; returns {section: parsed object}.
 
-    Unknown sections or keys are rejected with the offending dotted path;
-    invariant violations are rephrased with their section context. The raw
-    document is kept under the "_raw" key for the run manifest.
+    Each section is read by its table above, so a bad key or value is refused
+    with its dotted path; invariant violations are rephrased with their
+    section context. The raw document is kept under "_raw" for the manifest.
     """
     if not os.path.exists(path):
         raise ConfigFileError(f"config file not found: {path}")
@@ -303,7 +236,10 @@ def parse_config(path):
                                  f" (allowed: {', '.join(sorted(_SECTION_PARSERS))})")
         if not isinstance(section, dict):
             raise ConfigSyntaxError(f"section '{name}' must be a mapping")
-        parsed[name] = _SECTION_PARSERS[name](section)
+        try:
+            parsed[name] = _SECTION_PARSERS[name](section, name)
+        except ValueError as exc:
+            raise ConfigValueError(f"{name}: {exc}") from exc
     return parsed
 
 
@@ -404,10 +340,9 @@ def _outdir(args):
     return out
 
 
-def _response_for(config, args, command):
-    """Resolve (g, beta, n_x, n_y) from --stack, ideal flag, or inline fit."""
+def _response_for(config, args, command, ideal=None):
+    """(g, beta, geom) from --stack, else the exact DFT if ``ideal`` (None: no such key)."""
     geom = _need(config, "geometry", command)
-    ideal = config.get(command, {}).get("ideal", False)
     if getattr(args, "stack", None):
         if not os.path.exists(args.stack):
             raise IOError(f"stack file not found: {args.stack}")
@@ -420,8 +355,8 @@ def _response_for(config, args, command):
         return g, beta, geom
     if ideal:
         return dft_matrix(geom.n_x, geom.n_y).matrix, 1.0 + 0.0j, geom
-    raise ConfigValueError(f"'{command}' needs --stack FILE or"
-                           f" '{command}.ideal: true'")
+    raise ConfigValueError(f"'{command}' needs --stack FILE" + (
+        "" if ideal is None else f" or '{command}.ideal: true'"))
 
 
 def _cmd_fit(args, config):
@@ -454,13 +389,13 @@ def _cmd_fit(args, config):
 
 
 def _spectrum_map(config, args, command):
-    g, beta, geom = _response_for(config, args, command)
+    run = config.get(command) or _read({}, command, _RUN)
+    g, beta, geom = _response_for(config, args, command, run["ideal"])
     proto = _need(config, "protocol", command)
     source = _need(config, "source", command)
-    run = config.get(command, {"snr_db": math.inf, "seed": 0, "ideal": False})
     sv = steering_for(source.psi_x, source.psi_y, geom.n_x, geom.n_y)
     snr = run["snr_db"]
-    if snr is None or math.isinf(snr):
+    if math.isinf(snr):
         rho, noise = 1.0, None
     else:
         gamma = 10.0 ** (snr / 10.0)
@@ -547,11 +482,7 @@ def _cmd_montecarlo(args, config):
     if mc["pipeline"] == "digital":
         g, beta = None, 1.0 + 0.0j
     else:
-        section_ideal = mc["ideal"]
-        if getattr(args, "stack", None) or not section_ideal:
-            g, beta, geom = _response_for(config, args, "montecarlo")
-        else:
-            g, beta = dft_matrix(geom.n_x, geom.n_y).matrix, 1.0 + 0.0j
+        g, beta, geom = _response_for(config, args, "montecarlo", mc["ideal"])
     cfg = experiments.McConfig(
         n_x=geom.n_x, n_y=geom.n_y, proto=proto, snr_db=mc["snr_db"],
         trials=mc["trials"], g=g, beta=beta, seed=mc["seed"],
@@ -588,8 +519,8 @@ def _cmd_sweep(args, config):
     if sw["mode"] == "ablation":
         spec = experiments.SweepSpec(
             n_x=geom.n_x, n_y=geom.n_y,
-            thickness_lam=tuple(sw["thickness"]), layers=sw["layers"],
-            atoms=sw["atoms"], spacing_lam=tuple(sw["spacing"]),
+            thickness_lam=sw["thickness"], layers=sw["layers"],
+            atoms=sw["atoms"], spacing_lam=sw["spacing"],
             train=train_cfg, runs=sw["runs"], seed=sw["seed"],
             wavelength=geom.wavelength, jobs=args.jobs,
         )

@@ -1,11 +1,15 @@
 import csv
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import simdoa
 from simdoa.cli import (
     ConfigError,
     RunManifest,
@@ -15,9 +19,12 @@ from simdoa.cli import (
     parse_config,
     save_stack,
 )
+from simdoa.estimator import ProtocolConfig
+from simdoa.trainer import TrainConfig
 from simdoa.wavemodel import random_stack
 
 LAM = 0.005
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, doc):
@@ -385,3 +392,87 @@ def test_corrupt_stack_exits_1(tmp_path, capsys, damage):
                  "--outdir", str(tmp_path / "run")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section,key", [
+    ("estimate", {"ideal": True, "snr_db": None, "seed": 3}, "estimate.snr_db"),
+    ("spectrum", {"ideal": True, "snr_db": None}, "spectrum.snr_db"),
+    # list entries once truncated to int
+    ("sweep", {"thickness": [2.0], "layers": [1.7], "atoms": [25], "spacing": [0.5]},
+     "sweep.layers[0]"),
+    ("sweep", {"thickness": [2.0], "layers": [1], "atoms": [25.9], "spacing": [0.5]},
+     "sweep.atoms[0]"),
+    # keys of the other sweep mode were accepted and ignored
+    ("sweep", {"mode": "receiver", "layers": [1], "thickness": [3.0]}, "sweep.thickness"),
+    ("sweep", {"thickness": [2.0], "layers": [1], "atoms": [25], "spacing": [0.5],
+               "u_x": [1.0]}, "sweep.u_x"),
+    # these failed late with exit 1
+    ("sweep", {"mode": "receiver", "layers": [1], "runs": 0}, "sweep.runs"),
+    ("sweep", {"mode": "receiver", "layers": [1], "seed": -1}, "sweep.seed"),
+    ("montecarlo", {"trials": 0, "snr_db": [10], "ideal": True}, "montecarlo.trials"),
+    ("montecarlo", {"trials": 4, "snr_db": [10], "seed": -1, "ideal": True},
+     "montecarlo.seed"),
+])
+def test_refused_inputs_exit_2_naming_the_key(tmp_path, capsys, command, section, key):
+    base = {"sweep": {"geometry": {"n_x": 2, "n_y": 2}, "train": {"max_iters": 2}},
+            "montecarlo": MC_DOC}.get(command, RUN_DOC)
+    code, err = _config_error(tmp_path, capsys, command, {**base, command: section})
+    assert code == 2
+    assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_bound_refuses_non_finite_snr(tmp_path, capsys, value):
+    # a non-finite entry once wrote NaN bounds and exited 0
+    doc = {**RUN_DOC, "geometry": {"n_x": 2, "n_y": 2, "m_x": 2, "m_y": 2,
+                                   "layers": 2, "thickness": 2.0},
+           "bound": {"snr_db": [10, value]}}
+    path = tmp_path / "s.bin"
+    save_stack(path, random_stack(2, 4, np.random.default_rng(0)))
+    cfg = write_config(tmp_path / "c.yaml", doc)
+    code = main(["bound", "--config", cfg, "--stack", str(path),
+                 "--outdir", str(tmp_path / "run")])
+    assert code == 2
+    assert "'bound.snr_db[1]' must be finite" in capsys.readouterr().err
+
+
+def test_stackless_error_offers_ideal_only_where_it_is_a_key(tmp_path, capsys):
+    doc = {**RUN_DOC, "bound": {"snr_db": [10]}, "estimate": {}}
+    code, err = _config_error(tmp_path, capsys, "bound", doc)
+    assert code == 2
+    assert "--stack" in err and "bound.ideal" not in err
+    code, err = _config_error(tmp_path, capsys, "estimate", doc)
+    assert code == 2
+    assert "'estimate.ideal: true'" in err
+
+
+def test_train_and_protocol_read_their_dataclass_fields(tmp_path):
+    parsed = parse_config(write_config(tmp_path / "c.yaml", {"train": {}, "protocol": {}}))
+    assert parsed["train"] == TrainConfig()
+    assert parsed["protocol"] == ProtocolConfig()
+    doc = {"train": {"eta0": 1, "restarts": 3}, "protocol": {"t_y": 2}}
+    parsed = parse_config(write_config(tmp_path / "d.yaml", doc))
+    assert parsed["train"] == TrainConfig(eta0=1.0, restarts=3)
+    assert isinstance(parsed["train"].eta0, float)
+    assert parsed["protocol"] == ProtocolConfig(t_y=2)
+    for section, bad, key in [("train", {"restarts": 1.5}, "train.restarts"),
+                              ("protocol", {"t_z": 2}, "protocol.t_z")]:
+        with pytest.raises(ConfigError, match=key):
+            parse_config(write_config(tmp_path / "e.yaml", {section: bad}))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_configs_parse(path):
+    parsed = parse_config(str(path))
+    assert set(parsed) == {"_raw", *parsed["_raw"]}
+
+
+def test_python_m_simdoa_runs_without_warnings():
+    src = os.path.dirname(os.path.dirname(simdoa.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "simdoa", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.strip() == simdoa.__version__
