@@ -66,6 +66,11 @@ def _value(value, kind, key, check=None):
         return tuple(_value(v, kind[0], f"{key}[{i}]", check)
                      for i, v in enumerate(value))
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and kind in (float, _SNR_DB):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigValueError(f"'{key}' is too large for a float") from None
     if kind is _SNR_DB:
         if not (value == "inf" or number and (value == math.inf or math.isfinite(value))):
             raise ConfigValueError(f"'{key}' must be {_SNR_DB}")
@@ -74,8 +79,6 @@ def _value(value, kind, key, check=None):
         if value not in kind:
             raise ConfigValueError(f"'{key}' must be one of: {', '.join(kind)}")
     else:
-        if kind is float and number:
-            value = float(value)
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise ConfigValueError(f"'{key}' must be {kind.__name__},"
                                    f" got {type(value).__name__}")
@@ -124,7 +127,8 @@ _SOURCE = {
     "phi_deg": (float, None), "theta_deg": (float, None),
     "s_real": (float, 1.0), "s_imag": (float, 0.0),
 }
-_RUN = {"snr_db": (_SNR_DB, math.inf), "seed": (int, 0), "ideal": (bool, False)}
+_RUN = {"snr_db": (_SNR_DB, math.inf), "seed": (int, 0, _NON_NEGATIVE),
+        "ideal": (bool, False)}
 _BOUND = {"snr_db": ([float], _REQUIRED, _FINITE)}
 _MONTECARLO = {
     "trials": (int, _REQUIRED, _AT_LEAST_ONE),

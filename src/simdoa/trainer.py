@@ -1,6 +1,6 @@
 """Gradient-descent fitting of the stack response to the 2D DFT matrix."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,8 @@ class TrainConfig:
             raise ValueError("rel_tolerance must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -64,45 +66,46 @@ class TrainingDiverged(RuntimeError):
         self.loss_history = loss_history
 
 
-def layer_inputs(props, stack):
+def _transmissions(stack):
+    """Every layer's transmission, in layer order."""
+    return [stack.transmission(l) for l in range(1, stack.layers + 1)]
+
+
+def layer_inputs(props, stack, t=None):
     """Per-layer incident fields for every input-layer source.
 
     Returns a list with one (M, N) array per layer l; column n of entry
     l-1 is the field from input atom n arriving at layer l, i.e. the
     partial cascade up to but excluding layer l's own phase shift.
+    ``t`` holds the layers' transmissions when the caller already has them.
     """
+    t = _transmissions(stack) if t is None else t
     q = [props.w0]
     for l in range(1, stack.layers):
-        q.append(props.w_inner[l - 1] @ (stack.transmission(l)[:, None] * q[-1]))
+        q.append(props.w_inner[l - 1] @ (t[l - 1][:, None] * q[-1]))
     return q
 
 
-def _suffix_products(props, stack):
-    """b[l-1] = W_L Y_L ... Y_{l+1} W_l, the cascade downstream of layer l."""
-    b = [None] * stack.layers
-    b[stack.layers - 1] = props.w_last
-    for l in range(stack.layers - 1, 0, -1):
-        b[l - 1] = b[l] @ (stack.transmission(l + 1)[:, None] * props.w_inner[l - 1])
-    return b
-
-
-def gradient(props, stack, f, beta, q=None):
+def gradient(props, stack, f, beta, q=None, t=None):
     """Analytic loss gradient w.r.t. every layer's phase vector.
 
-    Treats ``beta`` as a constant. The downstream cascades are accumulated
-    backward once and shared across all input atoms, so the total cost
-    matches a constant number of forward passes.
+    Treats ``beta`` as a constant. One adjoint sweep runs backward from the
+    residual on M x N operands and meets the stored layer inputs ``q`` (from
+    ``layer_inputs``), so the cost matches one forward pass. ``q`` and the
+    transmissions ``t`` are computed here unless the caller passes them.
     """
+    t = _transmissions(stack) if t is None else t
     if q is None:
-        q = layer_inputs(props, stack)
-    b = _suffix_products(props, stack)
-    g = b[stack.layers - 1] @ (stack.transmission(stack.layers)[:, None] * q[-1])
-    err = beta * g - f
-    grads = []
-    for l in range(1, stack.layers + 1):
-        c = b[l - 1].conj().T @ err
-        s = np.sum(np.conj(q[l - 1]) * c, axis=1)
-        grads.append(2.0 * np.imag(np.conj(beta) * np.conj(stack.transmission(l)) * s))
+        q = layer_inputs(props, stack, t)
+    g = props.w_last @ (t[-1][:, None] * q[-1])
+    # e: conj of the adjoint (W_L Y_L ... Y_{l+1} W_l)^H (beta G - F) at layer l's
+    # output; kept conjugated, the sweep uses transposed views, never conj(W).
+    e = props.w_last.T @ np.conj(beta * g - f)
+    grads = [None] * stack.layers
+    for l in range(stack.layers, 0, -1):
+        if l < stack.layers:
+            e = props.w_inner[l - 1].T @ (t[l][:, None] * e)
+        grads[l - 1] = -2.0 * np.imag(beta * t[l - 1] * np.sum(q[l - 1] * e, axis=1))
     return grads
 
 
@@ -129,6 +132,8 @@ def train(props, f, config):
 
     Each iteration computes the gradient at the current scale factor,
     steps the phases, decays the learning rate, then refits the scale.
+    One forward pass per iteration (``layer_inputs``) gives the new
+    response and is kept for the next iteration's adjoint sweep.
     Each layer's step is the gradient rescaled to a sup-norm of eta*pi,
     so eta directly bounds the per-iteration phase movement (in units of
     half-turns) regardless of the raw gradient magnitude. Keeping the
@@ -154,17 +159,18 @@ def train(props, f, config):
     eta = config.eta0
     stop_reason = "max_iters"
     iterations = 0
+    q = t = None
 
     for k in range(1, config.max_iters + 1):
-        grads = gradient(props, stack, f, beta)
-        for l in range(stack.layers):
-            peak = np.abs(grads[l]).max()
-            if peak == 0.0:
-                continue
-            step = (eta * np.pi / peak) * grads[l]
-            stack.xi[l] = np.mod(stack.xi[l] - step, 2.0 * np.pi)
+        grads = gradient(props, stack, f, beta, q=q, t=t)
+        for l, gl in enumerate(grads):
+            peak = np.abs(gl).max()
+            if peak > 0.0:
+                stack.xi[l] = np.mod(stack.xi[l] - (eta * np.pi / peak) * gl, 2.0 * np.pi)
         eta *= config.zeta
-        g = forward_response(props, stack)
+        t = _transmissions(stack)
+        q = layer_inputs(props, stack, t)
+        g = props.w_last @ (t[-1][:, None] * q[-1])  # forward_response, bit for bit
         beta = optimal_scale(g, f)
         prev = loss
         loss, db = fitting_loss(g, f, beta)
@@ -199,15 +205,5 @@ def train_restarts(props, f, config):
     Seeds are ``config.seed + i`` for restart i; reports come back in
     that order. The best run is the one with the lowest best loss.
     """
-    reports = []
-    for i in range(config.restarts):
-        cfg_i = TrainConfig(
-            eta0=config.eta0,
-            zeta=config.zeta,
-            max_iters=config.max_iters,
-            rel_tolerance=config.rel_tolerance,
-            seed=config.seed + i,
-            restarts=1,
-        )
-        reports.append(train(props, f, cfg_i))
-    return reports
+    return [train(props, f, replace(config, seed=config.seed + i, restarts=1))
+            for i in range(config.restarts)]

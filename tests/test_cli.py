@@ -476,3 +476,31 @@ def test_python_m_simdoa_runs_without_warnings():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.strip() == simdoa.__version__
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    # np.random.default_rng refused these late with exit 1
+    ("fit", {**tiny_fit_doc(), "train": {"max_iters": 2, "seed": -1}},
+     "train: seed must be >= 0"),
+    ("estimate", {**RUN_DOC, "estimate": {"ideal": True, "snr_db": 10, "seed": -1}},
+     "'estimate.seed' must be >= 0"),
+    ("spectrum", {**RUN_DOC, "spectrum": {"ideal": True, "snr_db": 10, "seed": -1}},
+     "'spectrum.seed' must be >= 0"),
+], ids=["train", "estimate", "spectrum"])
+def test_negative_seeds_exit_2(tmp_path, capsys, command, doc, message):
+    code, err = _config_error(tmp_path, capsys, command, doc)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("command,section,key", [
+    ("estimate", {"geometry": {"n_x": 2, "n_y": 2, "d_x": 10 ** 400}}, "geometry.d_x"),
+    ("estimate", {"estimate": {"ideal": True, "snr_db": -10 ** 400}}, "estimate.snr_db"),
+    ("bound", {"bound": {"snr_db": [0, 10 ** 400]}}, "bound.snr_db[1]"),
+], ids=["d_x", "snr_db", "bound"])
+def test_float_keys_refuse_integers_beyond_float_range(tmp_path, capsys, command,
+                                                       section, key):
+    # float() raised OverflowError, which ended in a traceback
+    code, err = _config_error(tmp_path, capsys, command, {**RUN_DOC, **section})
+    assert code == 2
+    assert f"'{key}' is too large for a float" in err

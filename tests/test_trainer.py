@@ -13,7 +13,9 @@ from simdoa.trainer import (
     train,
     train_restarts,
 )
-from simdoa.wavemodel import PhaseStack, forward_response, optimal_scale, random_stack
+from simdoa import trainer
+from simdoa.wavemodel import (PhaseStack, fitting_loss, forward_response, optimal_scale,
+                              random_stack)
 
 LAM = 0.005
 
@@ -57,7 +59,79 @@ def test_layer_inputs_identity_first_layer():
     assert np.allclose(q[1], props.w_inner[0] @ props.w0, rtol=1e-12)
 
 
+# ---------------------------------------------- oracles: the suffix-product loop
+
+def _suffix_products(props, stack):
+    """b[l-1] = W_L Y_L ... Y_{l+1} W_l, the cascade downstream of layer l."""
+    b = [None] * stack.layers
+    b[stack.layers - 1] = props.w_last
+    for l in range(stack.layers - 1, 0, -1):
+        b[l - 1] = b[l] @ (stack.transmission(l + 1)[:, None] * props.w_inner[l - 1])
+    return b
+
+
+def suffix_gradient(props, stack, f, beta):
+    """The gradient from explicit downstream products, one M x M product per layer."""
+    q = layer_inputs(props, stack)
+    b = _suffix_products(props, stack)
+    g = b[stack.layers - 1] @ (stack.transmission(stack.layers)[:, None] * q[-1])
+    err = beta * g - f
+    grads = []
+    for l in range(1, stack.layers + 1):
+        c = b[l - 1].conj().T @ err
+        s = np.sum(np.conj(q[l - 1]) * c, axis=1)
+        grads.append(2.0 * np.imag(np.conj(beta) * np.conj(stack.transmission(l)) * s))
+    return grads
+
+
+def suffix_loss_history(props, f, config):
+    """``train``'s loss history with a forward_response and a suffix gradient per step."""
+    geom = props.geometry
+    stack = random_stack(geom.layers, geom.m, np.random.default_rng(config.seed))
+    g = forward_response(props, stack)
+    beta = optimal_scale(g, f)
+    history = [fitting_loss(g, f, beta)[0]]
+    eta = config.eta0
+    for _ in range(config.max_iters):
+        grads = suffix_gradient(props, stack, f, beta)
+        for l in range(stack.layers):
+            peak = np.abs(grads[l]).max()
+            if peak == 0.0:
+                continue
+            step = (eta * np.pi / peak) * grads[l]
+            stack.xi[l] = np.mod(stack.xi[l] - step, 2.0 * np.pi)
+        eta *= config.zeta
+        g = forward_response(props, stack)
+        beta = optimal_scale(g, f)
+        history.append(fitting_loss(g, f, beta)[0])
+    return history
+
+
 # -------------------------------------------------------------------- gradient
+
+def test_adjoint_gradient_matches_suffix_products():
+    rng = np.random.default_rng(13)
+    for layers in (1, 1, 2, 3, 4, 5):
+        n_side = int(rng.integers(1, 3))
+        m_side = int(rng.integers(2, 5))
+        props = make_props(layers=layers, m_side=m_side, n_side=n_side)
+        stack = random_stack(layers, m_side * m_side, rng)
+        f = dft_matrix(n_side, n_side).matrix
+        beta = optimal_scale(forward_response(props, stack), f) * (0.9 - 0.2j)
+        for a, b in zip(gradient(props, stack, f, beta),
+                        suffix_gradient(props, stack, f, beta), strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_last_layer_input_gives_forward_response_bit_for_bit():
+    for layers in (1, 2, 4):
+        props = make_props(layers=layers)
+        stack = random_stack(layers, 9, np.random.default_rng(layers))
+        q = layer_inputs(props, stack)
+        g = props.w_last @ (stack.transmission(layers)[:, None] * q[-1])
+        assert np.array_equal(g, forward_response(props, stack))
+
+
 
 def test_gradient_zero_at_exact_fit():
     # when f equals beta * G the residual vanishes and so must the gradient
@@ -212,6 +286,41 @@ def test_reference_geometry_reaches_deep_fit():
     f = dft_matrix(2, 2).matrix
     report = train(props, f, TrainConfig(max_iters=60, seed=0))
     assert report.best_db < -20.0
+
+
+def test_loss_history_matches_suffix_loop():
+    # this geometry stays far above round-off, so the two loops agree to the last
+    # few bits at every iterate; near the float64 floor rounding noise decides
+    props = make_props(layers=3, m_side=3, n_side=2)
+    f = dft_matrix(2, 2).matrix
+    for seed in (0, 1):
+        config = TrainConfig(max_iters=40, zeta=0.95, seed=seed)
+        report = train(props, f, config)
+        assert min(report.loss_db_history) > -100.0
+        expected = suffix_loss_history(props, f, config)
+        assert np.allclose(report.loss_history, expected, rtol=1e-9, atol=0.0)
+
+
+def test_one_forward_pass_per_iteration(monkeypatch):
+    calls = {"layer_inputs": 0, "forward_response": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(trainer, name, counted(name, getattr(trainer, name)))
+    props = make_props(layers=3)
+    train(props, dft_matrix(2, 2).matrix, TrainConfig(max_iters=6, seed=14))
+    # the initial iterate: forward_response, then the first gradient's own cascade
+    assert calls == {"layer_inputs": 6 + 1, "forward_response": 1}
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=-1)
 
 
 def test_restarts_cover_distinct_seeds():
