@@ -35,6 +35,8 @@ class BoundInputs:
     ``g`` is the receiver-side response matrix (R x N), ``psi_x``/``psi_y``
     the true normalized electrical angles, ``rho`` the transmit SNR and
     ``s`` the realized unit-variance symbol held over the T snapshots.
+    Length-K arrays of ``psi_x``, ``psi_y`` and ``s`` hold K trials at one
+    ``rho``.
     """
 
     g: np.ndarray
@@ -84,27 +86,30 @@ def clean_field(inp):
     snapshot t's phase profile from the protocol's cached lattice against
     a unit plane wave from the true direction: the clean snapshot that
     ``collect_snapshots`` records at unit SNR and symbol. SNR and symbol
-    scaling are applied by the callers.
+    scaling are applied by the callers. K trials give (K, R, T), each slice
+    equal to its one-trial call bit for bit.
     """
     sv = steering_vector(np.pi * inp.psi_x, np.pi * inp.psi_y, inp.n_x, inp.n_y)
     return synthesize_received(inp.g, inp.proto.lattice(inp.n_x, inp.n_y).zeroth,
                                sv, 1.0, 1.0)
 
 
+def _clean_power(inp):
+    """|field * s|^2 per cell: (R, T), or (K, R, T) for K trials."""
+    return np.abs(clean_field(inp) * np.asarray(inp.s)[..., None, None]) ** 2
+
+
 def noncentrality_map(inp):
-    """Noncentrality delta^2 = 2*rho*|field*s|^2 for every (n, t) cell."""
-    return 2.0 * inp.rho * np.abs(clean_field(inp) * inp.s) ** 2
-
-
-def _noiseless_peak(power):
-    if not np.any(power > 0.0):
-        raise DegenerateField("noiseless field is identically zero")
-    return peak_index(EnergyMap(power))
+    """Noncentrality delta^2 = 2*rho*|field*s|^2 for every (n, t) cell (and trial)."""
+    return 2.0 * inp.rho * _clean_power(inp)
 
 
 def peak_index_noiseless(inp):
-    """1-based (n, t) of the strongest noiseless cell, estimator tie rule."""
-    return _noiseless_peak(np.abs(clean_field(inp) * inp.s) ** 2)
+    """1-based (n, t) of one trial's strongest noiseless cell, estimator tie rule."""
+    power = _clean_power(inp)
+    if not np.any(power > 0.0):
+        raise DegenerateField("noiseless field is identically zero")
+    return peak_index(EnergyMap(power))
 
 
 def moments(delta_nt, delta_peak):
@@ -161,24 +166,50 @@ def detection_prob_bound(mt, peak_cell=False):
                                   np.array([-mt.mu3]))[0])
 
 
+def _wrapped_errors(psi, distinct):
+    """Shorter-arc offsets of each true angle in ``psi`` (K,) to every lattice cell (K, N, T).
+
+    Computed on the axis's distinct lattice angles and gathered back, which
+    gives the same bits as evaluating every cell. ``np.take`` keeps the
+    result C-ordered, so each trial's sum runs over one contiguous row.
+    """
+    axis, index = distinct
+    return np.take(np.mod(psi[:, None] - axis + 1.0, 2.0) - 1.0, index, axis=1)
+
+
 def mse_bound(inp):
-    """Per-axis MSE upper bounds for one realized (source, symbol) pair.
+    """Per-axis MSE upper bounds for realized (source, symbol) pairs.
 
     Each cell contributes its squared angle offset (shorter arc on the
     period-2 circle) times its win-probability bound; the peak cell
-    carries the trivial probability 1.
+    carries the trivial probability 1. Scalar angles and symbol give two
+    floats; K trials give two length-K arrays, entry k equal to trial k's
+    scalar call bit for bit. The receiver grid must be the input grid,
+    since cell (n, t) is scored at the input lattice's angles.
     """
-    power = np.abs(clean_field(inp) * inp.s) ** 2
-    n_pk, t_pk = _noiseless_peak(power)
+    lattice = inp.proto.lattice(inp.n_x, inp.n_y)
+    if inp.g.shape[0] != inp.n_x * inp.n_y:
+        raise ValueError(f"g has {inp.g.shape[0]} receiver rows but the"
+                         f" ({inp.n_x}, {inp.n_y}) input grid has {inp.n_x * inp.n_y} cells")
+    psi_x, psi_y = np.atleast_1d(inp.psi_x), np.atleast_1d(inp.psi_y)
+    k = psi_x.size
+    power = _clean_power(inp).reshape(k, *lattice.psi_x.shape)
+    if not np.all(np.any(power > 0.0, axis=(1, 2))):
+        raise DegenerateField("noiseless field is identically zero")
+    # the estimator's tie rule: first maximum in snapshot-major order
+    t_pk, n_pk = np.divmod(np.argmax(power.swapaxes(1, 2).reshape(k, -1), axis=1),
+                           power.shape[1])
+    peaks = np.arange(k), n_pk, t_pk
     delta = 2.0 * inp.rho * power
-    d_peak = delta[n_pk - 1, t_pk - 1]
+    d_peak = delta[peaks][:, None, None]
     nu1 = d_peak - delta
     probs = _wilson_hilferty(nu1, 4.0 + 2.0 * (delta + d_peak), 3.0 * nu1)
-    probs[n_pk - 1, t_pk - 1] = 1.0
-    lattice = inp.proto.lattice(inp.n_x, inp.n_y)
-    err_x = np.mod(inp.psi_x - lattice.psi_x + 1.0, 2.0) - 1.0
-    err_y = np.mod(inp.psi_y - lattice.psi_y + 1.0, 2.0) - 1.0
-    return float(np.sum(err_x ** 2 * probs)), float(np.sum(err_y ** 2 * probs))
+    probs[peaks] = 1.0
+    bx, by = (np.sum((_wrapped_errors(psi, distinct) ** 2 * probs).reshape(k, -1), axis=1)
+              for psi, distinct in ((psi_x, lattice.distinct_x), (psi_y, lattice.distinct_y)))
+    if np.ndim(inp.psi_x):
+        return bx, by
+    return float(bx[0]), float(by[0])
 
 
 def quantization_floor(n_x, n_y, proto, samples=None, grid=200001):

@@ -52,18 +52,22 @@ _SNR_DB = "a number or 'inf'"  # the SNR kind: dB, or 'inf' for noise-free
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _FINITE = (math.isfinite, "must be finite")
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+# an array size or count of snapshots or trials; seeds take any non-negative int
+_SIZE = (lambda v: v <= _INDEX_MAX, f"must be at most {_INDEX_MAX}, numpy's largest index")
 
 
-def _value(value, kind, key, check=None):
-    """``value`` checked as ``kind``; a ConfigValueError names ``key``.
+def _value(value, kind, key, checks=()):
+    """``value`` checked as ``kind`` and by each (test, message) of ``checks``.
 
     A kind is a type (ints widen to float, nothing else is coerced), a tuple of
-    choices, ``[kind]`` for a nonempty list (read as a tuple) or _SNR_DB.
+    choices, ``[kind]`` for a nonempty list (read as a tuple) or _SNR_DB; a
+    ConfigValueError names ``key``.
     """
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
             raise ConfigValueError(f"'{key}' must be a nonempty list")
-        return tuple(_value(v, kind[0], f"{key}[{i}]", check)
+        return tuple(_value(v, kind[0], f"{key}[{i}]", checks)
                      for i, v in enumerate(value))
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if number and kind in (float, _SNR_DB):
@@ -82,21 +86,22 @@ def _value(value, kind, key, check=None):
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise ConfigValueError(f"'{key}' must be {kind.__name__},"
                                    f" got {type(value).__name__}")
-    if check is not None and not check[0](value):
-        raise ConfigValueError(f"'{key}' {check[1]}")
+    for test, message in checks:
+        if not test(value):
+            raise ConfigValueError(f"'{key}' {message}")
     return value
 
 
 def _read(section, path, table):
-    """Values of ``section`` by ``table``: {key: (kind, default[, (test, message)])}."""
+    """Values of ``section`` by ``table``: {key: (kind, default, *(test, message))}."""
     for key in section:
         if key not in table:
             raise ConfigKeyError(f"unknown key '{path}.{key}'"
                                  f" (allowed: {', '.join(sorted(table))})")
     values = {}
-    for key, (kind, default, *check) in table.items():
+    for key, (kind, default, *checks) in table.items():
         if key in section:
-            values[key] = _value(section[key], kind, f"{path}.{key}", *check)
+            values[key] = _value(section[key], kind, f"{path}.{key}", checks)
         elif default is _REQUIRED:
             raise ConfigValueError(f"missing required key '{path}.{key}'")
         else:
@@ -104,19 +109,23 @@ def _read(section, path, table):
     return values
 
 
-def _from_fields(cls):
-    """Parser of a section whose keys, types and defaults are ``cls``'s fields."""
-    table = {f.name: (f.type, f.default) for f in dataclasses.fields(cls)}
+def _from_fields(cls, **checks):
+    """Parser of a section whose keys, types and defaults are ``cls``'s fields.
+
+    ``checks`` maps a field name to its tuple of (test, message) checks.
+    """
+    table = {f.name: (f.type, f.default, *checks.get(f.name, ()))
+             for f in dataclasses.fields(cls)}
     return lambda section, path: cls(**_read(section, path, table))
 
 
 # Lengths are in wavelengths; unset stack fields give the best known 7-layer design.
 _GEOMETRY = {
-    "n_x": (int, _REQUIRED), "n_y": (int, _REQUIRED),
+    "n_x": (int, _REQUIRED, _SIZE), "n_y": (int, _REQUIRED, _SIZE),
     "d_x": (float, 0.5), "d_y": (float, 0.5),
-    "m_x": (int, 11), "m_y": (int, 11),
+    "m_x": (int, 11, _SIZE), "m_y": (int, 11, _SIZE),
     "s_x": (float, 0.5), "s_y": (float, 0.5),
-    "layers": (int, 7), "thickness": (float, 9.0),
+    "layers": (int, 7, _SIZE), "thickness": (float, 9.0),
     "u_x": (float, None), "u_y": (float, None),  # None: the input spacing
     "rotation_deg": (float, 0.0),
     "wavelength_mm": (float, 5.0),
@@ -131,7 +140,7 @@ _RUN = {"snr_db": (_SNR_DB, math.inf), "seed": (int, 0, _NON_NEGATIVE),
         "ideal": (bool, False)}
 _BOUND = {"snr_db": ([float], _REQUIRED, _FINITE)}
 _MONTECARLO = {
-    "trials": (int, _REQUIRED, _AT_LEAST_ONE),
+    "trials": (int, _REQUIRED, _AT_LEAST_ONE, _SIZE),
     "snr_db": ([_SNR_DB], _REQUIRED),
     "seed": (int, 0, _NON_NEGATIVE),
     "source_mode": (("parameter", "solid", "uniform-psi"), "parameter"),
@@ -143,10 +152,10 @@ _MONTECARLO = {
 _SWEEP_RUNS = {"runs": (int, 3, _AT_LEAST_ONE), "seed": (int, 0, _NON_NEGATIVE)}
 _SWEEP = {  # one table per sweep mode
     "ablation": {**_SWEEP_RUNS, "thickness": ([float], _REQUIRED),
-                 "layers": ([int], _REQUIRED), "atoms": ([int], _REQUIRED),
+                 "layers": ([int], _REQUIRED, _SIZE), "atoms": ([int], _REQUIRED, _SIZE),
                  "spacing": ([float], _REQUIRED)},
     "receiver": {**_SWEEP_RUNS, "u_x": ([float], ()), "rotation_deg": ([float], ()),
-                 "layers": ([int], ())},
+                 "layers": ([int], (), _SIZE)},
 }
 _SWEEP_MODE = {"mode": (tuple(_SWEEP), "ablation")}
 
@@ -205,7 +214,7 @@ def _parse_sweep(section, path):
 _SECTION_PARSERS = {
     "geometry": _parse_geometry,
     "train": _from_fields(TrainConfig),
-    "protocol": _from_fields(ProtocolConfig),
+    "protocol": _from_fields(ProtocolConfig, t_x=(_SIZE,), t_y=(_SIZE,)),
     "source": _parse_source,
     "estimate": lambda s, path: _read(s, path, _RUN),
     "spectrum": lambda s, path: _read(s, path, _RUN),
@@ -509,7 +518,11 @@ def _cmd_montecarlo(args, config):
     manifest.results = {"points": len(points),
                         "source_mode": mc["source_mode"],
                         "symbol": mc["symbol"],
-                        "pipeline": mc["pipeline"]}
+                        "pipeline": mc["pipeline"],
+                        # per SNR point: peaks off the visible region, and bound / MSE
+                        "per_point": [{"snr_db": p.snr_db, "unrealizable": p.unrealizable,
+                                       "bound_over_mse": p.bound / p.mse if p.mse else math.nan}
+                                      for p in points]}
     manifest.save(os.path.join(out, "montecarlo-manifest.yaml"))
     print(f"montecarlo: {len(points)} SNR points x {mc['trials']} trials -> {path}")
     return 0

@@ -36,9 +36,13 @@ class ProtocolConfig:
                 [zeroth_layer_config(t, n_x, n_y, self).xi0 for t in snapshots]))
             angles = np.array([[electrical_angles(n, t, n_x, n_y, self) for t in snapshots]
                                for n in range(1, n_x * n_y + 1)])
-            for arr in (zeroth.xi0, angles):
+            distinct = []
+            for psi in (angles[..., 0], angles[..., 1]):
+                axis, index = np.unique(psi, return_inverse=True)
+                distinct.append((axis, index.reshape(psi.shape)))
+            for arr in (zeroth.xi0, angles, *distinct[0], *distinct[1]):
                 arr.flags.writeable = False
-            cache[n_x, n_y] = SnapshotLattice(zeroth, angles[..., 0], angles[..., 1])
+            cache[n_x, n_y] = SnapshotLattice(zeroth, angles[..., 0], angles[..., 1], *distinct)
         return cache[n_x, n_y]
 
 
@@ -48,11 +52,15 @@ class SnapshotLattice:
 
     Column t - 1 of ``zeroth.xi0`` is ``zeroth_layer_config(t).xi0`` and cell
     (n - 1, t - 1) of ``psi_x``/``psi_y`` is ``electrical_angles(n, t)``, bit for bit.
+    ``distinct_x`` pairs the n_x * t_x distinct values of ``psi_x`` with the
+    (N, T) map into them, so ``axis[index]`` is ``psi_x``; ``distinct_y`` likewise.
     """
 
     zeroth: ZerothLayerConfig
     psi_x: np.ndarray
     psi_y: np.ndarray
+    distinct_x: tuple
+    distinct_y: tuple
 
 
 @dataclass(frozen=True)
@@ -129,17 +137,22 @@ def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None):
     One ``synthesize_received`` call on the protocol's cached lattice.
     ``s_seq`` is a single complex symbol reused every snapshot or a
     length-T sequence. ``noise`` is None (clean), a numpy Generator
-    (unit-variance complex noise drawn per snapshot), or a preset (R, T)
-    complex array.
+    (unit-variance complex noise drawn per snapshot, one trial only), or a
+    preset (R, T) complex array. Steering entries (K, N) run K trials in
+    that one call: ``s_seq`` then holds K symbols (or K x T), a preset
+    ``noise`` is (K, R, T), and the result is a list of K energy maps, each
+    equal to its one-trial call bit for bit.
     """
     g = np.asarray(g)
     symbols = np.asarray(s_seq, dtype=complex)
-    if symbols.ndim and symbols.shape != (proto.t,):
+    trials = sv.entries.shape[:-1]
+    if symbols.shape != trials and symbols.shape != trials + (proto.t,):
         raise ValueError(f"expected {proto.t} symbols, got {symbols.shape}")
     if noise is not None and not isinstance(noise, np.ndarray):
         noise = np.column_stack([cn_noise(noise, g.shape[0]) for _ in range(proto.t)])
     r = synthesize_received(g, proto.lattice(n_x, n_y).zeroth, sv, symbols, rho, noise)
-    return EnergyMap(np.abs(r) ** 2)
+    power = np.abs(r) ** 2
+    return [EnergyMap(p) for p in power] if trials else EnergyMap(power)
 
 
 def peak_index(emap):
@@ -190,8 +203,12 @@ def estimate_from_map(emap, proto, n_x, n_y, geom=None):
 
     Physical angles are filled from ``geom`` when given; an unrealizable
     peak yields NaN angles rather than an error so Monte Carlo scoring
-    (which uses electrical angles only) can proceed.
+    (which uses electrical angles only) can proceed. The peak maps through
+    the (n_x, n_y) input grid, so the map must have one row per input cell.
     """
+    if emap.values.shape[0] != n_x * n_y:
+        raise ValueError(f"energy map has {emap.receivers} receivers but the"
+                         f" ({n_x}, {n_y}) input grid has {n_x * n_y} cells")
     n_hat, t_hat = peak_index(emap)
     psi_x, psi_y = electrical_angles(n_hat, t_hat, n_x, n_y, proto)
     phi = theta = float("nan")

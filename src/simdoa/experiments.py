@@ -122,11 +122,16 @@ class McConfig:
         for v in self.snr_db:
             if not (v == math.inf or math.isfinite(v)):
                 raise ValueError("snr entries must be finite or +inf")
+        n = self.n_x * self.n_y
+        if self.g is not None and np.shape(self.g) != (n, n):
+            # the estimator and the bound read receiver n as input cell n
+            raise ValueError(f"g has shape {np.shape(self.g)} but the ({self.n_x}, {self.n_y})"
+                             f" input grid needs ({n}, {n})")
 
 
 @dataclass(frozen=True)
 class McPoint:
-    """Aggregates for one SNR grid point."""
+    """Aggregates for one SNR grid point; ``unrealizable`` counts peaks off the visible region."""
 
     snr_db: float
     mse_x: float
@@ -139,6 +144,12 @@ class McPoint:
     bound_se: float
     trials: int
     low_trials: bool
+    unrealizable: int
+
+
+# Cells per Monte Carlo block: a block runs max(1, _BLOCK_CELLS // (R*T))
+# trials, so its (K, R, T) arrays stay cache-sized whatever the shape.
+_BLOCK_CELLS = 2 ** 14
 
 
 def _trial_rng(seed, snr_index, trial):
@@ -196,40 +207,49 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     return wave, digital
 
 
-def _mc_trial(cfg, snr_index, trial, rho):
-    """One trial's squared errors and per-trial bound (worker-safe)."""
-    rng = _trial_rng(cfg.seed, snr_index, trial)
-    if cfg.sources is not None:
-        source = cfg.sources[trial % len(cfg.sources)]
-    else:
-        source = sample_source(rng, cfg.source_mode, cfg.symbol)
+def _mc_block(cfg, snr_index, trials, rho):
+    """Per-trial squared errors, bounds and realizable flags of ``trials`` at one SNR point.
+
+    Each trial draws from its own stream in a fixed order (source, then
+    noise); the block's snapshots and bounds are then one batched call
+    each. ``rho`` is None at a noiseless point, which has no bound.
+    """
     noiseless = rho is None
-    if cfg.pipeline == "digital":
-        if noiseless:
-            est = digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, 1.0, rng=None)
+    run_rho = 1.0 if noiseless else rho  # a noiseless point runs at unit SNR without noise
+    n = cfg.n_x * cfg.n_y
+    sources, noise, estimates = [], [], []
+    for trial in trials:
+        rng = _trial_rng(cfg.seed, snr_index, trial)
+        if cfg.sources is not None:
+            source = cfg.sources[trial % len(cfg.sources)]
         else:
-            est = digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, rho, rng)
-        g_for_bound = dft_matrix(cfg.n_x, cfg.n_y).matrix
-    else:
-        sv = steering_for(source.psi_x, source.psi_y, cfg.n_x, cfg.n_y)
-        if noiseless:
-            emap = collect_snapshots(cfg.g, sv, source.s, 1.0, cfg.proto,
-                                     cfg.n_x, cfg.n_y)
-        else:
-            noise = cn_noise(rng, (np.asarray(cfg.g).shape[0], cfg.proto.t))
-            emap = collect_snapshots(cfg.g, sv, source.s, rho, cfg.proto,
-                                     cfg.n_x, cfg.n_y, noise=noise)
-        est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, geom=_HALF_WAVE)
-        g_for_bound = cfg.g
-    ex = wrapped_angle_error(source.psi_x, est.psi_x)
-    ey = wrapped_angle_error(source.psi_y, est.psi_y)
-    bx = by = float("nan")
+            source = sample_source(rng, cfg.source_mode, cfg.symbol)
+        sources.append(source)
+        if cfg.pipeline == "digital":
+            estimates.append(digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, run_rho,
+                                              None if noiseless else rng))
+        elif not noiseless:
+            noise.append(cn_noise(rng, (n, cfg.proto.t)))
+    psi_x = np.array([src.psi_x for src in sources])
+    psi_y = np.array([src.psi_y for src in sources])
+    symbols = np.array([src.s for src in sources], dtype=complex)
+    if cfg.pipeline == "wave":
+        emaps = collect_snapshots(cfg.g, steering_for(psi_x, psi_y, cfg.n_x, cfg.n_y), symbols,
+                                  run_rho, cfg.proto, cfg.n_x, cfg.n_y,
+                                  noise=np.array(noise) if noise else None)
+        estimates = [estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, geom=_HALF_WAVE)
+                     for emap in emaps]
+    ex = np.array([wrapped_angle_error(src.psi_x, est.psi_x)
+                   for src, est in zip(sources, estimates)])
+    ey = np.array([wrapped_angle_error(src.psi_y, est.psi_y)
+                   for src, est in zip(sources, estimates)])
+    bx = by = np.full(len(sources), np.nan)
     if cfg.with_bound and not noiseless:
-        inp = analysis.BoundInputs(g=g_for_bound, proto=cfg.proto, n_x=cfg.n_x,
-                                   n_y=cfg.n_y, psi_x=source.psi_x,
-                                   psi_y=source.psi_y, rho=rho, s=source.s)
-        bx, by = analysis.mse_bound(inp)
-    return ex * ex, ey * ey, bx, by
+        g = cfg.g if cfg.pipeline == "wave" else dft_matrix(cfg.n_x, cfg.n_y).matrix
+        bx, by = analysis.mse_bound(analysis.BoundInputs(
+            g=g, proto=cfg.proto, n_x=cfg.n_x, n_y=cfg.n_y, psi_x=psi_x, psi_y=psi_y,
+            rho=rho, s=symbols))
+    return ex * ex, ey * ey, bx, by, np.array([est.realizable for est in estimates])
 
 
 def run_monte_carlo(cfg):
@@ -237,27 +257,33 @@ def run_monte_carlo(cfg):
 
     Every (SNR point, trial) pair owns an RNG stream spawned from
     (cfg.seed, point index, trial index), so results are independent of
-    execution order and of how trials are distributed over workers.
+    execution order and of how trials are distributed over workers. Each
+    point's trials run in blocks of max(1, 2**14 // (R*T)): a block's
+    snapshots and bounds are one batched call each, and with ``jobs > 1``
+    the process pool maps blocks, so serial and parallel runs share one
+    kernel and give identical results.
     """
     # built here so worker processes receive it with the pickled config
     cfg.proto.lattice(cfg.n_x, cfg.n_y)
+    n = cfg.n_x * cfg.n_y
+    size = max(1, _BLOCK_CELLS // (n * cfg.proto.t))
+    starts = range(0, cfg.trials, size)
+    rhos = [None if math.isinf(snr) else
+            effective_rho(10.0 ** (snr / 10.0), cfg.beta, n, cfg.proto.t)
+            for snr in cfg.snr_db]
+    blocks = [(cfg, si, range(start, min(start + size, cfg.trials)), rho)
+              for si, rho in enumerate(rhos) for start in starts]
+    if cfg.jobs > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            rows = list(pool.map(_mc_block, *zip(*blocks)))
+    else:
+        rows = [_mc_block(*block) for block in blocks]
     points = []
     for si, snr in enumerate(cfg.snr_db):
-        if math.isinf(snr):
-            rho = None
-        else:
-            rho = effective_rho(10.0 ** (snr / 10.0), cfg.beta, cfg.n_x * cfg.n_y,
-                                cfg.proto.t)
-        args = [(cfg, si, ti, rho) for ti in range(cfg.trials)]
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                rows = list(pool.map(_mc_trial_star, args, chunksize=16))
-        else:
-            rows = [_mc_trial(*a) for a in args]
-        ex2 = np.array([r[0] for r in rows])
-        ey2 = np.array([r[1] for r in rows])
+        point_rows = rows[si * len(starts):(si + 1) * len(starts)]
+        ex2, ey2, bx, by, realizable = (np.concatenate(col) for col in zip(*point_rows))
         per_trial = 0.5 * (ex2 + ey2)
-        bounds = 0.5 * (np.array([r[2] for r in rows]) + np.array([r[3] for r in rows]))
+        bounds = 0.5 * (bx + by)
         have_bound = not np.all(np.isnan(bounds))
         points.append(McPoint(
             snr_db=snr,
@@ -265,18 +291,15 @@ def run_monte_carlo(cfg):
             mse_y=float(np.mean(ey2)),
             mse=float(np.mean(per_trial)),
             se=float(np.std(per_trial) / np.sqrt(cfg.trials)),
-            bound_x=float(np.nanmean([r[2] for r in rows])) if have_bound else float("nan"),
-            bound_y=float(np.nanmean([r[3] for r in rows])) if have_bound else float("nan"),
+            bound_x=float(np.nanmean(bx)) if have_bound else float("nan"),
+            bound_y=float(np.nanmean(by)) if have_bound else float("nan"),
             bound=float(np.nanmean(bounds)) if have_bound else float("nan"),
             bound_se=float(np.nanstd(bounds) / np.sqrt(cfg.trials)) if have_bound else float("nan"),
             trials=cfg.trials,
             low_trials=cfg.trials < 30,
+            unrealizable=int(np.count_nonzero(~realizable)),
         ))
     return points
-
-
-def _mc_trial_star(args):
-    return _mc_trial(*args)
 
 
 @dataclass(frozen=True)

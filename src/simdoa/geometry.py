@@ -149,7 +149,8 @@ class SteeringVector:
     """Planar-array response to a plane wave.
 
     ``psi_x`` and ``psi_y`` are per-element phase progressions in radians;
-    entry n equals exp(j*(psi_x*(n_x-1) + psi_y*(n_y-1))).
+    entry n equals exp(j*(psi_x*(n_x-1) + psi_y*(n_y-1))). K plane waves
+    hold (K, N) entries and length-K progression arrays.
     """
 
     entries: np.ndarray
@@ -326,8 +327,19 @@ def steering_vector(psi_x, psi_y, n_x, n_y):
 
     ``psi_x`` and ``psi_y`` are the per-element phase progressions in
     radians. The result is the Kronecker product of the y ramp with the
-    x ramp, matching the x-fastest linear index convention.
+    x ramp, matching the x-fastest linear index convention. Length-K numpy
+    arrays of progressions give K vectors, row k equal to its one-wave call.
     """
+    # Scalars keep Python-float arithmetic: the array form makes a one-wave
+    # call about twice as slow, and paired trials make two per pair.
+    if isinstance(psi_x, np.ndarray) and psi_x.ndim:
+        psi_x, psi_y = psi_x.astype(float), np.asarray(psi_y, dtype=float)
+        if not (np.all(np.isfinite(psi_x)) and np.all(np.isfinite(psi_y))):
+            raise ValueError("steering angles must be finite")
+        ax = np.exp(1j * psi_x[:, None] * np.arange(n_x))
+        ay = np.exp(1j * psi_y[:, None] * np.arange(n_y))
+        return SteeringVector(entries=(ay[:, :, None] * ax[:, None, :]).reshape(len(ax), -1),
+                              psi_x=psi_x, psi_y=psi_y)
     if not (math.isfinite(psi_x) and math.isfinite(psi_y)):
         raise ValueError("steering angles must be finite")
     ax = np.exp(1j * psi_x * np.arange(n_x))

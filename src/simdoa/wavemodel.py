@@ -1,5 +1,6 @@
 """End-to-end wave response of the stack and the DFT fitting loss."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,12 @@ def fitting_loss(g, f, beta):
 
 
 def matvec_columns(m, x):
-    """``m @ x`` batched by column: each equals ``m @ x[:, t]`` bit for bit.
+    """``m @ x`` batched by column: each column's product equals its own ``m @`` call bit for bit.
 
-    One GEMM sums in another order and does not. A 1-D ``x`` is one column.
+    One GEMM sums in another order and does not. Leading axes of an
+    (..., N, T) ``x`` are batch axes.
     """
-    return (m @ np.asarray(x).T[..., None])[..., 0].T
+    return (m @ x.swapaxes(-1, -2)[..., None])[..., 0].swapaxes(-1, -2)
 
 
 def synthesize_received(g, zeroth, sv, s, rho, noise=None):
@@ -102,13 +104,25 @@ def synthesize_received(g, zeroth, sv, s, rho, noise=None):
     ``zeroth`` holds one snapshot's phases (N,) for a length-R result, or
     T snapshots as columns (N, T) for an R x T result, each column equal
     to its one-snapshot call; ``s`` is a scalar or one symbol per snapshot.
-    ``noise`` has the result's shape, or is None for the clean field.
+    Steering entries (K, N) run K trials at once: the result gains a
+    leading trial axis, ``s`` is then a scalar, K symbols or (K, T), and
+    each trial's slice equals its one-trial call bit for bit. ``noise`` has
+    the result's shape, or is None for the clean field.
     """
     if rho < 0.0:
         raise ValueError("rho must be >= 0")
-    # transposes put the snapshot axis last, so ``a`` scales each phase profile
-    x = (zeroth.transmission().T * sv.entries).T
-    r = np.sqrt(rho) * matvec_columns(g, x) * s
+    a = sv.entries
+    trans = zeroth.transmission()
+    cols = trans if trans.ndim == 2 else trans[:, None]
+    batched = a.ndim == 2
+    # built snapshot-major, so each (N,) column handed to the matvec is contiguous
+    x = (cols.T * (a[:, None] if batched else a)).swapaxes(-1, -2)
+    if batched and np.ndim(s):  # per-trial symbols lead; R and T broadcast
+        s = np.asarray(s)
+        s = s[:, None, None] if s.ndim == 1 else s[:, None, :]
+    r = math.sqrt(rho) * matvec_columns(g, x) * s
+    if trans.ndim == 1:
+        r = r[..., 0]
     if noise is not None:
         noise = np.asarray(noise)
         if noise.shape != r.shape:

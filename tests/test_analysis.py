@@ -5,6 +5,7 @@ import pytest
 
 from simdoa.analysis import (
     BoundInputs,
+    _wilson_hilferty,
     DegenerateField,
     MomentTriple,
     clean_field,
@@ -238,6 +239,75 @@ def test_mse_bound_matches_cell_by_cell_evaluation():
     bx, by = mse_bound(inp)
     assert bx == pytest.approx(want_x, rel=1e-12)
     assert by == pytest.approx(want_y, rel=1e-12)
+
+
+def _mse_bound_every_cell(inp):
+    """The bound with the wrapped offsets taken cell by cell, as before the lattice axes."""
+    power = np.abs(clean_field(inp) * inp.s) ** 2
+    n_pk, t_pk = peak_index_noiseless(inp)
+    delta = 2.0 * inp.rho * power
+    d_peak = delta[n_pk - 1, t_pk - 1]
+    nu1 = d_peak - delta
+    probs = _wilson_hilferty(nu1, 4.0 + 2.0 * (delta + d_peak), 3.0 * nu1)
+    probs[n_pk - 1, t_pk - 1] = 1.0
+    lattice = inp.proto.lattice(inp.n_x, inp.n_y)
+    err_x = np.mod(inp.psi_x - lattice.psi_x + 1.0, 2.0) - 1.0
+    err_y = np.mod(inp.psi_y - lattice.psi_y + 1.0, 2.0) - 1.0
+    return float(np.sum(err_x ** 2 * probs)), float(np.sum(err_y ** 2 * probs))
+
+
+def _random_trials(rng, k, n_x, n_y, proto, rho):
+    g = rng.standard_normal((n_x * n_y,) * 2) + 1j * rng.standard_normal((n_x * n_y,) * 2)
+    psi_x, psi_y = rng.uniform(-1.0, 1.0, (2, k))
+    s = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    batch = BoundInputs(g=g, proto=proto, n_x=n_x, n_y=n_y, psi_x=psi_x, psi_y=psi_y,
+                        rho=rho, s=s)
+    ones = [BoundInputs(g=g, proto=proto, n_x=n_x, n_y=n_y, psi_x=float(psi_x[i]),
+                        psi_y=float(psi_y[i]), rho=rho, s=complex(s[i])) for i in range(k)]
+    return batch, ones
+
+
+def test_mse_bound_scalar_call_equals_cell_by_cell_offsets_exactly():
+    rng = np.random.default_rng(31)
+    for n_x, n_y, t_x, t_y in ((2, 2, 4, 4), (3, 2, 2, 3), (4, 4, 8, 8), (1, 1, 1, 1)):
+        _, ones = _random_trials(rng, 6, n_x, n_y, ProtocolConfig(t_x=t_x, t_y=t_y), 3.0)
+        for inp in ones:
+            got = mse_bound(inp)
+            assert type(got[0]) is float and type(got[1]) is float
+            assert got == _mse_bound_every_cell(inp)
+
+
+def test_bound_functions_trial_axis_equal_scalar_calls():
+    rng = np.random.default_rng(32)
+    for n_x, n_y, t_x, t_y, k in ((2, 2, 4, 4, 7), (3, 2, 2, 3, 1), (4, 4, 8, 8, 70)):
+        proto = ProtocolConfig(t_x=t_x, t_y=t_y)
+        batch, ones = _random_trials(rng, k, n_x, n_y, proto, 2.0)
+        field, delta = clean_field(batch), noncentrality_map(batch)
+        bx, by = mse_bound(batch)
+        assert field.shape == delta.shape == (k, n_x * n_y, proto.t)
+        assert bx.shape == by.shape == (k,)
+        for i, inp in enumerate(ones):
+            assert np.array_equal(field[i], clean_field(inp))
+            assert np.array_equal(delta[i], noncentrality_map(inp))
+            assert (bx[i], by[i]) == mse_bound(inp)
+
+
+def test_mse_bound_trial_axis_raises_on_a_degenerate_trial():
+    proto = ProtocolConfig(t_x=2, t_y=2)
+    inp = BoundInputs(g=np.zeros((4, 4)), proto=proto, n_x=2, n_y=2,
+                      psi_x=np.array([0.1, 0.2]), psi_y=np.array([0.0, 0.3]),
+                      rho=1.0, s=np.array([1.0 + 0j, 1.0 + 0j]))
+    with pytest.raises(DegenerateField):
+        mse_bound(inp)
+
+
+@pytest.mark.parametrize("rows", [2, 9])
+def test_mse_bound_refuses_receiver_grid_other_than_input_grid(rows):
+    # 2 rows once died on a numpy broadcast error, 9 on an index error
+    inp = BoundInputs(g=np.ones((rows, 4)), proto=ProtocolConfig(t_x=2, t_y=2), n_x=2,
+                      n_y=2, psi_x=0.1, psi_y=0.2, rho=1.0, s=1.0 + 0j)
+    with pytest.raises(ValueError, match=rf"{rows} receiver rows.*\(2, 2\).*4 cells"):
+        mse_bound(inp)
 
 
 def test_mse_bound_symmetric_axes():

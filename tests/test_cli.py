@@ -20,6 +20,8 @@ from simdoa.cli import (
     save_stack,
 )
 from simdoa.estimator import ProtocolConfig
+from simdoa.experiments import McConfig, run_monte_carlo
+from simdoa.geometry import dft_matrix
 from simdoa.trainer import TrainConfig
 from simdoa.wavemodel import random_stack
 
@@ -504,3 +506,45 @@ def test_float_keys_refuse_integers_beyond_float_range(tmp_path, capsys, command
     code, err = _config_error(tmp_path, capsys, command, {**RUN_DOC, **section})
     assert code == 2
     assert f"'{key}' is too large for a float" in err
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("estimate", {**RUN_DOC, "protocol": {"t_x": 10 ** 400, "t_y": 2},
+                  "estimate": {"ideal": True}}, "protocol.t_x"),
+    ("montecarlo", {**MC_DOC, "geometry": {"n_x": 10 ** 400, "n_y": 2}}, "geometry.n_x"),
+    ("montecarlo", {**MC_DOC, "geometry": {"n_x": 2, "n_y": 10 ** 20}}, "geometry.n_y"),
+], ids=["t_x-400-digits", "n_x-400-digits", "n_y-20-digits"])
+def test_size_keys_refuse_integers_beyond_numpy_index_range(tmp_path, capsys, command, doc, key):
+    # t_x ended in an OverflowError traceback, n_x and n_y in "Maximum allowed size
+    # exceeded"; 20-digit t_y or trials would hang without the check, so they stay untested
+    code, err = _config_error(tmp_path, capsys, command, doc)
+    assert code == 2
+    assert f"'{key}' must be at most {np.iinfo(np.intp).max}" in err
+
+
+def test_seeds_take_any_non_negative_integer(tmp_path, capsys):
+    doc = {**MC_DOC, "montecarlo": {**MC_DOC["montecarlo"], "seed": 10 ** 400}}
+    cfg = write_config(tmp_path / "c.yaml", doc)
+    assert main(["montecarlo", "--config", cfg, "--outdir", str(tmp_path / "run"), "-j", "1"]) == 0
+    assert len(read_csv(tmp_path / "run" / "montecarlo.csv")) == 3
+
+
+def test_montecarlo_manifest_reports_each_snr_point(tmp_path, capsys):
+    doc = {**MC_DOC, "montecarlo": {"trials": 30, "snr_db": [0, 20, "inf"], "seed": 4,
+                                    "source_mode": "uniform-psi", "ideal": True}}
+    cfg = write_config(tmp_path / "c.yaml", doc)
+    out = tmp_path / "run"
+    assert main(["montecarlo", "--config", cfg, "--outdir", str(out), "-j", "1"]) == 0
+    assert capsys.readouterr().out == f"montecarlo: 3 SNR points x 30 trials -> {out}/montecarlo.csv\n"
+    per_point = RunManifest.load(out / "montecarlo-manifest.yaml").results["per_point"]
+    rows = read_csv(out / "montecarlo.csv")[1:]
+    assert [p["snr_db"] for p in per_point] == [0.0, 20.0, math.inf]
+    points = run_monte_carlo(McConfig(
+        n_x=2, n_y=2, proto=ProtocolConfig(t_x=2, t_y=2), snr_db=(0.0, 20.0, math.inf),
+        trials=30, g=dft_matrix(2, 2).matrix, seed=4, source_mode="uniform-psi"))
+    # uniform-psi draws land outside the visible region about a fifth of the time
+    assert [p["unrealizable"] for p in per_point] == [q.unrealizable for q in points]
+    assert sum(q.unrealizable for q in points) > 0
+    for p, row in zip(per_point[:2], rows):
+        assert p["bound_over_mse"] == pytest.approx(float(row[7]) / float(row[3]), rel=1e-9)
+    assert math.isnan(per_point[2]["bound_over_mse"])

@@ -88,6 +88,18 @@ def test_lattice_matches_scalar_definitions():
                 == electrical_angles(n, t, 3, 2, proto)
 
 
+def test_lattice_distinct_angles_index_back_to_every_cell():
+    proto = ProtocolConfig(t_x=3, t_y=2)
+    lattice = proto.lattice(2, 3)
+    for psi, (axis, index), cells in ((lattice.psi_x, lattice.distinct_x, 2 * 3),
+                                      (lattice.psi_y, lattice.distinct_y, 3 * 2)):
+        assert axis.shape == (cells,) and index.shape == psi.shape
+        assert np.array_equal(axis[index], psi)
+        for arr in (axis, index):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 def test_lattice_is_cached_per_instance_and_read_only():
     proto = ProtocolConfig(t_x=2, t_y=3)
     lattice = proto.lattice(2, 2)
@@ -203,6 +215,26 @@ def test_collect_symbol_sequence():
         collect_snapshots(f, sv, 1.0 + 0j, 1.0, proto, 2, 2, noise=np.zeros((4, 5), complex))
 
 
+@pytest.mark.parametrize("per_snapshot", [False, True])
+def test_collect_trial_axis_maps_equal_one_trial_calls(per_snapshot):
+    rng = np.random.default_rng(22)
+    proto = ProtocolConfig(t_x=3, t_y=2)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    psi_x, psi_y = rng.uniform(-1.0, 1.0, (2, 4))
+    symbols = cn_noise(rng, (4, proto.t) if per_snapshot else 4)
+    noise = cn_noise(rng, (4, 6, proto.t))
+    for u in (None, noise):
+        maps = collect_snapshots(g, steering_for(psi_x, psi_y, 3, 2), symbols, 1.7, proto,
+                                 3, 2, noise=u)
+        assert len(maps) == 4
+        for i, emap in enumerate(maps):
+            want = collect_snapshots(g, steering_for(psi_x[i], psi_y[i], 3, 2), symbols[i],
+                                     1.7, proto, 3, 2, noise=None if u is None else u[i])
+            assert np.array_equal(emap.values, want.values)
+    with pytest.raises(ValueError):
+        collect_snapshots(g, steering_for(psi_x, psi_y, 3, 2), symbols[:3], 1.7, proto, 3, 2)
+
+
 # ----------------------------------------------------------------- peak search
 
 def test_peak_tie_breaks_to_first_cell():
@@ -278,6 +310,14 @@ def test_estimate_without_geometry_has_nan_angles():
     est = estimate_from_map(EnergyMap(np.array([[1.0]])), ProtocolConfig(), 1, 1)
     assert est.n == 1 and est.t == 1
     assert math.isnan(est.phi)
+
+
+@pytest.mark.parametrize("receivers", [2, 9])
+def test_estimate_refuses_receiver_grid_other_than_input_grid(receivers):
+    # a 2-row map once came back as a cell of the 2x2 grid, silently
+    with pytest.raises(ValueError, match=rf"{receivers} receivers.*\(2, 2\).*4 cells"):
+        estimate_from_map(EnergyMap(np.ones((receivers, 4))), ProtocolConfig(t_x=2, t_y=2),
+                          2, 2)
 
 
 def test_on_lattice_round_trip():

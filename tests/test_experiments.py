@@ -1,14 +1,19 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from simdoa import estimator, experiments
+from simdoa import analysis, estimator, experiments
 from simdoa.analysis import quantization_floor
-from simdoa.estimator import ProtocolConfig, electrical_angles, steering_for
+from simdoa.estimator import (ProtocolConfig, collect_snapshots, electrical_angles,
+                              estimate_from_map, steering_for, wrapped_angle_error)
 from simdoa.experiments import (
     McConfig,
+    McPoint,
     SourceTruth,
     SweepSpec,
     ablation_sweep,
@@ -277,6 +282,172 @@ def test_mc_parallel_matches_serial():
     parallel = run_monte_carlo(dataclasses.replace(base, jobs=2))[0]
     assert serial.mse == parallel.mse
     assert serial.bound == parallel.bound
+
+
+def _mc_trial(cfg, snr_index, trial, rho):
+    """One trial on its own, as ``run_monte_carlo`` ran it before blocks, as an oracle.
+
+    Returns the squared errors, the per-trial bounds and whether the peak
+    was realizable.
+    """
+    rng = experiments._trial_rng(cfg.seed, snr_index, trial)
+    if cfg.sources is not None:
+        source = cfg.sources[trial % len(cfg.sources)]
+    else:
+        source = sample_source(rng, cfg.source_mode, cfg.symbol)
+    noiseless = rho is None
+    if cfg.pipeline == "digital":
+        if noiseless:
+            est = digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, 1.0, rng=None)
+        else:
+            est = digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, rho, rng)
+        g_for_bound = dft_matrix(cfg.n_x, cfg.n_y).matrix
+    else:
+        sv = steering_for(source.psi_x, source.psi_y, cfg.n_x, cfg.n_y)
+        if noiseless:
+            emap = collect_snapshots(cfg.g, sv, source.s, 1.0, cfg.proto,
+                                     cfg.n_x, cfg.n_y)
+        else:
+            noise = cn_noise(rng, (np.asarray(cfg.g).shape[0], cfg.proto.t))
+            emap = collect_snapshots(cfg.g, sv, source.s, rho, cfg.proto,
+                                     cfg.n_x, cfg.n_y, noise=noise)
+        est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y,
+                                geom=experiments._HALF_WAVE)
+        g_for_bound = cfg.g
+    ex = wrapped_angle_error(source.psi_x, est.psi_x)
+    ey = wrapped_angle_error(source.psi_y, est.psi_y)
+    bx = by = float("nan")
+    if cfg.with_bound and not noiseless:
+        inp = analysis.BoundInputs(g=g_for_bound, proto=cfg.proto, n_x=cfg.n_x,
+                                   n_y=cfg.n_y, psi_x=source.psi_x,
+                                   psi_y=source.psi_y, rho=rho, s=source.s)
+        bx, by = analysis.mse_bound(inp)
+    return ex * ex, ey * ey, bx, by, est.realizable
+
+
+def _oracle_points(cfg):
+    """``run_monte_carlo``'s points from one-trial calls and the pre-block aggregation."""
+    points = []
+    for si, snr in enumerate(cfg.snr_db):
+        rho = None if math.isinf(snr) else effective_rho(
+            10.0 ** (snr / 10.0), cfg.beta, cfg.n_x * cfg.n_y, cfg.proto.t)
+        rows = [_mc_trial(cfg, si, ti, rho) for ti in range(cfg.trials)]
+        ex2 = np.array([r[0] for r in rows])
+        ey2 = np.array([r[1] for r in rows])
+        per_trial = 0.5 * (ex2 + ey2)
+        bounds = 0.5 * (np.array([r[2] for r in rows]) + np.array([r[3] for r in rows]))
+        have_bound = not np.all(np.isnan(bounds))
+        nan = float("nan")
+        points.append(McPoint(
+            snr_db=snr,
+            mse_x=float(np.mean(ex2)),
+            mse_y=float(np.mean(ey2)),
+            mse=float(np.mean(per_trial)),
+            se=float(np.std(per_trial) / np.sqrt(cfg.trials)),
+            bound_x=float(np.nanmean([r[2] for r in rows])) if have_bound else nan,
+            bound_y=float(np.nanmean([r[3] for r in rows])) if have_bound else nan,
+            bound=float(np.nanmean(bounds)) if have_bound else nan,
+            bound_se=float(np.nanstd(bounds) / np.sqrt(cfg.trials)) if have_bound else nan,
+            trials=cfg.trials,
+            low_trials=cfg.trials < 30,
+            unrealizable=sum(not r[4] for r in rows),
+        ))
+    return points
+
+
+def _same_points(got, want):
+    """Field by field exact equality, NaN equal to NaN."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(McPoint):
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            assert va == vb or (math.isnan(va) and math.isnan(vb)), (f.name, va, vb)
+
+
+@st.composite
+def mc_configs(draw):
+    n_x, n_y = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = n_x * n_y
+    proto = ProtocolConfig(t_x=draw(st.integers(1, 4)), t_y=draw(st.integers(1, 4)))
+    snrs = draw(st.lists(st.sampled_from([-5.0, 0.0, 7.5, 20.0, math.inf]),
+                         min_size=1, max_size=3))
+    pipeline = draw(st.sampled_from(["wave", "digital"]))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    sources = None
+    if draw(st.booleans()):
+        angle = st.floats(-1.0, 1.0, exclude_max=True)
+        sources = tuple(SourceTruth(0.0, 0.0, draw(angle), draw(angle),
+                                    complex(draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0))))
+                        for _ in range(draw(st.integers(1, 3))))
+    return McConfig(
+        n_x=n_x, n_y=n_y, proto=proto, snr_db=tuple(snrs), trials=draw(st.integers(1, 12)),
+        g=g if pipeline == "wave" else None, beta=complex(rng.uniform(0.5, 2.0), 0.3),
+        seed=seed, source_mode=draw(st.sampled_from(["parameter", "solid", "uniform-psi"])),
+        symbol=draw(st.sampled_from(["cscg", "phase"])), sources=sources,
+        pipeline=pipeline, with_bound=draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=mc_configs(), block_cells=st.sampled_from([1, 2 ** 14, 2 ** 40]))
+def test_mc_blocks_match_one_trial_oracle(cfg, block_cells):
+    # block_cells 1 runs one trial per block, 2**40 one block per point
+    want = _oracle_points(cfg)
+    with mock.patch.object(experiments, "_BLOCK_CELLS", block_cells):
+        _same_points(run_monte_carlo(cfg), want)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=mc_configs(), block_cells=st.sampled_from([1, 2 ** 40]))
+def test_mc_blocks_match_one_trial_oracle_in_a_pool(cfg, block_cells):
+    want = _oracle_points(cfg)
+    with mock.patch.object(experiments, "_BLOCK_CELLS", block_cells):
+        _same_points(run_monte_carlo(dataclasses.replace(cfg, jobs=2)), want)
+
+
+def test_mc_whole_point_block_matches_oracle_at_4x4(monkeypatch):
+    # 128 trials of 1024 cells: large enough that numpy may reorder a loop
+    cfg = McConfig(n_x=4, n_y=4, proto=ProtocolConfig(t_x=8, t_y=8), snr_db=(5.0,),
+                   trials=128, g=dft_matrix(4, 4).matrix, seed=2)
+    monkeypatch.setattr(experiments, "_BLOCK_CELLS", 2 ** 40)
+    _same_points(run_monte_carlo(cfg), _oracle_points(cfg))
+
+
+def test_mc_block_size_follows_the_input_shape(monkeypatch):
+    # 4x4 receivers and T=8x8 give 2**14 // 1024 = 16 trials per block
+    calls = []
+    real = experiments.collect_snapshots
+
+    def counting(g, sv, *args, **kwargs):
+        calls.append(sv.entries.shape[0])
+        return real(g, sv, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "collect_snapshots", counting)
+    cfg = McConfig(n_x=4, n_y=4, proto=ProtocolConfig(t_x=8, t_y=8), snr_db=(10.0, 20.0),
+                   trials=40, g=dft_matrix(4, 4).matrix, seed=1)
+    run_monte_carlo(cfg)
+    assert calls == [16, 16, 8] * 2
+
+
+def test_mc_counts_unrealizable_peaks():
+    # the corner cell (-1, -1) of a 2x2 lattice lies outside the visible region
+    proto = ProtocolConfig(t_x=2, t_y=2)
+    corner = lattice_source(4, 1, 2, 2, proto)
+    inside = lattice_source(1, 1, 2, 2, proto)
+    assert (corner.psi_x, corner.psi_y) == (-1.0, -1.0)
+    cfg = McConfig(n_x=2, n_y=2, proto=proto, snr_db=(math.inf,), trials=5,
+                   g=dft_matrix(2, 2).matrix, sources=(corner, inside))
+    assert run_monte_carlo(cfg)[0].unrealizable == 3
+
+
+@pytest.mark.parametrize("rows", [2, 9])
+def test_mc_config_refuses_receiver_grid_other_than_input_grid(rows):
+    # a (2, 4) g once ran and reported an MSE through the wrong grid
+    g = np.ones((rows, 4), dtype=complex)
+    with pytest.raises(ValueError, match=rf"\({rows}, 4\).*\(2, 2\).*\(4, 4\)"):
+        McConfig(n_x=2, n_y=2, proto=ProtocolConfig(t_x=2, t_y=2), snr_db=(10.0,),
+                 trials=3, g=g, with_bound=False)
 
 
 def test_mc_bound_reported_only_when_requested():

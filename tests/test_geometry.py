@@ -220,6 +220,22 @@ def test_steering_equals_kronecker_product_exactly():
         assert np.array_equal(steering_vector(px, py, nx, ny).entries, np.kron(ay, ax))
 
 
+def test_steering_rows_equal_one_wave_calls_exactly():
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        k, nx, ny = (int(v) for v in rng.integers(1, 9, 3))
+        px, py = rng.uniform(-4.0, 4.0, (2, k))
+        px[0] = 0.0 if k % 2 else -0.0  # signed zeros stay signed
+        sv = steering_vector(px, py, nx, ny)
+        assert sv.entries.shape == (k, nx * ny)
+        for row, x, y in zip(sv.entries, px, py):
+            one = steering_vector(float(x), float(y), nx, ny).entries
+            assert np.array_equal(row, one)
+            assert np.array_equal(np.signbit(row.view(float)), np.signbit(one.view(float)))
+    with pytest.raises(ValueError):
+        steering_vector(np.array([0.1, np.nan]), np.array([0.0, 0.0]), 2, 2)
+
+
 @given(st.floats(-10, 10), st.floats(-10, 10))
 @settings(max_examples=50)
 def test_steering_unit_modulus(px, py):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from simdoa.geometry import SimGeometry, build_propagation_matrices, dft_matrix, steering_vector
+from simdoa.geometry import (SimGeometry, SteeringVector, build_propagation_matrices,
+                             dft_matrix, steering_vector)
 from simdoa.wavemodel import (
     DB_FLOOR,
     PhaseStack,
@@ -212,6 +213,30 @@ def test_received_rejects_bad_inputs():
         synthesize_received(f, zeroth, sv, 1.0, -1.0)
     with pytest.raises(ValueError):
         synthesize_received(f, zeroth, sv, 1.0, 1.0, noise=np.zeros(3))
+
+
+@pytest.mark.parametrize("symbols", ["scalar", "per_trial", "per_snapshot"])
+@pytest.mark.parametrize("columns", [True, False])
+def test_received_trial_axis_slices_equal_one_trial_calls(symbols, columns):
+    rng = np.random.default_rng(12)
+    k, r, n, t = 5, 3, 6, 7
+    g = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+    zeroth = ZerothLayerConfig(rng.uniform(0, 7, (n, t) if columns else n))
+    entries = np.exp(1j * rng.uniform(0, 7, (k, n)))
+    s = {"scalar": 0.3 - 0.8j,
+         "per_trial": cn_noise(rng, k),
+         "per_snapshot": cn_noise(rng, (k, t if columns else 1))}[symbols]
+    shape = (r, t) if columns else (r,)
+    noise = cn_noise(rng, (k, *shape))
+    batch = SteeringVector(entries, np.zeros(k), np.zeros(k))
+    for u in (None, noise):
+        got = synthesize_received(g, zeroth, batch, s, 2.5, u)
+        assert got.shape == (k, *shape)
+        for i in range(k):
+            want = synthesize_received(g, zeroth, SteeringVector(entries[i], 0.0, 0.0),
+                                       s if symbols == "scalar" else s[i], 2.5,
+                                       None if u is None else u[i])
+            assert np.array_equal(got[i], want)
 
 
 def test_noise_unit_variance():
