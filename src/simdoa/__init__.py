@@ -51,6 +51,7 @@ from .estimator import (
     peak_index,
     electrical_angles,
     physical_angles,
+    half_wave_angles,
     estimate_from_map,
     angular_spectrum,
     wrapped_angle_error,
@@ -59,13 +60,8 @@ from .estimator import (
 from .analysis import (
     DegenerateField,
     BoundInputs,
-    MomentTriple,
     q_function,
     clean_field,
-    noncentrality_map,
-    peak_index_noiseless,
-    moments,
-    detection_prob_bound,
     mse_bound,
     quantization_floor,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .estimator import EnergyMap, peak_index
+from .estimator import peak_cells
 from .geometry import steering_vector
 from .wavemodel import synthesize_received
 
@@ -59,26 +59,6 @@ class BoundInputs:
         object.__setattr__(self, "g", g)
 
 
-@dataclass(frozen=True)
-class MomentTriple:
-    """First three moments of the energy-difference statistic at one cell."""
-
-    mu1: float
-    mu2: float
-    mu3: float
-
-    @property
-    def h(self):
-        if self.mu3 == 0.0:
-            raise ValueError("h is undefined when mu3 = 0")
-        return self.mu2 ** 3 / self.mu3 ** 2
-
-    @property
-    def b(self):
-        h = self.h
-        return h - self.mu1 * np.sqrt(h / self.mu2)
-
-
 def clean_field(inp):
     """Noiseless unit-power receive field, one column per snapshot (R x T).
 
@@ -87,44 +67,18 @@ def clean_field(inp):
     a unit plane wave from the true direction: the clean snapshot that
     ``collect_snapshots`` records at unit SNR and symbol. SNR and symbol
     scaling are applied by the callers. K trials give (K, R, T), each slice
-    equal to its one-trial call bit for bit.
+    equal to its one-trial call bit for bit. The field is synthesized once
+    per ``inp`` and kept on it read-only, so a Monte Carlo block's
+    snapshots (``collect_snapshots(..., field=)``) and its bound share it.
     """
-    sv = steering_vector(np.pi * inp.psi_x, np.pi * inp.psi_y, inp.n_x, inp.n_y)
-    return synthesize_received(inp.g, inp.proto.lattice(inp.n_x, inp.n_y).zeroth,
-                               sv, 1.0, 1.0)
-
-
-def _clean_power(inp):
-    """|field * s|^2 per cell: (R, T), or (K, R, T) for K trials."""
-    return np.abs(clean_field(inp) * np.asarray(inp.s)[..., None, None]) ** 2
-
-
-def noncentrality_map(inp):
-    """Noncentrality delta^2 = 2*rho*|field*s|^2 for every (n, t) cell (and trial)."""
-    return 2.0 * inp.rho * _clean_power(inp)
-
-
-def peak_index_noiseless(inp):
-    """1-based (n, t) of one trial's strongest noiseless cell, estimator tie rule."""
-    power = _clean_power(inp)
-    if not np.any(power > 0.0):
-        raise DegenerateField("noiseless field is identically zero")
-    return peak_index(EnergyMap(power))
-
-
-def moments(delta_nt, delta_peak):
-    """Moments of the peak-vs-cell energy difference distribution.
-
-    Evaluated term by term as written; the closed forms
-    mu1 = delta_nt - delta_peak, mu2 = 4 + 2*(delta_nt + delta_peak),
-    mu3 = 3*(delta_nt - delta_peak) are kept to test oracles only.
-    """
-    if delta_nt < 0.0 or delta_peak < 0.0:
-        raise ValueError("noncentralities must be >= 0")
-    out = []
-    for i in (1, 2, 3):
-        out.append((-1.0) ** i * (2.0 + i * delta_peak) + 2.0 + i * delta_nt)
-    return MomentTriple(*out)
+    cache = inp.__dict__
+    if "_field" not in cache:
+        sv = steering_vector(np.pi * inp.psi_x, np.pi * inp.psi_y, inp.n_x, inp.n_y)
+        field = synthesize_received(inp.g, inp.proto.lattice(inp.n_x, inp.n_y).zeroth,
+                                    sv, 1.0, 1.0)
+        field.flags.writeable = False
+        cache["_field"] = field
+    return cache["_field"]
 
 
 def _wilson_hilferty(nu1, nu2, nu3):
@@ -135,35 +89,32 @@ def _wilson_hilferty(nu1, nu2, nu3):
     negated statistic's moments (nu1 = -mu1, nu2 = mu2, nu3 = -mu3). The
     cube-root coordinate is centered and divided by its standard deviation
     sqrt(2/(9h)); b/h can only leave (0, 1] for hand-built moment triples,
-    where the signed real cube root keeps the expression defined.
+    where the signed real cube root keeps the expression defined. A cell
+    whose moments vanish (nu3 = 0, equal noncentralities) gets the exact
+    symmetric-case value 1/2, which is also the continuous limit. Every
+    cell is transformed in place in one result array, with the divisions
+    by zero of nu3 = 0 cells silenced, and those cells are then set to 1/2.
     """
-    nu1 = np.asarray(nu1, dtype=float)
-    nu2 = np.asarray(nu2, dtype=float)
-    nu3 = np.asarray(nu3, dtype=float)
-    probs = np.full(nu1.shape, 0.5)
-    live = nu3 != 0.0
-    h = nu2[live] ** 3 / nu3[live] ** 2
-    ratio = 1.0 - nu1[live] / np.sqrt(h * nu2[live])
-    z = (np.cbrt(ratio) - 1.0 + 2.0 / (9.0 * h)) * np.sqrt(9.0 * h / 2.0)
-    probs[live] = np.clip(q_function(-z), 0.0, 1.0)
+    nu1, nu2, nu3 = (np.asarray(v, dtype=float) for v in (nu1, nu2, nu3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = nu2 ** 3
+        h /= nu3 ** 2
+        z = h * nu2
+        np.sqrt(z, out=z)
+        np.divide(nu1, z, out=z)
+        np.subtract(1.0, z, out=z)
+        np.cbrt(z, out=z)
+        z -= 1.0
+        z += 2.0 / (9.0 * h)
+        z *= np.sqrt(9.0 * h / 2.0)
+        # q_function(-z), the Gaussian tail, then clipped to [0, 1]
+        np.negative(z, out=z)
+        z /= np.sqrt(2.0)
+        probs = erfc(z, out=z)
+        probs *= 0.5
+        np.clip(probs, 0.0, 1.0, out=probs)
+    probs[nu3 == 0.0] = 0.5
     return probs
-
-
-def detection_prob_bound(mt, peak_cell=False):
-    """Upper bound on the chance this cell outscores the true peak.
-
-    The peak cell itself compares against itself (zero difference with
-    probability one), which the moments cannot encode, so callers flag it
-    and receive the trivial bound 1. A non-peak cell whose moments vanish
-    (equal noncentralities) gets the exact symmetric-case value 1/2, which
-    is also the continuous limit of the transform.
-    """
-    if peak_cell:
-        return 1.0
-    if mt.mu3 == 0.0:
-        return 0.5 if mt.mu1 == 0.0 else 1.0
-    return float(_wilson_hilferty(np.array([-mt.mu1]), np.array([mt.mu2]),
-                                  np.array([-mt.mu3]))[0])
 
 
 def _wrapped_errors(psi, distinct):
@@ -185,7 +136,9 @@ def mse_bound(inp):
     carries the trivial probability 1. Scalar angles and symbol give two
     floats; K trials give two length-K arrays, entry k equal to trial k's
     scalar call bit for bit. The receiver grid must be the input grid,
-    since cell (n, t) is scored at the input lattice's angles.
+    since cell (n, t) is scored at the input lattice's angles. The clean
+    field is ``clean_field(inp)``, so a field that the snapshots of the same
+    ``inp`` already used is not synthesized again.
     """
     lattice = inp.proto.lattice(inp.n_x, inp.n_y)
     if inp.g.shape[0] != inp.n_x * inp.n_y:
@@ -193,12 +146,11 @@ def mse_bound(inp):
                          f" ({inp.n_x}, {inp.n_y}) input grid has {inp.n_x * inp.n_y} cells")
     psi_x, psi_y = np.atleast_1d(inp.psi_x), np.atleast_1d(inp.psi_y)
     k = psi_x.size
-    power = _clean_power(inp).reshape(k, *lattice.psi_x.shape)
+    power = np.abs(clean_field(inp) * np.asarray(inp.s)[..., None, None]) ** 2
+    power = power.reshape(k, *lattice.psi_x.shape)
     if not np.all(np.any(power > 0.0, axis=(1, 2))):
         raise DegenerateField("noiseless field is identically zero")
-    # the estimator's tie rule: first maximum in snapshot-major order
-    t_pk, n_pk = np.divmod(np.argmax(power.swapaxes(1, 2).reshape(k, -1), axis=1),
-                           power.shape[1])
+    n_pk, t_pk = peak_cells(power)  # the estimator's tie rule
     peaks = np.arange(k), n_pk, t_pk
     delta = 2.0 * inp.rho * power
     d_peak = delta[peaks][:, None, None]

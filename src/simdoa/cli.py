@@ -158,6 +158,15 @@ _SWEEP = {  # one table per sweep mode
                  "layers": ([int], (), _SIZE)},
 }
 _SWEEP_MODE = {"mode": (tuple(_SWEEP), "ablation")}
+# Work caps, checked across sections once all are read: (cap, what, factors).
+# The lattice is built cell by cell (about 10 us a cell, so the cap is about
+# 10 s); a Monte Carlo SNR point runs trials x R x T cells (R = N), at about
+# 0.2 us a cell, so its cap is about 15 minutes per point.
+_WORK = (
+    (2 ** 20, "lattice cells", ("geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y")),
+    (2 ** 32, "Monte Carlo cells per SNR point",
+     ("montecarlo.trials", "geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y")),
+)
 
 
 def _parse_geometry(section, path):
@@ -229,7 +238,8 @@ def parse_config(path):
 
     Each section is read by its table above, so a bad key or value is refused
     with its dotted path; invariant violations are rephrased with their
-    section context. The raw document is kept under "_raw" for the manifest.
+    section context, and work beyond a ``_WORK`` cap is refused. The raw
+    document is kept under "_raw" for the manifest.
     """
     if not os.path.exists(path):
         raise ConfigFileError(f"config file not found: {path}")
@@ -253,7 +263,24 @@ def parse_config(path):
             parsed[name] = _SECTION_PARSERS[name](section, name)
         except ValueError as exc:
             raise ConfigValueError(f"{name}: {exc}") from exc
+    _check_work(parsed)
     return parsed
+
+
+def _check_work(parsed):
+    """Refuse a config whose work exceeds a ``_WORK`` cap, naming its largest factor's key."""
+    for cap, what, keys in _WORK:
+        if not all(key.split(".")[0] in parsed for key in keys):
+            continue
+        values = []
+        for key in keys:
+            section, name = key.split(".")
+            obj = parsed[section]
+            values.append(obj[name] if isinstance(obj, dict) else getattr(obj, name))
+        if math.prod(values) > cap:
+            key = keys[values.index(max(values))]
+            raise ConfigValueError(f"'{key}' asks for too much work: {' * '.join(keys)} ="
+                                   f" {math.prod(values)} {what}, above the cap of {cap}")
 
 
 def _need(config, name, command):
@@ -606,6 +633,17 @@ _COMMANDS = {
 }
 
 
+def _jobs(text):
+    """The ``--jobs`` value: a worker count of at least 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="simdoa",
@@ -620,7 +658,7 @@ def build_parser():
                            help="YAML config file")
         p.add_argument("--outdir", "-o", default=None,
                        help="output directory (or set SIMDOA_OUTDIR)")
-        p.add_argument("--jobs", "-j", type=int,
+        p.add_argument("--jobs", "-j", type=_jobs,
                        default=os.cpu_count() or 1,
                        help="worker processes for experiment queues")
         if name in ("spectrum", "estimate", "bound", "montecarlo"):

@@ -1,11 +1,12 @@
 """Snapshot protocol, energy collection, peak search, and angle recovery."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import linear_to_grid, steering_vector
-from .wavemodel import ZerothLayerConfig, cn_noise, synthesize_received
+from .geometry import TWO_PI, linear_to_grid, steering_vector
+from .wavemodel import ZerothLayerConfig, cn_noise, scale_field, synthesize_received
 
 
 @dataclass(frozen=True)
@@ -65,25 +66,25 @@ class SnapshotLattice:
 
 @dataclass(frozen=True)
 class EnergyMap:
-    """Received power |r|^2 per (antenna, snapshot) cell, R x T."""
+    """Received power |r|^2 per (antenna, snapshot) cell, R x T; K trials' maps are K x R x T."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.size == 0:
-            raise ValueError("energy map must be a nonempty 2-D array")
+        if v.ndim not in (2, 3) or v.size == 0:
+            raise ValueError("energy map must be a nonempty 2-D array, or 3-D for a batch")
         if np.any(v < 0.0):
             raise ValueError("energy values must be >= 0")
         object.__setattr__(self, "values", v)
 
     @property
     def receivers(self):
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def snapshots(self):
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,7 @@ class DoaEstimate:
     ``psi_x``/``psi_y`` are normalized electrical angles in [-1, 1) (units
     of pi radians per element). ``phi``/``theta`` are radians; they are NaN
     when the peak maps to an unrealizable direction (off-lattice artifact).
+    The estimates of a batch of K maps hold length-K arrays in every field.
     """
 
     n: int
@@ -104,7 +106,8 @@ class DoaEstimate:
 
     @property
     def realizable(self):
-        return not (np.isnan(self.phi) or np.isnan(self.theta))
+        """Whether the peak maps to a physical direction; for a batch, whether every peak does."""
+        return not (np.isnan(self.phi).any() or np.isnan(self.theta).any())
 
 
 class UnrealizableAngle(ValueError):
@@ -131,7 +134,7 @@ def zeroth_layer_config(t, n_x, n_y, proto):
     return ZerothLayerConfig(xi0)
 
 
-def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None):
+def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None, field=None):
     """Run the T-snapshot schedule through response ``g`` and record powers.
 
     One ``synthesize_received`` call on the protocol's cached lattice.
@@ -140,27 +143,46 @@ def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None):
     (unit-variance complex noise drawn per snapshot, one trial only), or a
     preset (R, T) complex array. Steering entries (K, N) run K trials in
     that one call: ``s_seq`` then holds K symbols (or K x T), a preset
-    ``noise`` is (K, R, T), and the result is a list of K energy maps, each
-    equal to its one-trial call bit for bit.
+    ``noise`` is (K, R, T), and the result is one (K, R, T) energy map,
+    slice k equal to trial k's one-trial call bit for bit. ``field`` may
+    preset the unit field G Y_0 a of these steering entries, as
+    ``analysis.clean_field`` returns it; the snapshots are then scaled from
+    it with the same bits, and no field is synthesized.
     """
-    g = np.asarray(g)
     symbols = np.asarray(s_seq, dtype=complex)
     trials = sv.entries.shape[:-1]
     if symbols.shape != trials and symbols.shape != trials + (proto.t,):
         raise ValueError(f"expected {proto.t} symbols, got {symbols.shape}")
     if noise is not None and not isinstance(noise, np.ndarray):
-        noise = np.column_stack([cn_noise(noise, g.shape[0]) for _ in range(proto.t)])
-    r = synthesize_received(g, proto.lattice(n_x, n_y).zeroth, sv, symbols, rho, noise)
-    power = np.abs(r) ** 2
-    return [EnergyMap(p) for p in power] if trials else EnergyMap(power)
+        noise = np.column_stack([cn_noise(noise, np.shape(g)[0]) for _ in range(proto.t)])
+    if field is None:
+        r = synthesize_received(np.asarray(g), proto.lattice(n_x, n_y).zeroth, sv, symbols,
+                                rho, noise)
+    else:
+        r = scale_field(field, symbols, rho, noise)
+    return EnergyMap(np.abs(r) ** 2)
+
+
+def peak_cells(values):
+    """0-based (n, t) index arrays of each (R, T) map's strongest cell in ``values`` (K, R, T).
+
+    The argmax runs in snapshot-major order, so ties resolve to the
+    smallest t, then the smallest n.
+    """
+    t_hat, n_hat = np.divmod(np.argmax(values.swapaxes(1, 2).reshape(len(values), -1), axis=1),
+                             values.shape[1])
+    return n_hat, t_hat
 
 
 def peak_index(emap):
-    """1-based (n, t) of the strongest cell.
+    """1-based (n, t) of the strongest cell; index arrays for a batch of maps.
 
     Ties resolve to the smallest t, then the smallest n, by scanning in
     snapshot-major order.
     """
+    if emap.values.ndim == 3:
+        n_hat, t_hat = peak_cells(emap.values)
+        return n_hat + 1, t_hat + 1
     flat = np.argmax(emap.values.T)  # row-major over (t, n)
     t_hat, n_hat = divmod(int(flat), emap.receivers)
     return n_hat + 1, t_hat + 1
@@ -198,25 +220,68 @@ def physical_angles(psi_x, psi_y, geom, clamp=False):
     return phi, theta
 
 
-def estimate_from_map(emap, proto, n_x, n_y, geom=None):
+def half_wave_angles(psi_x, psi_y):
+    """Azimuth and elevation (radians) of normalized angles under half-wavelength spacing.
+
+    The arithmetic of ``physical_angles`` with element spacings of half a
+    wavelength (d = 1/2 and kappa = 2*pi, lengths in wavelengths), the
+    spacing that Monte Carlo and paired trials assume, except that both
+    angles are NaN outside the visible region and squares are products.
+    Scalars give floats; arrays give arrays of their shape, each entry
+    equal to its scalar call bit for bit.
+    """
+    px, py = np.pi * psi_x, np.pi * psi_y
+    radius = np.sqrt((px / 0.5) * (px / 0.5) + (py / 0.5) * (py / 0.5)) / TWO_PI
+    # A scalar branches in Python: the array form costs a one-element call
+    # about 24 us against 4, and a paired trial makes two calls.
+    if not np.ndim(radius):
+        if radius > 1.0:
+            return math.nan, math.nan
+        if psi_x == 0.0 and psi_y == 0.0:
+            return 0.0, 0.0
+        return float(np.mod(np.arctan2(py * 0.5, px * 0.5), TWO_PI)), float(np.arcsin(radius))
+    outside = radius > 1.0
+    theta = np.arcsin(np.where(outside, np.nan, radius))
+    phi = np.mod(np.arctan2(py * 0.5, px * 0.5), TWO_PI)
+    phi[(psi_x == 0.0) & (psi_y == 0.0)] = 0.0
+    phi[outside] = np.nan
+    return phi, theta
+
+
+def estimate_from_map(emap, proto, n_x, n_y, geom=None, half_wave=False):
     """Peak search plus angle recovery in one step.
 
-    Physical angles are filled from ``geom`` when given; an unrealizable
-    peak yields NaN angles rather than an error so Monte Carlo scoring
-    (which uses electrical angles only) can proceed. The peak maps through
-    the (n_x, n_y) input grid, so the map must have one row per input cell.
+    Physical angles are filled from ``geom`` when given, or by
+    ``half_wave_angles`` with ``half_wave``; an unrealizable peak yields
+    NaN angles rather than an error so Monte Carlo scoring (which uses
+    electrical angles only) can proceed. The peak maps through the
+    (n_x, n_y) input grid, so the map must have one row per input cell,
+    and its angles are read from the protocol's cached lattice. A batch of
+    K maps gives one estimate of length-K arrays, entry k equal to map k's
+    own call; its physical angles come from ``half_wave`` or are NaN.
     """
-    if emap.values.shape[0] != n_x * n_y:
+    if emap.receivers != n_x * n_y:
         raise ValueError(f"energy map has {emap.receivers} receivers but the"
                          f" ({n_x}, {n_y}) input grid has {n_x * n_y} cells")
+    batch = emap.values.ndim == 3
+    if geom is not None and (half_wave or batch):
+        raise ValueError("geom gives the physical angles of one map, without half_wave")
     n_hat, t_hat = peak_index(emap)
-    psi_x, psi_y = electrical_angles(n_hat, t_hat, n_x, n_y, proto)
-    phi = theta = float("nan")
-    if geom is not None:
-        try:
-            phi, theta = physical_angles(psi_x, psi_y, geom)
-        except UnrealizableAngle:
-            pass
+    lattice = proto.lattice(n_x, n_y)
+    psi_x, psi_y = lattice.psi_x[n_hat - 1, t_hat - 1], lattice.psi_y[n_hat - 1, t_hat - 1]
+    if not batch:
+        psi_x, psi_y = float(psi_x), float(psi_y)
+    if half_wave:
+        phi, theta = half_wave_angles(psi_x, psi_y)
+    elif batch:
+        phi, theta = np.full((2, *np.shape(psi_x)), math.nan)
+    else:
+        phi = theta = math.nan
+        if geom is not None:
+            try:
+                phi, theta = physical_angles(psi_x, psi_y, geom)
+            except UnrealizableAngle:
+                pass
     return DoaEstimate(n=n_hat, t=t_hat, psi_x=psi_x, psi_y=psi_y, phi=phi, theta=theta)
 
 
@@ -224,22 +289,17 @@ def angular_spectrum(emap, proto, n_x, n_y):
     """Measurements rearranged onto the normalized-angle lattice.
 
     Returns (psi_x_axis, psi_y_axis, power) where power[iy, ix] is the
-    energy at (psi_x_axis[ix], psi_y_axis[iy]), peak-normalized to 1.
+    energy at (psi_x_axis[ix], psi_y_axis[iy]), peak-normalized to 1. The
+    axes are the lattice's distinct angles (its read-only arrays), n_x * t_x
+    and n_y * t_y of them in ascending order, so every cell has a bin of its
+    own.
     """
-    kx = n_x * proto.t_x
-    ky = n_y * proto.t_y
     if emap.values.shape != (n_x * n_y, proto.t):
         raise ValueError("energy map shape does not match the lattice")
-    step_x = 2.0 / kx
-    step_y = 2.0 / ky
-    axis_x = -1.0 + step_x * np.arange(kx)
-    axis_y = -1.0 + step_y * np.arange(ky)
     lattice = proto.lattice(n_x, n_y)
-    power = np.zeros((ky, kx))
-    # flattened snapshot-major, so where cells share a bin the later snapshot wins
-    iy = np.rint((lattice.psi_y.T.ravel() + 1.0) / step_y).astype(int)
-    ix = np.rint((lattice.psi_x.T.ravel() + 1.0) / step_x).astype(int)
-    power[iy, ix] = emap.values.T.ravel()
+    (axis_x, ix), (axis_y, iy) = lattice.distinct_x, lattice.distinct_y
+    power = np.zeros((axis_y.size, axis_x.size))
+    power[iy, ix] = emap.values
     top = power.max()
     if top > 0.0:
         power = power / top
@@ -251,9 +311,10 @@ def wrapped_angle_error(true_psi, est_psi):
 
     Electrical angles wrap with period 2, so errors are scored along the
     shorter arc; without this a source near +1 estimated near -1 would
-    score as a full-span miss.
+    score as a full-span miss. Arrays give the elementwise errors.
     """
-    return float(np.mod(true_psi - est_psi + 1.0, 2.0) - 1.0)
+    err = np.mod(true_psi - est_psi + 1.0, 2.0) - 1.0
+    return err if np.ndim(err) else float(err)
 
 
 def steering_for(psi_x, psi_y, n_x, n_y):

@@ -4,7 +4,6 @@ import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -14,10 +13,8 @@ from .estimator import (EnergyMap, ProtocolConfig, collect_snapshots,
 from .geometry import (SimGeometry, build_propagation_matrices,
                        check_feasibility, dft_matrix)
 from .trainer import TrainConfig, train, train_restarts
-from .wavemodel import cn_noise, forward_response, matvec_columns, optimal_scale
-
-# half-wavelength receive lattice used when a full geometry is not in play
-_HALF_WAVE = SimpleNamespace(d_x=0.5, d_y=0.5, kappa=2.0 * np.pi)
+from .wavemodel import (cn_noise, complex_gaussian, forward_response, matvec_columns,
+                        optimal_scale)
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,7 @@ def digital_baseline(source, proto, n_x, n_y, rho, rng, noise=None):
     if noise is not None:
         x = x + noise
     values = np.abs(matvec_columns(f, x)) ** 2
-    return estimate_from_map(EnergyMap(values), proto, n_x, n_y, geom=_HALF_WAVE)
+    return estimate_from_map(EnergyMap(values), proto, n_x, n_y, half_wave=True)
 
 
 def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
@@ -201,7 +198,7 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
     emap = collect_snapshots(g, sv, source.s, rho_wave, proto, n_x, n_y,
                              noise=frame * (f @ u_ant))
-    wave = estimate_from_map(emap, proto, n_x, n_y, geom=_HALF_WAVE)
+    wave = estimate_from_map(emap, proto, n_x, n_y, half_wave=True)
     digital = digital_baseline(source, proto, n_x, n_y, rho_digital,
                                rng=None, noise=u_ant)
     return wave, digital
@@ -211,45 +208,53 @@ def _mc_block(cfg, snr_index, trials, rho):
     """Per-trial squared errors, bounds and realizable flags of ``trials`` at one SNR point.
 
     Each trial draws from its own stream in a fixed order (source, then
-    noise); the block's snapshots and bounds are then one batched call
-    each. ``rho`` is None at a noiseless point, which has no bound.
+    noise), the wave pipeline's normals straight into the block's (K, R, T)
+    buffers. The wave pipeline then synthesizes the block's unit field
+    G Y_0 a once (``analysis.clean_field``), scales it into the snapshots,
+    runs one batched peak search and reuses the field for the bound.
+    ``rho`` is None at a noiseless point, which has no bound.
     """
     noiseless = rho is None
     run_rho = 1.0 if noiseless else rho  # a noiseless point runs at unit SNR without noise
-    n = cfg.n_x * cfg.n_y
-    sources, noise, estimates = [], [], []
-    for trial in trials:
+    wave = cfg.pipeline == "wave"
+    shape = (len(trials), cfg.n_x * cfg.n_y, cfg.proto.t)
+    re, im = (np.empty(shape), np.empty(shape)) if wave and not noiseless else (None, None)
+    sources, estimates = [], []
+    for i, trial in enumerate(trials):
         rng = _trial_rng(cfg.seed, snr_index, trial)
         if cfg.sources is not None:
             source = cfg.sources[trial % len(cfg.sources)]
         else:
             source = sample_source(rng, cfg.source_mode, cfg.symbol)
         sources.append(source)
-        if cfg.pipeline == "digital":
+        if not wave:
             estimates.append(digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, run_rho,
                                               None if noiseless else rng))
-        elif not noiseless:
-            noise.append(cn_noise(rng, (n, cfg.proto.t)))
+        elif re is not None:  # cn_noise's draws, in its order
+            rng.standard_normal(out=re[i])
+            rng.standard_normal(out=im[i])
     psi_x = np.array([src.psi_x for src in sources])
     psi_y = np.array([src.psi_y for src in sources])
-    symbols = np.array([src.s for src in sources], dtype=complex)
-    if cfg.pipeline == "wave":
-        emaps = collect_snapshots(cfg.g, steering_for(psi_x, psi_y, cfg.n_x, cfg.n_y), symbols,
-                                  run_rho, cfg.proto, cfg.n_x, cfg.n_y,
-                                  noise=np.array(noise) if noise else None)
-        estimates = [estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, geom=_HALF_WAVE)
-                     for emap in emaps]
-    ex = np.array([wrapped_angle_error(src.psi_x, est.psi_x)
-                   for src, est in zip(sources, estimates)])
-    ey = np.array([wrapped_angle_error(src.psi_y, est.psi_y)
-                   for src, est in zip(sources, estimates)])
+    inp = analysis.BoundInputs(
+        g=cfg.g if wave else dft_matrix(cfg.n_x, cfg.n_y).matrix, proto=cfg.proto,
+        n_x=cfg.n_x, n_y=cfg.n_y, psi_x=psi_x, psi_y=psi_y, rho=run_rho,
+        s=np.array([src.s for src in sources], dtype=complex))
+    if wave:
+        emap = collect_snapshots(cfg.g, steering_for(psi_x, psi_y, cfg.n_x, cfg.n_y), inp.s,
+                                 run_rho, cfg.proto, cfg.n_x, cfg.n_y,
+                                 noise=None if re is None else complex_gaussian(re, im),
+                                 field=analysis.clean_field(inp))
+        est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, half_wave=True)
+        est_x, est_y, phi, theta = est.psi_x, est.psi_y, est.phi, est.theta
+    else:
+        est_x, est_y, phi, theta = (np.array([getattr(est, name) for est in estimates])
+                                    for name in ("psi_x", "psi_y", "phi", "theta"))
+    ex = wrapped_angle_error(psi_x, est_x)
+    ey = wrapped_angle_error(psi_y, est_y)
     bx = by = np.full(len(sources), np.nan)
     if cfg.with_bound and not noiseless:
-        g = cfg.g if cfg.pipeline == "wave" else dft_matrix(cfg.n_x, cfg.n_y).matrix
-        bx, by = analysis.mse_bound(analysis.BoundInputs(
-            g=g, proto=cfg.proto, n_x=cfg.n_x, n_y=cfg.n_y, psi_x=psi_x, psi_y=psi_y,
-            rho=rho, s=symbols))
-    return ex * ex, ey * ey, bx, by, np.array([est.realizable for est in estimates])
+        bx, by = analysis.mse_bound(inp)
+    return ex * ex, ey * ey, bx, by, ~(np.isnan(phi) | np.isnan(theta))
 
 
 def run_monte_carlo(cfg):
@@ -258,8 +263,11 @@ def run_monte_carlo(cfg):
     Every (SNR point, trial) pair owns an RNG stream spawned from
     (cfg.seed, point index, trial index), so results are independent of
     execution order and of how trials are distributed over workers. Each
-    point's trials run in blocks of max(1, 2**14 // (R*T)): a block's
-    snapshots and bounds are one batched call each, and with ``jobs > 1``
+    point's trials run in blocks of max(1, 2**14 // (R*T)). A wave block
+    synthesizes one clean field G Y_0 a for all its trials, scales it into
+    the snapshots with the block's noise, runs one peak search over the
+    (K, R, T) energies and evaluates the bound on the same field; every
+    trial's result equals its one-trial run bit for bit. With ``jobs > 1``
     the process pool maps blocks, so serial and parallel runs share one
     kernel and give identical results.
     """

@@ -107,22 +107,36 @@ def synthesize_received(g, zeroth, sv, s, rho, noise=None):
     Steering entries (K, N) run K trials at once: the result gains a
     leading trial axis, ``s`` is then a scalar, K symbols or (K, T), and
     each trial's slice equals its one-trial call bit for bit. ``noise`` has
-    the result's shape, or is None for the clean field.
+    the result's shape, or is None for the clean field. The unit field
+    G Y_0 a is scaled by ``scale_field``, so a field computed once at
+    rho = 1 and s = 1 serves any SNR and symbol: the energies |r|^2 equal
+    a direct call's bit for bit.
     """
-    if rho < 0.0:
-        raise ValueError("rho must be >= 0")
     a = sv.entries
     trans = zeroth.transmission()
     cols = trans if trans.ndim == 2 else trans[:, None]
-    batched = a.ndim == 2
     # built snapshot-major, so each (N,) column handed to the matvec is contiguous
-    x = (cols.T * (a[:, None] if batched else a)).swapaxes(-1, -2)
-    if batched and np.ndim(s):  # per-trial symbols lead; R and T broadcast
+    x = (cols.T * (a[:, None] if a.ndim == 2 else a)).swapaxes(-1, -2)
+    field = matvec_columns(g, x)
+    if trans.ndim == 2:
+        return scale_field(field, s, rho, noise)
+    # one snapshot: its column axis goes after the symbols have broadcast against it
+    noise = None if noise is None else np.asarray(noise)[..., None]
+    return scale_field(field, s, rho, noise)[..., 0]
+
+
+def scale_field(field, s, rho, noise=None):
+    """sqrt(rho) * field * s + noise for a unit field G Y_0 a, (R, T) or (K, R, T).
+
+    ``s`` is a scalar or one symbol per snapshot; with a trial axis it may
+    also be K symbols or (K, T). ``noise`` has the field's shape, or is None.
+    """
+    if rho < 0.0:
+        raise ValueError("rho must be >= 0")
+    if field.ndim == 3 and np.ndim(s):  # per-trial symbols lead; R and T broadcast
         s = np.asarray(s)
         s = s[:, None, None] if s.ndim == 1 else s[:, None, :]
-    r = math.sqrt(rho) * matvec_columns(g, x) * s
-    if trans.ndim == 1:
-        r = r[..., 0]
+    r = math.sqrt(rho) * field * s
     if noise is not None:
         noise = np.asarray(noise)
         if noise.shape != r.shape:
@@ -131,7 +145,11 @@ def synthesize_received(g, zeroth, sv, s, rho, noise=None):
     return r
 
 
+def complex_gaussian(re, im, variance=1.0):
+    """Complex samples from standard normal draws ``re``, ``im``, as ``cn_noise`` makes them."""
+    return np.sqrt(variance / 2.0) * (re + 1j * im)
+
+
 def cn_noise(rng, shape, variance=1.0):
     """Circularly symmetric complex Gaussian samples with the given variance."""
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return complex_gaussian(rng.standard_normal(shape), rng.standard_normal(shape), variance)

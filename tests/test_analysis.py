@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,18 +9,90 @@ from simdoa.analysis import (
     BoundInputs,
     _wilson_hilferty,
     DegenerateField,
-    MomentTriple,
     clean_field,
-    detection_prob_bound,
-    moments,
     mse_bound,
-    noncentrality_map,
-    peak_index_noiseless,
     q_function,
     quantization_floor,
 )
-from simdoa.estimator import ProtocolConfig, collect_snapshots, electrical_angles, steering_for
+from simdoa.estimator import (EnergyMap, ProtocolConfig, collect_snapshots, electrical_angles,
+                              peak_index, steering_for)
 from simdoa.geometry import dft_matrix
+
+
+# Scalar twins of the vectorized bound, kept here as oracles: per-cell
+# moments, the single-cell detection bound, the noncentrality map and the
+# noiseless peak.
+
+@dataclass(frozen=True)
+class MomentTriple:
+    """First three moments of the energy-difference statistic at one cell."""
+
+    mu1: float
+    mu2: float
+    mu3: float
+
+    @property
+    def h(self):
+        if self.mu3 == 0.0:
+            raise ValueError("h is undefined when mu3 = 0")
+        return self.mu2 ** 3 / self.mu3 ** 2
+
+    @property
+    def b(self):
+        h = self.h
+        return h - self.mu1 * np.sqrt(h / self.mu2)
+
+
+def _clean_power(inp):
+    """|field * s|^2 per cell: (R, T), or (K, R, T) for K trials."""
+    return np.abs(clean_field(inp) * np.asarray(inp.s)[..., None, None]) ** 2
+
+
+def noncentrality_map(inp):
+    """Noncentrality delta^2 = 2*rho*|field*s|^2 for every (n, t) cell (and trial)."""
+    return 2.0 * inp.rho * _clean_power(inp)
+
+
+def peak_index_noiseless(inp):
+    """1-based (n, t) of one trial's strongest noiseless cell, estimator tie rule."""
+    power = _clean_power(inp)
+    if not np.any(power > 0.0):
+        raise DegenerateField("noiseless field is identically zero")
+    return peak_index(EnergyMap(power))
+
+
+def moments(delta_nt, delta_peak):
+    """Moments of the peak-vs-cell energy difference distribution, term by term as written."""
+    if delta_nt < 0.0 or delta_peak < 0.0:
+        raise ValueError("noncentralities must be >= 0")
+    out = []
+    for i in (1, 2, 3):
+        out.append((-1.0) ** i * (2.0 + i * delta_peak) + 2.0 + i * delta_nt)
+    return MomentTriple(*out)
+
+
+def _masked_wilson_hilferty(nu1, nu2, nu3):
+    """The transform on the nu3 != 0 cells only, scattered into an array of 1/2."""
+    nu1 = np.asarray(nu1, dtype=float)
+    nu2 = np.asarray(nu2, dtype=float)
+    nu3 = np.asarray(nu3, dtype=float)
+    probs = np.full(nu1.shape, 0.5)
+    live = nu3 != 0.0
+    h = nu2[live] ** 3 / nu3[live] ** 2
+    ratio = 1.0 - nu1[live] / np.sqrt(h * nu2[live])
+    z = (np.cbrt(ratio) - 1.0 + 2.0 / (9.0 * h)) * np.sqrt(9.0 * h / 2.0)
+    probs[live] = np.clip(q_function(-z), 0.0, 1.0)
+    return probs
+
+
+def detection_prob_bound(mt, peak_cell=False):
+    """Upper bound on the chance this cell outscores the true peak (1 for the peak itself)."""
+    if peak_cell:
+        return 1.0
+    if mt.mu3 == 0.0:
+        return 0.5 if mt.mu1 == 0.0 else 1.0
+    return float(_wilson_hilferty(np.array([-mt.mu1]), np.array([mt.mu2]),
+                                  np.array([-mt.mu3]))[0])
 
 
 def noncentrality(inp, n, t):
@@ -173,6 +247,35 @@ def test_detection_decreases_with_peak_strength():
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-8
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_wilson_hilferty_in_place_equals_masked_oracle():
+    rng = np.random.default_rng(41)
+    # a block's cells: moments from noncentralities, with ties to the peak (nu3 = 0)
+    delta = rng.exponential(20.0, (6, 4, 9))
+    delta[:, 1, 2] = delta[:, 0, 0]
+    d_peak = delta[:, :1, :1]
+    nu1 = d_peak - delta
+    cases = [(nu1, 4.0 + 2.0 * (delta + d_peak), 3.0 * nu1)]
+    # hand-built triples: b/h outside (0, 1], vanishing nu2, nu3 = 0 with nu1 != 0
+    cases.append((np.array([5.0, -3.0, 40.0, 0.0, 1.0, 2.0, 0.0]),
+                  np.array([1.0, 2.0, 3.0, 0.0, 0.0, 4.0, 0.0]),
+                  np.array([0.5, -7.0, 0.1, 1.0, 2.0, 0.0, 0.0])))
+    for nu1, nu2, nu3 in cases:
+        inputs = [a.copy() for a in (nu1, nu2, nu3)]
+        with np.errstate(all="ignore"):
+            want = _masked_wilson_hilferty(nu1, nu2, nu3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _wilson_hilferty(nu1, nu2, nu3)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.all(got[nu3 == 0.0] == 0.5)
+        for a, b in zip(inputs, (nu1, nu2, nu3)):
+            assert np.array_equal(a, b)  # the inputs are left as they were
 
 
 def test_detection_tracks_monte_carlo():

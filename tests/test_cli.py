@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 import simdoa
+from simdoa import experiments
 from simdoa.cli import (
     ConfigError,
     RunManifest,
@@ -516,10 +517,49 @@ def test_float_keys_refuse_integers_beyond_float_range(tmp_path, capsys, command
 ], ids=["t_x-400-digits", "n_x-400-digits", "n_y-20-digits"])
 def test_size_keys_refuse_integers_beyond_numpy_index_range(tmp_path, capsys, command, doc, key):
     # t_x ended in an OverflowError traceback, n_x and n_y in "Maximum allowed size
-    # exceeded"; 20-digit t_y or trials would hang without the check, so they stay untested
+    # exceeded"; a 20-digit t_y or trials hung (see the work-cap test below)
     code, err = _config_error(tmp_path, capsys, command, doc)
     assert code == 2
     assert f"'{key}' must be at most {np.iinfo(np.intp).max}" in err
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("estimate", {**RUN_DOC, "protocol": {"t_x": 2, "t_y": 10 ** 18},
+                  "estimate": {"ideal": True}}, "protocol.t_y"),
+    ("montecarlo", {**MC_DOC, "montecarlo": {**MC_DOC["montecarlo"], "trials": 10 ** 18}},
+     "montecarlo.trials"),
+    ("montecarlo", {**MC_DOC, "protocol": {"t_x": 1024, "t_y": 1024}}, "protocol.t_x"),
+], ids=["t_y-lattice", "trials-19-digits", "t_x-lattice"])
+def test_work_beyond_the_caps_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, command,
+                                                     doc, key):
+    # the first two hung in the lattice build or the trial loop; here any work fails fast
+    def started(*args, **kwargs):
+        raise RuntimeError("the work started")
+
+    monkeypatch.setattr(ProtocolConfig, "lattice", started)
+    monkeypatch.setattr(experiments, "run_monte_carlo", started)
+    code, err = _config_error(tmp_path, capsys, command, doc)
+    assert code == 2
+    assert f"'{key}' asks for too much work" in err
+
+
+def test_work_at_the_caps_is_accepted(tmp_path):
+    # 2 x 2 inputs with 512 x 512 snapshots is 2**20 lattice cells, and
+    # 4096 trials of them is 2**32 Monte Carlo cells per point
+    doc = {**MC_DOC, "protocol": {"t_x": 512, "t_y": 512},
+           "montecarlo": {**MC_DOC["montecarlo"], "trials": 4096}}
+    parsed = parse_config(write_config(tmp_path / "c.yaml", doc))
+    assert parsed["montecarlo"]["trials"] == 4096
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    # both once ran serially and exited 0
+    cfg = write_config(tmp_path / "c.yaml", MC_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main(["montecarlo", "--config", cfg, "--outdir", str(tmp_path / "run"), "-j", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs/-j: must be >= 1, got {int(jobs)}" in capsys.readouterr().err
 
 
 def test_seeds_take_any_non_negative_integer(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from simdoa.estimator import (
     collect_snapshots,
     electrical_angles,
     estimate_from_map,
+    half_wave_angles,
     peak_index,
     physical_angles,
     steering_for,
@@ -19,6 +21,7 @@ from simdoa.estimator import (
     zeroth_layer_config,
     zeroth_layer_phase,
 )
+from simdoa.analysis import BoundInputs, clean_field
 from simdoa.geometry import SimGeometry, dft_matrix
 from simdoa.wavemodel import cn_noise
 
@@ -226,13 +229,42 @@ def test_collect_trial_axis_maps_equal_one_trial_calls(per_snapshot):
     for u in (None, noise):
         maps = collect_snapshots(g, steering_for(psi_x, psi_y, 3, 2), symbols, 1.7, proto,
                                  3, 2, noise=u)
-        assert len(maps) == 4
-        for i, emap in enumerate(maps):
+        assert maps.values.shape == (4, 6, proto.t)
+        for i, values in enumerate(maps.values):
             want = collect_snapshots(g, steering_for(psi_x[i], psi_y[i], 3, 2), symbols[i],
                                      1.7, proto, 3, 2, noise=None if u is None else u[i])
-            assert np.array_equal(emap.values, want.values)
+            assert np.array_equal(values, want.values)
     with pytest.raises(ValueError):
         collect_snapshots(g, steering_for(psi_x, psi_y, 3, 2), symbols[:3], 1.7, proto, 3, 2)
+
+
+@pytest.mark.parametrize("per_snapshot", [False, True])
+def test_collect_from_a_preset_field_equals_synthesizing_it(per_snapshot):
+    # the Monte Carlo block scales one clean field into its snapshots
+    rng = np.random.default_rng(23)
+    proto = ProtocolConfig(t_x=3, t_y=2)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    psi_x, psi_y = rng.uniform(-1.0, 1.0, (2, 5))
+    symbols = cn_noise(rng, (5, proto.t) if per_snapshot else 5)
+    noise = cn_noise(rng, (5, 6, proto.t))
+    for rho in (0.0, 1.0, 2.7):
+        for u in (None, noise):
+            sv = steering_for(psi_x, psi_y, 3, 2)
+            inp = BoundInputs(g=g, proto=proto, n_x=3, n_y=2, psi_x=psi_x, psi_y=psi_y,
+                              rho=rho, s=symbols)
+            want = collect_snapshots(g, sv, symbols, rho, proto, 3, 2, noise=u)
+            got = collect_snapshots(g, sv, symbols, rho, proto, 3, 2, noise=u,
+                                    field=clean_field(inp))
+            assert np.array_equal(got.values, want.values)
+            for i in range(5):  # and one trial at a time
+                one = BoundInputs(g=g, proto=proto, n_x=3, n_y=2, psi_x=psi_x[i],
+                                  psi_y=psi_y[i], rho=rho, s=symbols[i])
+                sv_i = steering_for(psi_x[i], psi_y[i], 3, 2)
+                noise_i = None if u is None else u[i]
+                want = collect_snapshots(g, sv_i, symbols[i], rho, proto, 3, 2, noise=noise_i)
+                got = collect_snapshots(g, sv_i, symbols[i], rho, proto, 3, 2, noise=noise_i,
+                                        field=clean_field(one))
+                assert np.array_equal(got.values, want.values)
 
 
 # ----------------------------------------------------------------- peak search
@@ -294,6 +326,71 @@ def test_physical_angles_unrealizable():
     phi, theta = physical_angles(0.9, 0.9, geom, clamp=True)
     assert theta == pytest.approx(math.pi / 2)
     assert phi == pytest.approx(math.atan2(0.9, 0.9))
+
+
+def _half_wave_lattices():
+    for n_x, n_y, t_x, t_y in ((2, 2, 4, 4), (4, 4, 8, 8), (3, 2, 3, 2), (1, 5, 7, 3),
+                               (5, 1, 2, 1), (2, 3, 5, 5)):
+        lattice = ProtocolConfig(t_x=t_x, t_y=t_y).lattice(n_x, n_y)
+        yield lattice.psi_x.ravel(), lattice.psi_y.ravel()
+
+
+def test_half_wave_angles_arrays_equal_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(14)
+    cases = list(_half_wave_lattices())
+    cases.append(tuple(rng.uniform(-1.0, 1.0, (2, 500))))
+    cases.append((np.array([0.0, -0.0, 0.0, -1.0, 0.6, -0.6]),
+                  np.array([0.0, 0.0, -0.0, 0.0, 0.8, -0.8])))
+    for psi_x, psi_y in cases:
+        phi, theta = half_wave_angles(psi_x, psi_y)
+        assert phi.shape == theta.shape == psi_x.shape
+        for i in range(psi_x.size):
+            one = half_wave_angles(float(psi_x[i]), float(psi_y[i]))
+            assert type(one[0]) is float and type(one[1]) is float
+            got = (float(phi[i]), float(theta[i]))
+            assert np.array_equal(np.array(got), np.array(one), equal_nan=True), (i, got, one)
+
+
+def test_half_wave_angles_agree_with_physical_angles_on_a_half_wave_grid():
+    # on every lattice cell, visibility is decided exactly as physical_angles decides it
+    # for element spacings of half a wavelength, lengths in wavelengths
+    half_wave = SimpleNamespace(d_x=0.5, d_y=0.5, kappa=2.0 * math.pi)
+    for psi_x, psi_y in _half_wave_lattices():
+        phi, theta = half_wave_angles(psi_x, psi_y)
+        for i in range(psi_x.size):
+            try:
+                want = physical_angles(float(psi_x[i]), float(psi_y[i]), half_wave)
+            except UnrealizableAngle:
+                assert math.isnan(phi[i]) and math.isnan(theta[i])
+                continue
+            assert phi[i] == pytest.approx(want[0], abs=1e-12)
+            assert math.sin(theta[i]) == pytest.approx(math.sin(want[1]), abs=1e-12)
+    assert half_wave_angles(0.0, 0.0) == (0.0, 0.0)
+    assert all(math.isnan(a) for a in half_wave_angles(-1.0, -1.0))
+
+
+def test_estimate_batch_equals_one_map_calls():
+    rng = np.random.default_rng(15)
+    proto = ProtocolConfig(t_x=3, t_y=2)
+    values = rng.uniform(0.0, 1.0, (9, 6, proto.t))
+    values[2] = 1.0  # every cell tied: the first cell wins
+    values[4, 5, 5] = 7.0  # the last cell
+    batch = estimate_from_map(EnergyMap(values), proto, 3, 2, half_wave=True)
+    assert not batch.realizable or all(
+        estimate_from_map(EnergyMap(v), proto, 3, 2, half_wave=True).realizable for v in values)
+    for i, v in enumerate(values):
+        one = estimate_from_map(EnergyMap(v), proto, 3, 2, half_wave=True)
+        assert (batch.n[i], batch.t[i]) == (one.n, one.t)
+        assert (batch.psi_x[i], batch.psi_y[i]) == (one.psi_x, one.psi_y)
+        assert (one.psi_x, one.psi_y) == electrical_angles(one.n, one.t, 3, 2, proto)
+        assert np.array_equal([batch.phi[i], batch.theta[i]], [one.phi, one.theta],
+                              equal_nan=True)
+    assert (batch.n[2], batch.t[2]) == (1, 1)
+    assert (batch.n[4], batch.t[4]) == (6, 6)
+    plain = estimate_from_map(EnergyMap(values), proto, 3, 2)
+    assert np.all(np.isnan(plain.phi)) and not plain.realizable
+    with pytest.raises(ValueError):
+        estimate_from_map(EnergyMap(values), proto, 3, 2, geom=make_geom(3, 2))
 
 
 def test_estimate_nan_for_unrealizable_peak():
@@ -365,16 +462,29 @@ def test_spectrum_peak_snaps_to_nearest_cell():
 
 
 def test_spectrum_places_every_cell_like_the_scalar_loop():
+    # each cell goes to the bin of its own angles; the 9-bin x axis is odd
     proto = ProtocolConfig(t_x=3, t_y=2)
     values = np.random.default_rng(4).uniform(0.5, 1.0, (6, 6))
     ax, ay, power = angular_spectrum(EnergyMap(values), proto, 3, 2)
+    cells = [(n, t, *electrical_angles(n, t, 3, 2, proto))
+             for t in range(1, 7) for n in range(1, 7)]
+    want_x = sorted({px for _, _, px, _ in cells})
+    want_y = sorted({py for _, _, _, py in cells})
+    assert list(ax) == want_x and list(ay) == want_y
     want = np.zeros((4, 9))
-    for t in range(1, 7):
-        for n in range(1, 7):
-            px, py = electrical_angles(n, t, 3, 2, proto)
-            want[int(round((py + 1.0) / (2.0 / 4))), int(round((px + 1.0) / (2.0 / 9)))] \
-                = values[n - 1, t - 1]
+    for n, t, px, py in cells:
+        want[want_y.index(py), want_x.index(px)] = values[n - 1, t - 1]
     assert np.array_equal(power, want / want.max())
+
+
+@pytest.mark.parametrize("n_x, n_y, t_x, t_y", [(3, 2, 3, 2), (1, 1, 5, 3), (3, 3, 1, 1),
+                                                (2, 2, 4, 4)])
+def test_spectrum_fills_every_bin(n_x, n_y, t_x, t_y):
+    # an odd n*t axis once missed the lattice by half a bin: cells collided, bins stayed empty
+    proto = ProtocolConfig(t_x=t_x, t_y=t_y)
+    ax, ay, power = angular_spectrum(EnergyMap(np.ones((n_x * n_y, proto.t))), proto, n_x, n_y)
+    assert power.shape == (n_y * t_y, n_x * t_x) == (ay.size, ax.size)
+    assert np.all(power == 1.0)
 
 
 def test_spectrum_rejects_mismatched_map():

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -284,6 +286,12 @@ def test_mc_parallel_matches_serial():
     assert serial.bound == parallel.bound
 
 
+# Element spacings of half a wavelength (lengths in wavelengths), read by
+# physical_angles the way the trials recovered physical angles before
+# half_wave_angles.
+_HALF_WAVE = SimpleNamespace(d_x=0.5, d_y=0.5, kappa=2.0 * np.pi)
+
+
 def _mc_trial(cfg, snr_index, trial, rho):
     """One trial on its own, as ``run_monte_carlo`` ran it before blocks, as an oracle.
 
@@ -311,8 +319,7 @@ def _mc_trial(cfg, snr_index, trial, rho):
             noise = cn_noise(rng, (np.asarray(cfg.g).shape[0], cfg.proto.t))
             emap = collect_snapshots(cfg.g, sv, source.s, rho, cfg.proto,
                                      cfg.n_x, cfg.n_y, noise=noise)
-        est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y,
-                                geom=experiments._HALF_WAVE)
+        est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, geom=_HALF_WAVE)
         g_for_bound = cfg.g
     ex = wrapped_angle_error(source.psi_x, est.psi_x)
     ey = wrapped_angle_error(source.psi_y, est.psi_y)
@@ -412,6 +419,34 @@ def test_mc_whole_point_block_matches_oracle_at_4x4(monkeypatch):
                    trials=128, g=dft_matrix(4, 4).matrix, seed=2)
     monkeypatch.setattr(experiments, "_BLOCK_CELLS", 2 ** 40)
     _same_points(run_monte_carlo(cfg), _oracle_points(cfg))
+
+
+def test_mc_random_response_at_4x4_matches_oracle():
+    # a block's one clean field serves its snapshots and its bound; inf has no bound
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    cfg = McConfig(n_x=4, n_y=4, proto=ProtocolConfig(t_x=8, t_y=8),
+                   snr_db=(-3.0, 12.0, math.inf), trials=40, g=g, beta=0.8 - 0.2j, seed=5)
+    got = run_monte_carlo(cfg)
+    _same_points(got, _oracle_points(cfg))
+    assert not math.isnan(got[0].bound) and math.isnan(got[2].bound)
+
+
+@pytest.mark.parametrize("pipeline", ["wave", "digital"])
+def test_mc_raises_no_runtime_warning(pipeline):
+    # the bound's transform divides by zero on tied cells and silences it there only
+    rng = np.random.default_rng(10)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    on_lattice = (lattice_source(2, 3, 2, 2, ProtocolConfig(t_x=2, t_y=2)),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sources in (None, on_lattice):
+            cfg = McConfig(n_x=2, n_y=2, proto=ProtocolConfig(t_x=2, t_y=2),
+                           snr_db=(-20.0, 0.0, 30.0, math.inf), trials=20,
+                           g=g if pipeline == "wave" else None, sources=sources,
+                           pipeline=pipeline, seed=3)
+            points = run_monte_carlo(cfg)
+            assert all(math.isfinite(p.bound) for p in points[:3])
 
 
 def test_mc_block_size_follows_the_input_shape(monkeypatch):
