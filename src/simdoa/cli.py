@@ -159,9 +159,10 @@ _SWEEP = {  # one table per sweep mode
 }
 _SWEEP_MODE = {"mode": (tuple(_SWEEP), "ablation")}
 # Work caps, checked across sections once all are read: (cap, what, factors).
-# The lattice is built cell by cell (about 10 us a cell, so the cap is about
-# 10 s); a Monte Carlo SNR point runs trials x R x T cells (R = N), at about
-# 0.2 us a cell, so its cap is about 15 minutes per point.
+# The lattice cap bounds memory: the lattice keeps five (N, T) arrays, 40 MB
+# at the cap, and its array build peaks near 80 MB (0.2-0.4 s) before any
+# snapshot is taken. A Monte Carlo SNR point runs trials x R x T cells
+# (R = N), at about 0.2 us a cell, so its cap is about 15 minutes per point.
 _WORK = (
     (2 ** 20, "lattice cells", ("geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y")),
     (2 ** 32, "Monte Carlo cells per SNR point",
@@ -308,21 +309,14 @@ class RunManifest:
     outputs: list = field(default_factory=list)
     results: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
-
     def save(self, path):
         with open(path, "w") as fh:
-            yaml.safe_dump(self.to_dict(), fh, sort_keys=False)
+            yaml.safe_dump(dataclasses.asdict(self), fh, sort_keys=False)
 
     @classmethod
     def load(cls, path):
         with open(path) as fh:
-            return cls.from_dict(yaml.safe_load(fh))
+            return cls(**yaml.safe_load(fh))
 
 
 def new_manifest(command, config, seeds, geom=None):
@@ -380,10 +374,26 @@ def _outdir(args):
     return out
 
 
+def _emit(args, config, command, name, header, rows, geom, seeds=(), results=None, also=()):
+    """Write ``command``'s CSV ``name`` and its ``<command>-manifest.yaml``; returns the CSV path.
+
+    ``also`` names files the command already wrote to the output directory;
+    the manifest lists them before the CSV.
+    """
+    out = _outdir(args)
+    path = os.path.join(out, name)
+    write_csv(path, header, rows)
+    manifest = new_manifest(command, config, seeds, geom)
+    manifest.outputs = [*also, name]
+    manifest.results = results or {}
+    manifest.save(os.path.join(out, f"{command}-manifest.yaml"))
+    return path
+
+
 def _response_for(config, args, command, ideal=None):
     """(g, beta, geom) from --stack, else the exact DFT if ``ideal`` (None: no such key)."""
     geom = _need(config, "geometry", command)
-    if getattr(args, "stack", None):
+    if args.stack:
         if not os.path.exists(args.stack):
             raise IOError(f"stack file not found: {args.stack}")
         stack = load_stack(args.stack)
@@ -406,23 +416,18 @@ def _cmd_fit(args, config):
     f = dft_matrix(geom.n_x, geom.n_y).matrix
     reports = train_restarts(props, f, train_cfg)
     best = min(reports, key=lambda r: r.best_loss)
-    out = _outdir(args)
-    stack_path = os.path.join(out, "stack.bin")
+    stack_path = os.path.join(_outdir(args), "stack.bin")
     save_stack(stack_path, best.stack)
-    hist_path = os.path.join(out, "loss_history.csv")
-    write_csv(hist_path, ["iteration", "loss", "loss_db"],
-              [(i, f"{l:.17g}", f"{d:.10g}") for i, (l, d)
-               in enumerate(zip(best.loss_history, best.loss_db_history))])
-    manifest = new_manifest("fit", config, [r.seed for r in reports], geom)
-    manifest.outputs = ["stack.bin", "loss_history.csv"]
-    manifest.results = {
-        "best_db": float(best.best_db),
-        "best_seed": int(best.seed),
-        "beta_abs": float(abs(best.beta)),
-        "iterations": int(best.iterations),
-        "stop_reason": best.stop_reason,
-    }
-    manifest.save(os.path.join(out, "fit-manifest.yaml"))
+    _emit(args, config, "fit", "loss_history.csv", ["iteration", "loss", "loss_db"],
+          [(i, f"{l:.17g}", f"{d:.10g}") for i, (l, d)
+           in enumerate(zip(best.loss_history, best.loss_db_history))],
+          geom, [r.seed for r in reports], {
+              "best_db": float(best.best_db),
+              "best_seed": int(best.seed),
+              "beta_abs": float(abs(best.beta)),
+              "iterations": int(best.iterations),
+              "stop_reason": best.stop_reason,
+          }, also=["stack.bin"])
     print(f"fit: best {best.best_db:.2f} dB (seed {best.seed})"
           f" -> {stack_path}")
     return 0
@@ -449,43 +454,31 @@ def _spectrum_map(config, args, command):
 def _cmd_spectrum(args, config):
     emap, proto, geom, source = _spectrum_map(config, args, "spectrum")
     axis_x, axis_y, power = angular_spectrum(emap, proto, geom.n_x, geom.n_y)
-    rows = []
-    for iy in range(axis_y.size):
-        for ix in range(axis_x.size):
-            rows.append((f"{axis_x[ix]:.10g}", f"{axis_y[iy]:.10g}",
-                         f"{power[iy, ix]:.17g}"))
-    out = _outdir(args)
-    path = os.path.join(out, "spectrum.csv")
-    write_csv(path, ["psi_x", "psi_y", "power"], rows)
-    manifest = new_manifest("spectrum", config, [], geom)
-    manifest.outputs = ["spectrum.csv"]
+    rows = [(f"{x:.10g}", f"{y:.10g}", f"{p:.17g}")
+            for y, row in zip(axis_y, power) for x, p in zip(axis_x, row)]
     peak = int(np.argmax(power))
-    manifest.results = {
+    results = {
         "peak_psi_x": float(axis_x[peak % axis_x.size]),
         "peak_psi_y": float(axis_y[peak // axis_x.size]),
         "true_psi_x": source.psi_x,
         "true_psi_y": source.psi_y,
     }
-    manifest.save(os.path.join(out, "spectrum-manifest.yaml"))
-    print(f"spectrum: peak at ({manifest.results['peak_psi_x']:.4g},"
-          f" {manifest.results['peak_psi_y']:.4g}) -> {path}")
+    path = _emit(args, config, "spectrum", "spectrum.csv", ["psi_x", "psi_y", "power"], rows,
+                 geom, results=results)
+    print(f"spectrum: peak at ({results['peak_psi_x']:.4g},"
+          f" {results['peak_psi_y']:.4g}) -> {path}")
     return 0
 
 
 def _cmd_estimate(args, config):
     emap, proto, geom, source = _spectrum_map(config, args, "estimate")
     est = estimate_from_map(emap, proto, geom.n_x, geom.n_y, geom=geom)
-    out = _outdir(args)
-    path = os.path.join(out, "estimate.csv")
-    write_csv(path,
-              ["antenna", "snapshot", "psi_x", "psi_y", "phi_rad", "theta_rad"],
-              [(est.n, est.t, f"{est.psi_x:.10g}", f"{est.psi_y:.10g}",
-                f"{est.phi:.10g}", f"{est.theta:.10g}")])
-    manifest = new_manifest("estimate", config, [], geom)
-    manifest.outputs = ["estimate.csv"]
-    manifest.results = {"psi_x": est.psi_x, "psi_y": est.psi_y,
-                        "antenna": est.n, "snapshot": est.t}
-    manifest.save(os.path.join(out, "estimate-manifest.yaml"))
+    path = _emit(args, config, "estimate", "estimate.csv",
+                 ["antenna", "snapshot", "psi_x", "psi_y", "phi_rad", "theta_rad"],
+                 [(est.n, est.t, f"{est.psi_x:.10g}", f"{est.psi_y:.10g}",
+                   f"{est.phi:.10g}", f"{est.theta:.10g}")],
+                 geom, results={"psi_x": est.psi_x, "psi_y": est.psi_y,
+                                "antenna": est.n, "snapshot": est.t})
     print(f"estimate: cell (n={est.n}, t={est.t}) psi=({est.psi_x:.4g},"
           f" {est.psi_y:.4g}) -> {path}")
     return 0
@@ -505,12 +498,8 @@ def _cmd_bound(args, config):
                                    rho=rho, s=source.s)
         bx, by = analysis.mse_bound(inp)
         rows.append((f"{snr:.10g}", f"{bx:.10g}", f"{by:.10g}"))
-    out = _outdir(args)
-    path = os.path.join(out, "bound.csv")
-    write_csv(path, ["effective_snr_db", "mse_x_bound", "mse_y_bound"], rows)
-    manifest = new_manifest("bound", config, [], geom)
-    manifest.outputs = ["bound.csv"]
-    manifest.save(os.path.join(out, "bound-manifest.yaml"))
+    path = _emit(args, config, "bound", "bound.csv",
+                 ["effective_snr_db", "mse_x_bound", "mse_y_bound"], rows, geom)
     print(f"bound: {len(rows)} SNR points -> {path}")
     return 0
 
@@ -535,22 +524,17 @@ def _cmd_montecarlo(args, config):
              f"{p.mse:.10g}", f"{p.se:.10g}", f"{p.bound_x:.10g}",
              f"{p.bound_y:.10g}", f"{p.bound:.10g}", f"{p.bound_se:.10g}",
              p.trials, p.low_trials) for p in points]
-    out = _outdir(args)
-    path = os.path.join(out, "montecarlo.csv")
-    write_csv(path, ["effective_snr_db", "mse_x", "mse_y", "mse", "se",
-                     "bound_x", "bound_y", "bound", "bound_se", "trials",
-                     "low_trials"], rows)
-    manifest = new_manifest("montecarlo", config, [mc["seed"]], geom)
-    manifest.outputs = ["montecarlo.csv"]
-    manifest.results = {"points": len(points),
-                        "source_mode": mc["source_mode"],
-                        "symbol": mc["symbol"],
-                        "pipeline": mc["pipeline"],
-                        # per SNR point: peaks off the visible region, and bound / MSE
-                        "per_point": [{"snr_db": p.snr_db, "unrealizable": p.unrealizable,
-                                       "bound_over_mse": p.bound / p.mse if p.mse else math.nan}
-                                      for p in points]}
-    manifest.save(os.path.join(out, "montecarlo-manifest.yaml"))
+    path = _emit(args, config, "montecarlo", "montecarlo.csv",
+                 ["effective_snr_db", "mse_x", "mse_y", "mse", "se", "bound_x", "bound_y",
+                  "bound", "bound_se", "trials", "low_trials"], rows, geom, [mc["seed"]], {
+                     "points": len(points),
+                     "source_mode": mc["source_mode"],
+                     "symbol": mc["symbol"],
+                     "pipeline": mc["pipeline"],
+                     # per SNR point: peaks off the visible region, and bound / MSE
+                     "per_point": [{"snr_db": p.snr_db, "unrealizable": p.unrealizable,
+                                    "bound_over_mse": p.bound / p.mse if p.mse else math.nan}
+                                   for p in points]})
     print(f"montecarlo: {len(points)} SNR points x {mc['trials']} trials -> {path}")
     return 0
 
@@ -559,7 +543,6 @@ def _cmd_sweep(args, config):
     sw = _need(config, "sweep", "sweep")
     geom = _need(config, "geometry", "sweep")
     train_cfg = _need(config, "train", "sweep")
-    out = _outdir(args)
     if sw["mode"] == "ablation":
         spec = experiments.SweepSpec(
             n_x=geom.n_x, n_y=geom.n_y,
@@ -569,13 +552,12 @@ def _cmd_sweep(args, config):
             wavelength=geom.wavelength, jobs=args.jobs,
         )
         cells = experiments.ablation_sweep(spec)
+        name = "sweep.csv"
+        header = ["thickness_lam", "layers", "atoms", "spacing_lam", "feasible", "note",
+                  "mean_db", "min_db", "max_db", "runs"]
         rows = [(c.thickness_lam, c.layers, c.atoms, c.spacing_lam, c.feasible,
                  c.note, f"{c.mean_db:.6g}", f"{c.min_db:.6g}",
                  f"{c.max_db:.6g}", c.runs) for c in cells]
-        path = os.path.join(out, "sweep.csv")
-        write_csv(path, ["thickness_lam", "layers", "atoms", "spacing_lam",
-                         "feasible", "note", "mean_db", "min_db", "max_db",
-                         "runs"], rows)
     else:
         lam = geom.wavelength
         rows_obj = experiments.receiver_study(
@@ -583,15 +565,12 @@ def _cmd_sweep(args, config):
             u_x=tuple(v * lam for v in sw["u_x"]),
             rotation=tuple(math.radians(v) for v in sw["rotation_deg"]),
             layers=sw["layers"], runs=sw["runs"], seed=sw["seed"])
+        name = "receiver.csv"
+        header = ["parameter", "value", "mean_db", "min_db", "max_db", "runs"]
         rows = [(r.parameter, f"{r.value:.10g}", f"{r.mean_db:.6g}",
                  f"{r.min_db:.6g}", f"{r.max_db:.6g}", r.runs) for r in rows_obj]
-        path = os.path.join(out, "receiver.csv")
-        write_csv(path, ["parameter", "value", "mean_db", "min_db", "max_db",
-                         "runs"], rows)
-    manifest = new_manifest("sweep", config, [sw["seed"]], geom)
-    manifest.outputs = [os.path.basename(path)]
-    manifest.results = {"mode": sw["mode"], "cells": len(rows)}
-    manifest.save(os.path.join(out, "sweep-manifest.yaml"))
+    path = _emit(args, config, "sweep", name, header, rows, geom, [sw["seed"]],
+                 {"mode": sw["mode"], "cells": len(rows)})
     print(f"sweep: {len(rows)} cells -> {path}")
     return 0
 
@@ -622,17 +601,6 @@ def _cmd_gradcheck(args, config):
     return 0 if worst <= 1e-6 else 1
 
 
-_COMMANDS = {
-    "fit": _cmd_fit,
-    "spectrum": _cmd_spectrum,
-    "estimate": _cmd_estimate,
-    "bound": _cmd_bound,
-    "montecarlo": _cmd_montecarlo,
-    "sweep": _cmd_sweep,
-    "gradcheck": _cmd_gradcheck,
-}
-
-
 def _jobs(text):
     """The ``--jobs`` value: a worker count of at least 1; anything else is a usage error."""
     try:
@@ -644,6 +612,26 @@ def _jobs(text):
     return value
 
 
+_OPTIONS = {
+    "config": (("--config", "-c"), {"required": True, "help": "YAML config file"}),
+    "outdir": (("--outdir", "-o"), {"default": None,
+                                    "help": "output directory (or set SIMDOA_OUTDIR)"}),
+    "jobs": (("--jobs", "-j"), {"type": _jobs, "default": os.cpu_count() or 1,
+                                "help": "worker processes for experiment queues"}),
+    "stack": (("--stack",), {"default": None, "help": "phase-stack file from a previous fit"}),
+}
+# Each subcommand's function and the _OPTIONS it reads; it is offered no other.
+_COMMANDS = {
+    "fit": (_cmd_fit, ("config", "outdir")),
+    "spectrum": (_cmd_spectrum, ("config", "outdir", "stack")),
+    "estimate": (_cmd_estimate, ("config", "outdir", "stack")),
+    "bound": (_cmd_bound, ("config", "outdir", "stack")),
+    "montecarlo": (_cmd_montecarlo, ("config", "outdir", "jobs", "stack")),
+    "sweep": (_cmd_sweep, ("config", "outdir", "jobs")),
+    "gradcheck": (_cmd_gradcheck, ()),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="simdoa",
@@ -651,19 +639,11 @@ def build_parser():
                     " direction estimation.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        if name != "gradcheck":
-            p.add_argument("--config", "-c", required=True,
-                           help="YAML config file")
-        p.add_argument("--outdir", "-o", default=None,
-                       help="output directory (or set SIMDOA_OUTDIR)")
-        p.add_argument("--jobs", "-j", type=_jobs,
-                       default=os.cpu_count() or 1,
-                       help="worker processes for experiment queues")
-        if name in ("spectrum", "estimate", "bound", "montecarlo"):
-            p.add_argument("--stack", default=None,
-                           help="phase-stack file from a previous fit")
+        for option in options:
+            flags, kwargs = _OPTIONS[option]
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -672,10 +652,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.config) if getattr(args, "config", None) else {}
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command][0](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's message names the allocation; a bare one has none
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
+        return 1
     except (IOError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,18 +32,17 @@ class ProtocolConfig:
         """This schedule's SnapshotLattice on an (n_x, n_y) grid, kept on the instance."""
         cache = self.__dict__.setdefault("_lattices", {})
         if (n_x, n_y) not in cache:
-            snapshots = range(1, self.t + 1)
-            zeroth = ZerothLayerConfig(np.column_stack(
-                [zeroth_layer_config(t, n_x, n_y, self).xi0 for t in snapshots]))
-            angles = np.array([[electrical_angles(n, t, n_x, n_y, self) for t in snapshots]
-                               for n in range(1, n_x * n_y + 1)])
+            snapshots = np.arange(1, self.t + 1)
+            zeroth = zeroth_layer_config(snapshots, n_x, n_y, self)
+            angles = electrical_angles(np.arange(1, n_x * n_y + 1)[:, None], snapshots,
+                                       n_x, n_y, self)
             distinct = []
-            for psi in (angles[..., 0], angles[..., 1]):
+            for psi in angles:
                 axis, index = np.unique(psi, return_inverse=True)
                 distinct.append((axis, index.reshape(psi.shape)))
-            for arr in (zeroth.xi0, angles, *distinct[0], *distinct[1]):
+            for arr in (zeroth.xi0, *angles, *distinct[0], *distinct[1]):
                 arr.flags.writeable = False
-            cache[n_x, n_y] = SnapshotLattice(zeroth, angles[..., 0], angles[..., 1], *distinct)
+            cache[n_x, n_y] = SnapshotLattice(zeroth, *angles, *distinct)
         return cache[n_x, n_y]
 
 
@@ -118,20 +117,21 @@ def zeroth_layer_phase(n, t, n_x, n_y, proto):
     """Input-layer phase for atom n at snapshot t, in [0, 2*pi).
 
     Advancing t steps the DFT frequency bin by 1/(N*T) of a cycle per
-    axis, giving T*N distinct bins over the whole schedule.
+    axis, giving T*N distinct bins over the whole schedule. Integer index
+    arrays of n and t broadcast to an array of phases; scalars give a float.
     """
     nx, ny = linear_to_grid(n, n_x, n_y)
     tx, ty = proto.snapshot_grid(t)
-    phase = (-2.0 * np.pi * (nx - 1) * (tx - 1) / (n_x * proto.t_x)
-             - 2.0 * np.pi * (ny - 1) * (ty - 1) / (n_y * proto.t_y))
-    return float(np.mod(phase, 2.0 * np.pi))
+    phase = np.mod(-2.0 * np.pi * (nx - 1) * (tx - 1) / (n_x * proto.t_x)
+                   - 2.0 * np.pi * (ny - 1) * (ty - 1) / (n_y * proto.t_y), 2.0 * np.pi)
+    return phase if np.ndim(phase) else float(phase)
 
 
 def zeroth_layer_config(t, n_x, n_y, proto):
-    """All N input-layer phases for snapshot t as a ZerothLayerConfig."""
-    n = n_x * n_y
-    xi0 = np.array([zeroth_layer_phase(i, t, n_x, n_y, proto) for i in range(1, n + 1)])
-    return ZerothLayerConfig(xi0)
+    """All N input-layer phases of snapshot t, or (N, T) of T snapshots, as a ZerothLayerConfig."""
+    n = np.arange(1, n_x * n_y + 1)
+    return ZerothLayerConfig(zeroth_layer_phase(n[:, None] if np.ndim(t) else n, t,
+                                                n_x, n_y, proto))
 
 
 def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None, field=None):
@@ -189,12 +189,16 @@ def peak_index(emap):
 
 
 def electrical_angles(n, t, n_x, n_y, proto):
-    """Normalized electrical angles of lattice cell (n, t), each in [-1, 1)."""
+    """Normalized electrical angles of lattice cell (n, t), each in [-1, 1).
+
+    Integer index arrays of n and t broadcast to two arrays of angles;
+    scalars give two floats.
+    """
     nx, ny = linear_to_grid(n, n_x, n_y)
     tx, ty = proto.snapshot_grid(t)
     psi_x = np.mod(2.0 * ((nx - 1) / n_x + (tx - 1) / (n_x * proto.t_x)) + 1.0, 2.0) - 1.0
     psi_y = np.mod(2.0 * ((ny - 1) / n_y + (ty - 1) / (n_y * proto.t_y)) + 1.0, 2.0) - 1.0
-    return float(psi_x), float(psi_y)
+    return (psi_x, psi_y) if np.ndim(psi_x) else (float(psi_x), float(psi_y))
 
 
 def physical_angles(psi_x, psi_y, geom, clamp=False):

@@ -165,16 +165,26 @@ def digital_baseline(source, proto, n_x, n_y, rho, rng, noise=None):
     axis. ``noise`` may preset the (N, T) antenna noise draws.
     """
     n = n_x * n_y
-    f = dft_matrix(n_x, n_y).matrix
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
     if noise is None and rng is not None:
         noise = cn_noise(rng, (n, proto.t), variance=1.0 / n)
-    schedule = proto.lattice(n_x, n_y).zeroth.transmission()
-    x = np.sqrt(rho) * (schedule * sv.entries[:, None]) * source.s
+    values = _digital_energies(sv, source.s, rho, proto, n_x, n_y, noise)
+    return estimate_from_map(EnergyMap(values), proto, n_x, n_y, half_wave=True)
+
+
+def _digital_energies(sv, s, rho, proto, n_x, n_y, noise=None):
+    """|F (sqrt(rho) Upsilon a s + u)|^2 over the lattice, (N, T); K trials give (K, N, T).
+
+    K trials take (K, N) steering entries, K symbols and (K, N, T) noise;
+    slice k equals trial k's own call bit for bit.
+    """
+    a = sv.entries[..., None]
+    if np.ndim(s):  # per-trial symbols lead; N and T broadcast
+        s = np.asarray(s)[:, None, None]
+    x = np.sqrt(rho) * (proto.lattice(n_x, n_y).zeroth.transmission() * a) * s
     if noise is not None:
         x = x + noise
-    values = np.abs(matvec_columns(f, x)) ** 2
-    return estimate_from_map(EnergyMap(values), proto, n_x, n_y, half_wave=True)
+    return np.abs(matvec_columns(dft_matrix(n_x, n_y).matrix, x)) ** 2
 
 
 def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
@@ -208,18 +218,21 @@ def _mc_block(cfg, snr_index, trials, rho):
     """Per-trial squared errors, bounds and realizable flags of ``trials`` at one SNR point.
 
     Each trial draws from its own stream in a fixed order (source, then
-    noise), the wave pipeline's normals straight into the block's (K, R, T)
-    buffers. The wave pipeline then synthesizes the block's unit field
-    G Y_0 a once (``analysis.clean_field``), scales it into the snapshots,
-    runs one batched peak search and reuses the field for the bound.
-    ``rho`` is None at a noiseless point, which has no bound.
+    noise), its normals straight into the block's (K, R, T) buffers. A wave
+    block then synthesizes its unit field G Y_0 a once
+    (``analysis.clean_field``), scales it into the snapshots and reuses the
+    field for the bound; a digital block computes its energies with the
+    antenna noise at variance 1/N, as ``digital_baseline`` does for one
+    trial. Either runs one batched peak search. ``rho`` is None at a
+    noiseless point, which has no bound.
     """
     noiseless = rho is None
     run_rho = 1.0 if noiseless else rho  # a noiseless point runs at unit SNR without noise
     wave = cfg.pipeline == "wave"
-    shape = (len(trials), cfg.n_x * cfg.n_y, cfg.proto.t)
-    re, im = (np.empty(shape), np.empty(shape)) if wave and not noiseless else (None, None)
-    sources, estimates = [], []
+    n = cfg.n_x * cfg.n_y
+    shape = (len(trials), n, cfg.proto.t)
+    re, im = (None, None) if noiseless else (np.empty(shape), np.empty(shape))
+    sources = []
     for i, trial in enumerate(trials):
         rng = _trial_rng(cfg.seed, snr_index, trial)
         if cfg.sources is not None:
@@ -227,10 +240,7 @@ def _mc_block(cfg, snr_index, trials, rho):
         else:
             source = sample_source(rng, cfg.source_mode, cfg.symbol)
         sources.append(source)
-        if not wave:
-            estimates.append(digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, run_rho,
-                                              None if noiseless else rng))
-        elif re is not None:  # cn_noise's draws, in its order
+        if re is not None:  # cn_noise's draws, in its order
             rng.standard_normal(out=re[i])
             rng.standard_normal(out=im[i])
     psi_x = np.array([src.psi_x for src in sources])
@@ -239,22 +249,22 @@ def _mc_block(cfg, snr_index, trials, rho):
         g=cfg.g if wave else dft_matrix(cfg.n_x, cfg.n_y).matrix, proto=cfg.proto,
         n_x=cfg.n_x, n_y=cfg.n_y, psi_x=psi_x, psi_y=psi_y, rho=run_rho,
         s=np.array([src.s for src in sources], dtype=complex))
+    sv = steering_for(psi_x, psi_y, cfg.n_x, cfg.n_y)
+    noise = None if re is None else complex_gaussian(re, im, 1.0 if wave else 1.0 / n)
+    del re, im  # the noise replaces its draws, so the bound below runs with one buffer less
     if wave:
-        emap = collect_snapshots(cfg.g, steering_for(psi_x, psi_y, cfg.n_x, cfg.n_y), inp.s,
-                                 run_rho, cfg.proto, cfg.n_x, cfg.n_y,
-                                 noise=None if re is None else complex_gaussian(re, im),
-                                 field=analysis.clean_field(inp))
-        est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, half_wave=True)
-        est_x, est_y, phi, theta = est.psi_x, est.psi_y, est.phi, est.theta
+        emap = collect_snapshots(cfg.g, sv, inp.s, run_rho, cfg.proto, cfg.n_x, cfg.n_y,
+                                 noise=noise, field=analysis.clean_field(inp))
     else:
-        est_x, est_y, phi, theta = (np.array([getattr(est, name) for est in estimates])
-                                    for name in ("psi_x", "psi_y", "phi", "theta"))
-    ex = wrapped_angle_error(psi_x, est_x)
-    ey = wrapped_angle_error(psi_y, est_y)
+        emap = EnergyMap(_digital_energies(sv, inp.s, run_rho, cfg.proto, cfg.n_x, cfg.n_y,
+                                           noise))
+    est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, half_wave=True)
+    ex = wrapped_angle_error(psi_x, est.psi_x)
+    ey = wrapped_angle_error(psi_y, est.psi_y)
     bx = by = np.full(len(sources), np.nan)
     if cfg.with_bound and not noiseless:
         bx, by = analysis.mse_bound(inp)
-    return ex * ex, ey * ey, bx, by, ~(np.isnan(phi) | np.isnan(theta))
+    return ex * ex, ey * ey, bx, by, ~(np.isnan(est.phi) | np.isnan(est.theta))
 
 
 def run_monte_carlo(cfg):
@@ -355,17 +365,14 @@ def _cell_geometry(spec, thickness_lam, layers, atoms, spacing_lam):
     )
 
 
-def _fit_cell(spec, cell_index, geom):
-    """Train ``spec.runs`` seeds on one geometry; returns final dBs."""
-    f = dft_matrix(spec.n_x, spec.n_y).matrix
+def _fit_runs(geom, train_cfg, seed, index, runs):
+    """Best dB of ``runs`` one-restart fits on ``geom``, seeded from (seed, index, run)."""
     props = build_propagation_matrices(geom)
+    f = dft_matrix(geom.n_x, geom.n_y).matrix
     dbs = []
-    for run in range(spec.runs):
-        seed = int(np.random.SeedSequence(spec.seed, spawn_key=(cell_index, run))
-                   .generate_state(1)[0])
-        cfg = dataclasses.replace(spec.train, seed=seed, restarts=1)
-        report = train(props, f, cfg)
-        dbs.append(report.best_db)
+    for run in range(runs):
+        child = int(np.random.SeedSequence(seed, spawn_key=(index, run)).generate_state(1)[0])
+        dbs.append(train(props, f, dataclasses.replace(train_cfg, seed=child, restarts=1)).best_db)
     return dbs
 
 
@@ -380,7 +387,7 @@ def _sweep_cell(args):
     if not feas.feasible:
         return SweepCell(thickness_lam, layers, atoms, spacing_lam, False,
                          feas.message, float("nan"), float("nan"), float("nan"), 0)
-    dbs = _fit_cell(spec, cell_index, geom)
+    dbs = _fit_runs(geom, spec.train, spec.seed, cell_index, spec.runs)
     return SweepCell(thickness_lam, layers, atoms, spacing_lam, True, "",
                      float(np.mean(dbs)), float(np.min(dbs)), float(np.max(dbs)),
                      spec.runs)
@@ -424,20 +431,12 @@ def receiver_study(geom, train_cfg, u_x=(), rotation=(), layers=(), runs=3, seed
     fixed, so the per-gap distance rescales). Returns one row per
     (parameter, value) with mean/min/max dB over ``runs`` seeds.
     """
-    f = dft_matrix(geom.n_x, geom.n_y).matrix
     rows = []
     points = [("u_x", v, dataclasses.replace(geom, u_x=v, u_y=v)) for v in u_x]
     points += [("rotation", v, dataclasses.replace(geom, rotation=v)) for v in rotation]
     points += [("layers", v, dataclasses.replace(geom, layers=v)) for v in layers]
     for idx, (name, value, variant) in enumerate(points):
-        props = build_propagation_matrices(variant)
-        dbs = []
-        for run in range(runs):
-            child = int(np.random.SeedSequence(seed, spawn_key=(idx, run))
-                        .generate_state(1)[0])
-            cfg = dataclasses.replace(train_cfg, seed=child, restarts=1)
-            report = train(props, f, cfg)
-            dbs.append(report.best_db)
+        dbs = _fit_runs(variant, train_cfg, seed, idx, runs)
         rows.append(ReceiverCell(name, float(value), float(np.mean(dbs)),
                                  float(np.min(dbs)), float(np.max(dbs)), runs))
     return rows

@@ -181,13 +181,14 @@ def linear_to_grid(idx, width, height=None):
     """Map a 1-based linear index to 1-based (ix, iy) grid coordinates.
 
     The grid is filled along x first. When ``height`` is given the index is
-    range-checked against the full grid.
+    range-checked against the full grid. An integer index array gives
+    coordinate arrays of its shape; a scalar gives ints.
     """
-    idx = int(idx)
+    idx = np.asarray(idx) if np.ndim(idx) else int(idx)
     width = int(width)
     if width < 1:
         raise ValueError("width must be >= 1")
-    if idx < 1 or (height is not None and idx > width * int(height)):
+    if np.any(idx < 1) or (height is not None and np.any(idx > width * int(height))):
         raise ValueError(f"index {idx} outside grid")
     iy = -(-idx // width)  # ceil(idx / width)
     ix = idx - (iy - 1) * width

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import simdoa
-from simdoa import experiments
+from simdoa import cli, experiments
 from simdoa.cli import (
     ConfigError,
     RunManifest,
@@ -327,7 +327,7 @@ RUN_DOC = {"geometry": {"n_x": 2, "n_y": 2},
 
 def _config_error(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path / "c.yaml", doc)
-    code = main([command, "--config", cfg, "--outdir", str(tmp_path / "run"), "-j", "1"])
+    code = main([command, "--config", cfg, "--outdir", str(tmp_path / "run")])
     return code, capsys.readouterr().err
 
 
@@ -560,6 +560,28 @@ def test_jobs_below_one_exit_2(tmp_path, capsys, jobs):
         main(["montecarlo", "--config", cfg, "--outdir", str(tmp_path / "run"), "-j", jobs])
     assert exc.value.code == 2
     assert f"argument --jobs/-j: must be >= 1, got {int(jobs)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["fit", "-j", "2"], ["spectrum", "-j", "2"],
+                                  ["estimate", "-j", "2"], ["bound", "-j", "2"],
+                                  ["gradcheck", "-j", "2"], ["gradcheck", "-o", "DIR"]])
+def test_options_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
+    # each was once accepted and ignored; an empty config makes the others stop at once
+    config = [] if argv[0] == "gradcheck" else ["--config", write_config(tmp_path / "c.yaml", {})]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *config, *argv[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_memory_error_exits_1_without_traceback(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(cli, "random_stack", exhausted)
+    assert main(["gradcheck"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory Unable to allocate 8.00 EiB for an array\n"
 
 
 def test_seeds_take_any_non_negative_integer(tmp_path, capsys):

@@ -22,8 +22,8 @@ from simdoa.estimator import (
     zeroth_layer_phase,
 )
 from simdoa.analysis import BoundInputs, clean_field
-from simdoa.geometry import SimGeometry, dft_matrix
-from simdoa.wavemodel import cn_noise
+from simdoa.geometry import SimGeometry, dft_matrix, linear_to_grid
+from simdoa.wavemodel import ZerothLayerConfig, cn_noise
 
 LAM = 0.005
 
@@ -89,6 +89,44 @@ def test_lattice_matches_scalar_definitions():
         for n in range(1, 7):
             assert (lattice.psi_x[n - 1, t - 1], lattice.psi_y[n - 1, t - 1]) \
                 == electrical_angles(n, t, 3, 2, proto)
+
+
+def _per_cell_lattice(proto, n_x, n_y):
+    """(xi0, psi_x, psi_y) built one scalar call per cell, as the lattice once was, as an oracle."""
+    snapshots = range(1, proto.t + 1)
+    xi0 = ZerothLayerConfig(np.column_stack(
+        [zeroth_layer_config(t, n_x, n_y, proto).xi0 for t in snapshots])).xi0
+    angles = np.array([[electrical_angles(n, t, n_x, n_y, proto) for t in snapshots]
+                       for n in range(1, n_x * n_y + 1)])
+    return xi0, angles[..., 0], angles[..., 1]
+
+
+@pytest.mark.parametrize("n_x, n_y, t_x, t_y", [
+    (2, 2, 4, 4), (4, 4, 8, 8), (3, 2, 3, 2), (1, 5, 7, 3), (5, 3, 2, 9), (2, 2, 64, 64),
+    (1, 1, 1, 1), (7, 1, 1, 13)])
+def test_array_lattice_equals_per_cell_build_bit_for_bit(n_x, n_y, t_x, t_y):
+    proto = ProtocolConfig(t_x=t_x, t_y=t_y)
+    lattice = proto.lattice(n_x, n_y)
+    xi0, psi_x, psi_y = _per_cell_lattice(proto, n_x, n_y)
+    for got, want in ((lattice.zeroth.xi0, xi0), (lattice.psi_x, psi_x), (lattice.psi_y, psi_y)):
+        assert got.shape == want.shape == (n_x * n_y, proto.t)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signed zeros too
+    for (axis, index), psi in ((lattice.distinct_x, psi_x), (lattice.distinct_y, psi_y)):
+        want_axis, want_index = np.unique(psi, return_inverse=True)
+        assert np.array_equal(axis.view(np.int64), want_axis.view(np.int64))
+        assert np.array_equal(index, want_index.reshape(psi.shape))
+
+
+def test_scalar_lattice_calls_keep_their_types():
+    proto = ProtocolConfig(t_x=3, t_y=2)
+    assert type(zeroth_layer_phase(4, 5, 3, 2, proto)) is float
+    assert all(type(v) is float for v in electrical_angles(4, 5, 3, 2, proto))
+    assert zeroth_layer_config(5, 3, 2, proto).xi0.shape == (6,)
+    assert all(type(v) is int for v in linear_to_grid(5, 3, 2))
+    with pytest.raises(ValueError):
+        linear_to_grid(np.array([1, 7]), 3, 2)
+    with pytest.raises(ValueError):
+        linear_to_grid(np.array([0, 2]), 3)
 
 
 def test_lattice_distinct_angles_index_back_to_every_cell():
