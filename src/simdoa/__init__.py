@@ -9,10 +9,6 @@ from .geometry import (
     DftTarget,
     FeasibilityReport,
     linear_to_grid,
-    grid_to_linear,
-    intra_sim_distance,
-    input_to_first_distance,
-    rs_coefficient,
     build_propagation_matrices,
     steering_vector,
     dft_matrix,

@@ -60,22 +60,21 @@ class BoundInputs:
 
 
 def clean_field(inp):
-    """Noiseless unit-power receive field, one column per snapshot (R x T).
+    """Noiseless unit-power receive field G Y_0 a, one column per snapshot (R x T).
 
     Entry (n, t) is the n-th receive sample when the input layer runs
     snapshot t's phase profile from the protocol's cached lattice against
-    a unit plane wave from the true direction: the clean snapshot that
-    ``collect_snapshots`` records at unit SNR and symbol. SNR and symbol
-    scaling are applied by the callers. K trials give (K, R, T), each slice
-    equal to its one-trial call bit for bit. The field is synthesized once
-    per ``inp`` and kept on it read-only, so a Monte Carlo block's
-    snapshots (``collect_snapshots(..., field=)``) and its bound share it.
+    a unit plane wave from the true direction, as ``synthesize_received``
+    returns it; SNR and symbol are applied by the callers. K trials give
+    (K, R, T), each slice equal to its one-trial call bit for bit. The
+    field is synthesized once per ``inp`` and kept on it read-only, so a
+    Monte Carlo block's snapshots (``collect_snapshots(..., field=)``) and
+    its bound share it.
     """
     cache = inp.__dict__
     if "_field" not in cache:
         sv = steering_vector(np.pi * inp.psi_x, np.pi * inp.psi_y, inp.n_x, inp.n_y)
-        field = synthesize_received(inp.g, inp.proto.lattice(inp.n_x, inp.n_y).zeroth,
-                                    sv, 1.0, 1.0)
+        field = synthesize_received(inp.g, inp.proto.lattice(inp.n_x, inp.n_y).zeroth, sv)
         field.flags.writeable = False
         cache["_field"] = field
     return cache["_field"]
@@ -164,26 +163,20 @@ def mse_bound(inp):
     return float(bx[0]), float(by[0])
 
 
-def quantization_floor(n_x, n_y, proto, samples=None, grid=200001):
+def quantization_floor(n_x, n_y, proto):
     """Expected squared snap-to-lattice error per normalized-angle axis.
 
-    With no ``samples`` the source angle is uniform on [-1, 1) and the
-    error is integrated numerically on a midpoint grid (the closed form
-    step^2/12 is kept to the tests). ``samples`` as an (M, 2) array of
-    (psi_x, psi_y) draws switches to the empirical average, covering
-    non-uniform source distributions.
+    The source angle is uniform on [-1, 1), and the error is integrated
+    numerically on a midpoint grid (the closed form step^2/12 is kept to
+    the tests).
     """
+    grid = 200001
+    values = -1.0 + 2.0 * (np.arange(grid) + 0.5) / grid
 
-    def axis_floor(cells, values):
+    def axis_floor(cells):
         step = 2.0 / cells
         offset = np.mod(values + 1.0, step)
         err = np.minimum(offset, step - offset)
         return float(np.mean(err ** 2))
 
-    if samples is None:
-        base = -1.0 + 2.0 * (np.arange(grid) + 0.5) / grid
-        sx = sy = base
-    else:
-        samples = np.asarray(samples, dtype=float)
-        sx, sy = samples[:, 0], samples[:, 1]
-    return (axis_floor(n_x * proto.t_x, sx), axis_floor(n_y * proto.t_y, sy))
+    return axis_floor(n_x * proto.t_x), axis_floor(n_y * proto.t_y)

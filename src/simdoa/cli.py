@@ -28,23 +28,7 @@ from .wavemodel import PhaseStack, forward_response, optimal_scale, random_stack
 
 
 class ConfigError(Exception):
-    """Base of the configuration failure family (exit code 2)."""
-
-
-class ConfigFileError(ConfigError):
-    pass
-
-
-class ConfigSyntaxError(ConfigError):
-    pass
-
-
-class ConfigKeyError(ConfigError):
-    pass
-
-
-class ConfigValueError(ConfigError):
-    pass
+    """A configuration failure: missing file, bad YAML, unknown key or bad value (exit code 2)."""
 
 
 _REQUIRED = object()  # table default of a key that must be given
@@ -62,11 +46,11 @@ def _value(value, kind, key, checks=()):
 
     A kind is a type (ints widen to float, nothing else is coerced), a tuple of
     choices, ``[kind]`` for a nonempty list (read as a tuple) or _SNR_DB; a
-    ConfigValueError names ``key``.
+    ConfigError names ``key``.
     """
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
-            raise ConfigValueError(f"'{key}' must be a nonempty list")
+            raise ConfigError(f"'{key}' must be a nonempty list")
         return tuple(_value(v, kind[0], f"{key}[{i}]", checks)
                      for i, v in enumerate(value))
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -74,21 +58,21 @@ def _value(value, kind, key, checks=()):
         try:
             value = float(value)
         except OverflowError:
-            raise ConfigValueError(f"'{key}' is too large for a float") from None
+            raise ConfigError(f"'{key}' is too large for a float") from None
     if kind is _SNR_DB:
         if not (value == "inf" or number and (value == math.inf or math.isfinite(value))):
-            raise ConfigValueError(f"'{key}' must be {_SNR_DB}")
+            raise ConfigError(f"'{key}' must be {_SNR_DB}")
         value = float(value)
     elif isinstance(kind, tuple):
         if value not in kind:
-            raise ConfigValueError(f"'{key}' must be one of: {', '.join(kind)}")
+            raise ConfigError(f"'{key}' must be one of: {', '.join(kind)}")
     else:
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise ConfigValueError(f"'{key}' must be {kind.__name__},"
-                                   f" got {type(value).__name__}")
+            raise ConfigError(f"'{key}' must be {kind.__name__},"
+                              f" got {type(value).__name__}")
     for test, message in checks:
         if not test(value):
-            raise ConfigValueError(f"'{key}' {message}")
+            raise ConfigError(f"'{key}' {message}")
     return value
 
 
@@ -96,14 +80,14 @@ def _read(section, path, table):
     """Values of ``section`` by ``table``: {key: (kind, default, *(test, message))}."""
     for key in section:
         if key not in table:
-            raise ConfigKeyError(f"unknown key '{path}.{key}'"
-                                 f" (allowed: {', '.join(sorted(table))})")
+            raise ConfigError(f"unknown key '{path}.{key}'"
+                              f" (allowed: {', '.join(sorted(table))})")
     values = {}
     for key, (kind, default, *checks) in table.items():
         if key in section:
             values[key] = _value(section[key], kind, f"{path}.{key}", checks)
         elif default is _REQUIRED:
-            raise ConfigValueError(f"missing required key '{path}.{key}'")
+            raise ConfigError(f"missing required key '{path}.{key}'")
         else:
             values[key] = default
     return values
@@ -133,8 +117,8 @@ _GEOMETRY = {
 # Either angle form may be given (None: not given), not both.
 _SOURCE = {
     "psi_x": (float, None), "psi_y": (float, None),
-    "phi_deg": (float, None), "theta_deg": (float, None),
-    "s_real": (float, 1.0), "s_imag": (float, 0.0),
+    "phi_deg": (float, None, _FINITE), "theta_deg": (float, None),
+    "s_real": (float, 1.0, _FINITE), "s_imag": (float, 0.0, _FINITE),
 }
 _RUN = {"snr_db": (_SNR_DB, math.inf), "seed": (int, 0, _NON_NEGATIVE),
         "ideal": (bool, False)}
@@ -194,7 +178,7 @@ def _parse_source(section, path):
         raise ValueError("give psi_x/psi_y or phi_deg/theta_deg, not both")
     for key in ("phi_deg", "theta_deg") if angles else ("psi_x", "psi_y"):
         if v[key] is None:
-            raise ConfigValueError(f"missing required key '{path}.{key}'")
+            raise ConfigError(f"missing required key '{path}.{key}'")
     if angles:
         phi, theta = math.radians(v["phi_deg"]), math.radians(v["theta_deg"])
         if not 0.0 <= theta <= math.pi / 2.0:
@@ -243,27 +227,27 @@ def parse_config(path):
     document is kept under "_raw" for the manifest.
     """
     if not os.path.exists(path):
-        raise ConfigFileError(f"config file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
-        raise ConfigSyntaxError(f"malformed YAML in {path}: {exc}") from exc
+        raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
-        raise ConfigSyntaxError(f"{path}: top level must be a mapping")
+        raise ConfigError(f"{path}: top level must be a mapping")
     parsed = {"_raw": raw}
     for name, section in raw.items():
         if name not in _SECTION_PARSERS:
-            raise ConfigKeyError(f"unknown section '{name}'"
-                                 f" (allowed: {', '.join(sorted(_SECTION_PARSERS))})")
+            raise ConfigError(f"unknown section '{name}'"
+                              f" (allowed: {', '.join(sorted(_SECTION_PARSERS))})")
         if not isinstance(section, dict):
-            raise ConfigSyntaxError(f"section '{name}' must be a mapping")
+            raise ConfigError(f"section '{name}' must be a mapping")
         try:
             parsed[name] = _SECTION_PARSERS[name](section, name)
         except ValueError as exc:
-            raise ConfigValueError(f"{name}: {exc}") from exc
+            raise ConfigError(f"{name}: {exc}") from exc
     _check_work(parsed)
     return parsed
 
@@ -280,13 +264,13 @@ def _check_work(parsed):
             values.append(obj[name] if isinstance(obj, dict) else getattr(obj, name))
         if math.prod(values) > cap:
             key = keys[values.index(max(values))]
-            raise ConfigValueError(f"'{key}' asks for too much work: {' * '.join(keys)} ="
-                                   f" {math.prod(values)} {what}, above the cap of {cap}")
+            raise ConfigError(f"'{key}' asks for too much work: {' * '.join(keys)} ="
+                              f" {math.prod(values)} {what}, above the cap of {cap}")
 
 
 def _need(config, name, command):
     if name not in config:
-        raise ConfigValueError(f"'{command}' needs a '{name}' section in the config")
+        raise ConfigError(f"'{command}' needs a '{name}' section in the config")
     return config[name]
 
 
@@ -353,9 +337,10 @@ def load_stack(path):
         version, layers, m = struct.unpack("<III", header)
         if version != 1:
             raise IOError(f"{path}: unsupported stack file version {version}")
-        data = np.frombuffer(fh.read(layers * m * 8), dtype="<f8")
-        if data.size != layers * m:
+        # checked before reading, so a forged header cannot ask for more than the file holds
+        if layers * m * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
             raise IOError(f"{path}: truncated stack file")
+        data = np.frombuffer(fh.read(layers * m * 8), dtype="<f8")
     if not np.all(np.isfinite(data)):
         raise IOError(f"{path}: stack file holds non-finite phases")
     return PhaseStack(list(data.reshape(layers, m).copy()))
@@ -405,7 +390,7 @@ def _response_for(config, args, command, ideal=None):
         return g, beta, geom
     if ideal:
         return dft_matrix(geom.n_x, geom.n_y).matrix, 1.0 + 0.0j, geom
-    raise ConfigValueError(f"'{command}' needs --stack FILE" + (
+    raise ConfigError(f"'{command}' needs --stack FILE" + (
         "" if ideal is None else f" or '{command}.ideal: true'"))
 
 

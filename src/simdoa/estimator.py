@@ -50,8 +50,8 @@ class ProtocolConfig:
 class SnapshotLattice:
     """A protocol's schedule on one input grid as read-only (N, T) arrays.
 
-    Column t - 1 of ``zeroth.xi0`` is ``zeroth_layer_config(t).xi0`` and cell
-    (n - 1, t - 1) of ``psi_x``/``psi_y`` is ``electrical_angles(n, t)``, bit for bit.
+    Cell (n - 1, t - 1) of ``zeroth.xi0`` is ``zeroth_layer_phase(n, t)`` and of
+    ``psi_x``/``psi_y`` is ``electrical_angles(n, t)``, bit for bit.
     ``distinct_x`` pairs the n_x * t_x distinct values of ``psi_x`` with the
     (N, T) map into them, so ``axis[index]`` is ``psi_x``; ``distinct_y`` likewise.
     """
@@ -118,26 +118,26 @@ def zeroth_layer_phase(n, t, n_x, n_y, proto):
 
     Advancing t steps the DFT frequency bin by 1/(N*T) of a cycle per
     axis, giving T*N distinct bins over the whole schedule. Integer index
-    arrays of n and t broadcast to an array of phases; scalars give a float.
+    arrays of n and t broadcast to an array of phases.
     """
     nx, ny = linear_to_grid(n, n_x, n_y)
     tx, ty = proto.snapshot_grid(t)
     phase = np.mod(-2.0 * np.pi * (nx - 1) * (tx - 1) / (n_x * proto.t_x)
                    - 2.0 * np.pi * (ny - 1) * (ty - 1) / (n_y * proto.t_y), 2.0 * np.pi)
-    return phase if np.ndim(phase) else float(phase)
+    return phase
 
 
 def zeroth_layer_config(t, n_x, n_y, proto):
-    """All N input-layer phases of snapshot t, or (N, T) of T snapshots, as a ZerothLayerConfig."""
+    """The N input-layer phases of each snapshot in ``t`` (T,), as the columns (N, T)."""
     n = np.arange(1, n_x * n_y + 1)
-    return ZerothLayerConfig(zeroth_layer_phase(n[:, None] if np.ndim(t) else n, t,
-                                                n_x, n_y, proto))
+    return ZerothLayerConfig(zeroth_layer_phase(n[:, None], t, n_x, n_y, proto))
 
 
 def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None, field=None):
     """Run the T-snapshot schedule through response ``g`` and record powers.
 
-    One ``synthesize_received`` call on the protocol's cached lattice.
+    One ``synthesize_received`` call on the protocol's cached lattice
+    gives the unit field G Y_0 a, and ``scale_field`` makes the snapshots.
     ``s_seq`` is a single complex symbol reused every snapshot or a
     length-T sequence. ``noise`` is None (clean), a numpy Generator
     (unit-variance complex noise drawn per snapshot, one trial only), or a
@@ -145,9 +145,8 @@ def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None, field=None
     that one call: ``s_seq`` then holds K symbols (or K x T), a preset
     ``noise`` is (K, R, T), and the result is one (K, R, T) energy map,
     slice k equal to trial k's one-trial call bit for bit. ``field`` may
-    preset the unit field G Y_0 a of these steering entries, as
-    ``analysis.clean_field`` returns it; the snapshots are then scaled from
-    it with the same bits, and no field is synthesized.
+    preset that unit field, as ``analysis.clean_field`` returns it; no field
+    is then synthesized.
     """
     symbols = np.asarray(s_seq, dtype=complex)
     trials = sv.entries.shape[:-1]
@@ -156,11 +155,8 @@ def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None, field=None
     if noise is not None and not isinstance(noise, np.ndarray):
         noise = np.column_stack([cn_noise(noise, np.shape(g)[0]) for _ in range(proto.t)])
     if field is None:
-        r = synthesize_received(np.asarray(g), proto.lattice(n_x, n_y).zeroth, sv, symbols,
-                                rho, noise)
-    else:
-        r = scale_field(field, symbols, rho, noise)
-    return EnergyMap(np.abs(r) ** 2)
+        field = synthesize_received(np.asarray(g), proto.lattice(n_x, n_y).zeroth, sv)
+    return EnergyMap(np.abs(scale_field(field, symbols, rho, noise)) ** 2)
 
 
 def peak_cells(values):
@@ -191,32 +187,28 @@ def peak_index(emap):
 def electrical_angles(n, t, n_x, n_y, proto):
     """Normalized electrical angles of lattice cell (n, t), each in [-1, 1).
 
-    Integer index arrays of n and t broadcast to two arrays of angles;
-    scalars give two floats.
+    Integer index arrays of n and t broadcast to two arrays of angles.
     """
     nx, ny = linear_to_grid(n, n_x, n_y)
     tx, ty = proto.snapshot_grid(t)
     psi_x = np.mod(2.0 * ((nx - 1) / n_x + (tx - 1) / (n_x * proto.t_x)) + 1.0, 2.0) - 1.0
     psi_y = np.mod(2.0 * ((ny - 1) / n_y + (ty - 1) / (n_y * proto.t_y)) + 1.0, 2.0) - 1.0
-    return (psi_x, psi_y) if np.ndim(psi_x) else (float(psi_x), float(psi_y))
+    return psi_x, psi_y
 
 
-def physical_angles(psi_x, psi_y, geom, clamp=False):
+def physical_angles(psi_x, psi_y, geom):
     """Azimuth and elevation (radians) from normalized electrical angles.
 
     Normalized angles are in units of pi radians per element. Raises
-    UnrealizableAngle when the pair lies outside the visible region
-    unless ``clamp`` pins the elevation argument to 1. Azimuth is 0 by
-    convention at broadside, where it is otherwise undefined.
+    UnrealizableAngle when the pair lies outside the visible region.
+    Azimuth is 0 by convention at broadside, where it is otherwise undefined.
     """
     px = np.pi * psi_x
     py = np.pi * psi_y
     radius = np.sqrt((px / geom.d_x) ** 2 + (py / geom.d_y) ** 2) / geom.kappa
     if radius > 1.0:
-        if not clamp:
-            raise UnrealizableAngle(
-                f"electrical angles ({psi_x}, {psi_y}) map outside the visible region")
-        radius = 1.0
+        raise UnrealizableAngle(
+            f"electrical angles ({psi_x}, {psi_y}) map outside the visible region")
     theta = float(np.arcsin(radius))
     if psi_x == 0.0 and psi_y == 0.0:
         return 0.0, 0.0

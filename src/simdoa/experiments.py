@@ -153,7 +153,7 @@ def _trial_rng(seed, snr_index, trial):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(snr_index, trial)))
 
 
-def digital_baseline(source, proto, n_x, n_y, rho, rng, noise=None):
+def digital_baseline(source, proto, n_x, n_y, rho, noise=None):
     """Estimate via element-space sampling plus a numeric DFT.
 
     The array observes x_t = sqrt(rho) * Upsilon_t a s + u directly over
@@ -162,12 +162,10 @@ def digital_baseline(source, proto, n_x, n_y, rho, rng, noise=None):
     resulting energies. Antenna noise has
     variance 1/N per element so the post-DFT noise is unit variance,
     making rho directly comparable with the wave path's effective SNR
-    axis. ``noise`` may preset the (N, T) antenna noise draws.
+    axis. ``noise`` holds the (N, T) antenna noise draws, or is None for
+    the clean field.
     """
-    n = n_x * n_y
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
-    if noise is None and rng is not None:
-        noise = cn_noise(rng, (n, proto.t), variance=1.0 / n)
     values = _digital_energies(sv, source.s, rho, proto, n_x, n_y, noise)
     return estimate_from_map(EnergyMap(values), proto, n_x, n_y, half_wave=True)
 
@@ -209,8 +207,7 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     emap = collect_snapshots(g, sv, source.s, rho_wave, proto, n_x, n_y,
                              noise=frame * (f @ u_ant))
     wave = estimate_from_map(emap, proto, n_x, n_y, half_wave=True)
-    digital = digital_baseline(source, proto, n_x, n_y, rho_digital,
-                               rng=None, noise=u_ant)
+    digital = digital_baseline(source, proto, n_x, n_y, rho_digital, noise=u_ant)
     return wave, digital
 
 

@@ -32,7 +32,7 @@ class PhaseStack:
 
 @dataclass
 class ZerothLayerConfig:
-    """Input-layer phases: one snapshot's vector (N,), or one column per snapshot (N, T)."""
+    """Input-layer phases, one column per snapshot (N, T)."""
 
     xi0: np.ndarray
 
@@ -98,38 +98,29 @@ def matvec_columns(m, x):
     return (m @ x.swapaxes(-1, -2)[..., None])[..., 0].swapaxes(-1, -2)
 
 
-def synthesize_received(g, zeroth, sv, s, rho, noise=None):
-    """Received snapshots sqrt(rho) * G Y_0 a s + noise.
+def synthesize_received(g, zeroth, sv):
+    """Unit receive field G Y_0 a, one column per snapshot (R x T).
 
-    ``zeroth`` holds one snapshot's phases (N,) for a length-R result, or
-    T snapshots as columns (N, T) for an R x T result, each column equal
-    to its one-snapshot call; ``s`` is a scalar or one symbol per snapshot.
-    Steering entries (K, N) run K trials at once: the result gains a
-    leading trial axis, ``s`` is then a scalar, K symbols or (K, T), and
-    each trial's slice equals its one-trial call bit for bit. ``noise`` has
-    the result's shape, or is None for the clean field. The unit field
-    G Y_0 a is scaled by ``scale_field``, so a field computed once at
-    rho = 1 and s = 1 serves any SNR and symbol: the energies |r|^2 equal
-    a direct call's bit for bit.
+    ``zeroth`` holds the T snapshots' phases as columns (N, T); column t
+    equals its own ``g @`` product bit for bit. Steering entries (K, N) run
+    K trials at once: the result gains a leading trial axis, each trial's
+    slice equal to its one-trial call bit for bit. ``scale_field`` turns
+    the field into received snapshots, so one field serves any SNR, symbol
+    and noise.
     """
     a = sv.entries
-    trans = zeroth.transmission()
-    cols = trans if trans.ndim == 2 else trans[:, None]
     # built snapshot-major, so each (N,) column handed to the matvec is contiguous
-    x = (cols.T * (a[:, None] if a.ndim == 2 else a)).swapaxes(-1, -2)
-    field = matvec_columns(g, x)
-    if trans.ndim == 2:
-        return scale_field(field, s, rho, noise)
-    # one snapshot: its column axis goes after the symbols have broadcast against it
-    noise = None if noise is None else np.asarray(noise)[..., None]
-    return scale_field(field, s, rho, noise)[..., 0]
+    x = (zeroth.transmission().T * (a[:, None] if a.ndim == 2 else a)).swapaxes(-1, -2)
+    return matvec_columns(g, x)
 
 
 def scale_field(field, s, rho, noise=None):
-    """sqrt(rho) * field * s + noise for a unit field G Y_0 a, (R, T) or (K, R, T).
+    """Received snapshots sqrt(rho) * field * s + noise from a unit field G Y_0 a.
 
-    ``s`` is a scalar or one symbol per snapshot; with a trial axis it may
-    also be K symbols or (K, T). ``noise`` has the field's shape, or is None.
+    The one place where SNR, symbol and noise enter a snapshot. ``field`` is
+    (R, T) or (K, R, T); ``s`` is a scalar or one symbol per snapshot, and
+    with a trial axis may also be K symbols or (K, T). ``noise`` has the
+    field's shape, or is None.
     """
     if rho < 0.0:
         raise ValueError("rho must be >= 0")

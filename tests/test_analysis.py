@@ -432,15 +432,3 @@ def test_quantization_floor_closed_form():
 def test_quantization_floor_single_bin():
     fx, fy = quantization_floor(1, 1, ProtocolConfig())
     assert fx == pytest.approx(1.0 / 3.0, rel=1e-6)
-
-
-def test_quantization_floor_from_samples():
-    proto = ProtocolConfig(t_x=4, t_y=4)
-    # on-lattice samples have zero snap error
-    pts = np.array([[0.0, 0.25], [-0.5, 0.75], [0.25, -1.0]])
-    assert quantization_floor(2, 2, proto, samples=pts) == (0.0, 0.0)
-    # one point halfway into a cell: error 0.125 on x only
-    pts = np.array([[0.125, 0.0]])
-    fx, fy = quantization_floor(2, 2, proto, samples=pts)
-    assert fx == pytest.approx(0.125 ** 2)
-    assert fy == 0.0

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -395,6 +396,36 @@ def test_corrupt_stack_exits_1(tmp_path, capsys, damage):
                  "--outdir", str(tmp_path / "run")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layers, m", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 31 - 1, 16)])
+def test_stack_header_claiming_more_than_the_file_exits_1(tmp_path, capsys, layers, m):
+    # the first header once raised OverflowError (a traceback), the second tried a 274 GB read
+    path, data = _stack_bytes(tmp_path)
+    path.write_bytes(data[:6] + struct.pack("<III", 1, layers, m) + data[18:])
+    doc = {**RUN_DOC, "geometry": {"n_x": 2, "n_y": 2, "m_x": 2, "m_y": 2,
+                                   "layers": 2, "thickness": 2.0}}
+    cfg = write_config(tmp_path / "c.yaml", doc)
+    code = main(["estimate", "--config", cfg, "--stack", str(path),
+                 "--outdir", str(tmp_path / "run")])
+    assert code == 1
+    assert "truncated stack file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", [{"phi_deg": math.inf, "theta_deg": 40.0},
+                                    {"phi_deg": math.nan, "theta_deg": 40.0},
+                                    {"psi_x": 0.1, "psi_y": 0.2, "s_real": math.nan},
+                                    {"psi_x": 0.1, "psi_y": 0.2, "s_imag": math.inf},
+                                    {"psi_x": 0.1, "psi_y": 0.2, "s_real": -math.inf}],
+                         ids=["phi-inf", "phi-nan", "s_real-nan", "s_imag-inf", "s_real-neg-inf"])
+def test_source_refuses_non_finite_numbers(tmp_path, capsys, source):
+    # a NaN symbol once gave exit 0 and a cell read from NaN energies;
+    # an infinite azimuth exited 2 with a math domain error that named no key
+    key = next(k for k in ("phi_deg", "s_real", "s_imag") if k in source)
+    doc = {**RUN_DOC, "source": source, "estimate": {"ideal": True}}
+    code, err = _config_error(tmp_path, capsys, "estimate", doc)
+    assert code == 2
+    assert f"'source.{key}' must be finite" in err
 
 
 @pytest.mark.parametrize("command,section,key", [

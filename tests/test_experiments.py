@@ -29,7 +29,7 @@ from simdoa.experiments import (
 )
 from simdoa.geometry import SimGeometry, build_propagation_matrices, dft_matrix
 from simdoa.trainer import TrainConfig, train
-from simdoa.wavemodel import cn_noise
+from simdoa.wavemodel import ZerothLayerConfig, cn_noise
 
 LAM = 0.005
 
@@ -107,9 +107,15 @@ def test_digital_on_lattice_exact():
     proto = ProtocolConfig(t_x=4, t_y=4)
     for n0, t0 in ((1, 1), (3, 7), (4, 16), (2, 10)):
         src = lattice_source(n0, t0, 2, 2, proto, s=0.7 - 0.7j)
-        est = digital_baseline(src, proto, 2, 2, 5.0, rng=None)
+        est = digital_baseline(src, proto, 2, 2, 5.0)
         assert (est.n, est.t) == (n0, t0)
         assert (est.psi_x, est.psi_y) == (src.psi_x, src.psi_y)
+
+
+def _antenna_noise(rng, proto, n_x, n_y):
+    """(N, T) antenna noise at variance 1/N, as ``digital_baseline`` once drew it from ``rng``."""
+    n = n_x * n_y
+    return cn_noise(rng, (n, proto.t), variance=1.0 / n)
 
 
 def _per_snapshot_digital_energies(source, proto, n_x, n_y, rho, noise):
@@ -118,7 +124,8 @@ def _per_snapshot_digital_energies(source, proto, n_x, n_y, rho, noise):
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
     values = np.empty((n_x * n_y, proto.t))
     for t in range(1, proto.t + 1):
-        zeroth = estimator.zeroth_layer_config(t, n_x, n_y, proto)
+        zeroth = ZerothLayerConfig(estimator.zeroth_layer_phase(np.arange(1, n_x * n_y + 1), t,
+                                                                n_x, n_y, proto))
         x = np.sqrt(rho) * (zeroth.transmission() * sv.entries) * source.s
         if noise is not None:
             x = x + noise[:, t - 1]
@@ -140,13 +147,14 @@ def test_digital_matches_per_snapshot_loop_exactly(kind, monkeypatch):
     src = SourceTruth(phi=0.0, theta=0.0, psi_x=0.37, psi_y=-0.58, s=0.3 - 1.1j)
     noise = cn_noise(np.random.default_rng(5), (6, proto.t), variance=1.0 / 6)
     if kind == "clean":
-        digital_baseline(src, proto, 3, 2, 4.0, rng=None)
+        digital_baseline(src, proto, 3, 2, 4.0)
         want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, None)
     elif kind == "generator":
-        digital_baseline(src, proto, 3, 2, 4.0, rng=np.random.default_rng(5))
+        digital_baseline(src, proto, 3, 2, 4.0, noise=_antenna_noise(np.random.default_rng(5),
+                                                                     proto, 3, 2))
         want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, noise)
     else:
-        digital_baseline(src, proto, 3, 2, 4.0, rng=None, noise=noise)
+        digital_baseline(src, proto, 3, 2, 4.0, noise=noise)
         want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, noise)
     assert np.array_equal(maps[0], want)
 
@@ -306,9 +314,10 @@ def _mc_trial(cfg, snr_index, trial, rho):
     noiseless = rho is None
     if cfg.pipeline == "digital":
         if noiseless:
-            est = digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, 1.0, rng=None)
+            est = digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, 1.0)
         else:
-            est = digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, rho, rng)
+            est = digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, rho,
+                                   noise=_antenna_noise(rng, cfg.proto, cfg.n_x, cfg.n_y))
         g_for_bound = dft_matrix(cfg.n_x, cfg.n_y).matrix
     else:
         sv = steering_for(source.psi_x, source.psi_y, cfg.n_x, cfg.n_y)

@@ -7,19 +7,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simdoa.geometry import (
+    TWO_PI,
     SimGeometry,
     build_propagation_matrices,
     check_feasibility,
     dft_matrix,
-    grid_to_linear,
-    input_to_first_distance,
-    intra_sim_distance,
     linear_to_grid,
-    rs_coefficient,
     steering_vector,
 )
 
 LAM = 0.005
+
+
+# Scalar twins of the vectorized builders, kept here as oracles: the index
+# inverse, the two propagation distances and one attenuation coefficient.
+
+def grid_to_linear(ix, iy, width):
+    """Inverse of :func:`linear_to_grid`."""
+    ix, iy, width = int(ix), int(iy), int(width)
+    if not (1 <= ix <= width) or iy < 1:
+        raise ValueError("grid coordinates out of range")
+    return (iy - 1) * width + ix
+
+
+def intra_sim_distance(m, m_breve, geom):
+    """Propagation distance between meta-atoms on two adjacent inner layers.
+
+    Both indices are 1-based linear indices on the (m_x, m_y) grid. The
+    layers are vertically separated by ``geom.s_layer``.
+    """
+    mx, my = linear_to_grid(m, geom.m_x, geom.m_y)
+    bx, by = linear_to_grid(m_breve, geom.m_x, geom.m_y)
+    return math.sqrt(
+        ((mx - bx) * geom.s_x) ** 2
+        + ((my - by) * geom.s_y) ** 2
+        + geom.s_layer**2
+    )
+
+
+def input_to_first_distance(m, n, geom):
+    """Distance from input-layer atom n to first-layer atom m.
+
+    The two grids are aligned on their centers, so offsets are measured
+    between center-referenced element positions.
+    """
+    mx, my = linear_to_grid(m, geom.m_x, geom.m_y)
+    nx, ny = linear_to_grid(n, geom.n_x, geom.n_y)
+    dx = (mx - (1 + geom.m_x) / 2.0) * geom.s_x - (nx - (1 + geom.n_x) / 2.0) * geom.d_x
+    dy = (my - (1 + geom.m_y) / 2.0) * geom.s_y - (ny - (1 + geom.n_y) / 2.0) * geom.d_y
+    return math.sqrt(dx**2 + dy**2 + geom.s_layer**2)
+
+
+def rs_coefficient(distance, emit_area, geom):
+    """Rayleigh-Sommerfeld attenuation coefficient between two elements.
+
+    Returns ``(emit_area * s_layer) / (2*pi*d^3) * (1 - j*kappa*d) * exp(j*kappa*d)``
+    where d is the propagation distance. ``emit_area`` is the radiating
+    cell area of the transmitting element.
+    """
+    distance = float(distance)
+    emit_area = float(emit_area)
+    if distance <= 0.0:
+        raise ValueError("distance must be positive")
+    if emit_area <= 0.0:
+        raise ValueError("emit_area must be positive")
+    kd = geom.kappa * distance
+    amp = emit_area * geom.s_layer / (TWO_PI * distance**3)
+    return amp * (1.0 - 1j * kd) * complex(math.cos(kd), math.sin(kd))
 
 
 def make_geom(**kw):

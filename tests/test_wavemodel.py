@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from simdoa.estimator import ProtocolConfig, steering_for
 from simdoa.geometry import (SimGeometry, SteeringVector, build_propagation_matrices,
                              dft_matrix, steering_vector)
 from simdoa.wavemodel import (
@@ -14,10 +15,25 @@ from simdoa.wavemodel import (
     forward_response,
     optimal_scale,
     random_stack,
+    scale_field,
     synthesize_received,
 )
 
 LAM = 0.005
+
+
+def received(g, zeroth, sv, s, rho, noise=None):
+    """Snapshots sqrt(rho) * G Y_0 a s + noise, as the scaled synthesis once returned them.
+
+    A one-snapshot ``zeroth`` (N,) runs as a single column, and the result
+    drops that column again: length R, or (K, R) for K trials.
+    """
+    if zeroth.xi0.ndim == 2:
+        return scale_field(synthesize_received(g, zeroth, sv), s, rho, noise)
+    column = ZerothLayerConfig(zeroth.xi0[:, None])
+    # one snapshot: its column axis goes after the symbols have broadcast against it
+    noise = None if noise is None else np.asarray(noise)[..., None]
+    return scale_field(synthesize_received(g, column, sv), s, rho, noise)[..., 0]
 
 
 def make_props(layers=2, m_side=3, n_side=2):
@@ -172,7 +188,7 @@ def test_received_no_signal_is_noise():
     zeroth = ZerothLayerConfig(np.zeros(4))
     sv = steering_vector(0.3, -0.2, 2, 2)
     u = cn_noise(np.random.default_rng(8), 4)
-    r = synthesize_received(f, zeroth, sv, 1.0 + 0j, 0.0, noise=u)
+    r = received(f, zeroth, sv, 1.0 + 0j, 0.0, noise=u)
     assert np.array_equal(r, u)
 
 
@@ -186,7 +202,7 @@ def test_received_on_bin_concentrates():
         kx = k % n_x
         ky = k // n_x
         sv = steering_vector(2 * math.pi * kx / n_x, 2 * math.pi * ky / n_y, n_x, n_y)
-        r = synthesize_received(f, zeroth, sv, 1.0 + 0j, rho)
+        r = received(f, zeroth, sv, 1.0 + 0j, rho)
         mags = np.abs(r)
         assert mags[k] == pytest.approx(math.sqrt(rho) * 4, rel=1e-12)
         mags[k] = 0.0
@@ -200,7 +216,7 @@ def test_received_off_grid_matches_digital_dft():
     zeroth = ZerothLayerConfig(xi0)
     sv = steering_vector(0.48 * math.pi, 0.23 * math.pi, 2, 2)
     s = 0.8 - 0.3j
-    r = synthesize_received(f, zeroth, sv, s, 4.0)
+    r = received(f, zeroth, sv, s, 4.0)
     oracle = 2.0 * f @ (np.exp(1j * xi0) * sv.entries * s)
     assert np.allclose(r, oracle, rtol=1e-12)
 
@@ -210,9 +226,9 @@ def test_received_rejects_bad_inputs():
     zeroth = ZerothLayerConfig(np.zeros(4))
     sv = steering_vector(0.0, 0.0, 2, 2)
     with pytest.raises(ValueError):
-        synthesize_received(f, zeroth, sv, 1.0, -1.0)
+        received(f, zeroth, sv, 1.0, -1.0)
     with pytest.raises(ValueError):
-        synthesize_received(f, zeroth, sv, 1.0, 1.0, noise=np.zeros(3))
+        received(f, zeroth, sv, 1.0, 1.0, noise=np.zeros(3))
 
 
 @pytest.mark.parametrize("symbols", ["scalar", "per_trial", "per_snapshot"])
@@ -230,13 +246,62 @@ def test_received_trial_axis_slices_equal_one_trial_calls(symbols, columns):
     noise = cn_noise(rng, (k, *shape))
     batch = SteeringVector(entries, np.zeros(k), np.zeros(k))
     for u in (None, noise):
-        got = synthesize_received(g, zeroth, batch, s, 2.5, u)
+        got = received(g, zeroth, batch, s, 2.5, u)
         assert got.shape == (k, *shape)
         for i in range(k):
-            want = synthesize_received(g, zeroth, SteeringVector(entries[i], 0.0, 0.0),
-                                       s if symbols == "scalar" else s[i], 2.5,
-                                       None if u is None else u[i])
+            want = received(g, zeroth, SteeringVector(entries[i], 0.0, 0.0),
+                            s if symbols == "scalar" else s[i], 2.5,
+                            None if u is None else u[i])
             assert np.array_equal(got[i], want)
+
+
+def test_synthesized_field_is_the_unit_field_column_by_column():
+    rng = np.random.default_rng(30)
+    g = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    zeroth = ZerothLayerConfig(rng.uniform(0, 7, (5, 4)))
+    sv = SteeringVector(np.exp(1j * rng.uniform(0, 7, 5)), 0.0, 0.0)
+    field = synthesize_received(g, zeroth, sv)
+    assert field.shape == (3, 4)
+    for t in range(4):
+        assert np.array_equal(field[:, t], g @ (zeroth.transmission()[:, t] * sv.entries))
+
+
+def _signed_zero_fields():
+    """(K, R, T) unit fields with +-0 parts, K = R = T = 4.
+
+    The exact DFT and a response with zero rows, both on lattice bins, and
+    a field whose real and imaginary parts run through every sign of zero.
+    """
+    rng = np.random.default_rng(31)
+    lattice = ProtocolConfig(t_x=2, t_y=2).lattice(2, 2)
+    sv = steering_for(lattice.psi_x[:, 1], lattice.psi_y[:, 1], 2, 2)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    g[1] = g[3] = 0.0
+    parts = np.array([[re, im] for re in (0.0, -0.0, 0.7, -0.7) for im in (0.0, -0.0, 0.3, -0.3)])
+    hand = np.ascontiguousarray(parts).view(complex)[:, 0].reshape(4, 4)
+    return [synthesize_received(dft_matrix(2, 2).matrix, lattice.zeroth, sv),
+            synthesize_received(g, lattice.zeroth, sv),
+            np.stack([hand, -hand, hand.T, np.conj(hand)])]
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("per_trial", [False, True])
+def test_scaling_the_unit_field_once_keeps_the_energies_of_scaling_it_twice(noisy, per_trial):
+    # the bound's clean field was once scaled by sqrt(1) and 1 before the snapshots
+    # scaled it again; that pass can flip only signed zeros, which |r|^2 erases
+    rng = np.random.default_rng(32)
+    s = cn_noise(rng, 4) if per_trial else 0.6 - 0.8j
+    noise = cn_noise(rng, (4, 4, 4)) if noisy else None
+    flipped = False
+    for field in _signed_zero_fields():
+        twice = scale_field(field, 1.0, 1.0)
+        flipped |= bool(np.any(np.signbit([twice.real, twice.imag])
+                               != np.signbit([field.real, field.imag])))
+        for rho in (0.0, 2.5):
+            once = np.abs(scale_field(field, s, rho, noise)) ** 2
+            want = np.abs(scale_field(twice, s, rho, noise)) ** 2
+            assert np.array_equal(once.view(np.int64), want.view(np.int64))
+    assert flipped  # the fields do hold zeros whose sign the extra pass changes
 
 
 def test_noise_unit_variance():
