@@ -115,9 +115,11 @@ _GEOMETRY = {
     "wavelength_mm": (float, 5.0),
 }
 # Either angle form may be given (None: not given), not both.
+_PSI = (lambda v: -1.0 <= v < 1.0, "must lie in [-1, 1)")
 _SOURCE = {
-    "psi_x": (float, None), "psi_y": (float, None),
-    "phi_deg": (float, None, _FINITE), "theta_deg": (float, None),
+    "psi_x": (float, None, _PSI), "psi_y": (float, None, _PSI),
+    "phi_deg": (float, None, _FINITE),
+    "theta_deg": (float, None, (lambda v: 0.0 <= v <= 90.0, "must lie in [0, 90]")),
     "s_real": (float, 1.0, _FINITE), "s_imag": (float, 0.0, _FINITE),
 }
 _RUN = {"snr_db": (_SNR_DB, math.inf), "seed": (int, 0, _NON_NEGATIVE),
@@ -143,10 +145,11 @@ _SWEEP = {  # one table per sweep mode
 }
 _SWEEP_MODE = {"mode": (tuple(_SWEEP), "ablation")}
 # Work caps, checked across sections once all are read: (cap, what, factors).
-# The lattice cap bounds memory: the lattice keeps five (N, T) arrays, 40 MB
-# at the cap, and its array build peaks near 80 MB (0.2-0.4 s) before any
-# snapshot is taken. A Monte Carlo SNR point runs trials x R x T cells
-# (R = N), at about 0.2 us a cell, so its cap is about 15 minutes per point.
+# The lattice cap bounds memory: the lattice keeps five real (N, T) arrays
+# and the complex transmission exp(j xi0), 56 MiB at the cap, and its array
+# build peaks near 90 MiB (0.2-0.4 s) before any snapshot is taken. A Monte
+# Carlo SNR point runs trials x R x T cells (R = N), at about 0.2 us a cell,
+# so its cap is about 15 minutes per point.
 _WORK = (
     (2 ** 20, "lattice cells", ("geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y")),
     (2 ** 32, "Monte Carlo cells per SNR point",
@@ -181,14 +184,10 @@ def _parse_source(section, path):
             raise ConfigError(f"missing required key '{path}.{key}'")
     if angles:
         phi, theta = math.radians(v["phi_deg"]), math.radians(v["theta_deg"])
-        if not 0.0 <= theta <= math.pi / 2.0:
-            raise ValueError("theta_deg must lie in [0, 90]")
         psi_x = math.sin(theta) * math.cos(phi)
         psi_y = math.sin(theta) * math.sin(phi)
     else:
         psi_x, psi_y = v["psi_x"], v["psi_y"]
-        if not (-1.0 <= psi_x < 1.0 and -1.0 <= psi_y < 1.0):
-            raise ValueError("psi values must lie in [-1, 1)")
     s = complex(v["s_real"], v["s_imag"])
     if s == 0:
         raise ValueError("symbol must be nonzero")

@@ -40,7 +40,7 @@ class ProtocolConfig:
             for psi in angles:
                 axis, index = np.unique(psi, return_inverse=True)
                 distinct.append((axis, index.reshape(psi.shape)))
-            for arr in (zeroth.xi0, *angles, *distinct[0], *distinct[1]):
+            for arr in (*angles, *distinct[0], *distinct[1]):
                 arr.flags.writeable = False
             cache[n_x, n_y] = SnapshotLattice(zeroth, *angles, *distinct)
         return cache[n_x, n_y]
@@ -51,7 +51,8 @@ class SnapshotLattice:
     """A protocol's schedule on one input grid as read-only (N, T) arrays.
 
     Cell (n - 1, t - 1) of ``zeroth.xi0`` is ``zeroth_layer_phase(n, t)`` and of
-    ``psi_x``/``psi_y`` is ``electrical_angles(n, t)``, bit for bit.
+    ``psi_x``/``psi_y`` is ``electrical_angles(n, t)``, bit for bit;
+    ``zeroth.transmission()`` is exp(j xi0), built with it.
     ``distinct_x`` pairs the n_x * t_x distinct values of ``psi_x`` with the
     (N, T) map into them, so ``axis[index]`` is ``psi_x``; ``distinct_y`` likewise.
     """

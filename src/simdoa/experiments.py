@@ -27,6 +27,15 @@ class SourceTruth:
     psi_y: float
     s: complex
 
+    def steering(self, n_x, n_y):
+        """Steering vector on an (n_x, n_y) grid, built once per grid and kept read-only."""
+        cache = self.__dict__.setdefault("_steering", {})
+        if (n_x, n_y) not in cache:
+            sv = steering_for(self.psi_x, self.psi_y, n_x, n_y)
+            sv.entries.flags.writeable = False
+            cache[n_x, n_y] = sv
+        return cache[n_x, n_y]
+
 
 def effective_rho(gamma, beta, n, t):
     """Transmit SNR that realizes effective SNR ``gamma`` (linear).
@@ -74,7 +83,9 @@ def sample_source(rng, mode="parameter", symbol="cscg"):
         psi_x = math.sin(theta) * math.cos(phi)
         psi_y = math.sin(theta) * math.sin(phi)
     if symbol == "cscg":
-        s = complex(cn_noise(rng, ()))
+        # cn_noise's draw and scaling of one sample, on Python floats
+        scale = math.sqrt(0.5)
+        s = complex(scale * rng.standard_normal(), scale * rng.standard_normal())
     elif symbol == "phase":
         s = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
     else:
@@ -165,7 +176,7 @@ def digital_baseline(source, proto, n_x, n_y, rho, noise=None):
     axis. ``noise`` holds the (N, T) antenna noise draws, or is None for
     the clean field.
     """
-    sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
+    sv = source.steering(n_x, n_y)
     values = _digital_energies(sv, source.s, rho, proto, n_x, n_y, noise)
     return estimate_from_map(EnergyMap(values), proto, n_x, n_y, half_wave=True)
 
@@ -203,7 +214,7 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     rho_wave = effective_rho(gamma, beta, n, proto.t)
     rho_digital = effective_rho(gamma, 1.0, n, proto.t)
     frame = np.conj(beta) / abs(beta) if beta != 0 else 1.0
-    sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
+    sv = source.steering(n_x, n_y)  # digital_baseline reads the same vector
     emap = collect_snapshots(g, sv, source.s, rho_wave, proto, n_x, n_y,
                              noise=frame * (f @ u_ant))
     wave = estimate_from_map(emap, proto, n_x, n_y, half_wave=True)

@@ -30,17 +30,21 @@ class PhaseStack:
         return PhaseStack([x.copy() for x in self.xi])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZerothLayerConfig:
-    """Input-layer phases, one column per snapshot (N, T)."""
+    """Input-layer phases, one column per snapshot (N, T), and exp(j xi0); both read-only."""
 
     xi0: np.ndarray
 
     def __post_init__(self):
-        self.xi0 = np.mod(np.asarray(self.xi0, dtype=float), 2.0 * np.pi)
+        xi0 = np.mod(np.asarray(self.xi0, dtype=float), 2.0 * np.pi)
+        schedule = np.exp(1j * xi0)
+        xi0.flags.writeable = schedule.flags.writeable = False
+        object.__setattr__(self, "xi0", xi0)
+        object.__setattr__(self, "_transmission", schedule)
 
     def transmission(self):
-        return np.exp(1j * self.xi0)
+        return self._transmission
 
 
 def random_stack(layers, m, rng):
@@ -138,7 +142,12 @@ def scale_field(field, s, rho, noise=None):
 
 def complex_gaussian(re, im, variance=1.0):
     """Complex samples from standard normal draws ``re``, ``im``, as ``cn_noise`` makes them."""
-    return np.sqrt(variance / 2.0) * (re + 1j * im)
+    # each part is one real product written into the result: no complex temporaries
+    scale = np.sqrt(variance / 2.0)
+    out = np.empty(np.shape(re), dtype=complex)
+    np.multiply(scale, re, out=out.real)
+    np.multiply(scale, im, out=out.imag)
+    return out
 
 
 def cn_noise(rng, shape, variance=1.0):

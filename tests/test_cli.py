@@ -428,6 +428,35 @@ def test_source_refuses_non_finite_numbers(tmp_path, capsys, source):
     assert f"'source.{key}' must be finite" in err
 
 
+@pytest.mark.parametrize("source,key,message", [
+    ({"psi_x": math.nan, "psi_y": 0.2}, "psi_x", "must lie in [-1, 1)"),
+    ({"psi_x": 1.5, "psi_y": 0.2}, "psi_x", "must lie in [-1, 1)"),
+    ({"psi_x": 0.1, "psi_y": 1.0}, "psi_y", "must lie in [-1, 1)"),
+    ({"psi_x": 0.1, "psi_y": -1.0000001}, "psi_y", "must lie in [-1, 1)"),
+    ({"phi_deg": 10.0, "theta_deg": math.inf}, "theta_deg", "must lie in [0, 90]"),
+    ({"phi_deg": 10.0, "theta_deg": math.nan}, "theta_deg", "must lie in [0, 90]"),
+    ({"phi_deg": 10.0, "theta_deg": 90.5}, "theta_deg", "must lie in [0, 90]"),
+    ({"phi_deg": 10.0, "theta_deg": -1.0}, "theta_deg", "must lie in [0, 90]"),
+], ids=["psi_x-nan", "psi_x-above", "psi_y-one", "psi_y-below", "theta-inf", "theta-nan",
+        "theta-above", "theta-below"])
+def test_source_range_errors_name_the_key(tmp_path, capsys, source, key, message):
+    # these once exited 2 naming the section only: "source: psi values must lie in [-1, 1)"
+    doc = {**RUN_DOC, "source": source, "estimate": {"ideal": True}}
+    code, err = _config_error(tmp_path, capsys, "estimate", doc)
+    assert code == 2
+    assert f"'source.{key}' {message}" in err
+
+
+@pytest.mark.parametrize("source", [{"psi_x": -1.0, "psi_y": 0.999},
+                                    {"phi_deg": 10.0, "theta_deg": 0.0},
+                                    {"phi_deg": 10.0, "theta_deg": 90.0}],
+                         ids=["psi-edges", "theta-zero", "theta-ninety"])
+def test_source_range_edges_are_accepted(tmp_path, capsys, source):
+    doc = {**RUN_DOC, "source": source, "estimate": {"ideal": True}}
+    cfg = write_config(tmp_path / "c.yaml", doc)
+    assert main(["estimate", "--config", cfg, "--outdir", str(tmp_path / "run")]) == 0
+
+
 @pytest.mark.parametrize("command,section,key", [
     ("estimate", {"ideal": True, "snr_db": None, "seed": 3}, "estimate.snr_db"),
     ("spectrum", {"ideal": True, "snr_db": None}, "spectrum.snr_db"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from simdoa import analysis, estimator, experiments
 from simdoa.analysis import quantization_floor
-from simdoa.estimator import (ProtocolConfig, collect_snapshots, electrical_angles,
+from simdoa.estimator import (EnergyMap, ProtocolConfig, collect_snapshots, electrical_angles,
                               estimate_from_map, steering_for, wrapped_angle_error)
 from simdoa.experiments import (
     McConfig,
@@ -29,7 +29,8 @@ from simdoa.experiments import (
 )
 from simdoa.geometry import SimGeometry, build_propagation_matrices, dft_matrix
 from simdoa.trainer import TrainConfig, train
-from simdoa.wavemodel import ZerothLayerConfig, cn_noise
+from simdoa.wavemodel import (ZerothLayerConfig, cn_noise, complex_gaussian, matvec_columns,
+                              scale_field)
 
 LAM = 0.005
 
@@ -157,6 +158,165 @@ def test_digital_matches_per_snapshot_loop_exactly(kind, monkeypatch):
         digital_baseline(src, proto, 3, 2, 4.0, noise=noise)
         want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, noise)
     assert np.array_equal(maps[0], want)
+
+
+def three_pass_complex_gaussian(re, im, variance=1.0):
+    """The former ``complex_gaussian``: ``1j * im``, ``re + ...`` and the scale, three passes."""
+    return np.sqrt(variance / 2.0) * (re + 1j * im)
+
+
+@pytest.mark.parametrize("variance", [1.0, 0.25, 1.0 / 6.0])
+def test_complex_gaussian_equals_the_three_pass_form_bit_for_bit(variance):
+    rng = np.random.default_rng(35)
+    for shape in ((), (7,), (16, 4, 64)):
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        got = complex_gaussian(re, im, variance)
+        want = np.asarray(three_pass_complex_gaussian(re, im, variance))
+        assert got.shape == want.shape == shape and got.dtype == complex
+        assert np.array_equal(got.reshape(-1).view(np.int64), want.reshape(-1).view(np.int64))
+
+
+def three_pass_cn_noise(rng, shape, variance=1.0):
+    """``cn_noise`` as it was, on the three-pass form."""
+    return three_pass_complex_gaussian(rng.standard_normal(shape), rng.standard_normal(shape),
+                                       variance)
+
+
+def two_vector_paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
+    """``paired_trial`` as it was, returning its estimates and its two energy maps.
+
+    Each path builds its own steering vector and exp(1j * xi0), and the
+    noise comes from the three-pass form.
+    """
+    n = n_x * n_y
+    f = dft_matrix(n_x, n_y).matrix
+    u_ant = three_pass_cn_noise(rng, (n, proto.t), variance=1.0 / n)
+    rho_wave = effective_rho(gamma, beta, n, proto.t)
+    rho_digital = effective_rho(gamma, 1.0, n, proto.t)
+    frame = np.conj(beta) / abs(beta) if beta != 0 else 1.0
+    xi0 = proto.lattice(n_x, n_y).zeroth.xi0
+    s = np.asarray(source.s, dtype=complex)
+    sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
+    field = matvec_columns(np.asarray(g), (np.exp(1j * xi0).T * sv.entries).swapaxes(-1, -2))
+    wave_map = np.abs(scale_field(field, s, rho_wave, frame * (f @ u_ant))) ** 2
+    sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
+    x = np.sqrt(rho_digital) * (np.exp(1j * xi0) * sv.entries[..., None]) * source.s + u_ant
+    digital_map = np.abs(matvec_columns(f, x)) ** 2
+    return [estimate_from_map(EnergyMap(m), proto, n_x, n_y, half_wave=True)
+            for m in (wave_map, digital_map)], [wave_map, digital_map]
+
+
+def _bits(est):
+    return repr(dataclasses.astuple(est))
+
+
+@pytest.mark.parametrize("response", ["dft", "random"])
+def test_paired_trial_equals_the_two_vector_path_bit_for_bit(response, monkeypatch):
+    maps = []
+    real = experiments.estimate_from_map
+
+    def capture(emap, *args, **kwargs):
+        maps.append(emap.values)
+        return real(emap, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_from_map", capture)
+    if response == "dft":
+        n_x, n_y, proto = 2, 2, ProtocolConfig(t_x=4, t_y=4)
+        g, beta = dft_matrix(2, 2).matrix, 1.0
+    else:
+        n_x, n_y, proto = 3, 2, ProtocolConfig(t_x=2, t_y=3)
+        gen = np.random.default_rng(42)
+        g = gen.standard_normal((6, 6)) + 1j * gen.standard_normal((6, 6))
+        beta = 0.8 - 1.7j
+    sources = np.random.default_rng(43)
+    rng, oracle_rng = np.random.default_rng(44), np.random.default_rng(44)
+    for _ in range(1000):
+        src = sample_source(sources)
+        maps.clear()
+        got = paired_trial(g, beta, src, proto, n_x, n_y, 30.0, rng)
+        want, want_maps = two_vector_paired_trial(g, beta, src, proto, n_x, n_y, 30.0,
+                                                  oracle_rng)
+        assert [_bits(e) for e in got] == [_bits(e) for e in want]
+        for m, w in zip(maps, want_maps, strict=True):
+            assert np.array_equal(m.view(np.int64), w.view(np.int64))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_source_steering_is_built_once_per_grid_and_read_only():
+    src = SourceTruth(phi=0.0, theta=0.0, psi_x=0.37, psi_y=-0.58, s=1.0)
+    sv = src.steering(3, 2)
+    assert sv is src.steering(3, 2)
+    want = steering_for(0.37, -0.58, 3, 2)
+    assert np.array_equal(sv.entries.view(np.int64), want.entries.view(np.int64))
+    assert not sv.entries.flags.writeable
+    assert np.array_equal(src.steering(2, 2).entries, steering_for(0.37, -0.58, 2, 2).entries)
+    assert src == SourceTruth(phi=0.0, theta=0.0, psi_x=0.37, psi_y=-0.58, s=1.0)
+
+
+def former_sample_source(rng, mode, symbol):
+    """``sample_source`` with its former symbol draw, ``complex(cn_noise(rng, ()))``."""
+    if mode == "uniform-psi":
+        psi_x = rng.uniform(-1.0, 1.0)
+        psi_y = rng.uniform(-1.0, 1.0)
+        radius = math.hypot(psi_x, psi_y)
+        if radius <= 1.0:
+            theta = math.asin(radius)
+            phi = math.atan2(psi_y, psi_x) % (2.0 * math.pi)
+        else:
+            theta = phi = float("nan")
+    else:
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        if mode == "parameter":
+            theta = rng.uniform(0.0, math.pi / 2.0)
+        else:
+            theta = math.acos(rng.uniform(0.0, 1.0))
+        psi_x = math.sin(theta) * math.cos(phi)
+        psi_y = math.sin(theta) * math.sin(phi)
+    if symbol == "cscg":
+        s = complex(three_pass_cn_noise(rng, ()))
+    else:
+        s = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+    return SourceTruth(phi=phi, theta=theta, psi_x=psi_x, psi_y=psi_y, s=s)
+
+
+@pytest.mark.parametrize("symbol", ["cscg", "phase"])
+@pytest.mark.parametrize("mode", ["parameter", "solid", "uniform-psi"])
+def test_sample_source_equals_its_former_symbol_draw_bit_for_bit(mode, symbol):
+    rng, oracle_rng = np.random.default_rng(45), np.random.default_rng(45)
+    for _ in range(2000):
+        got = sample_source(rng, mode, symbol)
+        assert type(got.s) is complex
+        assert _bits(got) == _bits(former_sample_source(oracle_rng, mode, symbol))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert rng.standard_normal() == oracle_rng.standard_normal()
+
+
+def test_two_pass_noise_keeps_wave_and_digital_energies_on_signed_zeros():
+    # the three-pass complex_gaussian can turn a -0.0 part into +0.0; |.|^2 erases the sign
+    parts = [(re, im) for re in (0.0, -0.0, 0.7, -0.7) for im in (0.0, -0.0, 0.3, -0.3)]
+    re, im = (np.array([p[i] for p in parts] * 4).reshape(4, 4, 4) for i in (0, 1))
+    proto = ProtocolConfig(t_x=2, t_y=2)
+    lattice = proto.lattice(2, 2)
+    sv = steering_for(lattice.psi_x[:, 1], lattice.psi_y[:, 1], 2, 2)
+    s = cn_noise(np.random.default_rng(46), 4)
+    g = np.random.default_rng(47).standard_normal((4, 4)) + 0j
+    g[1] = g[3] = 0.0
+    flipped = False
+    for variance, energies in (
+            (1.0, lambda rho, noise: collect_snapshots(g, sv, s, rho, proto, 2, 2,
+                                                       noise=noise).values),
+            (1.0, lambda rho, noise: collect_snapshots(dft_matrix(2, 2).matrix, sv, s, rho,
+                                                       proto, 2, 2, noise=noise).values),
+            (0.25, lambda rho, noise: experiments._digital_energies(sv, s, rho, proto, 2, 2,
+                                                                    noise))):
+        two = complex_gaussian(re, im, variance)
+        three = three_pass_complex_gaussian(re, im, variance)
+        flipped |= bool(np.any(np.signbit([two.real, two.imag])
+                               != np.signbit([three.real, three.imag])))
+        for rho in (0.0, 2.5):
+            assert np.array_equal(energies(rho, two).view(np.int64),
+                                  energies(rho, three).view(np.int64))
+    assert flipped  # the draws do hold zeros whose sign the three passes change
 
 
 def test_paired_trial_ideal_paths_always_agree():

@@ -304,6 +304,25 @@ def test_scaling_the_unit_field_once_keeps_the_energies_of_scaling_it_twice(nois
     assert flipped  # the fields do hold zeros whose sign the extra pass changes
 
 
+def test_zeroth_transmission_is_computed_once_and_read_only():
+    rng = np.random.default_rng(34)
+    for xi0 in (rng.uniform(-7, 7, 6), rng.uniform(-7, 7, (6, 5))):
+        zeroth = ZerothLayerConfig(xi0)
+        schedule = zeroth.transmission()
+        assert schedule is zeroth.transmission()
+        assert np.array_equal(schedule.view(np.int64), np.exp(1j * zeroth.xi0).view(np.int64))
+        assert np.array_equal(zeroth.xi0, np.mod(xi0, 2.0 * np.pi))
+        for arr in (zeroth.xi0, schedule):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(AttributeError):
+            zeroth.xi0 = xi0
+    lattice = ProtocolConfig(t_x=3, t_y=2).lattice(2, 2)
+    assert np.array_equal(lattice.zeroth.transmission(), np.exp(1j * lattice.zeroth.xi0))
+    assert not lattice.zeroth.transmission().flags.writeable
+
+
 def test_noise_unit_variance():
     u = cn_noise(np.random.default_rng(10), 100_000)
     assert np.mean(np.abs(u) ** 2) == pytest.approx(1.0, rel=0.02)
