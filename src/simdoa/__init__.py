@@ -65,7 +65,6 @@ from .experiments import (
     SourceTruth,
     McConfig,
     McPoint,
-    SweepSpec,
     SweepCell,
     ReceiverCell,
     effective_rho,

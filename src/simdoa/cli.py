@@ -36,6 +36,7 @@ _SNR_DB = "a number or 'inf'"  # the SNR kind: dB, or 'inf' for noise-free
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _FINITE = (math.isfinite, "must be finite")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
 _INDEX_MAX = int(np.iinfo(np.intp).max)
 # an array size or count of snapshots or trials; seeds take any non-negative int
 _SIZE = (lambda v: v <= _INDEX_MAX, f"must be at most {_INDEX_MAX}, numpy's largest index")
@@ -140,8 +141,9 @@ _SWEEP = {  # one table per sweep mode
     "ablation": {**_SWEEP_RUNS, "thickness": ([float], _REQUIRED),
                  "layers": ([int], _REQUIRED, _SIZE), "atoms": ([int], _REQUIRED, _SIZE),
                  "spacing": ([float], _REQUIRED)},
-    "receiver": {**_SWEEP_RUNS, "u_x": ([float], ()), "rotation_deg": ([float], ()),
-                 "layers": ([int], (), _SIZE)},
+    "receiver": {**_SWEEP_RUNS, "u_x": ([float], (), _POSITIVE),
+                 "rotation_deg": ([float], (), _FINITE),
+                 "layers": ([int], (), _AT_LEAST_ONE, _SIZE)},
 }
 _SWEEP_MODE = {"mode": (tuple(_SWEEP), "ablation")}
 # Work caps, checked across sections once all are read: (cap, what, factors).
@@ -492,6 +494,11 @@ def _cmd_montecarlo(args, config):
     mc = _need(config, "montecarlo", "montecarlo")
     geom = _need(config, "geometry", "montecarlo")
     proto = _need(config, "protocol", "montecarlo")
+    for key in ("d_x", "d_y"):  # trials draw and recover angles at half-wave spacing
+        if getattr(geom, key) != geom.wavelength / 2:
+            raise ConfigError(f"'geometry.{key}' must be 0.5 for 'montecarlo', whose trials"
+                              f" assume half-wave input spacing, got"
+                              f" {getattr(geom, key) / geom.wavelength:g}")
     if mc["pipeline"] == "digital":
         g, beta = None, 1.0 + 0.0j
     else:
@@ -528,14 +535,10 @@ def _cmd_sweep(args, config):
     geom = _need(config, "geometry", "sweep")
     train_cfg = _need(config, "train", "sweep")
     if sw["mode"] == "ablation":
-        spec = experiments.SweepSpec(
-            n_x=geom.n_x, n_y=geom.n_y,
-            thickness_lam=sw["thickness"], layers=sw["layers"],
-            atoms=sw["atoms"], spacing_lam=sw["spacing"],
-            train=train_cfg, runs=sw["runs"], seed=sw["seed"],
-            wavelength=geom.wavelength, jobs=args.jobs,
-        )
-        cells = experiments.ablation_sweep(spec)
+        cells = experiments.ablation_sweep(
+            geom, train_cfg, thickness_lam=sw["thickness"], layers=sw["layers"],
+            atoms=sw["atoms"], spacing_lam=sw["spacing"], runs=sw["runs"],
+            seed=sw["seed"], jobs=args.jobs)
         name = "sweep.csv"
         header = ["thickness_lam", "layers", "atoms", "spacing_lam", "feasible", "note",
                   "mean_db", "min_db", "max_db", "runs"]
@@ -548,7 +551,7 @@ def _cmd_sweep(args, config):
             geom, train_cfg,
             u_x=tuple(v * lam for v in sw["u_x"]),
             rotation=tuple(math.radians(v) for v in sw["rotation_deg"]),
-            layers=sw["layers"], runs=sw["runs"], seed=sw["seed"])
+            layers=sw["layers"], runs=sw["runs"], seed=sw["seed"], jobs=args.jobs)
         name = "receiver.csv"
         header = ["parameter", "value", "mean_db", "min_db", "max_db", "runs"]
         rows = [(r.parameter, f"{r.value:.10g}", f"{r.mean_db:.6g}",

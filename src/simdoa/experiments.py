@@ -1,6 +1,7 @@
 """Monte Carlo estimation studies, digital reference path, and fit sweeps."""
 
 import dataclasses
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -10,9 +11,8 @@ import numpy as np
 from . import analysis
 from .estimator import (EnergyMap, ProtocolConfig, collect_snapshots,
                         estimate_from_map, steering_for, wrapped_angle_error)
-from .geometry import (SimGeometry, build_propagation_matrices,
-                       check_feasibility, dft_matrix)
-from .trainer import TrainConfig, train, train_restarts
+from .geometry import build_propagation_matrices, check_feasibility, dft_matrix
+from .trainer import train, train_restarts
 from .wavemodel import (cn_noise, complex_gaussian, forward_response, matvec_columns,
                         optimal_scale)
 
@@ -329,23 +329,6 @@ def run_monte_carlo(cfg):
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """Grid of stack geometries to fit, a few seeds per cell."""
-
-    n_x: int
-    n_y: int
-    thickness_lam: tuple
-    layers: tuple
-    atoms: tuple
-    spacing_lam: tuple
-    train: TrainConfig
-    runs: int = 3
-    seed: int = 0
-    wavelength: float = 0.005
-    jobs: int = 1
-
-
-@dataclass(frozen=True)
 class SweepCell:
     thickness_lam: float
     layers: int
@@ -359,20 +342,6 @@ class SweepCell:
     runs: int
 
 
-def _cell_geometry(spec, thickness_lam, layers, atoms, spacing_lam):
-    side = math.isqrt(atoms)
-    if side * side != atoms:
-        raise ValueError(f"atom count {atoms} is not a square grid")
-    lam = spec.wavelength
-    return SimGeometry(
-        wavelength=lam, n_x=spec.n_x, n_y=spec.n_y,
-        d_x=lam / 2.0, d_y=lam / 2.0,
-        m_x=side, m_y=side,
-        s_x=spacing_lam * lam, s_y=spacing_lam * lam,
-        layers=layers, thickness=thickness_lam * lam,
-    )
-
-
 def _fit_runs(geom, train_cfg, seed, index, runs):
     """Best dB of ``runs`` one-restart fits on ``geom``, seeded from (seed, index, run)."""
     props = build_propagation_matrices(geom)
@@ -384,41 +353,63 @@ def _fit_runs(geom, train_cfg, seed, index, runs):
     return dbs
 
 
-def _sweep_cell(args):
-    spec, cell_index, thickness_lam, layers, atoms, spacing_lam = args
-    try:
-        geom = _cell_geometry(spec, thickness_lam, layers, atoms, spacing_lam)
-    except ValueError as exc:
-        return SweepCell(thickness_lam, layers, atoms, spacing_lam, False,
-                         str(exc), float("nan"), float("nan"), float("nan"), 0)
-    feas = check_feasibility(geom)
-    if not feas.feasible:
-        return SweepCell(thickness_lam, layers, atoms, spacing_lam, False,
-                         feas.message, float("nan"), float("nan"), float("nan"), 0)
-    dbs = _fit_runs(geom, spec.train, spec.seed, cell_index, spec.runs)
-    return SweepCell(thickness_lam, layers, atoms, spacing_lam, True, "",
-                     float(np.mean(dbs)), float(np.min(dbs)), float(np.max(dbs)),
-                     spec.runs)
+def _fit_variants(variants, train_cfg, runs, seed, jobs):
+    """(mean, min, max dB, runs) of each geometry variant's fits; None marks a flagged cell.
 
-
-def ablation_sweep(spec):
-    """Fit quality over the full geometry grid; one row per cell.
-
-    Invalid or infeasible cells come back flagged with the reason instead
-    of being dropped, so the emitted table always has the full grid shape.
+    Variant i is fitted by ``_fit_runs`` at index i, flagged cells counted,
+    so its seeds do not depend on the other cells or on ``jobs``; with
+    ``jobs > 1`` the process pool maps the variants that are fitted. A
+    flagged cell reads NaN dB and 0 runs.
     """
-    cells = []
-    idx = 0
-    for thickness_lam in spec.thickness_lam:
-        for layers in spec.layers:
-            for atoms in spec.atoms:
-                for spacing_lam in spec.spacing_lam:
-                    cells.append((spec, idx, thickness_lam, layers, atoms, spacing_lam))
-                    idx += 1
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            return list(pool.map(_sweep_cell, cells))
-    return [_sweep_cell(c) for c in cells]
+    todo = [(geom, train_cfg, seed, index, runs)
+            for index, geom in enumerate(variants) if geom is not None]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            fits = list(pool.map(_fit_runs, *zip(*todo)))
+    else:
+        fits = [_fit_runs(*args) for args in todo]
+    fits = iter(fits)
+    rows = []
+    for geom in variants:
+        if geom is None:
+            rows.append((math.nan, math.nan, math.nan, 0))
+        else:
+            dbs = next(fits)
+            rows.append((float(np.mean(dbs)), float(np.min(dbs)), float(np.max(dbs)), runs))
+    return rows
+
+
+def ablation_sweep(geom, train_cfg, thickness_lam, layers, atoms, spacing_lam, runs=3, seed=0,
+                   jobs=1):
+    """Fit quality over a grid of stack variants of ``geom``; one row per cell.
+
+    A cell sets the stack: total thickness, layer count, a square grid of
+    ``atoms`` meta-atoms and their spacing, lengths in wavelengths. Every
+    other field of ``geom``, the receiver's included, is kept. Invalid or
+    infeasible cells come back flagged with the reason instead of being
+    dropped, so the emitted table always has the full grid shape.
+    """
+    lam = geom.wavelength
+    cells = list(itertools.product(thickness_lam, layers, atoms, spacing_lam))
+    variants, notes = [], []
+    for thickness, n_layers, n_atoms, spacing in cells:
+        try:
+            side = math.isqrt(n_atoms)
+            if side * side != n_atoms:
+                raise ValueError(f"atom count {n_atoms} is not a square grid")
+            variant = dataclasses.replace(geom, m_x=side, m_y=side, s_x=spacing * lam,
+                                          s_y=spacing * lam, layers=n_layers,
+                                          thickness=thickness * lam)
+        except ValueError as exc:
+            variant, note = None, str(exc)
+        else:
+            feas = check_feasibility(variant)
+            variant, note = (variant, "") if feas.feasible else (None, feas.message)
+        variants.append(variant)
+        notes.append(note)
+    fits = _fit_variants(variants, train_cfg, runs, seed, jobs)
+    return [SweepCell(*cell, variant is not None, note, *fit)
+            for cell, variant, note, fit in zip(cells, variants, notes, fits)]
 
 
 @dataclass(frozen=True)
@@ -431,23 +422,21 @@ class ReceiverCell:
     runs: int
 
 
-def receiver_study(geom, train_cfg, u_x=(), rotation=(), layers=(), runs=3, seed=0):
+def receiver_study(geom, train_cfg, u_x=(), rotation=(), layers=(), runs=3, seed=0, jobs=1):
     """Refit while varying one receiver/stack parameter at a time.
 
     Sweeps receive spacing ``u_x`` (both axes together, in meters),
     receiver ``rotation`` (radians), and layer count (thickness held
     fixed, so the per-gap distance rescales). Returns one row per
-    (parameter, value) with mean/min/max dB over ``runs`` seeds.
+    (parameter, value) with mean/min/max dB over ``runs`` seeds; ``jobs``
+    worker processes fit the rows.
     """
-    rows = []
     points = [("u_x", v, dataclasses.replace(geom, u_x=v, u_y=v)) for v in u_x]
     points += [("rotation", v, dataclasses.replace(geom, rotation=v)) for v in rotation]
     points += [("layers", v, dataclasses.replace(geom, layers=v)) for v in layers]
-    for idx, (name, value, variant) in enumerate(points):
-        dbs = _fit_runs(variant, train_cfg, seed, idx, runs)
-        rows.append(ReceiverCell(name, float(value), float(np.mean(dbs)),
-                                 float(np.min(dbs)), float(np.max(dbs)), runs))
-    return rows
+    fits = _fit_variants([variant for _, _, variant in points], train_cfg, runs, seed, jobs)
+    return [ReceiverCell(name, float(value), *fit)
+            for (name, value, _), fit in zip(points, fits)]
 
 
 def fit_reference(geom, train_cfg):

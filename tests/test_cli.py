@@ -475,6 +475,14 @@ def test_source_range_edges_are_accepted(tmp_path, capsys, source):
     ("montecarlo", {"trials": 0, "snr_db": [10], "ideal": True}, "montecarlo.trials"),
     ("montecarlo", {"trials": 4, "snr_db": [10], "seed": -1, "ideal": True},
      "montecarlo.seed"),
+    # receiver values once exited 1 with SimGeometry's message, which names no key
+    ("sweep", {"mode": "receiver", "u_x": [0.0]}, "sweep.u_x[0]"),
+    ("sweep", {"mode": "receiver", "u_x": [0.5, -1.0]}, "sweep.u_x[1]"),
+    ("sweep", {"mode": "receiver", "u_x": [math.inf]}, "sweep.u_x[0]"),
+    ("sweep", {"mode": "receiver", "u_x": [math.nan]}, "sweep.u_x[0]"),
+    ("sweep", {"mode": "receiver", "rotation_deg": [math.inf]}, "sweep.rotation_deg[0]"),
+    ("sweep", {"mode": "receiver", "rotation_deg": [30.0, math.nan]}, "sweep.rotation_deg[1]"),
+    ("sweep", {"mode": "receiver", "layers": [0]}, "sweep.layers[0]"),
 ])
 def test_refused_inputs_exit_2_naming_the_key(tmp_path, capsys, command, section, key):
     base = {"sweep": {"geometry": {"n_x": 2, "n_y": 2}, "train": {"max_iters": 2}},
@@ -482,6 +490,20 @@ def test_refused_inputs_exit_2_naming_the_key(tmp_path, capsys, command, section
     code, err = _config_error(tmp_path, capsys, command, {**base, command: section})
     assert code == 2
     assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize("pipeline", ["wave", "digital"])
+@pytest.mark.parametrize("key", ["d_x", "d_y"])
+def test_montecarlo_refuses_input_spacing_other_than_half_wave(tmp_path, capsys, pipeline,
+                                                                key):
+    # trials draw and recover angles at half-wave spacing, so a 0.9 spacing
+    # once wrote the same montecarlo.csv as 0.5
+    doc = {**MC_DOC, "geometry": {**MC_DOC["geometry"], key: 0.9},
+           "montecarlo": {**MC_DOC["montecarlo"], "pipeline": pipeline}}
+    code, err = _config_error(tmp_path, capsys, "montecarlo", doc)
+    assert code == 2
+    assert f"'geometry.{key}' must be 0.5" in err
+    assert not (tmp_path / "run" / "montecarlo.csv").exists()
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])

@@ -17,7 +17,6 @@ from simdoa.experiments import (
     McConfig,
     McPoint,
     SourceTruth,
-    SweepSpec,
     ablation_sweep,
     digital_baseline,
     effective_rho,
@@ -700,12 +699,11 @@ def test_large_digital_array_reaches_its_floor():
 # ---------------------------------------------------------------------- sweeps
 
 def test_ablation_grid_shape_and_flags():
-    spec = SweepSpec(
-        n_x=2, n_y=2,
+    cells = ablation_sweep(
+        small_geom(), TrainConfig(max_iters=10),
         thickness_lam=(3.0,), layers=(1, 2), atoms=(1, 10, 25), spacing_lam=(0.5,),
-        train=TrainConfig(max_iters=10), runs=2, seed=0,
+        runs=2, seed=0,
     )
-    cells = ablation_sweep(spec)
     assert len(cells) == 6
     by_key = {(c.layers, c.atoms): c for c in cells}
     rank_cell = by_key[(1, 1)]
@@ -719,16 +717,53 @@ def test_ablation_grid_shape_and_flags():
     assert good.feasible
     assert good.runs == 2
     assert good.min_db <= good.mean_db <= good.max_db
+    # cells SimGeometry refuses are flagged with its message, not raised
+    refused = ablation_sweep(
+        small_geom(), TrainConfig(max_iters=10),
+        thickness_lam=(0.0,), layers=(0, 1), atoms=(25,), spacing_lam=(0.5,), runs=2,
+    )
+    assert [c.note for c in refused] == ["layers must be a positive integer, got 0",
+                                         "thickness must be positive and finite, got 0.0"]
+    for cell in refused:
+        assert not cell.feasible
+        assert cell.runs == 0
+        assert math.isnan(cell.mean_db) and math.isnan(cell.min_db) and math.isnan(cell.max_db)
 
 
 def test_ablation_parallel_matches_serial():
-    spec = SweepSpec(
-        n_x=2, n_y=2, thickness_lam=(3.0,), layers=(2,), atoms=(25,),
-        spacing_lam=(0.5,), train=TrainConfig(max_iters=8), runs=2, seed=1,
-    )
-    serial = ablation_sweep(spec)
-    parallel = ablation_sweep(dataclasses.replace(spec, jobs=2))
+    sweep = dict(thickness_lam=(3.0,), layers=(2,), atoms=(25,), spacing_lam=(0.5,),
+                 runs=2, seed=1)
+    serial = ablation_sweep(small_geom(), TrainConfig(max_iters=8), **sweep)
+    parallel = ablation_sweep(small_geom(), TrainConfig(max_iters=8), **sweep, jobs=2)
     assert serial == parallel
+
+
+def test_ablation_cell_fits_the_base_geometry_receiver():
+    # the base geometry's receiver spacing and rotation are kept; a cell's
+    # seeds come from its grid index, the flagged cell before it counted
+    base = small_geom(u_x=0.7 * LAM, u_y=0.7 * LAM, rotation=0.4)
+    cfg = TrainConfig(max_iters=10)
+    flagged, cell = ablation_sweep(base, cfg, thickness_lam=(3.0,), layers=(2,),
+                                   atoms=(1, 25), spacing_lam=(0.5,), runs=2, seed=5)
+    assert not flagged.feasible and cell.feasible
+    variant = dataclasses.replace(base, m_x=5, m_y=5, s_x=0.5 * LAM, s_y=0.5 * LAM,
+                                  layers=2, thickness=3.0 * LAM)
+    props = build_propagation_matrices(variant)
+    f = dft_matrix(2, 2).matrix
+    dbs = []
+    for run in range(2):
+        child = int(np.random.SeedSequence(5, spawn_key=(1, run)).generate_state(1)[0])
+        dbs.append(train(props, f, dataclasses.replace(cfg, seed=child)).best_db)
+    assert (cell.mean_db, cell.min_db, cell.max_db) == (
+        float(np.mean(dbs)), float(np.min(dbs)), float(np.max(dbs)))
+    assert cell.runs == 2
+
+
+def test_receiver_study_parallel_matches_serial():
+    geom = small_geom()
+    cfg = TrainConfig(max_iters=8)
+    study = dict(u_x=(geom.d_x, 2 * geom.d_x), rotation=(0.3,), layers=(1,), runs=2, seed=2)
+    assert receiver_study(geom, cfg, **study) == receiver_study(geom, cfg, **study, jobs=2)
 
 
 def test_receiver_study_rows_and_isomorphic_match():
