@@ -21,6 +21,7 @@ from .wavemodel import (
     forward_response,
     optimal_scale,
     fitting_loss,
+    antenna_field,
     synthesize_received,
     random_stack,
     cn_noise,
@@ -40,14 +41,12 @@ from .estimator import (
     SnapshotLattice,
     EnergyMap,
     DoaEstimate,
-    UnrealizableAngle,
     zeroth_layer_phase,
     zeroth_layer_config,
     collect_snapshots,
     peak_index,
     electrical_angles,
-    physical_angles,
-    half_wave_angles,
+    visible_angles,
     estimate_from_map,
     angular_spectrum,
     wrapped_angle_error,

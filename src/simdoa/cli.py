@@ -23,7 +23,7 @@ from . import __version__, analysis, experiments
 from .estimator import (ProtocolConfig, angular_spectrum, collect_snapshots,
                         estimate_from_map, steering_for)
 from .geometry import SimGeometry, build_propagation_matrices, dft_matrix
-from .trainer import TrainConfig, finite_diff_gradient, gradient, train_restarts
+from .trainer import TrainConfig, finite_diff_gradient, gradient
 from .wavemodel import PhaseStack, forward_response, optimal_scale, random_stack
 
 
@@ -208,7 +208,10 @@ def _parse_sweep(section, path):
 
 _SECTION_PARSERS = {
     "geometry": _parse_geometry,
-    "train": _from_fields(TrainConfig),
+    "train": _from_fields(TrainConfig, eta0=(_POSITIVE,),
+                          zeta=((lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),),
+                          max_iters=(_AT_LEAST_ONE,), rel_tolerance=(_NON_NEGATIVE,),
+                          seed=(_NON_NEGATIVE,), restarts=(_AT_LEAST_ONE,)),
     "protocol": _from_fields(ProtocolConfig, t_x=(_SIZE,), t_y=(_SIZE,)),
     "source": _parse_source,
     "estimate": lambda s, path: _read(s, path, _RUN),
@@ -398,16 +401,13 @@ def _response_for(config, args, command, ideal=None):
 def _cmd_fit(args, config):
     geom = _need(config, "geometry", "fit")
     train_cfg = _need(config, "train", "fit")
-    props = build_propagation_matrices(geom)
-    f = dft_matrix(geom.n_x, geom.n_y).matrix
-    reports = train_restarts(props, f, train_cfg)
-    best = min(reports, key=lambda r: r.best_loss)
+    best = experiments.fit_reference(geom, train_cfg)[0]
     stack_path = os.path.join(_outdir(args), "stack.bin")
     save_stack(stack_path, best.stack)
     _emit(args, config, "fit", "loss_history.csv", ["iteration", "loss", "loss_db"],
           [(i, f"{l:.17g}", f"{d:.10g}") for i, (l, d)
            in enumerate(zip(best.loss_history, best.loss_db_history))],
-          geom, [r.seed for r in reports], {
+          geom, [train_cfg.seed + i for i in range(train_cfg.restarts)], {
               "best_db": float(best.best_db),
               "best_seed": int(best.seed),
               "beta_abs": float(abs(best.beta)),
@@ -458,7 +458,8 @@ def _cmd_spectrum(args, config):
 
 def _cmd_estimate(args, config):
     emap, proto, geom, source = _spectrum_map(config, args, "estimate")
-    est = estimate_from_map(emap, proto, geom.n_x, geom.n_y, geom=geom)
+    est = estimate_from_map(emap, proto, geom.n_x, geom.n_y,
+                            (geom.d_x / geom.wavelength, geom.d_y / geom.wavelength))
     path = _emit(args, config, "estimate", "estimate.csv",
                  ["antenna", "snapshot", "psi_x", "psi_y", "phi_rad", "theta_rad"],
                  [(est.n, est.t, f"{est.psi_x:.10g}", f"{est.psi_y:.10g}",

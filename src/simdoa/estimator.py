@@ -110,10 +110,6 @@ class DoaEstimate:
         return not (np.isnan(self.phi).any() or np.isnan(self.theta).any())
 
 
-class UnrealizableAngle(ValueError):
-    """Electrical-angle pair maps outside the visible region."""
-
-
 def zeroth_layer_phase(n, t, n_x, n_y, proto):
     """Input-layer phase for atom n at snapshot t, in [0, 2*pi).
 
@@ -197,38 +193,18 @@ def electrical_angles(n, t, n_x, n_y, proto):
     return psi_x, psi_y
 
 
-def physical_angles(psi_x, psi_y, geom):
-    """Azimuth and elevation (radians) from normalized electrical angles.
+def visible_angles(psi_x, psi_y, d_x, d_y):
+    """Azimuth and elevation (radians) of normalized electrical angles.
 
-    Normalized angles are in units of pi radians per element. Raises
-    UnrealizableAngle when the pair lies outside the visible region.
-    Azimuth is 0 by convention at broadside, where it is otherwise undefined.
-    """
-    px = np.pi * psi_x
-    py = np.pi * psi_y
-    radius = np.sqrt((px / geom.d_x) ** 2 + (py / geom.d_y) ** 2) / geom.kappa
-    if radius > 1.0:
-        raise UnrealizableAngle(
-            f"electrical angles ({psi_x}, {psi_y}) map outside the visible region")
-    theta = float(np.arcsin(radius))
-    if psi_x == 0.0 and psi_y == 0.0:
-        return 0.0, 0.0
-    phi = float(np.mod(np.arctan2(py * geom.d_x, px * geom.d_y), 2.0 * np.pi))
-    return phi, theta
-
-
-def half_wave_angles(psi_x, psi_y):
-    """Azimuth and elevation (radians) of normalized angles under half-wavelength spacing.
-
-    The arithmetic of ``physical_angles`` with element spacings of half a
-    wavelength (d = 1/2 and kappa = 2*pi, lengths in wavelengths), the
-    spacing that Monte Carlo and paired trials assume, except that both
-    angles are NaN outside the visible region and squares are products.
-    Scalars give floats; arrays give arrays of their shape, each entry
-    equal to its scalar call bit for bit.
+    Normalized angles are in units of pi radians per element, and ``d_x``,
+    ``d_y`` are the input element spacings in wavelengths. Both angles are
+    NaN outside the visible region; azimuth is 0 by convention at
+    broadside, where it is otherwise undefined. Scalars give floats; arrays
+    give arrays of their shape, each entry equal to its scalar call bit for
+    bit.
     """
     px, py = np.pi * psi_x, np.pi * psi_y
-    radius = np.sqrt((px / 0.5) * (px / 0.5) + (py / 0.5) * (py / 0.5)) / TWO_PI
+    radius = np.sqrt((px / d_x) * (px / d_x) + (py / d_y) * (py / d_y)) / TWO_PI
     # A scalar branches in Python: the array form costs a one-element call
     # about 24 us against 4, and a paired trial makes two calls.
     if not np.ndim(radius):
@@ -236,49 +212,36 @@ def half_wave_angles(psi_x, psi_y):
             return math.nan, math.nan
         if psi_x == 0.0 and psi_y == 0.0:
             return 0.0, 0.0
-        return float(np.mod(np.arctan2(py * 0.5, px * 0.5), TWO_PI)), float(np.arcsin(radius))
+        return float(np.mod(np.arctan2(py * d_x, px * d_y), TWO_PI)), float(np.arcsin(radius))
     outside = radius > 1.0
     theta = np.arcsin(np.where(outside, np.nan, radius))
-    phi = np.mod(np.arctan2(py * 0.5, px * 0.5), TWO_PI)
+    phi = np.mod(np.arctan2(py * d_x, px * d_y), TWO_PI)
     phi[(psi_x == 0.0) & (psi_y == 0.0)] = 0.0
     phi[outside] = np.nan
     return phi, theta
 
 
-def estimate_from_map(emap, proto, n_x, n_y, geom=None, half_wave=False):
+def estimate_from_map(emap, proto, n_x, n_y, spacing):
     """Peak search plus angle recovery in one step.
 
-    Physical angles are filled from ``geom`` when given, or by
-    ``half_wave_angles`` with ``half_wave``; an unrealizable peak yields
-    NaN angles rather than an error so Monte Carlo scoring (which uses
-    electrical angles only) can proceed. The peak maps through the
+    ``spacing`` is the input grid's (d_x, d_y) in wavelengths, from which
+    ``visible_angles`` recovers the physical angles; an unrealizable peak
+    yields NaN angles rather than an error so Monte Carlo scoring (which
+    uses electrical angles only) can proceed. The peak maps through the
     (n_x, n_y) input grid, so the map must have one row per input cell,
     and its angles are read from the protocol's cached lattice. A batch of
     K maps gives one estimate of length-K arrays, entry k equal to map k's
-    own call; its physical angles come from ``half_wave`` or are NaN.
+    own call.
     """
     if emap.receivers != n_x * n_y:
         raise ValueError(f"energy map has {emap.receivers} receivers but the"
                          f" ({n_x}, {n_y}) input grid has {n_x * n_y} cells")
-    batch = emap.values.ndim == 3
-    if geom is not None and (half_wave or batch):
-        raise ValueError("geom gives the physical angles of one map, without half_wave")
     n_hat, t_hat = peak_index(emap)
     lattice = proto.lattice(n_x, n_y)
     psi_x, psi_y = lattice.psi_x[n_hat - 1, t_hat - 1], lattice.psi_y[n_hat - 1, t_hat - 1]
-    if not batch:
+    if emap.values.ndim == 2:
         psi_x, psi_y = float(psi_x), float(psi_y)
-    if half_wave:
-        phi, theta = half_wave_angles(psi_x, psi_y)
-    elif batch:
-        phi, theta = np.full((2, *np.shape(psi_x)), math.nan)
-    else:
-        phi = theta = math.nan
-        if geom is not None:
-            try:
-                phi, theta = physical_angles(psi_x, psi_y, geom)
-            except UnrealizableAngle:
-                pass
+    phi, theta = visible_angles(psi_x, psi_y, *spacing)
     return DoaEstimate(n=n_hat, t=t_hat, psi_x=psi_x, psi_y=psi_y, phi=phi, theta=theta)
 
 

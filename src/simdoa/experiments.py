@@ -13,8 +13,8 @@ from .estimator import (EnergyMap, ProtocolConfig, collect_snapshots,
                         estimate_from_map, steering_for, wrapped_angle_error)
 from .geometry import build_propagation_matrices, check_feasibility, dft_matrix
 from .trainer import train, train_restarts
-from .wavemodel import (cn_noise, complex_gaussian, forward_response, matvec_columns,
-                        optimal_scale)
+from .wavemodel import (antenna_field, cn_noise, complex_gaussian, forward_response,
+                        matvec_columns, optimal_scale, scale_field)
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def digital_baseline(source, proto, n_x, n_y, rho, noise=None):
     """
     sv = source.steering(n_x, n_y)
     values = _digital_energies(sv, source.s, rho, proto, n_x, n_y, noise)
-    return estimate_from_map(EnergyMap(values), proto, n_x, n_y, half_wave=True)
+    return estimate_from_map(EnergyMap(values), proto, n_x, n_y, (0.5, 0.5))
 
 
 def _digital_energies(sv, s, rho, proto, n_x, n_y, noise=None):
@@ -187,13 +187,8 @@ def _digital_energies(sv, s, rho, proto, n_x, n_y, noise=None):
     K trials take (K, N) steering entries, K symbols and (K, N, T) noise;
     slice k equals trial k's own call bit for bit.
     """
-    a = sv.entries[..., None]
-    if np.ndim(s):  # per-trial symbols lead; N and T broadcast
-        s = np.asarray(s)[:, None, None]
-    x = np.sqrt(rho) * (proto.lattice(n_x, n_y).zeroth.transmission() * a) * s
-    if noise is not None:
-        x = x + noise
-    return np.abs(matvec_columns(dft_matrix(n_x, n_y).matrix, x)) ** 2
+    field = scale_field(antenna_field(proto.lattice(n_x, n_y).zeroth, sv), s, rho, noise)
+    return np.abs(matvec_columns(dft_matrix(n_x, n_y).matrix, field)) ** 2
 
 
 def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
@@ -217,7 +212,7 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     sv = source.steering(n_x, n_y)  # digital_baseline reads the same vector
     emap = collect_snapshots(g, sv, source.s, rho_wave, proto, n_x, n_y,
                              noise=frame * (f @ u_ant))
-    wave = estimate_from_map(emap, proto, n_x, n_y, half_wave=True)
+    wave = estimate_from_map(emap, proto, n_x, n_y, (0.5, 0.5))
     digital = digital_baseline(source, proto, n_x, n_y, rho_digital, noise=u_ant)
     return wave, digital
 
@@ -266,7 +261,7 @@ def _mc_block(cfg, snr_index, trials, rho):
     else:
         emap = EnergyMap(_digital_energies(sv, inp.s, run_rho, cfg.proto, cfg.n_x, cfg.n_y,
                                            noise))
-    est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, half_wave=True)
+    est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, (0.5, 0.5))
     ex = wrapped_angle_error(psi_x, est.psi_x)
     ey = wrapped_angle_error(psi_y, est.psi_y)
     bx = by = np.full(len(sources), np.nan)
@@ -394,9 +389,13 @@ def ablation_sweep(geom, train_cfg, thickness_lam, layers, atoms, spacing_lam, r
     variants, notes = [], []
     for thickness, n_layers, n_atoms, spacing in cells:
         try:
-            side = math.isqrt(n_atoms)
-            if side * side != n_atoms:
-                raise ValueError(f"atom count {n_atoms} is not a square grid")
+            # checked here, so that a note names the sweep key and its value in wavelengths
+            for key, value in (("thickness_lam", thickness), ("spacing_lam", spacing)):
+                if not 0.0 < value < math.inf:
+                    raise ValueError(f"{key} must be positive and finite, got {value}")
+            side = math.isqrt(max(n_atoms, 0))
+            if side < 1 or side * side != n_atoms:
+                raise ValueError(f"atoms must be a positive square, got {n_atoms}")
             variant = dataclasses.replace(geom, m_x=side, m_y=side, s_x=spacing * lam,
                                           s_y=spacing * lam, layers=n_layers,
                                           thickness=thickness * lam)

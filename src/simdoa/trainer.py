@@ -17,13 +17,13 @@ class TrainConfig:
     restarts: int = 1
 
     def __post_init__(self):
-        if self.eta0 <= 0.0:
-            raise ValueError("eta0 must be > 0")
+        if not 0.0 < self.eta0 < np.inf:
+            raise ValueError("eta0 must be positive and finite")
         if not (0.0 < self.zeta <= 1.0):
             raise ValueError("zeta must lie in (0, 1]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tolerance < 0.0:
+        if not self.rel_tolerance >= 0.0:  # NaN would silently disable early stopping
             raise ValueError("rel_tolerance must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")

@@ -102,24 +102,28 @@ def matvec_columns(m, x):
     return (m @ x.swapaxes(-1, -2)[..., None])[..., 0].swapaxes(-1, -2)
 
 
+def antenna_field(zeroth, sv):
+    """Antenna field Y_0 a, one column per snapshot (N, T); steering entries (K, N) give (K, N, T).
+
+    The wave path propagates it through the stack, the digital path through the numeric DFT.
+    """
+    return zeroth.transmission() * sv.entries[..., None]
+
+
 def synthesize_received(g, zeroth, sv):
     """Unit receive field G Y_0 a, one column per snapshot (R x T).
 
-    ``zeroth`` holds the T snapshots' phases as columns (N, T); column t
-    equals its own ``g @`` product bit for bit. Steering entries (K, N) run
-    K trials at once: the result gains a leading trial axis, each trial's
-    slice equal to its one-trial call bit for bit. ``scale_field`` turns
-    the field into received snapshots, so one field serves any SNR, symbol
-    and noise.
+    Column t equals its own ``g @`` product bit for bit. Steering entries
+    (K, N) run K trials at once: the result gains a leading trial axis,
+    each trial's slice equal to its one-trial call bit for bit.
+    ``scale_field`` turns the field into received snapshots, so one field
+    serves any SNR, symbol and noise.
     """
-    a = sv.entries
-    # built snapshot-major, so each (N,) column handed to the matvec is contiguous
-    x = (zeroth.transmission().T * (a[:, None] if a.ndim == 2 else a)).swapaxes(-1, -2)
-    return matvec_columns(g, x)
+    return matvec_columns(g, antenna_field(zeroth, sv))
 
 
 def scale_field(field, s, rho, noise=None):
-    """Received snapshots sqrt(rho) * field * s + noise from a unit field G Y_0 a.
+    """Snapshots sqrt(rho) * field * s + noise from a unit field, G Y_0 a or the antenna field.
 
     The one place where SNR, symbol and noise enter a snapshot. ``field`` is
     (R, T) or (K, R, T); ``s`` is a scalar or one symbol per snapshot, and

@@ -566,7 +566,7 @@ def test_python_m_simdoa_runs_without_warnings():
 @pytest.mark.parametrize("command,doc,message", [
     # np.random.default_rng refused these late with exit 1
     ("fit", {**tiny_fit_doc(), "train": {"max_iters": 2, "seed": -1}},
-     "train: seed must be >= 0"),
+     "'train.seed' must be >= 0"),
     ("estimate", {**RUN_DOC, "estimate": {"ideal": True, "snr_db": 10, "seed": -1}},
      "'estimate.seed' must be >= 0"),
     ("spectrum", {**RUN_DOC, "spectrum": {"ideal": True, "snr_db": 10, "seed": -1}},
@@ -576,6 +576,22 @@ def test_negative_seeds_exit_2(tmp_path, capsys, command, doc, message):
     code, err = _config_error(tmp_path, capsys, command, doc)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("eta0", math.nan, "must be positive and finite"),
+    ("eta0", math.inf, "must be positive and finite"),
+    ("rel_tolerance", math.nan, "must be >= 0"),
+    ("zeta", 1.5, "must lie in (0, 1]"),
+], ids=["eta0-nan", "eta0-inf", "rel_tolerance-nan", "zeta"])
+def test_train_values_exit_2_naming_the_key(tmp_path, capsys, key, value, message):
+    # a non-finite eta0 once diverged at iteration 1 (exit 1), a NaN rel_tolerance
+    # silently disabled early stopping, and zeta's message named no dotted key
+    doc = tiny_fit_doc()
+    doc["train"][key] = value
+    code, err = _config_error(tmp_path, capsys, "fit", doc)
+    assert code == 2
+    assert f"'train.{key}' {message}" in err
 
 
 @pytest.mark.parametrize("command,section,key", [

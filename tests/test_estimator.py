@@ -1,5 +1,5 @@
+import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,15 +8,13 @@ from simdoa.estimator import (
     DoaEstimate,
     EnergyMap,
     ProtocolConfig,
-    UnrealizableAngle,
     angular_spectrum,
     collect_snapshots,
     electrical_angles,
     estimate_from_map,
-    half_wave_angles,
     peak_index,
-    physical_angles,
     steering_for,
+    visible_angles,
     wrapped_angle_error,
     zeroth_layer_config,
     zeroth_layer_phase,
@@ -66,6 +64,23 @@ def scalar_electrical_angles(n, t, n_x, n_y, proto):
     psi_x = np.mod(2.0 * ((nx - 1) / n_x + (tx - 1) / (n_x * proto.t_x)) + 1.0, 2.0) - 1.0
     psi_y = np.mod(2.0 * ((ny - 1) / n_y + (ty - 1) / (n_y * proto.t_y)) + 1.0, 2.0) - 1.0
     return float(psi_x), float(psi_y)
+
+
+def physical_angles(psi_x, psi_y, geom):
+    """Azimuth and elevation (radians) of two floats, from ``geom``'s spacings in meters.
+
+    Both angles are NaN outside the visible region; azimuth is 0 at broadside.
+    """
+    px = np.pi * psi_x
+    py = np.pi * psi_y
+    radius = np.sqrt((px / geom.d_x) ** 2 + (py / geom.d_y) ** 2) / geom.kappa
+    if radius > 1.0:
+        return math.nan, math.nan
+    theta = float(np.arcsin(radius))
+    if psi_x == 0.0 and psi_y == 0.0:
+        return 0.0, 0.0
+    phi = float(np.mod(np.arctan2(py * geom.d_x, px * geom.d_y), 2.0 * np.pi))
+    return phi, theta
 
 
 def make_geom(n_x=2, n_y=2):
@@ -396,12 +411,17 @@ def test_physical_angles_examples():
     phi, theta = physical_angles(0.6, 0.8, geom)
     assert theta == pytest.approx(math.pi / 2)
     assert phi == pytest.approx(math.atan2(0.8, 0.6))
+    assert visible_angles(0.0, 0.0, 0.5, 0.5) == (0.0, 0.0)
 
 
 def test_physical_angles_unrealizable():
-    geom = make_geom()
-    with pytest.raises(UnrealizableAngle):
-        physical_angles(0.9, 0.9, geom)
+    assert all(math.isnan(a) for a in physical_angles(0.9, 0.9, make_geom()))
+    assert all(math.isnan(a) for a in visible_angles(0.9, 0.9, 0.5, 0.5))
+    assert all(math.isnan(a) for a in visible_angles(-1.0, -1.0, 0.5, 0.5))
+    # the same pair is visible once the elements sit further apart
+    phi, theta = visible_angles(0.9, 0.9, 0.7, 0.7)
+    assert math.sin(theta) == pytest.approx(math.hypot(0.9, 0.9) / 1.4)
+    assert phi == pytest.approx(math.pi / 4)
 
 
 def _half_wave_lattices():
@@ -411,38 +431,37 @@ def _half_wave_lattices():
         yield lattice.psi_x.ravel(), lattice.psi_y.ravel()
 
 
-def test_half_wave_angles_arrays_equal_scalar_calls_bit_for_bit():
+@pytest.mark.parametrize("d_x, d_y", [(0.5, 0.5), (0.4, 0.4), (0.7, 0.37)])
+def test_visible_angles_arrays_equal_scalar_calls_bit_for_bit(d_x, d_y):
     rng = np.random.default_rng(14)
     cases = list(_half_wave_lattices())
     cases.append(tuple(rng.uniform(-1.0, 1.0, (2, 500))))
     cases.append((np.array([0.0, -0.0, 0.0, -1.0, 0.6, -0.6]),
                   np.array([0.0, 0.0, -0.0, 0.0, 0.8, -0.8])))
     for psi_x, psi_y in cases:
-        phi, theta = half_wave_angles(psi_x, psi_y)
+        phi, theta = visible_angles(psi_x, psi_y, d_x, d_y)
         assert phi.shape == theta.shape == psi_x.shape
         for i in range(psi_x.size):
-            one = half_wave_angles(float(psi_x[i]), float(psi_y[i]))
+            one = visible_angles(float(psi_x[i]), float(psi_y[i]), d_x, d_y)
             assert type(one[0]) is float and type(one[1]) is float
             got = (float(phi[i]), float(theta[i]))
             assert np.array_equal(np.array(got), np.array(one), equal_nan=True), (i, got, one)
 
 
-def test_half_wave_angles_agree_with_physical_angles_on_a_half_wave_grid():
-    # on every lattice cell, visibility is decided exactly as physical_angles decides it
-    # for element spacings of half a wavelength, lengths in wavelengths
-    half_wave = SimpleNamespace(d_x=0.5, d_y=0.5, kappa=2.0 * math.pi)
-    for psi_x, psi_y in _half_wave_lattices():
-        phi, theta = half_wave_angles(psi_x, psi_y)
-        for i in range(psi_x.size):
-            try:
-                want = physical_angles(float(psi_x[i]), float(psi_y[i]), half_wave)
-            except UnrealizableAngle:
-                assert math.isnan(phi[i]) and math.isnan(theta[i])
-                continue
-            assert phi[i] == pytest.approx(want[0], abs=1e-12)
-            assert math.sin(theta[i]) == pytest.approx(math.sin(want[1]), abs=1e-12)
-    assert half_wave_angles(0.0, 0.0) == (0.0, 0.0)
-    assert all(math.isnan(a) for a in half_wave_angles(-1.0, -1.0))
+def test_visible_angles_agree_with_physical_angles():
+    # on every lattice cell, visibility is decided as physical_angles decides it from
+    # spacings in meters, and the angles agree to rounding
+    for spacing in (0.4, 0.5, 0.7):
+        geom = dataclasses.replace(make_geom(), d_x=spacing * LAM, d_y=spacing * LAM)
+        for psi_x, psi_y in _half_wave_lattices():
+            phi, theta = visible_angles(psi_x, psi_y, spacing, spacing)
+            for i in range(psi_x.size):
+                want = physical_angles(float(psi_x[i]), float(psi_y[i]), geom)
+                if math.isnan(want[0]):
+                    assert math.isnan(phi[i]) and math.isnan(theta[i])
+                    continue
+                assert phi[i] == pytest.approx(want[0], abs=1e-12)
+                assert math.sin(theta[i]) == pytest.approx(math.sin(want[1]), abs=1e-12)
 
 
 def test_estimate_batch_equals_one_map_calls():
@@ -451,11 +470,11 @@ def test_estimate_batch_equals_one_map_calls():
     values = rng.uniform(0.0, 1.0, (9, 6, proto.t))
     values[2] = 1.0  # every cell tied: the first cell wins
     values[4, 5, 5] = 7.0  # the last cell
-    batch = estimate_from_map(EnergyMap(values), proto, 3, 2, half_wave=True)
+    batch = estimate_from_map(EnergyMap(values), proto, 3, 2, (0.5, 0.5))
     assert not batch.realizable or all(
-        estimate_from_map(EnergyMap(v), proto, 3, 2, half_wave=True).realizable for v in values)
+        estimate_from_map(EnergyMap(v), proto, 3, 2, (0.5, 0.5)).realizable for v in values)
     for i, v in enumerate(values):
-        one = estimate_from_map(EnergyMap(v), proto, 3, 2, half_wave=True)
+        one = estimate_from_map(EnergyMap(v), proto, 3, 2, (0.5, 0.5))
         assert (batch.n[i], batch.t[i]) == (one.n, one.t)
         assert (batch.psi_x[i], batch.psi_y[i]) == (one.psi_x, one.psi_y)
         assert (one.psi_x, one.psi_y) == electrical_angles(one.n, one.t, 3, 2, proto)
@@ -463,26 +482,27 @@ def test_estimate_batch_equals_one_map_calls():
                               equal_nan=True)
     assert (batch.n[2], batch.t[2]) == (1, 1)
     assert (batch.n[4], batch.t[4]) == (6, 6)
-    plain = estimate_from_map(EnergyMap(values), proto, 3, 2)
-    assert np.all(np.isnan(plain.phi)) and not plain.realizable
-    with pytest.raises(ValueError):
-        estimate_from_map(EnergyMap(values), proto, 3, 2, geom=make_geom(3, 2))
 
 
 def test_estimate_nan_for_unrealizable_peak():
     proto = ProtocolConfig()
     v = np.zeros((4, 1))
     v[3, 0] = 1.0  # cell (-1, -1): radius sqrt(2) > 1
-    est = estimate_from_map(EnergyMap(v), proto, 2, 2, geom=make_geom())
+    est = estimate_from_map(EnergyMap(v), proto, 2, 2, (0.5, 0.5))
     assert (est.psi_x, est.psi_y) == (-1.0, -1.0)
     assert not est.realizable
     assert math.isnan(est.phi) and math.isnan(est.theta)
+    # at 0.75 wavelengths the same cell lies at radius sqrt(2) / 1.5, inside the visible region
+    wide = estimate_from_map(EnergyMap(v), proto, 2, 2, (0.75, 0.75))
+    assert wide.realizable
+    geom = dataclasses.replace(make_geom(), d_x=0.75 * LAM, d_y=0.75 * LAM)
+    assert (wide.phi, wide.theta) == pytest.approx(physical_angles(-1.0, -1.0, geom), abs=1e-12)
 
 
-def test_estimate_without_geometry_has_nan_angles():
-    est = estimate_from_map(EnergyMap(np.array([[1.0]])), ProtocolConfig(), 1, 1)
+def test_estimate_of_a_one_cell_map_is_broadside():
+    est = estimate_from_map(EnergyMap(np.array([[1.0]])), ProtocolConfig(), 1, 1, (0.5, 0.5))
     assert est.n == 1 and est.t == 1
-    assert math.isnan(est.phi)
+    assert (est.phi, est.theta) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("receivers", [2, 9])
@@ -490,7 +510,7 @@ def test_estimate_refuses_receiver_grid_other_than_input_grid(receivers):
     # a 2-row map once came back as a cell of the 2x2 grid, silently
     with pytest.raises(ValueError, match=rf"{receivers} receivers.*\(2, 2\).*4 cells"):
         estimate_from_map(EnergyMap(np.ones((receivers, 4))), ProtocolConfig(t_x=2, t_y=2),
-                          2, 2)
+                          2, 2, (0.5, 0.5))
 
 
 def test_on_lattice_round_trip():
@@ -504,7 +524,7 @@ def test_on_lattice_round_trip():
         psi = electrical_angles(n0, t0, 2, 2, proto)
         sv = steering_for(psi[0], psi[1], 2, 2)
         emap = collect_snapshots(f, sv, 1.0 + 0j, 1.0, proto, 2, 2)
-        est = estimate_from_map(emap, proto, 2, 2)
+        est = estimate_from_map(emap, proto, 2, 2, (0.5, 0.5))
         assert (est.n, est.t) == (n0, t0)
         assert (est.psi_x, est.psi_y) == psi
 

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import warnings
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -201,7 +200,7 @@ def two_vector_paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
     x = np.sqrt(rho_digital) * (np.exp(1j * xi0) * sv.entries[..., None]) * source.s + u_ant
     digital_map = np.abs(matvec_columns(f, x)) ** 2
-    return [estimate_from_map(EnergyMap(m), proto, n_x, n_y, half_wave=True)
+    return [estimate_from_map(EnergyMap(m), proto, n_x, n_y, (0.5, 0.5))
             for m in (wave_map, digital_map)], [wave_map, digital_map]
 
 
@@ -453,12 +452,6 @@ def test_mc_parallel_matches_serial():
     assert serial.bound == parallel.bound
 
 
-# Element spacings of half a wavelength (lengths in wavelengths), read by
-# physical_angles the way the trials recovered physical angles before
-# half_wave_angles.
-_HALF_WAVE = SimpleNamespace(d_x=0.5, d_y=0.5, kappa=2.0 * np.pi)
-
-
 def _mc_trial(cfg, snr_index, trial, rho):
     """One trial on its own, as ``run_monte_carlo`` ran it before blocks, as an oracle.
 
@@ -487,7 +480,7 @@ def _mc_trial(cfg, snr_index, trial, rho):
             noise = cn_noise(rng, (np.asarray(cfg.g).shape[0], cfg.proto.t))
             emap = collect_snapshots(cfg.g, sv, source.s, rho, cfg.proto,
                                      cfg.n_x, cfg.n_y, noise=noise)
-        est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, geom=_HALF_WAVE)
+        est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, (0.5, 0.5))
         g_for_bound = cfg.g
     ex = wrapped_angle_error(source.psi_x, est.psi_x)
     ey = wrapped_angle_error(source.psi_y, est.psi_y)
@@ -720,14 +713,29 @@ def test_ablation_grid_shape_and_flags():
     # cells SimGeometry refuses are flagged with its message, not raised
     refused = ablation_sweep(
         small_geom(), TrainConfig(max_iters=10),
-        thickness_lam=(0.0,), layers=(0, 1), atoms=(25,), spacing_lam=(0.5,), runs=2,
+        thickness_lam=(0.0, 3.0), layers=(0,), atoms=(25,), spacing_lam=(0.5,), runs=2,
     )
-    assert [c.note for c in refused] == ["layers must be a positive integer, got 0",
-                                         "thickness must be positive and finite, got 0.0"]
+    assert [c.note for c in refused] == ["thickness_lam must be positive and finite, got 0.0",
+                                         "layers must be a positive integer, got 0"]
     for cell in refused:
         assert not cell.feasible
         assert cell.runs == 0
         assert math.isnan(cell.mean_db) and math.isnan(cell.min_db) and math.isnan(cell.max_db)
+
+
+def test_ablation_notes_name_the_sweep_key_in_wavelengths():
+    # notes once named the geometry field in meters ("thickness ... got -0.005"), s_x for
+    # the spacing, and gave isqrt's own error for a negative atom count
+    base = dict(thickness_lam=(3.0,), layers=(2,), atoms=(25,), spacing_lam=(0.5,))
+    for override, note in ((dict(thickness_lam=(-1.0,)),
+                            "thickness_lam must be positive and finite, got -1.0"),
+                           (dict(spacing_lam=(-2.0,)),
+                            "spacing_lam must be positive and finite, got -2.0"),
+                           (dict(atoms=(-4,)), "atoms must be a positive square, got -4"),
+                           (dict(atoms=(0,)), "atoms must be a positive square, got 0")):
+        cell, = ablation_sweep(small_geom(), TrainConfig(max_iters=2), **{**base, **override})
+        assert cell.note == note
+        assert not cell.feasible and cell.runs == 0
 
 
 def test_ablation_parallel_matches_serial():

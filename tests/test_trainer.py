@@ -216,6 +216,9 @@ def test_config_validation():
         TrainConfig(zeta=1.2)
     with pytest.raises(ValueError):
         TrainConfig(rel_tolerance=-1e-3)
+    for bad in ({"eta0": math.nan}, {"eta0": math.inf}, {"rel_tolerance": math.nan}):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
     with pytest.raises(ValueError):
         TrainConfig(restarts=0)
 
