@@ -12,11 +12,12 @@ MSE on each normalized-angle axis.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .estimator import peak_cells
 from .geometry import steering_vector
 from .wavemodel import synthesize_received
+
+_ERFC_ZERO = 26.64174755704633  # least x with erfc(x) == 0.0 (scipy 1.17.1)
 
 
 class DegenerateField(ValueError):
@@ -25,6 +26,7 @@ class DegenerateField(ValueError):
 
 def q_function(x):
     """Standard Gaussian tail probability P(Z > x). Accepts arrays."""
+    from scipy.special import erfc  # scipy loads only when a bound is evaluated
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
@@ -91,9 +93,10 @@ def _wilson_hilferty(nu1, nu2, nu3):
     where the signed real cube root keeps the expression defined. A cell
     whose moments vanish (nu3 = 0, equal noncentralities) gets the exact
     symmetric-case value 1/2, which is also the continuous limit. Every
-    cell is transformed in place in one result array, with the divisions
+    cell is transformed in place in one work array, with the divisions
     by zero of nu3 = 0 cells silenced, and those cells are then set to 1/2.
     """
+    from scipy.special import erfc
     nu1, nu2, nu3 = (np.asarray(v, dtype=float) for v in (nu1, nu2, nu3))
     with np.errstate(divide="ignore", invalid="ignore"):
         h = nu2 ** 3
@@ -106,10 +109,13 @@ def _wilson_hilferty(nu1, nu2, nu3):
         z -= 1.0
         z += 2.0 / (9.0 * h)
         z *= np.sqrt(9.0 * h / 2.0)
-        # q_function(-z), the Gaussian tail, then clipped to [0, 1]
+        # q_function(-z), the Gaussian tail, then clipped to [0, 1]; erfc runs only where
+        # it is not 0.0, below _ERFC_ZERO or NaN, and the other cells hold 0.0
         np.negative(z, out=z)
         z /= np.sqrt(2.0)
-        probs = erfc(z, out=z)
+        live = ~(z >= _ERFC_ZERO)
+        probs = np.zeros(z.shape)
+        probs[live] = erfc(z[live])
         probs *= 0.5
         np.clip(probs, 0.0, 1.0, out=probs)
     probs[nu3 == 0.0] = 0.5

@@ -208,7 +208,8 @@ def _parse_sweep(section, path):
 
 _SECTION_PARSERS = {
     "geometry": _parse_geometry,
-    "train": _from_fields(TrainConfig, eta0=(_POSITIVE,),
+    "train": _from_fields(TrainConfig,
+                          eta0=(_POSITIVE, (lambda v: v <= 2.0, "must be at most 2, a full turn")),
                           zeta=((lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),),
                           max_iters=(_AT_LEAST_ONE,), rel_tolerance=(_NON_NEGATIVE,),
                           seed=(_NON_NEGATIVE,), restarts=(_AT_LEAST_ONE,)),

@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,6 +294,7 @@ def run_monte_carlo(cfg):
     blocks = [(cfg, si, range(start, min(start + size, cfg.trials)), rho)
               for si, rho in enumerate(rhos) for start in starts]
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # -j 1 runs never load it
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_mc_block, *zip(*blocks)))
     else:
@@ -359,6 +359,7 @@ def _fit_variants(variants, train_cfg, runs, seed, jobs):
     todo = [(geom, train_cfg, seed, index, runs)
             for index, geom in enumerate(variants) if geom is not None]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             fits = list(pool.map(_fit_runs, *zip(*todo)))
     else:

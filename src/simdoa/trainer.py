@@ -17,8 +17,8 @@ class TrainConfig:
     restarts: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.eta0 < np.inf:
-            raise ValueError("eta0 must be positive and finite")
+        if not 0.0 < self.eta0 <= 2.0:  # the step is eta0*pi rad; 2 is a full turn
+            raise ValueError("eta0 must lie in (0, 2]")
         if not (0.0 < self.zeta <= 1.0):
             raise ValueError("zeta must lie in (0, 1]")
         if self.max_iters < 1:

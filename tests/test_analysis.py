@@ -4,9 +4,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
+from simdoa import analysis
 from simdoa.analysis import (
     BoundInputs,
+    _ERFC_ZERO,
     _wilson_hilferty,
     DegenerateField,
     clean_field,
@@ -15,7 +18,8 @@ from simdoa.analysis import (
     quantization_floor,
 )
 from simdoa.estimator import (EnergyMap, ProtocolConfig, collect_snapshots, electrical_angles,
-                              peak_index, steering_for)
+                              peak_cells, peak_index, steering_for)
+from simdoa.experiments import effective_rho
 from simdoa.geometry import dft_matrix
 
 
@@ -71,18 +75,55 @@ def moments(delta_nt, delta_peak):
     return MomentTriple(*out)
 
 
+def _cube_root_z(nu1, nu2, nu3):
+    """The centered, scaled cube-root coordinate z of the transform, expression by expression."""
+    h = nu2 ** 3 / nu3 ** 2
+    ratio = 1.0 - nu1 / np.sqrt(h * nu2)
+    return (np.cbrt(ratio) - 1.0 + 2.0 / (9.0 * h)) * np.sqrt(9.0 * h / 2.0)
+
+
 def _masked_wilson_hilferty(nu1, nu2, nu3):
-    """The transform on the nu3 != 0 cells only, scattered into an array of 1/2."""
+    """The transform on the nu3 != 0 cells only, scattered into an array of 1/2.
+
+    ``q_function`` evaluates erfc on every one of those cells.
+    """
     nu1 = np.asarray(nu1, dtype=float)
     nu2 = np.asarray(nu2, dtype=float)
     nu3 = np.asarray(nu3, dtype=float)
     probs = np.full(nu1.shape, 0.5)
     live = nu3 != 0.0
-    h = nu2[live] ** 3 / nu3[live] ** 2
-    ratio = 1.0 - nu1[live] / np.sqrt(h * nu2[live])
-    z = (np.cbrt(ratio) - 1.0 + 2.0 / (9.0 * h)) * np.sqrt(9.0 * h / 2.0)
+    z = _cube_root_z(nu1[live], nu2[live], nu3[live])
     probs[live] = np.clip(q_function(-z), 0.0, 1.0)
     return probs
+
+
+def _erfc_argument(nu1, nu2, nu3):
+    """The argument -z/sqrt(2) that the transform hands to erfc."""
+    return -_cube_root_z(nu1, nu2, nu3) / np.sqrt(2.0)
+
+
+def _moments_from(delta, d_peak):
+    """Sign-adjusted moments (nu1, nu2, nu3) of cells with noncentralities ``delta``."""
+    nu1 = d_peak - delta
+    return nu1, 4.0 + 2.0 * (delta + d_peak), 3.0 * nu1
+
+
+def _deltas_across_the_cutoff(d_peak):
+    """Eight adjacent floats delta whose cells put erfc's argument on either side of _ERFC_ZERO.
+
+    The argument falls as delta grows, so a bisection on the bit patterns of
+    delta in [0, d_peak/2] finds the last float whose argument reaches the cutoff.
+    """
+    def beyond(bits):
+        delta = np.array([np.int64(bits).view(np.float64)])
+        return _erfc_argument(*_moments_from(delta, d_peak))[0] >= _ERFC_ZERO
+
+    lo, hi = int(np.float64(0.0).view(np.int64)), int(np.float64(d_peak / 2.0).view(np.int64))
+    assert beyond(lo) and not beyond(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if beyond(mid) else (lo, mid)
+    return np.arange(hi - 4, hi + 4).view(np.float64)
 
 
 def detection_prob_bound(mt, peak_cell=False):
@@ -265,6 +306,15 @@ def test_wilson_hilferty_in_place_equals_masked_oracle():
     cases.append((np.array([5.0, -3.0, 40.0, 0.0, 1.0, 2.0, 0.0]),
                   np.array([1.0, 2.0, 3.0, 0.0, 0.0, 4.0, 0.0]),
                   np.array([0.5, -7.0, 0.1, 1.0, 2.0, 0.0, 0.0])))
+    # erfc's argument one float either side of its underflow point, and +inf, -inf, NaN
+    d_peak = 4000.0
+    cases.append(_moments_from(_deltas_across_the_cutoff(d_peak), d_peak))
+    arg = _erfc_argument(*cases[-1])
+    assert np.any(arg == _ERFC_ZERO)
+    assert 0.0 < erfc(np.max(arg[arg < _ERFC_ZERO])) < 1e-309  # a few floats below it
+    cases.append((np.array([np.inf, -np.inf, np.nan]), np.ones(3), np.ones(3)))
+    assert np.array_equal(_erfc_argument(*cases[-1]), [np.inf, -np.inf, np.nan],
+                          equal_nan=True)
     for nu1, nu2, nu3 in cases:
         inputs = [a.copy() for a in (nu1, nu2, nu3)]
         with np.errstate(all="ignore"):
@@ -275,7 +325,39 @@ def test_wilson_hilferty_in_place_equals_masked_oracle():
         assert np.array_equal(_bits(got), _bits(want))
         assert np.all(got[nu3 == 0.0] == 0.5)
         for a, b in zip(inputs, (nu1, nu2, nu3)):
-            assert np.array_equal(a, b)  # the inputs are left as they were
+            assert np.array_equal(_bits(a), _bits(b))  # the inputs are left as they were
+
+
+def test_erfc_zero_is_the_installed_underflow_point():
+    # a scipy whose erfc underflows at another point fails here, not in the bound's bits
+    assert erfc(_ERFC_ZERO) == 0.0
+    assert erfc(np.nextafter(_ERFC_ZERO, 0.0)) > 0.0
+    assert erfc(np.inf) == 0.0
+    assert not np.any(erfc(np.geomspace(_ERFC_ZERO, 1e308, 1001)))
+
+
+@pytest.mark.parametrize("snr_db", [0, 10, 20, 30])
+def test_bound_on_4x4_blocks_equals_erfc_on_every_cell(monkeypatch, snr_db):
+    # a 16-trial 4x4/T=8x8 block, most of whose cells lie beyond the cutoff
+    rng = np.random.default_rng(snr_db)
+    k, proto = 16, ProtocolConfig(t_x=8, t_y=8)
+    psi_x, psi_y = rng.uniform(-1.0, 1.0, (2, k))
+    s = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2.0)
+    rho = effective_rho(10.0 ** (snr_db / 10.0), 1.0, 16, proto.t)
+    inp = BoundInputs(g=dft_matrix(4, 4).matrix, proto=proto, n_x=4, n_y=4,
+                      psi_x=psi_x, psi_y=psi_y, rho=rho, s=s)
+    delta = noncentrality_map(inp)
+    n_pk, t_pk = peak_cells(delta)
+    nus = _moments_from(delta, delta[np.arange(k), n_pk, t_pk][:, None, None])
+    with np.errstate(all="ignore"):
+        assert np.mean(_erfc_argument(*nus) >= _ERFC_ZERO) > 0.6
+        want = _masked_wilson_hilferty(*nus)
+    assert np.array_equal(_bits(_wilson_hilferty(*nus)), _bits(want))
+    got = mse_bound(inp)
+    monkeypatch.setattr(analysis, "_ERFC_ZERO", math.inf)  # erfc on every cell
+    want = mse_bound(inp)
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 def test_detection_tracks_monte_carlo():

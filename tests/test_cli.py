@@ -563,6 +563,43 @@ def test_python_m_simdoa_runs_without_warnings():
     assert proc.stdout.strip() == simdoa.__version__
 
 
+_LOADED_MODULES = """\
+import sys
+from simdoa import cli
+workdir, commands = sys.argv[1], sys.argv[2:]
+print("loaded: import", "scipy" in sys.modules, "concurrent.futures" in sys.modules)
+for command in commands:
+    jobs = ["-j", "1"] if command == "montecarlo" else []
+    code = cli.main([command, "-c", f"{workdir}/{command}.yaml", "-o", f"{workdir}/{command}",
+                     *jobs])
+    print("loaded:", command, code, "scipy" in sys.modules, "concurrent.futures" in sys.modules)
+"""
+
+
+def test_scipy_and_the_process_pool_load_only_when_used(tmp_path):
+    # scipy (for the bound's erfc) and concurrent.futures loaded with the
+    # package, so every subcommand and every -j 1 run paid for both
+    docs = {"fit": tiny_fit_doc(max_iters=2, restarts=1),
+            "spectrum": {**RUN_DOC, "spectrum": {"ideal": True}},
+            "estimate": {**RUN_DOC, "estimate": {"ideal": True, "snr_db": 10}},
+            "montecarlo": MC_DOC}
+    for command, doc in docs.items():
+        write_config(tmp_path / f"{command}.yaml", doc)
+    src = os.path.dirname(os.path.dirname(simdoa.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, str(tmp_path), *docs],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line.split()[1:] for line in proc.stdout.splitlines()
+              if line.startswith("loaded:")]
+    assert loaded[:4] == [["import", "False", "False"], ["fit", "0", "False", "False"],
+                          ["spectrum", "0", "False", "False"],
+                          ["estimate", "0", "False", "False"]]
+    # with_bound is on by default; scipy may load concurrent.futures itself
+    assert loaded[4][:3] == ["montecarlo", "0", "True"]
+
+
 @pytest.mark.parametrize("command,doc,message", [
     # np.random.default_rng refused these late with exit 1
     ("fit", {**tiny_fit_doc(), "train": {"max_iters": 2, "seed": -1}},
@@ -583,10 +620,13 @@ def test_negative_seeds_exit_2(tmp_path, capsys, command, doc, message):
     ("eta0", math.inf, "must be positive and finite"),
     ("rel_tolerance", math.nan, "must be >= 0"),
     ("zeta", 1.5, "must lie in (0, 1]"),
-], ids=["eta0-nan", "eta0-inf", "rel_tolerance-nan", "zeta"])
+    ("eta0", 1.0e308, "must be at most 2"),
+    ("eta0", 2.5, "must be at most 2"),
+], ids=["eta0-nan", "eta0-inf", "rel_tolerance-nan", "zeta", "eta0-huge", "eta0-past-a-turn"])
 def test_train_values_exit_2_naming_the_key(tmp_path, capsys, key, value, message):
     # a non-finite eta0 once diverged at iteration 1 (exit 1), a NaN rel_tolerance
-    # silently disabled early stopping, and zeta's message named no dotted key
+    # silently disabled early stopping, and zeta's message named no dotted key; a
+    # finite eta0 of 1e308 overflowed the first step with two RuntimeWarnings (exit 1)
     doc = tiny_fit_doc()
     doc["train"][key] = value
     code, err = _config_error(tmp_path, capsys, "fit", doc)

@@ -216,11 +216,13 @@ def test_config_validation():
         TrainConfig(zeta=1.2)
     with pytest.raises(ValueError):
         TrainConfig(rel_tolerance=-1e-3)
-    for bad in ({"eta0": math.nan}, {"eta0": math.inf}, {"rel_tolerance": math.nan}):
+    for bad in ({"eta0": math.nan}, {"eta0": math.inf}, {"eta0": 2.5}, {"eta0": 1.0e308},
+                {"rel_tolerance": math.nan}):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     with pytest.raises(ValueError):
         TrainConfig(restarts=0)
+    assert TrainConfig(eta0=2.0).eta0 == 2.0  # one full turn of eta0*pi rad is the limit
 
 
 def test_single_iteration_history_length():
