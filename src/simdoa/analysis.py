@@ -60,6 +60,15 @@ class BoundInputs:
             raise ValueError("g column count must equal n_x * n_y")
         object.__setattr__(self, "g", g)
 
+    def steering(self):
+        """Steering vector of the true angles on the input grid, built once and kept read-only."""
+        cache = self.__dict__
+        if "_steering" not in cache:
+            sv = steering_vector(np.pi * self.psi_x, np.pi * self.psi_y, self.n_x, self.n_y)
+            sv.entries.flags.writeable = False
+            cache["_steering"] = sv
+        return cache["_steering"]
+
 
 def clean_field(inp):
     """Noiseless unit-power receive field G Y_0 a, one column per snapshot (R x T).
@@ -75,8 +84,8 @@ def clean_field(inp):
     """
     cache = inp.__dict__
     if "_field" not in cache:
-        sv = steering_vector(np.pi * inp.psi_x, np.pi * inp.psi_y, inp.n_x, inp.n_y)
-        field = synthesize_received(inp.g, inp.proto.lattice(inp.n_x, inp.n_y).zeroth, sv)
+        field = synthesize_received(inp.g, inp.proto.lattice(inp.n_x, inp.n_y).zeroth,
+                                    inp.steering())
         field.flags.writeable = False
         cache["_field"] = field
     return cache["_field"]
@@ -122,15 +131,40 @@ def _wilson_hilferty(nu1, nu2, nu3):
     return probs
 
 
-def _wrapped_errors(psi, distinct):
-    """Shorter-arc offsets of each true angle in ``psi`` (K,) to every lattice cell (K, N, T).
+def _dead_nu1(d_peak):
+    """Per trial of ``mse_bound``, the nu1 at and above which a cell's transform is 0.0.
 
-    Computed on the axis's distinct lattice angles and gathered back, which
-    gives the same bits as evaluating every cell. ``np.take`` keeps the
-    result C-ordered, so each trial's sum runs over one contiguous row.
+    There nu3 = 3 nu1, nu1 = d_peak - delta >= 0 and nu2 = c - 2 nu1 with c =
+    4 + 4 d_peak, so nu2 >= 4 + 2 nu1 and x = 3 nu1^2/nu2^2 < 3/4. erfc's
+    argument, (1 - cbrt(1 - x)) nu2^1.5/(2 nu1) - nu1/nu2^1.5, is then at
+    least nu1/(2 sqrt(nu2)) - 1/4, since cbrt(1 - x) <= 1 - x/3 and
+    nu1/nu2^1.5 <= 1/4. That bound passes ``_ERFC_ZERO`` (1 + 1e-6) where
+    nu1^2 >= a^2 nu2, a = 2 _ERFC_ZERO (1 + 1e-6) + 1/2, which is nu1 at or
+    above the root c/(1 + sqrt(1 + c/a^2)) of nu1^2 = a^2 (c - 2 nu1). The
+    rounding of nu1, nu2 and the root stays within a few 1e-16 of them.
+    The floats follow the exact value only while the cancellation in 1 -
+    cbrt(1 - x) is mild; below x of about 1e-16 it rounds to 0 and the
+    transform gives 1/2. So the root serves only for c <= 1e6 a^2, where it
+    implies x >= 3e-6, and +inf beyond. At x >= 3e-6 the difference carries
+    a rounding error of about 1e-9 of itself, far inside the 1e-6 margin,
+    and nothing overflows. A NaN d_peak gives +inf.
+    """
+    a2 = (2.0 * _ERFC_ZERO * (1.0 + 1e-6) + 0.5) ** 2
+    c = 4.0 + 4.0 * d_peak
+    with np.errstate(invalid="ignore"):  # an infinite c gives inf/inf, which where() drops
+        return np.where(c <= 1e6 * a2, c / (1.0 + np.sqrt(1.0 + c / a2)), np.inf)
+
+
+def _squared_errors(psi, distinct):
+    """Squared shorter-arc offsets of each true angle in ``psi`` (K,) to every lattice cell (K, N, T).
+
+    Computed and squared on the axis's distinct lattice angles and gathered
+    back, which gives the same bits as evaluating every cell. ``np.take``
+    keeps the result C-ordered, so each trial's sum runs over one contiguous
+    row.
     """
     axis, index = distinct
-    return np.take(np.mod(psi[:, None] - axis + 1.0, 2.0) - 1.0, index, axis=1)
+    return np.take((np.mod(psi[:, None] - axis + 1.0, 2.0) - 1.0) ** 2, index, axis=1)
 
 
 def mse_bound(inp):
@@ -157,12 +191,21 @@ def mse_bound(inp):
         raise DegenerateField("noiseless field is identically zero")
     n_pk, t_pk = peak_cells(power)  # the estimator's tie rule
     peaks = np.arange(k), n_pk, t_pk
-    delta = 2.0 * inp.rho * power
+    delta = np.multiply(2.0 * inp.rho, power, order="C")  # take() below then copies nothing
     d_peak = delta[peaks][:, None, None]
     nu1 = d_peak - delta
-    probs = _wilson_hilferty(nu1, 4.0 + 2.0 * (delta + d_peak), 3.0 * nu1)
+    keep = np.ravel(~(nu1 >= _dead_nu1(d_peak)))  # NaN cells stay
+    # the first 1024 cells run too (a dead one comes out 0.0), so that no array of the
+    # transform is small enough for numpy's cache of buffers under 1024 bytes, which keeps
+    # up to 7 per size and so scatters buffers that pin freed heap memory
+    keep[:1024] = True
+    live = np.flatnonzero(keep)
+    probs = np.zeros(nu1.shape)  # the dead cells stay in the sums as 0.0
+    nu1 = nu1.take(live)
+    nu2 = 4.0 + 2.0 * (delta.take(live) + d_peak.ravel()[live // power[0].size])
+    probs.put(live, _wilson_hilferty(nu1, nu2, 3.0 * nu1))
     probs[peaks] = 1.0
-    bx, by = (np.sum((_wrapped_errors(psi, distinct) ** 2 * probs).reshape(k, -1), axis=1)
+    bx, by = (np.sum((_squared_errors(psi, distinct) * probs).reshape(k, -1), axis=1)
               for psi, distinct in ((psi_x, lattice.distinct_x), (psi_y, lattice.distinct_y)))
     if np.ndim(inp.psi_x):
         return bx, by

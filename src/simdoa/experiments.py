@@ -122,6 +122,9 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if (isinstance(self.seed, (bool, np.bool_)) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.pipeline not in ("wave", "digital"):
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         if self.pipeline == "wave" and self.g is None:
@@ -157,10 +160,6 @@ class McPoint:
 # Cells per Monte Carlo block: a block runs max(1, _BLOCK_CELLS // (R*T))
 # trials, so its (K, R, T) arrays stay cache-sized whatever the shape.
 _BLOCK_CELLS = 2 ** 14
-
-
-def _trial_rng(seed, snr_index, trial):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(snr_index, trial)))
 
 
 def digital_baseline(source, proto, n_x, n_y, rho, noise=None):
@@ -216,12 +215,14 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     return wave, digital
 
 
-def _mc_block(cfg, snr_index, trials, rho):
+def _mc_block(cfg, stream, trials, rho):
     """Per-trial squared errors, bounds and realizable flags of ``trials`` at one SNR point.
 
     Each trial draws from its own stream in a fixed order (source, then
-    noise), its normals straight into the block's (K, R, T) buffers. A wave
-    block then synthesizes its unit field G Y_0 a once
+    noise), its normals straight into the block's (K, 2, R, T) buffer. The
+    streams continue the point's ``stream`` (``streams.point_pool``): their
+    states come from ``streams.trial_states`` and are assigned in turn to
+    one generator. A wave block then synthesizes its unit field G Y_0 a once
     (``analysis.clean_field``), scales it into the snapshots and reuses the
     field for the bound; a digital block computes its energies with the
     antenna noise at variance 1/N, as ``digital_baseline`` does for one
@@ -232,28 +233,30 @@ def _mc_block(cfg, snr_index, trials, rho):
     run_rho = 1.0 if noiseless else rho  # a noiseless point runs at unit SNR without noise
     wave = cfg.pipeline == "wave"
     n = cfg.n_x * cfg.n_y
-    shape = (len(trials), n, cfg.proto.t)
-    re, im = (None, None) if noiseless else (np.empty(shape), np.empty(shape))
+    # each trial's real and imaginary normals, drawn in cn_noise's order by one call
+    draws = None if noiseless else np.empty((len(trials), 2, n, cfg.proto.t))
+    from .streams import trial_states  # only a Monte Carlo run loads it
     sources = []
-    for i, trial in enumerate(trials):
-        rng = _trial_rng(cfg.seed, snr_index, trial)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for i, (trial, state) in enumerate(zip(trials, trial_states(stream, trials))):
+        rng.bit_generator.state = state
         if cfg.sources is not None:
             source = cfg.sources[trial % len(cfg.sources)]
         else:
             source = sample_source(rng, cfg.source_mode, cfg.symbol)
         sources.append(source)
-        if re is not None:  # cn_noise's draws, in its order
-            rng.standard_normal(out=re[i])
-            rng.standard_normal(out=im[i])
+        if draws is not None:
+            rng.standard_normal(out=draws[i])
     psi_x = np.array([src.psi_x for src in sources])
     psi_y = np.array([src.psi_y for src in sources])
     inp = analysis.BoundInputs(
         g=cfg.g if wave else dft_matrix(cfg.n_x, cfg.n_y).matrix, proto=cfg.proto,
         n_x=cfg.n_x, n_y=cfg.n_y, psi_x=psi_x, psi_y=psi_y, rho=run_rho,
         s=np.array([src.s for src in sources], dtype=complex))
-    sv = steering_for(psi_x, psi_y, cfg.n_x, cfg.n_y)
-    noise = None if re is None else complex_gaussian(re, im, 1.0 if wave else 1.0 / n)
-    del re, im  # the noise replaces its draws, so the bound below runs with one buffer less
+    sv = inp.steering()  # the one that analysis.clean_field builds its field from
+    noise = None if draws is None else complex_gaussian(draws[:, 0], draws[:, 1],
+                                                        1.0 if wave else 1.0 / n)
+    del draws  # the noise replaces its draws, so the bound below runs with one buffer less
     if wave:
         emap = collect_snapshots(cfg.g, sv, inp.s, run_rho, cfg.proto, cfg.n_x, cfg.n_y,
                                  noise=noise, field=analysis.clean_field(inp))
@@ -261,6 +264,7 @@ def _mc_block(cfg, snr_index, trials, rho):
         emap = EnergyMap(_digital_energies(sv, inp.s, run_rho, cfg.proto, cfg.n_x, cfg.n_y,
                                            noise))
     est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, (0.5, 0.5))
+    del noise, emap  # nor does the bound need the snapshots' noise and energies
     ex = wrapped_angle_error(psi_x, est.psi_x)
     ey = wrapped_angle_error(psi_y, est.psi_y)
     bx = by = np.full(len(sources), np.nan)
@@ -291,8 +295,10 @@ def run_monte_carlo(cfg):
     rhos = [None if math.isinf(snr) else
             effective_rho(10.0 ** (snr / 10.0), cfg.beta, n, cfg.proto.t)
             for snr in cfg.snr_db]
-    blocks = [(cfg, si, range(start, min(start + size, cfg.trials)), rho)
-              for si, rho in enumerate(rhos) for start in starts]
+    from .streams import point_pool  # only a Monte Carlo run loads it
+    streams = [point_pool(cfg.seed, si) for si in range(len(rhos))]
+    blocks = [(cfg, stream, range(start, min(start + size, cfg.trials)), rho)
+              for stream, rho in zip(streams, rhos) for start in starts]
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # -j 1 runs never load it
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:

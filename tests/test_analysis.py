@@ -212,6 +212,27 @@ def test_clean_field_is_the_clean_snapshot_exactly():
     assert np.array_equal(np.abs(clean_field(inp)) ** 2, emap.values)
 
 
+def test_bound_inputs_build_their_steering_once_and_read_only(monkeypatch):
+    # a Monte Carlo block's snapshots and its clean field read this one vector
+    calls = []
+    real = analysis.steering_vector
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "steering_vector", counting)
+    psi_x, psi_y = np.array([0.27, -0.5]), np.array([-0.64, 0.125])
+    inp = BoundInputs(g=dft_matrix(3, 2).matrix, proto=ProtocolConfig(t_x=3, t_y=2), n_x=3,
+                      n_y=2, psi_x=psi_x, psi_y=psi_y, rho=1.0, s=np.ones(2, dtype=complex))
+    sv = inp.steering()
+    assert inp.steering() is sv
+    assert not sv.entries.flags.writeable
+    assert np.array_equal(sv.entries, steering_for(psi_x, psi_y, 3, 2).entries)
+    clean_field(inp)
+    assert len(calls) == 1
+
+
 def test_noiseless_peak_matches_estimator():
     proto = ProtocolConfig(t_x=4, t_y=4)
     f = dft_matrix(2, 2).matrix
@@ -336,9 +357,8 @@ def test_erfc_zero_is_the_installed_underflow_point():
     assert not np.any(erfc(np.geomspace(_ERFC_ZERO, 1e308, 1001)))
 
 
-@pytest.mark.parametrize("snr_db", [0, 10, 20, 30])
-def test_bound_on_4x4_blocks_equals_erfc_on_every_cell(monkeypatch, snr_db):
-    # a 16-trial 4x4/T=8x8 block, most of whose cells lie beyond the cutoff
+def _bound_block(snr_db):
+    """A 16-trial 4x4/T=8x8 ideal-DFT block: its inputs, peak noncentralities and moments."""
     rng = np.random.default_rng(snr_db)
     k, proto = 16, ProtocolConfig(t_x=8, t_y=8)
     psi_x, psi_y = rng.uniform(-1.0, 1.0, (2, k))
@@ -348,16 +368,87 @@ def test_bound_on_4x4_blocks_equals_erfc_on_every_cell(monkeypatch, snr_db):
                       psi_x=psi_x, psi_y=psi_y, rho=rho, s=s)
     delta = noncentrality_map(inp)
     n_pk, t_pk = peak_cells(delta)
-    nus = _moments_from(delta, delta[np.arange(k), n_pk, t_pk][:, None, None])
+    d_peak = delta[np.arange(k), n_pk, t_pk][:, None, None]
+    return inp, d_peak, _moments_from(delta, d_peak)
+
+
+@pytest.mark.parametrize("snr_db", [0, 10, 20, 30, 200, 400])
+def test_bound_on_4x4_blocks_equals_erfc_on_every_cell(monkeypatch, snr_db):
+    # most of the block's cells lie beyond the cutoff
+    inp, _, nus = _bound_block(snr_db)
     with np.errstate(all="ignore"):
         assert np.mean(_erfc_argument(*nus) >= _ERFC_ZERO) > 0.6
         want = _masked_wilson_hilferty(*nus)
     assert np.array_equal(_bits(_wilson_hilferty(*nus)), _bits(want))
     got = mse_bound(inp)
-    monkeypatch.setattr(analysis, "_ERFC_ZERO", math.inf)  # erfc on every cell
+    # erfc on every cell, and no cell skipped before the transform
+    monkeypatch.setattr(analysis, "_ERFC_ZERO", math.inf)
     want = mse_bound(inp)
     for a, b in zip(got, want):
         assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("snr_db", [0, 10, 20, 30, 200, 400])
+def test_skipped_cells_are_zero_in_the_unfiltered_transform(snr_db):
+    _, d_peak, nus = _bound_block(snr_db)
+    dead = nus[0] >= analysis._dead_nu1(d_peak)
+    with np.errstate(all="ignore"):
+        want = _masked_wilson_hilferty(*nus)
+    assert np.all(want[dead] == 0.0)
+    if snr_db >= 200:  # beyond the cutoff's range every cell runs the full transform
+        assert not np.any(dead)
+    else:  # and below it the cutoff finds most of the zeros: 86% at 0 dB, all at 20 dB
+        assert np.mean(dead) >= 0.85 * np.mean(want == 0.0)
+
+
+# the largest d_peak the cutoff covers (4 + 4 d_peak = 1e6 a^2), less a hair for rounding
+_D_LAST = (1e6 * (2.0 * _ERFC_ZERO * (1.0 + 1e-6) + 0.5) ** 2 - 4.0) / 4.0 * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("d_peak", [*np.geomspace(2e4, 7e8, 9), _D_LAST])
+def test_cells_on_the_cutoff_transform_to_zero(d_peak):
+    # nu1 on the floats around the cutoff, from 2e4 up to the largest d_peak it covers
+    cutoff = analysis._dead_nu1(np.array([d_peak]))[0]
+    assert cutoff < d_peak
+    middle = np.array([d_peak - cutoff]).view(np.int64)[0]
+    delta = np.arange(middle - 64, middle + 64).view(np.float64)
+    nus = _moments_from(delta, d_peak)
+    dead = nus[0] >= cutoff
+    assert np.any(dead) and not np.all(dead)
+    with np.errstate(all="ignore"):
+        assert np.all(_masked_wilson_hilferty(*nus)[dead] == 0.0)
+        # the cutoff gives away little: its cells' erfc argument is within 20% of the zero
+        assert np.min(_erfc_argument(*nus)[dead]) < 1.2 * _ERFC_ZERO
+
+
+def test_cutoff_ends_where_its_rounding_bound_does():
+    assert analysis._dead_nu1(np.array([_D_LAST]))[0] < np.inf
+    beyond = analysis._dead_nu1(np.array([_D_LAST * (1.0 + 1e-11), 1e30, np.inf, np.nan]))
+    assert np.all(beyond == np.inf)
+
+
+def test_near_tie_at_extreme_snr_is_left_to_the_transform():
+    # x = 3 nu1^2/nu2^2 = 3e-18: 1 - cbrt(1 - x) rounds to 0 and the transform gives 1/2,
+    # although erfc's argument, about nu1/(2 sqrt(nu2)) = 158, puts the exact value at 0.0
+    nu1, nu2 = np.array([1e14]), np.array([1e23])
+    assert _wilson_hilferty(nu1, nu2, 3.0 * nu1)[0] == 0.5
+    # so no cutoff covers such a cell, and mse_bound keeps today's 1/2
+    assert analysis._dead_nu1(np.array([(1e23 - 4.0) / 4.0]))[0] == np.inf
+
+
+def test_bound_transforms_at_least_1024_cells(monkeypatch):
+    sizes = []
+    real = analysis._wilson_hilferty
+
+    def counting(nu1, nu2, nu3):
+        sizes.append(nu1.size)
+        return real(nu1, nu2, nu3)
+
+    monkeypatch.setattr(analysis, "_wilson_hilferty", counting)
+    mse_bound(_bound_block(30)[0])
+    # most of the 16384 cells are skipped, yet the transform's arrays stay too large for
+    # numpy's cache of small buffers
+    assert 1024 <= sizes[0] < 2048
 
 
 def test_detection_tracks_monte_carlo():

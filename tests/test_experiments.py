@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from simdoa import analysis, estimator, experiments
+from simdoa import analysis, estimator, experiments, streams
 from simdoa.analysis import quantization_floor
 from simdoa.estimator import (EnergyMap, ProtocolConfig, collect_snapshots, electrical_angles,
                               estimate_from_map, steering_for, wrapped_angle_error)
@@ -383,6 +383,52 @@ def test_mc_config_rejects_minus_inf():
                  trials=5, pipeline="digital")
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.True_, np.int64(-3), "7"])
+def test_mc_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # -1 once failed inside numpy without naming the field, 1.5 raised TypeError and True
+    # ran as seed 1
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        McConfig(n_x=2, n_y=2, proto=ProtocolConfig(), snr_db=(0.0,), trials=5,
+                 pipeline="digital", seed=seed)
+
+
+def _trial_rng(seed, snr_index, trial):
+    """A trial's stream as numpy derives it, the oracle for ``streams.trial_states``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(snr_index, trial)))
+
+
+# seeds of 1, 2, 3, 4, 5 and 42 words, and a numpy integer of 2 words
+_SEEDS = [0, 42, 2 ** 32 + 7, 2 ** 127 + 3, 2 ** 70 + 12345, 2 ** 128 + 5, 10 ** 400,
+          np.uint64(2 ** 63 + 9)]
+# indices on both sides of 2**32 and the last index that fits 64 bits
+_INDICES = [0, 1, 3, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 64 - 1]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("snr_index", [0, 2, 2 ** 32 + 1])
+def test_trial_states_follow_numpy_seed_sequence(seed, snr_index):
+    states = streams.trial_states(streams.point_pool(seed, snr_index), _INDICES)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for trial, state in zip(_INDICES, states):
+        want = _trial_rng(seed, snr_index, trial)
+        assert state == want.bit_generator.state
+        rng.bit_generator.state = state
+        assert np.array_equal(rng.standard_normal(5), want.standard_normal(5))
+        assert rng.uniform() == want.uniform()
+        assert rng.bit_generator.state == want.bit_generator.state  # same stream position
+
+
+def test_trial_states_of_a_block_straddling_two_to_the_32():
+    trials = range(2 ** 32 - 3, 2 ** 32 + 3)
+    states = streams.trial_states(streams.point_pool(5, 1), trials)
+    assert states == [_trial_rng(5, 1, t).bit_generator.state for t in trials]
+
+
+def test_trial_states_refuse_an_index_beyond_64_bits():
+    with pytest.raises(OverflowError):
+        streams.trial_states(streams.point_pool(0, 0), [2 ** 64])
+
+
 @pytest.mark.parametrize("pipeline", ["wave", "digital"])
 def test_mc_builds_the_lattice_once_per_protocol(pipeline, monkeypatch):
     calls = []
@@ -458,7 +504,7 @@ def _mc_trial(cfg, snr_index, trial, rho):
     Returns the squared errors, the per-trial bounds and whether the peak
     was realizable.
     """
-    rng = experiments._trial_rng(cfg.seed, snr_index, trial)
+    rng = _trial_rng(cfg.seed, snr_index, trial)
     if cfg.sources is not None:
         source = cfg.sources[trial % len(cfg.sources)]
     else:
