@@ -23,7 +23,7 @@ from . import __version__, analysis, experiments
 from .estimator import (ProtocolConfig, angular_spectrum, collect_snapshots,
                         estimate_from_map, steering_for)
 from .geometry import SimGeometry, build_propagation_matrices, dft_matrix
-from .trainer import TrainConfig, finite_diff_gradient, gradient
+from .trainer import TrainConfig, finite_diff_gradient, gradient, train_restarts
 from .wavemodel import PhaseStack, forward_response, optimal_scale, random_stack
 
 
@@ -151,11 +151,20 @@ _SWEEP_MODE = {"mode": (tuple(_SWEEP), "ablation")}
 # and the complex transmission exp(j xi0), 56 MiB at the cap, and its array
 # build peaks near 90 MiB (0.2-0.4 s) before any snapshot is taken. A Monte
 # Carlo SNR point runs trials x R x T cells (R = N), at about 0.2 us a cell,
-# so its cap is about 15 minutes per point.
+# so its cap is about 15 minutes per point. The fit rows apply only with a
+# 'train' section: the propagation matrices build at about 73 bytes and
+# 0.17 us a cell of M^2, so near 300 MiB and 0.7 s at the cap, and an
+# iteration's GEMMs run layers x M^2 x N complex multiply-adds at about
+# 3e9 a second, so the fit's cap is about 12 minutes.
+_M2 = ("geometry.m_x", "geometry.m_y", "geometry.m_x", "geometry.m_y")
 _WORK = (
     (2 ** 20, "lattice cells", ("geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y")),
     (2 ** 32, "Monte Carlo cells per SNR point",
      ("montecarlo.trials", "geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y")),
+    (2 ** 22, "propagation matrix cells", _M2, "train"),
+    (2 ** 41, "multiply-adds in the fit's GEMMs",
+     ("geometry.layers", *_M2, "geometry.n_x", "geometry.n_y", "train.max_iters",
+      "train.restarts")),
 )
 
 
@@ -258,9 +267,12 @@ def parse_config(path):
 
 
 def _check_work(parsed):
-    """Refuse a config whose work exceeds a ``_WORK`` cap, naming its largest factor's key."""
-    for cap, what, keys in _WORK:
-        if not all(key.split(".")[0] in parsed for key in keys):
+    """Refuse a config whose work exceeds a ``_WORK`` cap, naming its largest factor's key.
+
+    A row applies when its keys' sections, and any section it names after them, are present.
+    """
+    for cap, what, keys, *also in _WORK:
+        if not all(name in parsed for name in [key.split(".")[0] for key in keys] + also):
             continue
         values = []
         for key in keys:
@@ -324,7 +336,7 @@ _STACK_MAGIC = b"PHSTK\x00"
 
 def save_stack(path, stack):
     """Binary phase-stack file: magic, version, dims, float64 phases."""
-    xi = np.stack(stack.xi)
+    xi = stack.xi
     with open(path, "wb") as fh:
         fh.write(_STACK_MAGIC)
         fh.write(struct.pack("<III", 1, xi.shape[0], xi.shape[1]))
@@ -348,7 +360,7 @@ def load_stack(path):
         data = np.frombuffer(fh.read(layers * m * 8), dtype="<f8")
     if not np.all(np.isfinite(data)):
         raise IOError(f"{path}: stack file holds non-finite phases")
-    return PhaseStack(list(data.reshape(layers, m).copy()))
+    return PhaseStack(data.reshape(layers, m))
 
 
 def write_csv(path, header, rows):
@@ -388,7 +400,7 @@ def _response_for(config, args, command, ideal=None):
             raise IOError(f"stack file not found: {args.stack}")
         stack = load_stack(args.stack)
         props = build_propagation_matrices(geom)
-        if stack.layers != geom.layers or stack.xi[0].size != geom.m:
+        if stack.layers != geom.layers or stack.xi.shape[1] != geom.m:
             raise IOError(f"{args.stack}: stack dims do not match the geometry")
         g = forward_response(props, stack)
         beta = optimal_scale(g, dft_matrix(geom.n_x, geom.n_y).matrix)
@@ -402,7 +414,9 @@ def _response_for(config, args, command, ideal=None):
 def _cmd_fit(args, config):
     geom = _need(config, "geometry", "fit")
     train_cfg = _need(config, "train", "fit")
-    best = experiments.fit_reference(geom, train_cfg)[0]
+    reports = train_restarts(build_propagation_matrices(geom),
+                             dft_matrix(geom.n_x, geom.n_y).matrix, train_cfg)
+    best = min(reports, key=lambda r: r.best_loss)
     stack_path = os.path.join(_outdir(args), "stack.bin")
     save_stack(stack_path, best.stack)
     _emit(args, config, "fit", "loss_history.csv", ["iteration", "loss", "loss_db"],
@@ -414,6 +428,9 @@ def _cmd_fit(args, config):
               "beta_abs": float(abs(best.beta)),
               "iterations": int(best.iterations),
               "stop_reason": best.stop_reason,
+              "restarts": [{"seed": int(r.seed), "best_db": float(r.best_db),
+                            "best_iteration": int(r.best_iteration),
+                            "stop_reason": r.stop_reason} for r in reports],
           }, also=["stack.bin"])
     print(f"fit: best {best.best_db:.2f} dB (seed {best.seed})"
           f" -> {stack_path}")

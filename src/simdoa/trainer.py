@@ -21,14 +21,13 @@ class TrainConfig:
             raise ValueError("eta0 must lie in (0, 2]")
         if not (0.0 < self.zeta <= 1.0):
             raise ValueError("zeta must lie in (0, 1]")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if not self.rel_tolerance >= 0.0:  # NaN would silently disable early stopping
             raise ValueError("rel_tolerance must be >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, low in (("max_iters", 1), ("seed", 0), ("restarts", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer))
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -66,64 +65,64 @@ class TrainingDiverged(RuntimeError):
         self.loss_history = loss_history
 
 
-def _transmissions(stack):
-    """Every layer's transmission, in layer order."""
-    return [stack.transmission(l) for l in range(1, stack.layers + 1)]
-
-
-def layer_inputs(props, stack, t=None):
+def layer_inputs(props, stack, t=None, out=None):
     """Per-layer incident fields for every input-layer source.
 
-    Returns a list with one (M, N) array per layer l; column n of entry
-    l-1 is the field from input atom n arriving at layer l, i.e. the
-    partial cascade up to but excluding layer l's own phase shift.
-    ``t`` holds the layers' transmissions when the caller already has them.
+    Returns an (L, M, N) array; column n of entry l-1 is the field from
+    input atom n arriving at layer l, i.e. the partial cascade up to but
+    excluding layer l's own phase shift. ``t`` holds the layers'
+    transmissions when the caller already has them; ``out``, an earlier
+    result, is filled in place of a new array.
     """
-    t = _transmissions(stack) if t is None else t
-    q = [props.w0]
+    t = stack.transmissions() if t is None else t
+    q = np.empty((stack.layers, *props.w0.shape), complex) if out is None else out
+    work = np.empty(props.w0.shape, complex)
+    q[0] = props.w0
     for l in range(1, stack.layers):
-        q.append(props.w_inner[l - 1] @ (t[l - 1][:, None] * q[-1]))
+        np.multiply(t[l - 1][:, None], q[l - 1], out=work)
+        np.matmul(props.w_inner[l - 1], work, out=q[l])
     return q
 
 
 def gradient(props, stack, f, beta, q=None, t=None):
-    """Analytic loss gradient w.r.t. every layer's phase vector.
+    """Analytic loss gradient w.r.t. every layer's phases, as an (L, M) array.
 
     Treats ``beta`` as a constant. One adjoint sweep runs backward from the
     residual on M x N operands and meets the stored layer inputs ``q`` (from
     ``layer_inputs``), so the cost matches one forward pass. ``q`` and the
     transmissions ``t`` are computed here unless the caller passes them.
+    The sweep overwrites ``q`` with its products, so that one reduction
+    sums every layer's rows.
     """
-    t = _transmissions(stack) if t is None else t
+    t = stack.transmissions() if t is None else t
     if q is None:
         q = layer_inputs(props, stack, t)
     g = props.w_last @ (t[-1][:, None] * q[-1])
     # e: conj of the adjoint (W_L Y_L ... Y_{l+1} W_l)^H (beta G - F) at layer l's
     # output; kept conjugated, the sweep uses transposed views, never conj(W).
     e = props.w_last.T @ np.conj(beta * g - f)
-    grads = [None] * stack.layers
+    work = np.empty_like(e)
     for l in range(stack.layers, 0, -1):
         if l < stack.layers:
-            e = props.w_inner[l - 1].T @ (t[l][:, None] * e)
-        grads[l - 1] = -2.0 * np.imag(beta * t[l - 1] * np.sum(q[l - 1] * e, axis=1))
-    return grads
+            np.multiply(t[l][:, None], e, out=work)
+            np.matmul(props.w_inner[l - 1].T, work, out=e)
+        np.multiply(q[l - 1], e, out=q[l - 1])
+    return -2.0 * np.imag(beta * t * q.sum(axis=2))
 
 
 def finite_diff_gradient(props, stack, f, beta, step=1e-6):
-    """Central-difference gradient of the fitting loss, for cross-checking."""
+    """Central-difference gradient of the fitting loss, (L, M), for cross-checking."""
     if step <= 0.0:
         raise ValueError("step must be > 0")
-    grads = []
-    for l in range(stack.layers):
-        gl = np.zeros_like(stack.xi[l])
-        for m in range(gl.size):
-            probe = stack.copy()
-            probe.xi[l][m] += step
-            hi, _ = fitting_loss(forward_response(props, probe), f, beta)
-            probe.xi[l][m] -= 2.0 * step
-            lo, _ = fitting_loss(forward_response(props, probe), f, beta)
-            gl[m] = (hi - lo) / (2.0 * step)
-        grads.append(gl)
+    grads = np.zeros_like(stack.xi)
+    probe = stack.copy()
+    for l, m in np.ndindex(grads.shape):
+        probe.xi[l, m] += step
+        hi, _ = fitting_loss(forward_response(props, probe), f, beta)
+        probe.xi[l, m] -= 2.0 * step
+        lo, _ = fitting_loss(forward_response(props, probe), f, beta)
+        probe.xi[l, m] = stack.xi[l, m]
+        grads[l, m] = (hi - lo) / (2.0 * step)
     return grads
 
 
@@ -136,12 +135,13 @@ def train(props, f, config):
     response and is kept for the next iteration's adjoint sweep.
     Each layer's step is the gradient rescaled to a sup-norm of eta*pi,
     so eta directly bounds the per-iteration phase movement (in units of
-    half-turns) regardless of the raw gradient magnitude. Keeping the
-    step length on the learning-rate schedule is what lets the loss keep
-    contracting geometrically instead of freezing once the raw gradient
-    shrinks; with raw-gradient steps the same schedule stalls many tens
-    of dB short on the reference geometries. The best iterate over the
-    whole run is returned.
+    half-turns) regardless of the raw gradient magnitude; a layer whose
+    gradient is zero stays where it is. Keeping the step length on the
+    learning-rate schedule is what lets the loss keep contracting
+    geometrically instead of freezing once the raw gradient shrinks; with
+    raw-gradient steps the same schedule stalls many tens of dB short on
+    the reference geometries. The best iterate over the whole run is
+    returned.
     """
     rng = np.random.default_rng(config.seed)
     geom = props.geometry
@@ -155,21 +155,22 @@ def train(props, f, config):
 
     history = [loss]
     history_db = [db]
-    best = (loss, stack.copy(), beta, 0)
+    best_loss, best_xi, best_beta, best_iter = loss, stack.xi.copy(), beta, 0
     eta = config.eta0
     stop_reason = "max_iters"
     iterations = 0
-    q = t = None
+    t = stack.transmissions()
+    q = layer_inputs(props, stack, t)  # refilled in place after every step
 
     for k in range(1, config.max_iters + 1):
         grads = gradient(props, stack, f, beta, q=q, t=t)
-        for l, gl in enumerate(grads):
-            peak = np.abs(gl).max()
-            if peak > 0.0:
-                stack.xi[l] = np.mod(stack.xi[l] - (eta * np.pi / peak) * gl, 2.0 * np.pi)
+        peak = np.abs(grads).max(axis=1, keepdims=True)
+        live = peak > 0.0
+        np.mod(stack.xi - (eta * np.pi / np.where(live, peak, 1.0)) * grads, 2.0 * np.pi,
+               out=stack.xi, where=live)
         eta *= config.zeta
-        t = _transmissions(stack)
-        q = layer_inputs(props, stack, t)
+        t = stack.transmissions()
+        q = layer_inputs(props, stack, t, out=q)
         g = props.w_last @ (t[-1][:, None] * q[-1])  # forward_response, bit for bit
         beta = optimal_scale(g, f)
         prev = loss
@@ -179,16 +180,16 @@ def train(props, f, config):
         history.append(loss)
         history_db.append(db)
         iterations = k
-        if loss < best[0]:
-            best = (loss, stack.copy(), beta, k)
+        if loss < best_loss:
+            best_loss, best_beta, best_iter = loss, beta, k
+            best_xi[...] = stack.xi
         if config.rel_tolerance > 0.0 and prev > 0.0:
             if (prev - loss) / prev < config.rel_tolerance:
                 stop_reason = "converged"
                 break
 
-    _, best_stack, best_beta, best_iter = best
     return TrainReport(
-        stack=best_stack,
+        stack=PhaseStack(best_xi),
         beta=best_beta,
         loss_history=history,
         loss_db_history=history_db,

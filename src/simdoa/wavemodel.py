@@ -11,23 +11,26 @@ DB_FLOOR = -400.0
 
 @dataclass
 class PhaseStack:
-    """Trainable per-layer phase vectors, stored reduced to [0, 2*pi)."""
+    """Trainable phases, one row of M per intermediate layer, stored reduced to [0, 2*pi)."""
 
-    xi: list  # one real vector of length M per intermediate layer
+    xi: np.ndarray  # (L, M) real
 
     def __post_init__(self):
-        self.xi = [np.mod(np.asarray(x, dtype=float), 2.0 * np.pi) for x in self.xi]
+        xi = np.asarray(self.xi, dtype=float)  # a ragged sequence raises ValueError here
+        if xi.ndim != 2:
+            raise ValueError(f"phases must form an (L, M) array, got shape {xi.shape}")
+        self.xi = np.mod(xi, 2.0 * np.pi)
 
     @property
     def layers(self):
-        return len(self.xi)
+        return self.xi.shape[0]
 
-    def transmission(self, l):
-        """Unit-modulus diagonal entries of layer l (1-based)."""
-        return np.exp(1j * self.xi[l - 1])
+    def transmissions(self):
+        """Unit-modulus diagonal entries exp(j xi) of every layer, (L, M)."""
+        return np.exp(1j * self.xi)
 
     def copy(self):
-        return PhaseStack([x.copy() for x in self.xi])
+        return PhaseStack(self.xi.copy())
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,8 @@ class ZerothLayerConfig:
 
 
 def random_stack(layers, m, rng):
-    """Phase stack with i.i.d. uniform phases on [0, 2*pi)."""
-    return PhaseStack([rng.uniform(0.0, 2.0 * np.pi, size=m) for _ in range(layers)])
+    """Phase stack with i.i.d. uniform phases on [0, 2*pi), drawn layer after layer."""
+    return PhaseStack(rng.uniform(0.0, 2.0 * np.pi, size=(layers, m)))
 
 
 def forward_response(props, stack):
@@ -62,10 +65,11 @@ def forward_response(props, stack):
         raise ValueError(
             f"stack has {stack.layers} layers, geometry expects {props.geometry.layers}"
         )
+    t = stack.transmissions()
     acc = props.w0
     for l in range(1, props.geometry.layers):
-        acc = props.w_inner[l - 1] @ (stack.transmission(l)[:, None] * acc)
-    return props.w_last @ (stack.transmission(stack.layers)[:, None] * acc)
+        acc = props.w_inner[l - 1] @ (t[l - 1][:, None] * acc)
+    return props.w_last @ (t[-1][:, None] * acc)
 
 
 def optimal_scale(g, f):

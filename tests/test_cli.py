@@ -157,6 +157,21 @@ def test_fit_writes_artifacts(tmp_path, capsys):
     assert stack.xi[0].size == 25
 
 
+def test_fit_manifest_lists_every_restart(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.yaml", tiny_fit_doc(max_iters=6, restarts=2))
+    out = tmp_path / "run"
+    assert main(["fit", "--config", cfg, "--outdir", str(out)]) == 0
+    results = RunManifest.load(out / "fit-manifest.yaml").results
+    restarts = results["restarts"]
+    assert [r["seed"] for r in restarts] == [0, 1]
+    assert all(r["stop_reason"] == "max_iters" and 0 <= r["best_iteration"] <= 6
+               for r in restarts)
+    winner = next(r for r in restarts if r["seed"] == results["best_seed"])
+    assert winner["best_db"] == results["best_db"]
+    assert winner["best_db"] == min(r["best_db"] for r in restarts)
+    assert winner["stop_reason"] == results["stop_reason"]
+
+
 def test_stack_round_trip_and_bad_magic(tmp_path):
     stack = random_stack(3, 9, np.random.default_rng(0))
     path = tmp_path / "s.bin"
@@ -169,6 +184,21 @@ def test_stack_round_trip_and_bad_magic(tmp_path):
     bad.write_bytes(b"not a stack")
     with pytest.raises(IOError):
         load_stack(bad)
+
+
+def test_stack_file_round_trips_an_l_by_m_stack_byte_for_byte(tmp_path):
+    stack = random_stack(3, 5, np.random.default_rng(2))
+    path = tmp_path / "s.bin"
+    save_stack(path, stack)
+    raw = path.read_bytes()
+    # magic, version 1, layers, atoms, then the phases row after row as little-endian f8
+    assert raw[:18] == b"PHSTK\x00" + struct.pack("<III", 1, 3, 5)
+    assert raw[18:] == stack.xi.astype("<f8").tobytes()
+    back = load_stack(path)
+    assert back.xi.shape == (3, 5)
+    assert np.array_equal(back.xi.view(np.int64), stack.xi.view(np.int64))
+    save_stack(tmp_path / "again.bin", back)
+    assert (tmp_path / "again.bin").read_bytes() == raw
 
 
 def test_stack_dims_must_match_geometry(tmp_path, capsys):
@@ -679,6 +709,43 @@ def test_work_beyond_the_caps_exits_2_naming_the_key(tmp_path, capsys, monkeypat
     code, err = _config_error(tmp_path, capsys, command, doc)
     assert code == 2
     assert f"'{key}' asks for too much work" in err
+
+
+@pytest.mark.parametrize("doc,key", [
+    # (65 * 32)**2 = 4,326,400 cells against 2**22 = 4,194,304
+    ({"geometry": {"n_x": 2, "n_y": 2, "m_x": 65, "m_y": 32}, "train": {}}, "geometry.m_x"),
+    # 1 * 1 * 1 * 2 * 2 * (2**39 + 1) iterations is just above 2**41 multiply-adds
+    ({"geometry": {"n_x": 2, "n_y": 2, "m_x": 1, "m_y": 1, "layers": 1},
+      "train": {"max_iters": 2 ** 39 + 1}}, "train.max_iters"),
+    ({"geometry": {"n_x": 2, "n_y": 2, "m_x": 1, "m_y": 1, "layers": 1},
+      "train": {"max_iters": 2 ** 19, "restarts": 2 ** 20 + 1}}, "train.restarts"),
+], ids=["propagation-cells", "fit-iterations", "fit-restarts"])
+def test_fit_work_beyond_the_caps_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, doc,
+                                                         key):
+    def started(*args, **kwargs):
+        raise RuntimeError("the work started")
+
+    monkeypatch.setattr(cli, "build_propagation_matrices", started)
+    monkeypatch.setattr(cli, "train_restarts", started)
+    code, err = _config_error(tmp_path, capsys, "fit", doc)
+    assert code == 2
+    assert f"'{key}' asks for too much work" in err
+
+
+def test_fit_work_at_the_caps_is_accepted(tmp_path):
+    # 64 * 32 atoms is 2**22 propagation cells; 2**39 iterations of 2 x 2 inputs on one
+    # atom is 2**41 multiply-adds
+    for geometry, train in [({"m_x": 64, "m_y": 32}, {}),
+                            ({"m_x": 1, "m_y": 1, "layers": 1}, {"max_iters": 2 ** 39})]:
+        doc = {"geometry": {"n_x": 2, "n_y": 2, **geometry}, "train": train}
+        parsed = parse_config(write_config(tmp_path / "c.yaml", doc))
+        assert parsed["geometry"].m_x == geometry["m_x"]
+
+
+def test_fit_caps_need_a_train_section(tmp_path):
+    # an estimate from the exact DFT builds no propagation matrices, whatever the stack size
+    doc = {"geometry": {"n_x": 2, "n_y": 2, "m_x": 4096, "m_y": 4096}}
+    assert parse_config(write_config(tmp_path / "c.yaml", doc))["geometry"].m_x == 4096
 
 
 def test_work_at_the_caps_is_accepted(tmp_path):

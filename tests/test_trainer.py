@@ -47,7 +47,7 @@ def test_layer_inputs_match_naive_cascade():
     for n in range(props.w0.shape[1]):
         field = props.w0[:, n]
         for l in range(1, 3):
-            field = props.w_inner[l - 1] @ (stack.transmission(l) * field)
+            field = props.w_inner[l - 1] @ (stack.transmissions()[l - 1] * field)
             assert np.allclose(q[l][:, n], field, rtol=1e-12)
 
 
@@ -66,7 +66,7 @@ def _suffix_products(props, stack):
     b = [None] * stack.layers
     b[stack.layers - 1] = props.w_last
     for l in range(stack.layers - 1, 0, -1):
-        b[l - 1] = b[l] @ (stack.transmission(l + 1)[:, None] * props.w_inner[l - 1])
+        b[l - 1] = b[l] @ (stack.transmissions()[l][:, None] * props.w_inner[l - 1])
     return b
 
 
@@ -74,13 +74,13 @@ def suffix_gradient(props, stack, f, beta):
     """The gradient from explicit downstream products, one M x M product per layer."""
     q = layer_inputs(props, stack)
     b = _suffix_products(props, stack)
-    g = b[stack.layers - 1] @ (stack.transmission(stack.layers)[:, None] * q[-1])
+    g = b[stack.layers - 1] @ (stack.transmissions()[-1][:, None] * q[-1])
     err = beta * g - f
     grads = []
     for l in range(1, stack.layers + 1):
         c = b[l - 1].conj().T @ err
         s = np.sum(np.conj(q[l - 1]) * c, axis=1)
-        grads.append(2.0 * np.imag(np.conj(beta) * np.conj(stack.transmission(l)) * s))
+        grads.append(2.0 * np.imag(np.conj(beta) * np.conj(stack.transmissions()[l - 1]) * s))
     return grads
 
 
@@ -128,7 +128,7 @@ def test_last_layer_input_gives_forward_response_bit_for_bit():
         props = make_props(layers=layers)
         stack = random_stack(layers, 9, np.random.default_rng(layers))
         q = layer_inputs(props, stack)
-        g = props.w_last @ (stack.transmission(layers)[:, None] * q[-1])
+        g = props.w_last @ (stack.transmissions()[-1][:, None] * q[-1])
         assert np.array_equal(g, forward_response(props, stack))
 
 
@@ -306,6 +306,31 @@ def test_loss_history_matches_suffix_loop():
         assert np.allclose(report.loss_history, expected, rtol=1e-9, atol=0.0)
 
 
+def test_whole_stack_step_equals_the_per_layer_loop_bit_for_bit():
+    # the reference takes each layer's sup-norm step on its own, as train once did
+    props = make_props(layers=4, m_side=3, n_side=2)
+    f = dft_matrix(2, 2).matrix
+    config = TrainConfig(max_iters=25, zeta=0.9, seed=16)
+    stack = random_stack(4, 9, np.random.default_rng(config.seed))
+    g = forward_response(props, stack)
+    beta = optimal_scale(g, f)
+    history, eta = [fitting_loss(g, f, beta)[0]], config.eta0
+    for _ in range(config.max_iters):
+        grads = gradient(props, stack, f, beta)
+        for l, gl in enumerate(grads):
+            peak = np.abs(gl).max()
+            if peak > 0.0:
+                stack.xi[l] = np.mod(stack.xi[l] - (eta * np.pi / peak) * gl, 2.0 * np.pi)
+        eta *= config.zeta
+        g = forward_response(props, stack)
+        beta = optimal_scale(g, f)
+        history.append(fitting_loss(g, f, beta)[0])
+    report = train(props, f, config)
+    assert report.loss_history == history
+    assert report.best_iteration == config.max_iters  # so the final stacks are comparable
+    assert np.array_equal(report.stack.xi.view(np.int64), stack.xi.view(np.int64))
+
+
 def test_one_forward_pass_per_iteration(monkeypatch):
     calls = {"layer_inputs": 0, "forward_response": 0}
 
@@ -323,9 +348,45 @@ def test_one_forward_pass_per_iteration(monkeypatch):
     assert calls == {"layer_inputs": 6 + 1, "forward_response": 1}
 
 
+def test_layers_without_a_usable_gradient_keep_their_phases(monkeypatch):
+    # one step over the whole (L, M) stack: a zero or NaN gradient row is left alone
+    seen = []
+
+    def gradient_with_dead_rows(*args, **kwargs):
+        grads = gradient(*args, **kwargs)
+        grads[0] = 0.0
+        grads[2, 4] = math.nan
+        return grads
+
+    def recording_inputs(props, stack, *args, **kwargs):
+        seen.append(stack.xi.copy())
+        return layer_inputs(props, stack, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "gradient", gradient_with_dead_rows)
+    monkeypatch.setattr(trainer, "layer_inputs", recording_inputs)
+    train(make_props(layers=3), dft_matrix(2, 2).matrix, TrainConfig(max_iters=3, seed=15))
+    first, *later = seen
+    for xi in later:
+        assert np.array_equal(xi[[0, 2]], first[[0, 2]])
+        assert not np.array_equal(xi[1], first[1])
+
+
 def test_negative_seed_is_refused():
     with pytest.raises(ValueError, match="seed"):
         TrainConfig(seed=-1)
+
+
+@pytest.mark.parametrize("key", ["seed", "max_iters", "restarts"])
+@pytest.mark.parametrize("bad", [True, np.bool_(True), 1.5, 2.0, "3"])
+def test_counts_and_seed_must_be_integers(key, bad):
+    # True ran silently as 1; 1.5 passed and failed later in numpy or range
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        TrainConfig(**{key: bad})
+
+
+def test_numpy_integers_are_accepted():
+    config = TrainConfig(seed=np.int64(3), max_iters=np.int32(2), restarts=np.uint8(1))
+    assert (config.seed, config.max_iters, config.restarts) == (3, 2, 1)
 
 
 def test_restarts_cover_distinct_seeds():

@@ -51,7 +51,7 @@ def make_props(layers=2, m_side=3, n_side=2):
 def test_phase_stack_reduces_and_is_unit_modulus():
     stack = PhaseStack([np.array([0.0, 2 * math.pi + 0.5, -0.25])])
     assert stack.xi[0] == pytest.approx([0.0, 0.5, 2 * math.pi - 0.25])
-    assert np.max(np.abs(np.abs(stack.transmission(1)) - 1.0)) < 1e-15
+    assert np.max(np.abs(np.abs(stack.transmissions()[0]) - 1.0)) < 1e-15
 
 
 def test_random_stack_shape_and_range():
@@ -60,6 +60,35 @@ def test_random_stack_shape_and_range():
     for xi in stack.xi:
         assert xi.shape == (9,)
         assert np.all((xi >= 0.0) & (xi < 2 * math.pi))
+
+
+def test_random_stack_draws_layer_after_layer():
+    # one (L, M) draw equals L per-layer draws and leaves the generator where they leave it
+    for seed in range(50):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        stack = random_stack(13, 225, rng)
+        rows = [oracle.uniform(0.0, 2 * math.pi, size=225) for _ in range(13)]
+        assert np.array_equal(stack.xi.view(np.int64), np.array(rows).view(np.int64))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("phases", [
+    [np.zeros(3), np.zeros(4)],
+    np.zeros(3),
+    np.zeros((2, 3, 4)),
+], ids=["ragged", "1-D", "3-D"])
+def test_phase_stack_refuses_phases_that_are_not_l_by_m(phases):
+    with pytest.raises(ValueError):
+        PhaseStack(phases)
+
+
+def test_phase_stack_holds_one_array_and_all_transmissions():
+    stack = PhaseStack([np.array([0.5, -0.25]), np.array([7.0, 1.0])])
+    assert isinstance(stack.xi, np.ndarray) and stack.xi.shape == (2, 2)
+    assert np.array_equal(stack.transmissions(), np.exp(1j * stack.xi))
+    copy = stack.copy()
+    copy.xi[0, 0] = 1.0
+    assert stack.xi[0, 0] == 0.5
 
 
 # ------------------------------------------------------------------- response
@@ -121,7 +150,7 @@ def test_forward_rejects_layer_mismatch():
 def test_layer_passivity():
     stack = random_stack(1, 16, np.random.default_rng(4))
     v = np.random.default_rng(5).standard_normal(16) + 1j
-    assert np.linalg.norm(stack.transmission(1) * v) == pytest.approx(np.linalg.norm(v))
+    assert np.linalg.norm(stack.transmissions()[0] * v) == pytest.approx(np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------------- scale
