@@ -23,7 +23,7 @@ from . import __version__, analysis, experiments
 from .estimator import (ProtocolConfig, angular_spectrum, collect_snapshots,
                         estimate_from_map, steering_for)
 from .geometry import SimGeometry, build_propagation_matrices, dft_matrix
-from .trainer import TrainConfig, finite_diff_gradient, gradient, train_restarts
+from .trainer import TrainConfig, finite_diff_gradient, gradient
 from .wavemodel import PhaseStack, forward_response, optimal_scale, random_stack
 
 
@@ -399,10 +399,9 @@ def _response_for(config, args, command, ideal=None):
         if not os.path.exists(args.stack):
             raise IOError(f"stack file not found: {args.stack}")
         stack = load_stack(args.stack)
-        props = build_propagation_matrices(geom)
         if stack.layers != geom.layers or stack.xi.shape[1] != geom.m:
             raise IOError(f"{args.stack}: stack dims do not match the geometry")
-        g = forward_response(props, stack)
+        g = forward_response(build_propagation_matrices(geom), stack)
         beta = optimal_scale(g, dft_matrix(geom.n_x, geom.n_y).matrix)
         return g, beta, geom
     if ideal:
@@ -414,9 +413,7 @@ def _response_for(config, args, command, ideal=None):
 def _cmd_fit(args, config):
     geom = _need(config, "geometry", "fit")
     train_cfg = _need(config, "train", "fit")
-    reports = train_restarts(build_propagation_matrices(geom),
-                             dft_matrix(geom.n_x, geom.n_y).matrix, train_cfg)
-    best = min(reports, key=lambda r: r.best_loss)
+    best, _, _, reports = experiments.fit_reference(geom, train_cfg)
     stack_path = os.path.join(_outdir(args), "stack.bin")
     save_stack(stack_path, best.stack)
     _emit(args, config, "fit", "loss_history.csv", ["iteration", "loss", "loss_db"],

@@ -446,15 +446,15 @@ def receiver_study(geom, train_cfg, u_x=(), rotation=(), layers=(), runs=3, seed
 
 
 def fit_reference(geom, train_cfg):
-    """Fit with restarts; returns (best report, its response, its scale).
+    """Fit with restarts; returns (best report, its response, its scale, every report).
 
     The report's stack is the best iterate over the best-scoring seed, so
     the returned response and scale are exactly the artifact an estimation
-    study should run against.
+    study should run against. Every restart's report follows, in seed order.
     """
     props = build_propagation_matrices(geom)
     f = dft_matrix(geom.n_x, geom.n_y).matrix
     reports = train_restarts(props, f, train_cfg)
     best = min(reports, key=lambda r: r.best_loss)
     g = forward_response(props, best.stack)
-    return best, g, optimal_scale(g, f)
+    return best, g, optimal_scale(g, f), reports

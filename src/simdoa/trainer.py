@@ -90,9 +90,8 @@ def gradient(props, stack, f, beta, q=None, t=None):
     Treats ``beta`` as a constant. One adjoint sweep runs backward from the
     residual on M x N operands and meets the stored layer inputs ``q`` (from
     ``layer_inputs``), so the cost matches one forward pass. ``q`` and the
-    transmissions ``t`` are computed here unless the caller passes them.
-    The sweep overwrites ``q`` with its products, so that one reduction
-    sums every layer's rows.
+    transmissions ``t`` are computed here unless the caller passes them;
+    neither is modified.
     """
     t = stack.transmissions() if t is None else t
     if q is None:
@@ -102,12 +101,14 @@ def gradient(props, stack, f, beta, q=None, t=None):
     # output; kept conjugated, the sweep uses transposed views, never conj(W).
     e = props.w_last.T @ np.conj(beta * g - f)
     work = np.empty_like(e)
+    rows = np.empty_like(t)  # row l-1: each atom's sum over sources of q * e at layer l
     for l in range(stack.layers, 0, -1):
         if l < stack.layers:
             np.multiply(t[l][:, None], e, out=work)
             np.matmul(props.w_inner[l - 1].T, work, out=e)
-        np.multiply(q[l - 1], e, out=q[l - 1])
-    return -2.0 * np.imag(beta * t * q.sum(axis=2))
+        np.multiply(q[l - 1], e, out=work)
+        np.sum(work, axis=1, out=rows[l - 1])
+    return -2.0 * np.imag(beta * t * rows)
 
 
 def finite_diff_gradient(props, stack, f, beta, step=1e-6):

@@ -76,13 +76,13 @@ def test_analytic_gradient_matches_finite_differences():
 
 def test_two_by_two_fit_reaches_deep_loss(fit22):
     # (9 lam, 7 layers, 121 atoms, lam/2) with 20 seeds, 200 iterations
-    report, _, _ = fit22
+    report, _, _, _ = fit22
     assert report.best_db <= -100.0
 
 
 def test_four_by_four_fit_reaches_target_loss(fit44):
     # (12 lam, 13 layers, 225 atoms, 4 lam/9) with 10 seeds, 200 iterations
-    report, _, _ = fit44
+    report, _, _, _ = fit44
     assert report.best_db <= -15.0
 
 
@@ -108,7 +108,7 @@ def test_decay_sweep_has_interior_optimum():
 
 def test_wave_and_digital_paths_pick_same_peak(fit22):
     # shared-noise pairing: exact response agrees always, trained >= 99%
-    report, g22, b22 = fit22
+    report, g22, b22, _ = fit22
     f = dft_matrix(2, 2).matrix
     proto = ProtocolConfig(t_x=4, t_y=4)
     gamma = 10.0 ** (20.0 / 10.0)
@@ -136,7 +136,7 @@ def test_bound_dominates_empirical_mse_and_tightens(fit22, fit44):
         (4, fit44, ProtocolConfig(t_x=8, t_y=8)),
     )
     for nx, fit, proto in cases:
-        _, g, beta = fit
+        _, g, beta, _ = fit
         cfg = McConfig(n_x=nx, n_y=nx, proto=proto, snr_db=(0.0, 10.0, 20.0, 30.0),
                        trials=1000, g=g, beta=beta, seed=41, pipeline="wave",
                        with_bound=True)
@@ -177,7 +177,7 @@ def test_quadrupling_snapshots_gains_about_twenty_db():
 
 
 def test_noise_free_mse_equals_quantization_floor(fit22):
-    _, g, beta = fit22
+    _, g, beta, _ = fit22
     proto = ProtocolConfig(t_x=4, t_y=4)
     cfg = McConfig(n_x=2, n_y=2, proto=proto, snr_db=(float("inf"),),
                    trials=3000, g=g, beta=beta, seed=13,
@@ -193,7 +193,7 @@ def test_larger_aperture_gains_about_six_db(fit22, fit44):
     proto = ProtocolConfig(t_x=4, t_y=4)
     mse = {}
     for nx, fit in ((2, fit22), (4, fit44)):
-        _, g, beta = fit
+        _, g, beta, _ = fit
         cfg = McConfig(n_x=nx, n_y=nx, proto=proto, snr_db=(10.0,), trials=1200,
                        g=g, beta=beta, seed=31, pipeline="wave", with_bound=False)
         mse[nx] = run_monte_carlo(cfg)[0].mse

@@ -157,10 +157,16 @@ def test_fit_writes_artifacts(tmp_path, capsys):
     assert stack.xi[0].size == 25
 
 
-def test_fit_manifest_lists_every_restart(tmp_path, capsys):
+def test_fit_manifest_lists_every_restart(tmp_path, capsys, monkeypatch):
+    fits = []
+    fit_reference = experiments.fit_reference
+    # 'fit' runs the same fit path as the studies and the acceptance tests
+    monkeypatch.setattr(experiments, "fit_reference",
+                        lambda *a: fits.append(a) or fit_reference(*a))
     cfg = write_config(tmp_path / "c.yaml", tiny_fit_doc(max_iters=6, restarts=2))
     out = tmp_path / "run"
     assert main(["fit", "--config", cfg, "--outdir", str(out)]) == 0
+    assert len(fits) == 1
     results = RunManifest.load(out / "fit-manifest.yaml").results
     restarts = results["restarts"]
     assert [r["seed"] for r in restarts] == [0, 1]
@@ -201,7 +207,7 @@ def test_stack_file_round_trips_an_l_by_m_stack_byte_for_byte(tmp_path):
     assert (tmp_path / "again.bin").read_bytes() == raw
 
 
-def test_stack_dims_must_match_geometry(tmp_path, capsys):
+def test_stack_dims_must_match_geometry(tmp_path, capsys, monkeypatch):
     stack = random_stack(1, 4, np.random.default_rng(1))
     path = tmp_path / "s.bin"
     save_stack(path, stack)
@@ -210,10 +216,13 @@ def test_stack_dims_must_match_geometry(tmp_path, capsys):
                                      "layers": 2, "thickness": 2.0},
                         "protocol": {"t_x": 2, "t_y": 2},
                         "source": {"psi_x": 0.1, "psi_y": 0.1}})
+    builds = []
+    monkeypatch.setattr(cli, "build_propagation_matrices", builds.append)
     code = main(["estimate", "--config", cfg, "--stack", str(path),
                  "--outdir", str(tmp_path)])
     assert code == 1
     assert "dims" in capsys.readouterr().err
+    assert builds == []  # the stack's dims are checked before the M x M matrices are built
 
 
 def test_manifest_round_trip(tmp_path):
@@ -725,8 +734,7 @@ def test_fit_work_beyond_the_caps_exits_2_naming_the_key(tmp_path, capsys, monke
     def started(*args, **kwargs):
         raise RuntimeError("the work started")
 
-    monkeypatch.setattr(cli, "build_propagation_matrices", started)
-    monkeypatch.setattr(cli, "train_restarts", started)
+    monkeypatch.setattr(experiments, "fit_reference", started)
     code, err = _config_error(tmp_path, capsys, "fit", doc)
     assert code == 2
     assert f"'{key}' asks for too much work" in err

@@ -348,7 +348,7 @@ def test_trained_stack_tracks_digital_mse():
         wavelength=LAM, n_x=2, n_y=2, d_x=LAM / 2, d_y=LAM / 2,
         m_x=11, m_y=11, s_x=LAM / 2, s_y=LAM / 2, layers=7, thickness=9 * LAM,
     )
-    report, g, beta = fit_reference(geom, TrainConfig(max_iters=200, seed=0, restarts=3))
+    report, g, beta, _ = fit_reference(geom, TrainConfig(max_iters=200, seed=0, restarts=3))
     assert report.best_db <= -100.0
     proto = ProtocolConfig(t_x=4, t_y=4)
     for snr in (10.0, 20.0):
@@ -850,7 +850,10 @@ def test_receiver_study_matches_direct_training():
 
 def test_fit_reference_returns_best_restart():
     geom = small_geom()
-    report, g, beta = fit_reference(geom, TrainConfig(max_iters=15, seed=0, restarts=3))
+    report, g, beta, reports = fit_reference(geom, TrainConfig(max_iters=15, seed=0, restarts=3))
+    # every restart's report, in seed order, and the best of them is the one returned
+    assert [r.seed for r in reports] == [0, 1, 2]
+    assert report is min(reports, key=lambda r: r.best_loss)
     assert g.shape == (4, 4)
     assert report.best_db <= 0.0
     assert beta != 0

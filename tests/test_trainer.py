@@ -196,6 +196,21 @@ def test_gradient_accepts_precomputed_inputs():
         assert np.array_equal(x, y)
 
 
+def test_gradient_leaves_the_passed_inputs_unchanged():
+    # a caller may go on using q and t after the adjoint sweep
+    props = make_props(layers=3)
+    stack = random_stack(3, 9, np.random.default_rng(5))
+    f = dft_matrix(2, 2).matrix
+    t = stack.transmissions()
+    q = layer_inputs(props, stack, t)
+    q_before, t_before = q.copy(), t.copy()
+    gradient(props, stack, f, 0.7 - 0.2j, q=q, t=t)
+    assert np.array_equal(q, q_before)
+    assert np.array_equal(t, t_before)
+    g = props.w_last @ (t[-1][:, None] * q[-1])
+    assert np.array_equal(g, forward_response(props, stack))
+
+
 def test_finite_diff_rejects_bad_step():
     props = make_props(layers=1)
     stack = random_stack(1, 9, np.random.default_rng(6))
