@@ -42,6 +42,18 @@ _INDEX_MAX = int(np.iinfo(np.intp).max)
 _SIZE = (lambda v: v <= _INDEX_MAX, f"must be at most {_INDEX_MAX}, numpy's largest index")
 
 
+def _power_fits(snr_db):
+    """Whether the linear power 10**(snr_db/10) that the runs compute is a float."""
+    try:
+        return snr_db == math.inf or 10.0 ** (snr_db / 10.0) < math.inf
+    except OverflowError:
+        return False
+
+
+# an SNR's power overflows from about 3083 dB on; 'inf' is the noise-free run
+_SNR_POWER = (_power_fits, "is too large: its power 10**(snr_db/10) overflows a float")
+
+
 def _value(value, kind, key, checks=()):
     """``value`` checked as ``kind`` and by each (test, message) of ``checks``.
 
@@ -123,12 +135,12 @@ _SOURCE = {
     "theta_deg": (float, None, (lambda v: 0.0 <= v <= 90.0, "must lie in [0, 90]")),
     "s_real": (float, 1.0, _FINITE), "s_imag": (float, 0.0, _FINITE),
 }
-_RUN = {"snr_db": (_SNR_DB, math.inf), "seed": (int, 0, _NON_NEGATIVE),
+_RUN = {"snr_db": (_SNR_DB, math.inf, _SNR_POWER), "seed": (int, 0, _NON_NEGATIVE),
         "ideal": (bool, False)}
-_BOUND = {"snr_db": ([float], _REQUIRED, _FINITE)}
+_BOUND = {"snr_db": ([float], _REQUIRED, _FINITE, _SNR_POWER)}
 _MONTECARLO = {
     "trials": (int, _REQUIRED, _AT_LEAST_ONE, _SIZE),
-    "snr_db": ([_SNR_DB], _REQUIRED),
+    "snr_db": ([_SNR_DB], _REQUIRED, _SNR_POWER),
     "seed": (int, 0, _NON_NEGATIVE),
     "source_mode": (("parameter", "solid", "uniform-psi"), "parameter"),
     "symbol": (("cscg", "phase"), "cscg"),

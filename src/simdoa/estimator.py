@@ -74,8 +74,9 @@ class EnergyMap:
         v = np.asarray(self.values, dtype=float)
         if v.ndim not in (2, 3) or v.size == 0:
             raise ValueError("energy map must be a nonempty 2-D array, or 3-D for a batch")
-        if np.any(v < 0.0):
-            raise ValueError("energy values must be >= 0")
+        low, high = np.minimum.reduce(v, axis=None), np.maximum.reduce(v, axis=None)
+        if not 0.0 <= low <= high < math.inf:  # a NaN fails every comparison
+            raise ValueError("energy values must be finite and >= 0")
         object.__setattr__(self, "values", v)
 
     @property
@@ -176,8 +177,7 @@ def peak_index(emap):
     if emap.values.ndim == 3:
         n_hat, t_hat = peak_cells(emap.values)
         return n_hat + 1, t_hat + 1
-    flat = np.argmax(emap.values.T)  # row-major over (t, n)
-    t_hat, n_hat = divmod(int(flat), emap.receivers)
+    t_hat, n_hat = divmod(int(emap.values.T.argmax()), emap.receivers)  # row-major over (t, n)
     return n_hat + 1, t_hat + 1
 
 
@@ -204,15 +204,17 @@ def visible_angles(psi_x, psi_y, d_x, d_y):
     bit.
     """
     px, py = np.pi * psi_x, np.pi * psi_y
-    radius = np.sqrt((px / d_x) * (px / d_x) + (py / d_y) * (py / d_y)) / TWO_PI
-    # A scalar branches in Python: the array form costs a one-element call
-    # about 24 us against 4, and a paired trial makes two calls.
-    if not np.ndim(radius):
+    square = (px / d_x) * (px / d_x) + (py / d_y) * (py / d_y)
+    # Scalars and 0-d arrays branch in Python. math.sqrt and % round as np.sqrt and
+    # np.mod do; arctan2 and arcsin stay numpy's, whose SIMD code math need not match.
+    if not isinstance(square, np.ndarray):
+        radius = math.sqrt(square) / TWO_PI
         if radius > 1.0:
             return math.nan, math.nan
         if psi_x == 0.0 and psi_y == 0.0:
             return 0.0, 0.0
-        return float(np.mod(np.arctan2(py * d_x, px * d_y), TWO_PI)), float(np.arcsin(radius))
+        return float(np.arctan2(py * d_x, px * d_y)) % TWO_PI, float(np.arcsin(radius))
+    radius = np.sqrt(square) / TWO_PI
     outside = radius > 1.0
     theta = np.arcsin(np.where(outside, np.nan, radius))
     phi = np.mod(np.arctan2(py * d_x, px * d_y), TWO_PI)
@@ -238,9 +240,11 @@ def estimate_from_map(emap, proto, n_x, n_y, spacing):
                          f" ({n_x}, {n_y}) input grid has {n_x * n_y} cells")
     n_hat, t_hat = peak_index(emap)
     lattice = proto.lattice(n_x, n_y)
-    psi_x, psi_y = lattice.psi_x[n_hat - 1, t_hat - 1], lattice.psi_y[n_hat - 1, t_hat - 1]
+    cell = n_hat - 1, t_hat - 1
     if emap.values.ndim == 2:
-        psi_x, psi_y = float(psi_x), float(psi_y)
+        psi_x, psi_y = lattice.psi_x.item(cell), lattice.psi_y.item(cell)
+    else:
+        psi_x, psi_y = lattice.psi_x[cell], lattice.psi_y[cell]
     phi, theta = visible_angles(psi_x, psi_y, *spacing)
     return DoaEstimate(n=n_hat, t=t_hat, psi_x=psi_x, psi_y=psi_y, phi=phi, theta=theta)
 

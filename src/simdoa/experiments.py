@@ -72,11 +72,12 @@ def sample_source(rng, mode="parameter", symbol="cscg"):
         else:
             theta = phi = float("nan")
     else:
-        phi = rng.uniform(0.0, 2.0 * math.pi)
+        # uniform(0.0, high) is 0.0 + high * random(), FMA-fused or not: high * random()
+        phi = 2.0 * math.pi * rng.random()
         if mode == "parameter":
-            theta = rng.uniform(0.0, math.pi / 2.0)
+            theta = math.pi / 2.0 * rng.random()
         elif mode == "solid":
-            theta = math.acos(rng.uniform(0.0, 1.0))
+            theta = math.acos(rng.random())
         else:
             raise ValueError(f"unknown source mode {mode!r}")
         psi_x = math.sin(theta) * math.cos(phi)
@@ -86,7 +87,7 @@ def sample_source(rng, mode="parameter", symbol="cscg"):
         scale = math.sqrt(0.5)
         s = complex(scale * rng.standard_normal(), scale * rng.standard_normal())
     elif symbol == "phase":
-        s = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+        s = complex(np.exp(1j * (2.0 * math.pi * rng.random())))
     else:
         raise ValueError(f"unknown symbol mode {symbol!r}")
     return SourceTruth(phi=phi, theta=theta, psi_x=psi_x, psi_y=psi_y, s=s)
@@ -206,7 +207,8 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     u_ant = cn_noise(rng, (n, proto.t), variance=1.0 / n)
     rho_wave = effective_rho(gamma, beta, n, proto.t)
     rho_digital = effective_rho(gamma, 1.0, n, proto.t)
-    frame = np.conj(beta) / abs(beta) if beta != 0 else 1.0
+    # a complex beta keeps numpy's division, which Python's does not round alike
+    frame = (np.conj(beta) if isinstance(beta, complex) else beta) / abs(beta) if beta != 0 else 1.0
     sv = source.steering(n_x, n_y)  # digital_baseline reads the same vector
     emap = collect_snapshots(g, sv, source.s, rho_wave, proto, n_x, n_y,
                              noise=frame * (f @ u_ant))

@@ -291,7 +291,7 @@ def steering_vector(psi_x, psi_y, n_x, n_y):
         raise ValueError("steering angles must be finite")
     ax = np.exp(1j * psi_x * np.arange(n_x))
     ay = np.exp(1j * psi_y * np.arange(n_y))
-    return SteeringVector(entries=np.outer(ay, ax).ravel(), psi_x=float(psi_x), psi_y=float(psi_y))
+    return SteeringVector((ay[:, None] * ax).ravel(), float(psi_x), float(psi_y))
 
 
 @functools.lru_cache(maxsize=8)  # bounded: a 32x32 grid's matrix alone is 16 MB

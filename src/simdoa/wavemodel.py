@@ -151,13 +151,14 @@ def scale_field(field, s, rho, noise=None):
 def complex_gaussian(re, im, variance=1.0):
     """Complex samples from standard normal draws ``re``, ``im``, as ``cn_noise`` makes them."""
     # each part is one real product written into the result: no complex temporaries
-    scale = np.sqrt(variance / 2.0)
-    out = np.empty(np.shape(re), dtype=complex)
+    scale = math.sqrt(variance / 2.0)
+    out = np.empty(re.shape, dtype=complex)
     np.multiply(scale, re, out=out.real)
     np.multiply(scale, im, out=out.imag)
     return out
 
 
 def cn_noise(rng, shape, variance=1.0):
-    """Circularly symmetric complex Gaussian samples with the given variance."""
-    return complex_gaussian(rng.standard_normal(shape), rng.standard_normal(shape), variance)
+    """Circularly symmetric complex Gaussian samples; one (2, *shape) draw, real parts first."""
+    draws = rng.standard_normal((2, *shape) if np.iterable(shape) else (2, shape))
+    return complex_gaussian(draws[0], draws[1], variance)

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -684,6 +685,37 @@ def test_float_keys_refuse_integers_beyond_float_range(tmp_path, capsys, command
     code, err = _config_error(tmp_path, capsys, command, {**RUN_DOC, **section})
     assert code == 2
     assert f"'{key}' is too large for a float" in err
+
+
+@pytest.mark.parametrize("command,section,key", [
+    ("estimate", {"estimate": {"ideal": True, "snr_db": 5000}}, "estimate.snr_db"),
+    ("spectrum", {"spectrum": {"ideal": True, "snr_db": 3083.0}}, "spectrum.snr_db"),
+    ("bound", {"bound": {"snr_db": [0, 5000]}}, "bound.snr_db[1]"),
+    ("montecarlo", {**MC_DOC, "montecarlo": {**MC_DOC["montecarlo"], "snr_db": [10, 1e300]}},
+     "montecarlo.snr_db[1]"),
+], ids=["estimate", "spectrum", "bound", "montecarlo"])
+def test_snr_whose_power_overflows_a_float_is_refused(tmp_path, capsys, command, section, key):
+    # 10.0 ** (snr_db / 10) raised OverflowError, which ended in a traceback
+    code, err = _config_error(tmp_path, capsys, command, {**RUN_DOC, **section})
+    assert code == 2
+    assert f"'{key}' is too large: its power 10**(snr_db/10) overflows a float" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "montecarlo"])
+def test_energies_that_overflow_exit_1(tmp_path, capsys, command):
+    # the power fits a float but the energies overflow; estimate once exited 0 with cell
+    # (1, 1) and psi (0, 0), montecarlo with an MSE of 0.27 and a NaN bound
+    doc = {**RUN_DOC, "protocol": {"t_x": 4, "t_y": 4},
+           "estimate": {"ideal": True, "snr_db": 3075, "seed": 1},
+           "montecarlo": {"trials": 20, "snr_db": [3075], "ideal": True}}
+    argv = [command, "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow's own warnings
+        code = main(argv + (["-j", "1"] if command == "montecarlo" else []))
+    assert code == 1
+    assert "energy values must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run" / f"{command}.csv").exists()
 
 
 @pytest.mark.parametrize("command,doc,key", [

@@ -220,6 +220,18 @@ def test_energy_map_validation():
     assert emap.snapshots == 16
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_energy_map_refuses_non_finite_values(bad):
+    # NaN passed the old `np.any(v < 0.0)` check and +inf is not below zero, so a map
+    # that overflowed was searched for its peak
+    for shape, cell in (((4, 16), (2, 5)), ((3, 4, 16), (1, 0, 7))):
+        values = np.ones(shape)
+        values[cell] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EnergyMap(values)
+    assert EnergyMap(np.array([[0.0, -0.0, np.finfo(float).max]])).values.shape == (1, 3)
+
+
 def test_collect_noise_only_preset():
     f = dft_matrix(2, 2).matrix
     proto = ProtocolConfig(t_x=2, t_y=2)
@@ -446,6 +458,27 @@ def test_visible_angles_arrays_equal_scalar_calls_bit_for_bit(d_x, d_y):
             assert type(one[0]) is float and type(one[1]) is float
             got = (float(phi[i]), float(theta[i]))
             assert np.array_equal(np.array(got), np.array(one), equal_nan=True), (i, got, one)
+
+
+@pytest.mark.parametrize("d_x, d_y", [(0.5, 0.5), (0.7, 0.37)])
+def test_visible_angles_scalar_kinds_equal_the_array_path_bit_for_bit(d_x, d_y):
+    # the scalar branch runs on Python floats (math.sqrt, %); the array path on numpy's
+    above = float(np.nextafter(1.0, 2.0))
+    cases = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 0.5), (-0.25, 0.0),  # psi = 0
+             (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),  # radius exactly 1 at d = 0.5
+             (above, 0.0), (0.0, -above), (0.9, 0.9), (-0.6, 0.3), (0.123, -0.987)]
+    rng = np.random.default_rng(15)
+    cases += [tuple(p) for p in rng.uniform(-1.0, 1.0, (200, 2))]
+    psi_x, psi_y = (np.array([c[i] for c in cases]) for i in (0, 1))
+    phi, theta = visible_angles(psi_x, psi_y, d_x, d_y)
+    if (d_x, d_y) == (0.5, 0.5):
+        assert np.all(theta[5:9] == math.pi / 2) and np.all(np.isnan(theta[9:12]))
+    for i, (x, y) in enumerate(cases):
+        want = np.array([phi[i], theta[i]]).view(np.int64)
+        for kind in (float, np.float64, np.array):
+            one = visible_angles(kind(x), kind(y), d_x, d_y)
+            assert type(one[0]) is float and type(one[1]) is float
+            assert np.array_equal(np.array(one).view(np.int64), want), (kind, x, y, one)
 
 
 def test_visible_angles_agree_with_physical_angles():

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from simdoa import analysis, estimator, experiments, streams
 from simdoa.analysis import quantization_floor
-from simdoa.estimator import (EnergyMap, ProtocolConfig, collect_snapshots, electrical_angles,
-                              estimate_from_map, steering_for, wrapped_angle_error)
+from simdoa.estimator import (DoaEstimate, EnergyMap, ProtocolConfig, collect_snapshots,
+                              electrical_angles, estimate_from_map, steering_for,
+                              wrapped_angle_error)
 from simdoa.experiments import (
     McConfig,
     McPoint,
@@ -25,10 +26,11 @@ from simdoa.experiments import (
     run_monte_carlo,
     sample_source,
 )
-from simdoa.geometry import SimGeometry, build_propagation_matrices, dft_matrix
+from simdoa.geometry import (TWO_PI, SimGeometry, SteeringVector, build_propagation_matrices,
+                             dft_matrix)
 from simdoa.trainer import TrainConfig, train
-from simdoa.wavemodel import (ZerothLayerConfig, cn_noise, complex_gaussian, matvec_columns,
-                              scale_field)
+from simdoa.wavemodel import (ZerothLayerConfig, antenna_field, cn_noise, complex_gaussian,
+                              matvec_columns, scale_field, synthesize_received)
 
 LAM = 0.005
 
@@ -237,6 +239,84 @@ def test_paired_trial_equals_the_two_vector_path_bit_for_bit(response, monkeypat
         assert [_bits(e) for e in got] == [_bits(e) for e in want]
         for m, w in zip(maps, want_maps, strict=True):
             assert np.array_equal(m.view(np.int64), w.view(np.int64))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# ``paired_trial`` and the one-map helpers it called before their per-call
+# numpy overhead was cut (fromnumeric wrappers, numpy-scalar arithmetic,
+# np.outer, two noise draws), kept as the oracle of every estimate field.
+
+def _former_visible_angles(psi_x, psi_y, d_x, d_y):
+    px, py = np.pi * psi_x, np.pi * psi_y
+    radius = np.sqrt((px / d_x) * (px / d_x) + (py / d_y) * (py / d_y)) / TWO_PI
+    if radius > 1.0:
+        return math.nan, math.nan
+    if psi_x == 0.0 and psi_y == 0.0:
+        return 0.0, 0.0
+    return float(np.mod(np.arctan2(py * d_x, px * d_y), TWO_PI)), float(np.arcsin(radius))
+
+
+def _former_estimate(values, proto, n_x, n_y):
+    assert not np.any(values < 0.0)
+    t_hat, n_hat = divmod(int(np.argmax(values.T)), values.shape[0])
+    lattice = proto.lattice(n_x, n_y)
+    psi_x, psi_y = float(lattice.psi_x[n_hat, t_hat]), float(lattice.psi_y[n_hat, t_hat])
+    return DoaEstimate(n_hat + 1, t_hat + 1, psi_x, psi_y,
+                       *_former_visible_angles(psi_x, psi_y, 0.5, 0.5))
+
+
+def former_paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
+    n = n_x * n_y
+    f = dft_matrix(n_x, n_y).matrix
+    re, im = rng.standard_normal((n, proto.t)), rng.standard_normal((n, proto.t))
+    u_ant = np.empty(np.shape(re), dtype=complex)
+    np.multiply(np.sqrt(1.0 / n / 2.0), re, out=u_ant.real)
+    np.multiply(np.sqrt(1.0 / n / 2.0), im, out=u_ant.imag)
+    rho_wave = effective_rho(gamma, beta, n, proto.t)
+    rho_digital = effective_rho(gamma, 1.0, n, proto.t)
+    frame = np.conj(beta) / abs(beta) if beta != 0 else 1.0
+    ax = np.exp(1j * (np.pi * source.psi_x) * np.arange(n_x))
+    ay = np.exp(1j * (np.pi * source.psi_y) * np.arange(n_y))
+    sv = SteeringVector(np.outer(ay, ax).ravel(), np.pi * source.psi_x, np.pi * source.psi_y)
+    zeroth = proto.lattice(n_x, n_y).zeroth
+    wave = scale_field(synthesize_received(np.asarray(g), zeroth, sv),
+                       np.asarray(source.s, dtype=complex), rho_wave, frame * (f @ u_ant))
+    digital = matvec_columns(f, scale_field(antenna_field(zeroth, sv), source.s, rho_digital,
+                                            u_ant))
+    maps = [np.abs(x) ** 2 for x in (wave, digital)]
+    return [_former_estimate(m, proto, n_x, n_y) for m in maps], maps
+
+
+@pytest.mark.parametrize("response", ["dft", "perturbed"])
+def test_paired_trial_equals_its_former_one_map_path_bit_for_bit(response, monkeypatch):
+    maps = []
+    real = experiments.estimate_from_map
+
+    def capture(emap, *args, **kwargs):
+        maps.append(emap.values)
+        return real(emap, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_from_map", capture)
+    if response == "dft":
+        n_x, n_y, proto = 2, 2, ProtocolConfig(t_x=4, t_y=4)
+        g, beta = dft_matrix(2, 2).matrix, 1.0
+    else:  # beta * g is the DFT up to a small error, as after a fit
+        n_x, n_y, proto = 3, 3, ProtocolConfig(t_x=2, t_y=2)
+        gen = np.random.default_rng(48)
+        beta = 1.3 - 0.4j  # numpy's conj(beta) / |beta| and Python's differ in the last bit
+        g = (dft_matrix(3, 3).matrix + 0.05 * (gen.standard_normal((9, 9))
+                                               + 1j * gen.standard_normal((9, 9)))) / beta
+    sources = np.random.default_rng(49)
+    rng, oracle_rng = np.random.default_rng(50), np.random.default_rng(50)
+    for i in range(2000):
+        src = sample_source(sources, ("parameter", "solid", "uniform-psi")[i % 3])
+        gamma = 10.0 ** ((i % 7) * 0.5)
+        maps.clear()
+        got = paired_trial(g, beta, src, proto, n_x, n_y, gamma, rng)
+        want, want_maps = former_paired_trial(g, beta, src, proto, n_x, n_y, gamma, oracle_rng)
+        assert [_bits(e) for e in got] == [_bits(e) for e in want], i
+        for m, w in zip(maps, want_maps, strict=True):
+            assert np.array_equal(m.view(np.int64), w.view(np.int64)), i
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 

@@ -290,6 +290,23 @@ def test_steering_rows_equal_one_wave_calls_exactly():
         steering_vector(np.array([0.1, np.nan]), np.array([0.0, 0.0]), 2, 2)
 
 
+def test_scalar_steering_equals_its_array_row_and_the_outer_form_bit_for_bit():
+    # the one-wave call forms (ay[:, None] * ax), where it once called np.outer
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        k, nx, ny = (int(v) for v in rng.integers(1, 7, 3))
+        px, py = rng.uniform(-4.0, 4.0, (2, k))
+        px[0], py[-1] = -0.0, 0.0
+        rows = steering_vector(px, py, nx, ny).entries
+        for row, x, y in zip(rows, px, py):
+            one = steering_vector(float(x), float(y), nx, ny)
+            outer = np.outer(np.exp(1j * y * np.arange(ny)), np.exp(1j * x * np.arange(nx)))
+            assert one.entries.shape == (nx * ny,)
+            assert np.array_equal(one.entries.view(np.int64), row.view(np.int64))
+            assert np.array_equal(one.entries.view(np.int64), outer.ravel().view(np.int64))
+            assert type(one.psi_x) is float and type(one.psi_y) is float
+
+
 @given(st.floats(-10, 10), st.floats(-10, 10))
 @settings(max_examples=50)
 def test_steering_unit_modulus(px, py):

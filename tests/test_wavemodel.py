@@ -352,6 +352,26 @@ def test_zeroth_transmission_is_computed_once_and_read_only():
     assert not lattice.zeroth.transmission().flags.writeable
 
 
+def two_call_cn_noise(rng, shape, variance=1.0):
+    """``cn_noise`` as two draws of ``shape``, real parts first, scaled as ``complex_gaussian``."""
+    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    out = np.empty(np.shape(re), dtype=complex)
+    np.multiply(np.sqrt(variance / 2.0), re, out=out.real)
+    np.multiply(np.sqrt(variance / 2.0), im, out=out.imag)
+    return out
+
+
+@pytest.mark.parametrize("variance", [1.0, 0.25, 1.0 / 6.0])
+def test_cn_noise_equals_two_draws_bit_for_bit(variance):
+    rng, oracle_rng = np.random.default_rng(21), np.random.default_rng(21)
+    for shape in (4, np.int64(3), (), (5,), [2, 3], (4, 16), (3, 4, 6)):
+        got = cn_noise(rng, shape, variance)
+        want = two_call_cn_noise(oracle_rng, shape, variance)
+        assert got.shape == np.shape(want) and got.dtype == complex
+        assert np.array_equal(got.reshape(-1).view(np.int64), want.reshape(-1).view(np.int64))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_noise_unit_variance():
     u = cn_noise(np.random.default_rng(10), 100_000)
     assert np.mean(np.abs(u) ** 2) == pytest.approx(1.0, rel=0.02)
