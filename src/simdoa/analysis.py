@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import peak_cells
-from .geometry import steering_vector
+from .estimator import peak_cells, steering_for
 from .wavemodel import synthesize_received
 
 _ERFC_ZERO = 26.64174755704633  # least x with erfc(x) == 0.0 (scipy 1.17.1)
@@ -22,12 +21,6 @@ _ERFC_ZERO = 26.64174755704633  # least x with erfc(x) == 0.0 (scipy 1.17.1)
 
 class DegenerateField(ValueError):
     """Noiseless field is identically zero; no peak exists."""
-
-
-def q_function(x):
-    """Standard Gaussian tail probability P(Z > x). Accepts arrays."""
-    from scipy.special import erfc  # scipy loads only when a bound is evaluated
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -64,8 +57,8 @@ class BoundInputs:
         """Steering vector of the true angles on the input grid, built once and kept read-only."""
         cache = self.__dict__
         if "_steering" not in cache:
-            sv = steering_vector(np.pi * self.psi_x, np.pi * self.psi_y, self.n_x, self.n_y)
-            sv.entries.flags.writeable = False
+            sv = steering_for(self.psi_x, self.psi_y, self.n_x, self.n_y)
+            sv.flags.writeable = False
             cache["_steering"] = sv
         return cache["_steering"]
 
@@ -105,7 +98,7 @@ def _wilson_hilferty(nu1, nu2, nu3):
     cell is transformed in place in one work array, with the divisions
     by zero of nu3 = 0 cells silenced, and those cells are then set to 1/2.
     """
-    from scipy.special import erfc
+    from scipy.special import erfc  # scipy loads only when a bound is evaluated
     nu1, nu2, nu3 = (np.asarray(v, dtype=float) for v in (nu1, nu2, nu3))
     with np.errstate(divide="ignore", invalid="ignore"):
         h = nu2 ** 3
@@ -118,7 +111,7 @@ def _wilson_hilferty(nu1, nu2, nu3):
         z -= 1.0
         z += 2.0 / (9.0 * h)
         z *= np.sqrt(9.0 * h / 2.0)
-        # q_function(-z), the Gaussian tail, then clipped to [0, 1]; erfc runs only where
+        # the Gaussian tail P(Z > -z) = erfc(-z/sqrt(2))/2, clipped to [0, 1]; erfc runs only where
         # it is not 0.0, below _ERFC_ZERO or NaN, and the other cells hold 0.0
         np.negative(z, out=z)
         z /= np.sqrt(2.0)

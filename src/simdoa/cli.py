@@ -190,13 +190,6 @@ def _parse_geometry(section, path):
                           for k, v in values.items()})
 
 
-@dataclass(frozen=True)
-class CliSource:
-    psi_x: float
-    psi_y: float
-    s: complex
-
-
 def _parse_source(section, path):
     v = _read(section, path, _SOURCE)
     angles = v["phi_deg"] is not None or v["theta_deg"] is not None
@@ -214,7 +207,7 @@ def _parse_source(section, path):
     s = complex(v["s_real"], v["s_imag"])
     if s == 0:
         raise ValueError("symbol must be nonzero")
-    return CliSource(psi_x=psi_x, psi_y=psi_y, s=s)
+    return {"psi_x": psi_x, "psi_y": psi_y, "s": s}
 
 
 def _parse_sweep(section, path):
@@ -451,15 +444,14 @@ def _spectrum_map(config, args, command):
     g, beta, geom = _response_for(config, args, command, run["ideal"])
     proto = _need(config, "protocol", command)
     source = _need(config, "source", command)
-    sv = steering_for(source.psi_x, source.psi_y, geom.n_x, geom.n_y)
+    sv = steering_for(source["psi_x"], source["psi_y"], geom.n_x, geom.n_y)
     snr = run["snr_db"]
     if math.isinf(snr):
         rho, noise = 1.0, None
     else:
-        gamma = 10.0 ** (snr / 10.0)
-        rho = experiments.effective_rho(gamma, beta, geom.n, proto.t)
+        rho = experiments.snr_rho(snr, beta, geom.n, proto.t)
         noise = np.random.default_rng(run["seed"])
-    emap = collect_snapshots(g, sv, source.s, rho, proto, geom.n_x, geom.n_y,
+    emap = collect_snapshots(g, sv, source["s"], rho, proto, geom.n_x, geom.n_y,
                              noise=noise)
     return emap, proto, geom, source
 
@@ -473,8 +465,8 @@ def _cmd_spectrum(args, config):
     results = {
         "peak_psi_x": float(axis_x[peak % axis_x.size]),
         "peak_psi_y": float(axis_y[peak // axis_x.size]),
-        "true_psi_x": source.psi_x,
-        "true_psi_y": source.psi_y,
+        "true_psi_x": source["psi_x"],
+        "true_psi_y": source["psi_y"],
     }
     path = _emit(args, config, "spectrum", "spectrum.csv", ["psi_x", "psi_y", "power"], rows,
                  geom, results=results)
@@ -505,11 +497,9 @@ def _cmd_bound(args, config):
     snrs = _need(config, "bound", "bound")["snr_db"]
     rows = []
     for snr in snrs:
-        gamma = 10.0 ** (snr / 10.0)
-        rho = experiments.effective_rho(gamma, beta, geom.n, proto.t)
         inp = analysis.BoundInputs(g=g, proto=proto, n_x=geom.n_x, n_y=geom.n_y,
-                                   psi_x=source.psi_x, psi_y=source.psi_y,
-                                   rho=rho, s=source.s)
+                                   rho=experiments.snr_rho(snr, beta, geom.n, proto.t),
+                                   **source)
         bx, by = analysis.mse_bound(inp)
         rows.append((f"{snr:.10g}", f"{bx:.10g}", f"{by:.10g}"))
     path = _emit(args, config, "bound", "bound.csv",

@@ -24,10 +24,6 @@ class ProtocolConfig:
     def t(self):
         return self.t_x * self.t_y
 
-    def snapshot_grid(self, t):
-        """1-based (t_x, t_y) coordinates of snapshot t."""
-        return linear_to_grid(t, self.t_x, self.t_y)
-
     def lattice(self, n_x, n_y):
         """This schedule's SnapshotLattice on an (n_x, n_y) grid, kept on the instance."""
         cache = self.__dict__.setdefault("_lattices", {})
@@ -119,7 +115,7 @@ def zeroth_layer_phase(n, t, n_x, n_y, proto):
     arrays of n and t broadcast to an array of phases.
     """
     nx, ny = linear_to_grid(n, n_x, n_y)
-    tx, ty = proto.snapshot_grid(t)
+    tx, ty = linear_to_grid(t, proto.t_x, proto.t_y)
     phase = np.mod(-2.0 * np.pi * (nx - 1) * (tx - 1) / (n_x * proto.t_x)
                    - 2.0 * np.pi * (ny - 1) * (ty - 1) / (n_y * proto.t_y), 2.0 * np.pi)
     return phase
@@ -139,7 +135,7 @@ def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None, field=None
     ``s_seq`` is a single complex symbol reused every snapshot or a
     length-T sequence. ``noise`` is None (clean), a numpy Generator
     (unit-variance complex noise drawn per snapshot, one trial only), or a
-    preset (R, T) complex array. Steering entries (K, N) run K trials in
+    preset (R, T) complex array. A (K, N) steering array runs K trials in
     that one call: ``s_seq`` then holds K symbols (or K x T), a preset
     ``noise`` is (K, R, T), and the result is one (K, R, T) energy map,
     slice k equal to trial k's one-trial call bit for bit. ``field`` may
@@ -147,7 +143,7 @@ def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None, field=None
     is then synthesized.
     """
     symbols = np.asarray(s_seq, dtype=complex)
-    trials = sv.entries.shape[:-1]
+    trials = sv.shape[:-1]
     if symbols.shape != trials and symbols.shape != trials + (proto.t,):
         raise ValueError(f"expected {proto.t} symbols, got {symbols.shape}")
     if noise is not None and not isinstance(noise, np.ndarray):
@@ -187,7 +183,7 @@ def electrical_angles(n, t, n_x, n_y, proto):
     Integer index arrays of n and t broadcast to two arrays of angles.
     """
     nx, ny = linear_to_grid(n, n_x, n_y)
-    tx, ty = proto.snapshot_grid(t)
+    tx, ty = linear_to_grid(t, proto.t_x, proto.t_y)
     psi_x = np.mod(2.0 * ((nx - 1) / n_x + (tx - 1) / (n_x * proto.t_x)) + 1.0, 2.0) - 1.0
     psi_y = np.mod(2.0 * ((ny - 1) / n_y + (ty - 1) / (n_y * proto.t_y)) + 1.0, 2.0) - 1.0
     return psi_x, psi_y
@@ -282,5 +278,5 @@ def wrapped_angle_error(true_psi, est_psi):
 
 
 def steering_for(psi_x, psi_y, n_x, n_y):
-    """Steering vector from normalized electrical angles."""
+    """Steering vector (N,) from normalized electrical angles; length-K arrays give (K, N)."""
     return steering_vector(np.pi * psi_x, np.pi * psi_y, n_x, n_y)

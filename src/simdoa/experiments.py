@@ -31,7 +31,7 @@ class SourceTruth:
         cache = self.__dict__.setdefault("_steering", {})
         if (n_x, n_y) not in cache:
             sv = steering_for(self.psi_x, self.psi_y, n_x, n_y)
-            sv.entries.flags.writeable = False
+            sv.flags.writeable = False
             cache[n_x, n_y] = sv
         return cache[n_x, n_y]
 
@@ -48,6 +48,18 @@ def effective_rho(gamma, beta, n, t):
     per-snapshot received peak-cell SNR implied by gamma is gamma * T^2.
     """
     return gamma * (abs(beta) ** 2) * t ** 2 / n ** 2
+
+
+def snr_rho(snr_db, beta, n, t):
+    """``effective_rho`` at ``snr_db`` dB; a rho that overflows raises a ValueError naming the SNR.
+
+    rho carries the stack's |beta|^2, so the config check of the SNR alone cannot refuse it.
+    """
+    with np.errstate(over="ignore"):
+        rho = effective_rho(10.0 ** (snr_db / 10.0), beta, n, t)
+    if not math.isfinite(rho):
+        raise ValueError(f"snr_db {snr_db:g} gives a transmit SNR rho that overflows a float")
+    return rho
 
 
 def sample_source(rng, mode="parameter", symbol="cscg"):
@@ -156,6 +168,15 @@ class McPoint:
     trials: int
     low_trials: bool
     unrealizable: int
+
+
+def _map(fn, tasks, jobs):
+    """``[fn(*task) for task in tasks]``, mapped by a pool of ``jobs`` processes if ``jobs > 1``."""
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # -j 1 runs never load it
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*task) for task in tasks]
 
 
 # Cells per Monte Carlo block: a block runs max(1, _BLOCK_CELLS // (R*T))
@@ -294,19 +315,13 @@ def run_monte_carlo(cfg):
     n = cfg.n_x * cfg.n_y
     size = max(1, _BLOCK_CELLS // (n * cfg.proto.t))
     starts = range(0, cfg.trials, size)
-    rhos = [None if math.isinf(snr) else
-            effective_rho(10.0 ** (snr / 10.0), cfg.beta, n, cfg.proto.t)
+    rhos = [None if math.isinf(snr) else snr_rho(snr, cfg.beta, n, cfg.proto.t)
             for snr in cfg.snr_db]
     from .streams import point_pool  # only a Monte Carlo run loads it
     streams = [point_pool(cfg.seed, si) for si in range(len(rhos))]
     blocks = [(cfg, stream, range(start, min(start + size, cfg.trials)), rho)
               for stream, rho in zip(streams, rhos) for start in starts]
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # -j 1 runs never load it
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_mc_block, *zip(*blocks)))
-    else:
-        rows = [_mc_block(*block) for block in blocks]
+    rows = _map(_mc_block, blocks, cfg.jobs)
     points = []
     for si, snr in enumerate(cfg.snr_db):
         point_rows = rows[si * len(starts):(si + 1) * len(starts)]
@@ -366,13 +381,7 @@ def _fit_variants(variants, train_cfg, runs, seed, jobs):
     """
     todo = [(geom, train_cfg, seed, index, runs)
             for index, geom in enumerate(variants) if geom is not None]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fits = list(pool.map(_fit_runs, *zip(*todo)))
-    else:
-        fits = [_fit_runs(*args) for args in todo]
-    fits = iter(fits)
+    fits = iter(_map(_fit_runs, todo, jobs))
     rows = []
     for geom in variants:
         if geom is None:

@@ -145,20 +145,6 @@ class PropagationSet:
 
 
 @dataclass(frozen=True)
-class SteeringVector:
-    """Planar-array response to a plane wave.
-
-    ``psi_x`` and ``psi_y`` are per-element phase progressions in radians;
-    entry n equals exp(j*(psi_x*(n_x-1) + psi_y*(n_y-1))). K plane waves
-    hold (K, N) entries and length-K progression arrays.
-    """
-
-    entries: np.ndarray
-    psi_x: float
-    psi_y: float
-
-
-@dataclass(frozen=True)
 class DftTarget:
     """2D DFT matrix over an (n_x, n_y) grid, plus the grid shape."""
 
@@ -270,12 +256,13 @@ def build_propagation_matrices(geom):
 
 
 def steering_vector(psi_x, psi_y, n_x, n_y):
-    """Steering vector of an (n_x, n_y) planar grid.
+    """Steering vector of an (n_x, n_y) planar grid, as its (N,) entries array.
 
     ``psi_x`` and ``psi_y`` are the per-element phase progressions in
-    radians. The result is the Kronecker product of the y ramp with the
-    x ramp, matching the x-fastest linear index convention. Length-K numpy
-    arrays of progressions give K vectors, row k equal to its one-wave call.
+    radians; entry n equals exp(j*(psi_x*(n_x-1) + psi_y*(n_y-1))). The
+    result is the Kronecker product of the y ramp with the x ramp, matching
+    the x-fastest linear index convention. Length-K numpy arrays of
+    progressions give a (K, N) array, row k equal to its one-wave call.
     """
     # Scalars keep Python-float arithmetic: the array form makes a one-wave
     # call about twice as slow, and paired trials make two per pair.
@@ -285,13 +272,12 @@ def steering_vector(psi_x, psi_y, n_x, n_y):
             raise ValueError("steering angles must be finite")
         ax = np.exp(1j * psi_x[:, None] * np.arange(n_x))
         ay = np.exp(1j * psi_y[:, None] * np.arange(n_y))
-        return SteeringVector(entries=(ay[:, :, None] * ax[:, None, :]).reshape(len(ax), -1),
-                              psi_x=psi_x, psi_y=psi_y)
+        return (ay[:, :, None] * ax[:, None, :]).reshape(len(ax), -1)
     if not (math.isfinite(psi_x) and math.isfinite(psi_y)):
         raise ValueError("steering angles must be finite")
     ax = np.exp(1j * psi_x * np.arange(n_x))
     ay = np.exp(1j * psi_y * np.arange(n_y))
-    return SteeringVector((ay[:, None] * ax).ravel(), float(psi_x), float(psi_y))
+    return (ay[:, None] * ax).ravel()
 
 
 @functools.lru_cache(maxsize=8)  # bounded: a 32x32 grid's matrix alone is 16 MB

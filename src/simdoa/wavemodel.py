@@ -107,11 +107,11 @@ def matvec_columns(m, x):
 
 
 def antenna_field(zeroth, sv):
-    """Antenna field Y_0 a, one column per snapshot (N, T); steering entries (K, N) give (K, N, T).
+    """Antenna field Y_0 a, one column per snapshot (N, T); a (K, N) steering array gives (K, N, T).
 
     The wave path propagates it through the stack, the digital path through the numeric DFT.
     """
-    return zeroth.transmission() * sv.entries[..., None]
+    return zeroth.transmission() * sv[..., None]
 
 
 def synthesize_received(g, zeroth, sv):

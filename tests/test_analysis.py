@@ -14,7 +14,6 @@ from simdoa.analysis import (
     DegenerateField,
     clean_field,
     mse_bound,
-    q_function,
     quantization_floor,
 )
 from simdoa.estimator import (EnergyMap, ProtocolConfig, collect_snapshots, electrical_angles,
@@ -23,9 +22,14 @@ from simdoa.experiments import effective_rho
 from simdoa.geometry import dft_matrix
 
 
-# Scalar twins of the vectorized bound, kept here as oracles: per-cell
-# moments, the single-cell detection bound, the noncentrality map and the
-# noiseless peak.
+# Scalar twins of the vectorized bound, kept here as oracles: the Gaussian
+# tail, per-cell moments, the single-cell detection bound, the noncentrality
+# map and the noiseless peak.
+
+def q_function(x):
+    """Standard Gaussian tail probability P(Z > x). Accepts arrays."""
+    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+
 
 @dataclass(frozen=True)
 class MomentTriple:
@@ -215,20 +219,20 @@ def test_clean_field_is_the_clean_snapshot_exactly():
 def test_bound_inputs_build_their_steering_once_and_read_only(monkeypatch):
     # a Monte Carlo block's snapshots and its clean field read this one vector
     calls = []
-    real = analysis.steering_vector
+    real = analysis.steering_for
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(analysis, "steering_vector", counting)
+    monkeypatch.setattr(analysis, "steering_for", counting)
     psi_x, psi_y = np.array([0.27, -0.5]), np.array([-0.64, 0.125])
     inp = BoundInputs(g=dft_matrix(3, 2).matrix, proto=ProtocolConfig(t_x=3, t_y=2), n_x=3,
                       n_y=2, psi_x=psi_x, psi_y=psi_y, rho=1.0, s=np.ones(2, dtype=complex))
     sv = inp.steering()
     assert inp.steering() is sv
-    assert not sv.entries.flags.writeable
-    assert np.array_equal(sv.entries, steering_for(psi_x, psi_y, 3, 2).entries)
+    assert not sv.flags.writeable
+    assert np.array_equal(sv, steering_for(psi_x, psi_y, 3, 2))
     clean_field(inp)
     assert len(calls) == 1
 

@@ -97,8 +97,8 @@ def test_source_accepts_either_angle_form(tmp_path):
            "source": {"phi_deg": 90.0, "theta_deg": 30.0}}
     parsed = parse_config(write_config(tmp_path / "c.yaml", doc))
     src = parsed["source"]
-    assert src.psi_x == pytest.approx(0.0, abs=1e-12)
-    assert src.psi_y == pytest.approx(0.5)
+    assert src["psi_x"] == pytest.approx(0.0, abs=1e-12)
+    assert src["psi_y"] == pytest.approx(0.5)
     doc["source"] = {"psi_x": 0.25, "psi_y": -0.5, "phi_deg": 10.0,
                      "theta_deg": 10.0}
     with pytest.raises(ConfigError):
@@ -603,6 +603,19 @@ def test_python_m_simdoa_runs_without_warnings():
     assert proc.stdout.strip() == simdoa.__version__
 
 
+def test_import_simdoa_loads_no_submodule_and_no_numpy():
+    # the package once re-exported every submodule's names, so importing it loaded them all
+    src = os.path.dirname(os.path.dirname(simdoa.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, simdoa; print(sorted(m for m in sys.modules"
+            " if m.startswith('simdoa.') or m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 _LOADED_MODULES = """\
 import sys
 from simdoa import cli
@@ -703,11 +716,13 @@ def test_snr_whose_power_overflows_a_float_is_refused(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("command", ["estimate", "montecarlo"])
 def test_energies_that_overflow_exit_1(tmp_path, capsys, command):
-    # the power fits a float but the energies overflow; estimate once exited 0 with cell
-    # (1, 1) and psi (0, 0), montecarlo with an MSE of 0.27 and a NaN bound
+    # the power and rho fit a float but the energies overflow; estimate once exited 0 with
+    # cell (1, 1) and psi (0, 0), montecarlo with an MSE of 0.27 and a NaN bound (at 3075
+    # dB, which now overflows rho itself; see test_rho_that_overflows_exits_1_naming_the_snr)
     doc = {**RUN_DOC, "protocol": {"t_x": 4, "t_y": 4},
-           "estimate": {"ideal": True, "snr_db": 3075, "seed": 1},
-           "montecarlo": {"trials": 20, "snr_db": [3075], "ideal": True}}
+           "source": {**RUN_DOC["source"], "s_real": 2.0},
+           "estimate": {"ideal": True, "snr_db": 3058, "seed": 1},
+           "montecarlo": {"trials": 20, "snr_db": [3058], "ideal": True}}
     argv = [command, "--config", write_config(tmp_path / "c.yaml", doc),
             "--outdir", str(tmp_path / "run")]
     with warnings.catch_warnings():
@@ -715,6 +730,27 @@ def test_energies_that_overflow_exit_1(tmp_path, capsys, command):
         code = main(argv + (["-j", "1"] if command == "montecarlo" else []))
     assert code == 1
     assert "energy values must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run" / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["bound", "estimate", "spectrum", "montecarlo"])
+def test_rho_that_overflows_exits_1_naming_the_snr(tmp_path, capsys, command):
+    # the power fits a float but rho, which carries the stack's |beta|^2, does not: bound
+    # wrote the row '3082,nan,nan' and exited 0 after two RuntimeWarnings, and the others
+    # exited 1 after RuntimeWarnings with an error that did not name the SNR
+    stack = tmp_path / "s.bin"
+    save_stack(stack, random_stack(2, 4, np.random.default_rng(3)))
+    doc = {**RUN_DOC, "geometry": {"n_x": 2, "n_y": 2, "m_x": 2, "m_y": 2, "layers": 2,
+                                   "thickness": 2.0},
+           "bound": {"snr_db": [10, 3082]}, "estimate": {"snr_db": 3082},
+           "spectrum": {"snr_db": 3082}, "montecarlo": {"trials": 4, "snr_db": [10, 3082]}}
+    argv = [command, "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run"), "--stack", str(stack)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv + (["-j", "1"] if command == "montecarlo" else []))
+    assert code == 1
+    assert "error: snr_db 3082 gives a transmit SNR rho that overflows" in capsys.readouterr().err
     assert not (tmp_path / "run" / f"{command}.csv").exists()
 
 

@@ -95,8 +95,8 @@ def make_geom(n_x=2, n_y=2):
 def test_protocol_counts():
     proto = ProtocolConfig(t_x=4, t_y=2)
     assert proto.t == 8
-    assert proto.snapshot_grid(1) == (1, 1)
-    assert proto.snapshot_grid(5) == (1, 2)
+    assert linear_to_grid(1, proto.t_x, proto.t_y) == (1, 1)
+    assert linear_to_grid(5, proto.t_x, proto.t_y) == (1, 2)
     with pytest.raises(ValueError):
         ProtocolConfig(t_x=0, t_y=1)
 
@@ -276,7 +276,7 @@ def test_collect_matches_direct_dft_computation():
     emap = collect_snapshots(f, sv, s, rho, proto, 2, 2)
     for t in range(1, 5):
         xi0 = scalar_zeroth_layer_config(t, 2, 2, proto).xi0
-        r = math.sqrt(rho) * (f @ (np.exp(1j * xi0) * sv.entries)) * s
+        r = math.sqrt(rho) * (f @ (np.exp(1j * xi0) * sv)) * s
         assert np.allclose(emap.values[:, t - 1], np.abs(r) ** 2, rtol=1e-12)
 
 
@@ -285,7 +285,7 @@ def _per_snapshot_energies(g, sv, symbols, rho, proto, n_x, n_y, noise):
     values = np.empty((g.shape[0], proto.t))
     for t in range(1, proto.t + 1):
         zeroth = scalar_zeroth_layer_config(t, n_x, n_y, proto)
-        r = np.sqrt(rho) * (g @ (zeroth.transmission() * sv.entries)) * symbols[t - 1]
+        r = np.sqrt(rho) * (g @ (zeroth.transmission() * sv)) * symbols[t - 1]
         if isinstance(noise, np.ndarray):
             r = r + noise[:, t - 1]
         elif noise is not None:

@@ -26,7 +26,7 @@ from simdoa.experiments import (
     run_monte_carlo,
     sample_source,
 )
-from simdoa.geometry import (TWO_PI, SimGeometry, SteeringVector, build_propagation_matrices,
+from simdoa.geometry import (TWO_PI, SimGeometry, build_propagation_matrices,
                              dft_matrix)
 from simdoa.trainer import TrainConfig, train
 from simdoa.wavemodel import (ZerothLayerConfig, antenna_field, cn_noise, complex_gaussian,
@@ -127,7 +127,7 @@ def _per_snapshot_digital_energies(source, proto, n_x, n_y, rho, noise):
     for t in range(1, proto.t + 1):
         zeroth = ZerothLayerConfig(estimator.zeroth_layer_phase(np.arange(1, n_x * n_y + 1), t,
                                                                 n_x, n_y, proto))
-        x = np.sqrt(rho) * (zeroth.transmission() * sv.entries) * source.s
+        x = np.sqrt(rho) * (zeroth.transmission() * sv) * source.s
         if noise is not None:
             x = x + noise[:, t - 1]
         values[:, t - 1] = np.abs(f @ x) ** 2
@@ -197,10 +197,10 @@ def two_vector_paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     xi0 = proto.lattice(n_x, n_y).zeroth.xi0
     s = np.asarray(source.s, dtype=complex)
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
-    field = matvec_columns(np.asarray(g), (np.exp(1j * xi0).T * sv.entries).swapaxes(-1, -2))
+    field = matvec_columns(np.asarray(g), (np.exp(1j * xi0).T * sv).swapaxes(-1, -2))
     wave_map = np.abs(scale_field(field, s, rho_wave, frame * (f @ u_ant))) ** 2
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
-    x = np.sqrt(rho_digital) * (np.exp(1j * xi0) * sv.entries[..., None]) * source.s + u_ant
+    x = np.sqrt(rho_digital) * (np.exp(1j * xi0) * sv[..., None]) * source.s + u_ant
     digital_map = np.abs(matvec_columns(f, x)) ** 2
     return [estimate_from_map(EnergyMap(m), proto, n_x, n_y, (0.5, 0.5))
             for m in (wave_map, digital_map)], [wave_map, digital_map]
@@ -277,7 +277,7 @@ def former_paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     frame = np.conj(beta) / abs(beta) if beta != 0 else 1.0
     ax = np.exp(1j * (np.pi * source.psi_x) * np.arange(n_x))
     ay = np.exp(1j * (np.pi * source.psi_y) * np.arange(n_y))
-    sv = SteeringVector(np.outer(ay, ax).ravel(), np.pi * source.psi_x, np.pi * source.psi_y)
+    sv = np.outer(ay, ax).ravel()
     zeroth = proto.lattice(n_x, n_y).zeroth
     wave = scale_field(synthesize_received(np.asarray(g), zeroth, sv),
                        np.asarray(source.s, dtype=complex), rho_wave, frame * (f @ u_ant))
@@ -325,9 +325,9 @@ def test_source_steering_is_built_once_per_grid_and_read_only():
     sv = src.steering(3, 2)
     assert sv is src.steering(3, 2)
     want = steering_for(0.37, -0.58, 3, 2)
-    assert np.array_equal(sv.entries.view(np.int64), want.entries.view(np.int64))
-    assert not sv.entries.flags.writeable
-    assert np.array_equal(src.steering(2, 2).entries, steering_for(0.37, -0.58, 2, 2).entries)
+    assert np.array_equal(sv.view(np.int64), want.view(np.int64))
+    assert not sv.flags.writeable
+    assert np.array_equal(src.steering(2, 2), steering_for(0.37, -0.58, 2, 2))
     assert src == SourceTruth(phi=0.0, theta=0.0, psi_x=0.37, psi_y=-0.58, s=1.0)
 
 
@@ -742,7 +742,7 @@ def test_mc_block_size_follows_the_input_shape(monkeypatch):
     real = experiments.collect_snapshots
 
     def counting(g, sv, *args, **kwargs):
-        calls.append(sv.entries.shape[0])
+        calls.append(sv.shape[0])
         return real(g, sv, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "collect_snapshots", counting)

@@ -248,12 +248,12 @@ def test_geometry_validation():
 
 def test_steering_zero_angles_all_ones():
     sv = steering_vector(0.0, 0.0, 3, 2)
-    assert np.array_equal(sv.entries, np.ones(6))
+    assert np.array_equal(sv, np.ones(6))
 
 
 def test_steering_endfire_alternates():
     sv = steering_vector(math.pi, 0.0, 2, 1)
-    assert sv.entries == pytest.approx([1.0, -1.0])
+    assert sv == pytest.approx([1.0, -1.0])
 
 
 def test_steering_kronecker_oracle():
@@ -261,7 +261,7 @@ def test_steering_kronecker_oracle():
     ax = np.array([1.0, cmath.exp(1j * px)])
     ay = np.array([1.0, cmath.exp(1j * py)])
     sv = steering_vector(px, py, 2, 2)
-    assert sv.entries == pytest.approx(np.kron(ay, ax), rel=1e-15)
+    assert sv == pytest.approx(np.kron(ay, ax), rel=1e-15)
 
 
 def test_steering_equals_kronecker_product_exactly():
@@ -271,7 +271,7 @@ def test_steering_equals_kronecker_product_exactly():
         px, py = rng.uniform(-4.0, 4.0, 2)
         ax = np.exp(1j * px * np.arange(nx))
         ay = np.exp(1j * py * np.arange(ny))
-        assert np.array_equal(steering_vector(px, py, nx, ny).entries, np.kron(ay, ax))
+        assert np.array_equal(steering_vector(px, py, nx, ny), np.kron(ay, ax))
 
 
 def test_steering_rows_equal_one_wave_calls_exactly():
@@ -281,9 +281,9 @@ def test_steering_rows_equal_one_wave_calls_exactly():
         px, py = rng.uniform(-4.0, 4.0, (2, k))
         px[0] = 0.0 if k % 2 else -0.0  # signed zeros stay signed
         sv = steering_vector(px, py, nx, ny)
-        assert sv.entries.shape == (k, nx * ny)
-        for row, x, y in zip(sv.entries, px, py):
-            one = steering_vector(float(x), float(y), nx, ny).entries
+        assert sv.shape == (k, nx * ny)
+        for row, x, y in zip(sv, px, py):
+            one = steering_vector(float(x), float(y), nx, ny)
             assert np.array_equal(row, one)
             assert np.array_equal(np.signbit(row.view(float)), np.signbit(one.view(float)))
     with pytest.raises(ValueError):
@@ -297,22 +297,21 @@ def test_scalar_steering_equals_its_array_row_and_the_outer_form_bit_for_bit():
         k, nx, ny = (int(v) for v in rng.integers(1, 7, 3))
         px, py = rng.uniform(-4.0, 4.0, (2, k))
         px[0], py[-1] = -0.0, 0.0
-        rows = steering_vector(px, py, nx, ny).entries
+        rows = steering_vector(px, py, nx, ny)
         for row, x, y in zip(rows, px, py):
             one = steering_vector(float(x), float(y), nx, ny)
             outer = np.outer(np.exp(1j * y * np.arange(ny)), np.exp(1j * x * np.arange(nx)))
-            assert one.entries.shape == (nx * ny,)
-            assert np.array_equal(one.entries.view(np.int64), row.view(np.int64))
-            assert np.array_equal(one.entries.view(np.int64), outer.ravel().view(np.int64))
-            assert type(one.psi_x) is float and type(one.psi_y) is float
+            assert one.shape == (nx * ny,)
+            assert np.array_equal(one.view(np.int64), row.view(np.int64))
+            assert np.array_equal(one.view(np.int64), outer.ravel().view(np.int64))
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
 @settings(max_examples=50)
 def test_steering_unit_modulus(px, py):
     sv = steering_vector(px, py, 4, 3)
-    assert np.max(np.abs(np.abs(sv.entries) - 1.0)) < 1e-14
-    assert sv.entries[0] == 1.0
+    assert np.max(np.abs(np.abs(sv) - 1.0)) < 1e-14
+    assert sv[0] == 1.0
 
 
 # ----------------------------------------------------------------- dft target

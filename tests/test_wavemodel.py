@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simdoa.estimator import ProtocolConfig, steering_for
-from simdoa.geometry import (SimGeometry, SteeringVector, build_propagation_matrices,
+from simdoa.geometry import (SimGeometry, build_propagation_matrices,
                              dft_matrix, steering_vector)
 from simdoa.wavemodel import (
     DB_FLOOR,
@@ -246,7 +246,7 @@ def test_received_off_grid_matches_digital_dft():
     sv = steering_vector(0.48 * math.pi, 0.23 * math.pi, 2, 2)
     s = 0.8 - 0.3j
     r = received(f, zeroth, sv, s, 4.0)
-    oracle = 2.0 * f @ (np.exp(1j * xi0) * sv.entries * s)
+    oracle = 2.0 * f @ (np.exp(1j * xi0) * sv * s)
     assert np.allclose(r, oracle, rtol=1e-12)
 
 
@@ -273,12 +273,11 @@ def test_received_trial_axis_slices_equal_one_trial_calls(symbols, columns):
          "per_snapshot": cn_noise(rng, (k, t if columns else 1))}[symbols]
     shape = (r, t) if columns else (r,)
     noise = cn_noise(rng, (k, *shape))
-    batch = SteeringVector(entries, np.zeros(k), np.zeros(k))
     for u in (None, noise):
-        got = received(g, zeroth, batch, s, 2.5, u)
+        got = received(g, zeroth, entries, s, 2.5, u)
         assert got.shape == (k, *shape)
         for i in range(k):
-            want = received(g, zeroth, SteeringVector(entries[i], 0.0, 0.0),
+            want = received(g, zeroth, entries[i],
                             s if symbols == "scalar" else s[i], 2.5,
                             None if u is None else u[i])
             assert np.array_equal(got[i], want)
@@ -288,11 +287,11 @@ def test_synthesized_field_is_the_unit_field_column_by_column():
     rng = np.random.default_rng(30)
     g = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     zeroth = ZerothLayerConfig(rng.uniform(0, 7, (5, 4)))
-    sv = SteeringVector(np.exp(1j * rng.uniform(0, 7, 5)), 0.0, 0.0)
+    sv = np.exp(1j * rng.uniform(0, 7, 5))
     field = synthesize_received(g, zeroth, sv)
     assert field.shape == (3, 4)
     for t in range(4):
-        assert np.array_equal(field[:, t], g @ (zeroth.transmission()[:, t] * sv.entries))
+        assert np.array_equal(field[:, t], g @ (zeroth.transmission()[:, t] * sv))
 
 
 def _signed_zero_fields():
