@@ -97,10 +97,11 @@ def _wilson_hilferty(nu1, nu2, nu3):
     symmetric-case value 1/2, which is also the continuous limit. Every
     cell is transformed in place in one work array, with the divisions
     by zero of nu3 = 0 cells silenced, and those cells are then set to 1/2.
+    Moments whose powers leave a float's range give NaN, silently too.
     """
     from scipy.special import erfc  # scipy loads only when a bound is evaluated
     nu1, nu2, nu3 = (np.asarray(v, dtype=float) for v in (nu1, nu2, nu3))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h = nu2 ** 3
         h /= nu3 ** 2
         z = h * nu2
@@ -170,7 +171,8 @@ def mse_bound(inp):
     scalar call bit for bit. The receiver grid must be the input grid,
     since cell (n, t) is scored at the input lattice's angles. The clean
     field is ``clean_field(inp)``, so a field that the snapshots of the same
-    ``inp`` already used is not synthesized again.
+    ``inp`` already used is not synthesized again. A trial whose moments
+    leave a float's range (an extreme ``rho``) gets NaN bounds.
     """
     lattice = inp.proto.lattice(inp.n_x, inp.n_y)
     if inp.g.shape[0] != inp.n_x * inp.n_y:
@@ -208,17 +210,9 @@ def mse_bound(inp):
 def quantization_floor(n_x, n_y, proto):
     """Expected squared snap-to-lattice error per normalized-angle axis.
 
-    The source angle is uniform on [-1, 1), and the error is integrated
-    numerically on a midpoint grid (the closed form step^2/12 is kept to
-    the tests).
+    An axis's n * t lattice angles split the period-2 circle into cells of
+    width step = 2 / (n * t). For a source angle uniform on [-1, 1) the snap
+    error is uniform on [-step/2, step/2), so its mean square is step^2 / 12.
     """
-    grid = 200001
-    values = -1.0 + 2.0 * (np.arange(grid) + 0.5) / grid
-
-    def axis_floor(cells):
-        step = 2.0 / cells
-        offset = np.mod(values + 1.0, step)
-        err = np.minimum(offset, step - offset)
-        return float(np.mean(err ** 2))
-
-    return axis_floor(n_x * proto.t_x), axis_floor(n_y * proto.t_y)
+    step_x, step_y = 2.0 / (n_x * proto.t_x), 2.0 / (n_y * proto.t_y)
+    return step_x ** 2 / 12.0, step_y ** 2 / 12.0

@@ -13,7 +13,6 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -118,14 +117,14 @@ def _from_fields(cls, **checks):
 
 # Lengths are in wavelengths; unset stack fields give the best known 7-layer design.
 _GEOMETRY = {
-    "n_x": (int, _REQUIRED, _SIZE), "n_y": (int, _REQUIRED, _SIZE),
-    "d_x": (float, 0.5), "d_y": (float, 0.5),
-    "m_x": (int, 11, _SIZE), "m_y": (int, 11, _SIZE),
-    "s_x": (float, 0.5), "s_y": (float, 0.5),
-    "layers": (int, 7, _SIZE), "thickness": (float, 9.0),
-    "u_x": (float, None), "u_y": (float, None),  # None: the input spacing
-    "rotation_deg": (float, 0.0),
-    "wavelength_mm": (float, 5.0),
+    "n_x": (int, _REQUIRED, _AT_LEAST_ONE, _SIZE), "n_y": (int, _REQUIRED, _AT_LEAST_ONE, _SIZE),
+    "d_x": (float, 0.5, _POSITIVE), "d_y": (float, 0.5, _POSITIVE),
+    "m_x": (int, 11, _AT_LEAST_ONE, _SIZE), "m_y": (int, 11, _AT_LEAST_ONE, _SIZE),
+    "s_x": (float, 0.5, _POSITIVE), "s_y": (float, 0.5, _POSITIVE),
+    "layers": (int, 7, _AT_LEAST_ONE, _SIZE), "thickness": (float, 9.0, _POSITIVE),
+    "u_x": (float, None, _POSITIVE), "u_y": (float, None, _POSITIVE),  # None: the input spacing
+    "rotation_deg": (float, 0.0, _FINITE),
+    "wavelength_mm": (float, 5.0, _POSITIVE),
 }
 # Either angle form may be given (None: not given), not both.
 _PSI = (lambda v: -1.0 <= v < 1.0, "must lie in [-1, 1)")
@@ -163,17 +162,18 @@ _SWEEP_MODE = {"mode": (tuple(_SWEEP), "ablation")}
 # and the complex transmission exp(j xi0), 56 MiB at the cap, and its array
 # build peaks near 90 MiB (0.2-0.4 s) before any snapshot is taken. A Monte
 # Carlo SNR point runs trials x R x T cells (R = N), at about 0.2 us a cell,
-# so its cap is about 15 minutes per point. The fit rows apply only with a
-# 'train' section: the propagation matrices build at about 73 bytes and
-# 0.17 us a cell of M^2, so near 300 MiB and 0.7 s at the cap, and an
-# iteration's GEMMs run layers x M^2 x N complex multiply-adds at about
+# so its cap is about 15 minutes per point. The fit rows apply with a 'train'
+# section, and _MATRICES to --stack runs too: the matrices build at about 73
+# bytes and 0.17 us a cell of M^2, so near 300 MiB and 0.7 s at the cap, and
+# an iteration's GEMMs run layers x M^2 x N complex multiply-adds at about
 # 3e9 a second, so the fit's cap is about 12 minutes.
 _M2 = ("geometry.m_x", "geometry.m_y", "geometry.m_x", "geometry.m_y")
+_MATRICES = (2 ** 22, "propagation matrix cells", _M2)
 _WORK = (
     (2 ** 20, "lattice cells", ("geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y")),
     (2 ** 32, "Monte Carlo cells per SNR point",
      ("montecarlo.trials", "geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y")),
-    (2 ** 22, "propagation matrix cells", _M2, "train"),
+    (*_MATRICES, "train"),
     (2 ** 41, "multiply-adds in the fit's GEMMs",
      ("geometry.layers", *_M2, "geometry.n_x", "geometry.n_y", "train.max_iters",
       "train.restarts")),
@@ -227,7 +227,8 @@ _SECTION_PARSERS = {
                           zeta=((lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),),
                           max_iters=(_AT_LEAST_ONE,), rel_tolerance=(_NON_NEGATIVE,),
                           seed=(_NON_NEGATIVE,), restarts=(_AT_LEAST_ONE,)),
-    "protocol": _from_fields(ProtocolConfig, t_x=(_SIZE,), t_y=(_SIZE,)),
+    "protocol": _from_fields(ProtocolConfig, t_x=(_AT_LEAST_ONE, _SIZE),
+                             t_y=(_AT_LEAST_ONE, _SIZE)),
     "source": _parse_source,
     "estimate": lambda s, path: _read(s, path, _RUN),
     "spectrum": lambda s, path: _read(s, path, _RUN),
@@ -277,63 +278,27 @@ def _check_work(parsed):
     A row applies when its keys' sections, and any section it names after them, are present.
     """
     for cap, what, keys, *also in _WORK:
-        if not all(name in parsed for name in [key.split(".")[0] for key in keys] + also):
-            continue
-        values = []
-        for key in keys:
-            section, name = key.split(".")
-            obj = parsed[section]
-            values.append(obj[name] if isinstance(obj, dict) else getattr(obj, name))
-        if math.prod(values) > cap:
-            key = keys[values.index(max(values))]
-            raise ConfigError(f"'{key}' asks for too much work: {' * '.join(keys)} ="
-                              f" {math.prod(values)} {what}, above the cap of {cap}")
+        if all(name in parsed for name in [key.split(".")[0] for key in keys] + also):
+            _check_cap(parsed, cap, what, keys)
+
+
+def _check_cap(parsed, cap, what, keys):
+    """Refuse ``parsed`` if the product of its ``keys``' values exceeds ``cap``."""
+    values = []
+    for key in keys:
+        section, name = key.split(".")
+        obj = parsed[section]
+        values.append(obj[name] if isinstance(obj, dict) else getattr(obj, name))
+    if math.prod(values) > cap:
+        key = keys[values.index(max(values))]
+        raise ConfigError(f"'{key}' asks for too much work: {' * '.join(keys)} ="
+                          f" {math.prod(values)} {what}, above the cap of {cap}")
 
 
 def _need(config, name, command):
     if name not in config:
         raise ConfigError(f"'{command}' needs a '{name}' section in the config")
     return config[name]
-
-
-def geometry_hash(geom):
-    """Stable digest of every geometric parameter."""
-    payload = repr(dataclasses.astuple(geom)).encode()
-    return hashlib.sha256(payload).hexdigest()
-
-
-@dataclass
-class RunManifest:
-    """Audit record emitted next to every artifact set."""
-
-    command: str
-    version: str
-    created: str
-    config: dict
-    seeds: list
-    geometry_digest: str
-    outputs: list = field(default_factory=list)
-    results: dict = field(default_factory=dict)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            yaml.safe_dump(dataclasses.asdict(self), fh, sort_keys=False)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls(**yaml.safe_load(fh))
-
-
-def new_manifest(command, config, seeds, geom=None):
-    return RunManifest(
-        command=command,
-        version=__version__,
-        created=datetime.now(timezone.utc).isoformat(),
-        config=config.get("_raw", {}),
-        seeds=[int(s) for s in seeds],
-        geometry_digest=geometry_hash(geom) if geom is not None else "",
-    )
 
 
 _STACK_MAGIC = b"PHSTK\x00"
@@ -384,16 +349,26 @@ def _outdir(args):
 def _emit(args, config, command, name, header, rows, geom, seeds=(), results=None, also=()):
     """Write ``command``'s CSV ``name`` and its ``<command>-manifest.yaml``; returns the CSV path.
 
+    The manifest is the audit record of the run: the raw config, the seeds,
+    a digest of every geometric parameter, the outputs and the results.
     ``also`` names files the command already wrote to the output directory;
     the manifest lists them before the CSV.
     """
     out = _outdir(args)
     path = os.path.join(out, name)
     write_csv(path, header, rows)
-    manifest = new_manifest(command, config, seeds, geom)
-    manifest.outputs = [*also, name]
-    manifest.results = results or {}
-    manifest.save(os.path.join(out, f"{command}-manifest.yaml"))
+    manifest = {
+        "command": command,
+        "version": __version__,
+        "created": datetime.now(timezone.utc).isoformat(),
+        "config": config.get("_raw", {}),
+        "seeds": [int(s) for s in seeds],
+        "geometry_digest": hashlib.sha256(repr(dataclasses.astuple(geom)).encode()).hexdigest(),
+        "outputs": [*also, name],
+        "results": results or {},
+    }
+    with open(os.path.join(out, f"{command}-manifest.yaml"), "w") as fh:
+        yaml.safe_dump(manifest, fh, sort_keys=False)
     return path
 
 
@@ -401,6 +376,7 @@ def _response_for(config, args, command, ideal=None):
     """(g, beta, geom) from --stack, else the exact DFT if ``ideal`` (None: no such key)."""
     geom = _need(config, "geometry", command)
     if args.stack:
+        _check_cap(config, *_MATRICES)
         if not os.path.exists(args.stack):
             raise IOError(f"stack file not found: {args.stack}")
         stack = load_stack(args.stack)
@@ -424,7 +400,7 @@ def _cmd_fit(args, config):
     _emit(args, config, "fit", "loss_history.csv", ["iteration", "loss", "loss_db"],
           [(i, f"{l:.17g}", f"{d:.10g}") for i, (l, d)
            in enumerate(zip(best.loss_history, best.loss_db_history))],
-          geom, [train_cfg.seed + i for i in range(train_cfg.restarts)], {
+          geom, [r.seed for r in reports], {
               "best_db": float(best.best_db),
               "best_seed": int(best.seed),
               "beta_abs": float(abs(best.beta)),
@@ -501,6 +477,8 @@ def _cmd_bound(args, config):
                                    rho=experiments.snr_rho(snr, beta, geom.n, proto.t),
                                    **source)
         bx, by = analysis.mse_bound(inp)
+        if not (math.isfinite(bx) and math.isfinite(by)):
+            raise ValueError(f"snr_db {snr:g} gives an MSE bound beyond a float's range")
         rows.append((f"{snr:.10g}", f"{bx:.10g}", f"{by:.10g}"))
     path = _emit(args, config, "bound", "bound.csv",
                  ["effective_snr_db", "mse_x_bound", "mse_y_bound"], rows, geom)

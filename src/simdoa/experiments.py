@@ -328,17 +328,18 @@ def run_monte_carlo(cfg):
         ex2, ey2, bx, by, realizable = (np.concatenate(col) for col in zip(*point_rows))
         per_trial = 0.5 * (ex2 + ey2)
         bounds = 0.5 * (bx + by)
-        have_bound = not np.all(np.isnan(bounds))
+        if cfg.with_bound and rhos[si] is not None and not np.all(np.isfinite(bounds)):
+            raise ValueError(f"snr_db {snr:g} gives an MSE bound beyond a float's range")
         points.append(McPoint(
             snr_db=snr,
             mse_x=float(np.mean(ex2)),
             mse_y=float(np.mean(ey2)),
             mse=float(np.mean(per_trial)),
             se=float(np.std(per_trial) / np.sqrt(cfg.trials)),
-            bound_x=float(np.nanmean(bx)) if have_bound else float("nan"),
-            bound_y=float(np.nanmean(by)) if have_bound else float("nan"),
-            bound=float(np.nanmean(bounds)) if have_bound else float("nan"),
-            bound_se=float(np.nanstd(bounds) / np.sqrt(cfg.trials)) if have_bound else float("nan"),
+            bound_x=float(np.mean(bx)),
+            bound_y=float(np.mean(by)),
+            bound=float(np.mean(bounds)),
+            bound_se=float(np.std(bounds) / np.sqrt(cfg.trials)),
             trials=cfg.trials,
             low_trials=cfg.trials < 30,
             unrealizable=int(np.count_nonzero(~realizable)),
@@ -417,12 +418,10 @@ def ablation_sweep(geom, train_cfg, thickness_lam, layers, atoms, spacing_lam, r
             variant = dataclasses.replace(geom, m_x=side, m_y=side, s_x=spacing * lam,
                                           s_y=spacing * lam, layers=n_layers,
                                           thickness=thickness * lam)
+            note = check_feasibility(variant)
         except ValueError as exc:
-            variant, note = None, str(exc)
-        else:
-            feas = check_feasibility(variant)
-            variant, note = (variant, "") if feas.feasible else (None, feas.message)
-        variants.append(variant)
+            note = str(exc)
+        variants.append(None if note else variant)
         notes.append(note)
     fits = _fit_variants(variants, train_cfg, runs, seed, jobs)
     return [SweepCell(*cell, variant is not None, note, *fit)

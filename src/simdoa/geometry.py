@@ -5,7 +5,7 @@ grid index maps, propagation distances, Rayleigh-Sommerfeld attenuation
 matrices, plane-wave steering vectors, and the 2D DFT target matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import functools
 import math
 
@@ -20,7 +20,7 @@ class SimGeometry:
 
     All lengths are in meters. Grids are counted in the x direction first;
     a linear index n on an (N_x, N_y) grid maps to coordinates via
-    ``linear_to_grid(n, N_x)``.
+    ``linear_to_grid(n, N_x)``. The receiver grid is the input grid.
 
     Parameters
     ----------
@@ -38,8 +38,6 @@ class SimGeometry:
         Number of intermediate layers L (the input layer is not counted).
     thickness : float
         Total stack thickness; adjacent layers sit ``thickness / layers`` apart.
-    r_x, r_y : int, optional
-        Receiver grid size, defaults to the input grid.
     u_x, u_y : float, optional
         Receiver element spacings, default to the input spacings.
     rotation : float
@@ -57,22 +55,16 @@ class SimGeometry:
     s_y: float
     layers: int
     thickness: float
-    r_x: int = None
-    r_y: int = None
     u_x: float = None
     u_y: float = None
     rotation: float = 0.0
 
     def __post_init__(self):
-        if self.r_x is None:
-            object.__setattr__(self, "r_x", self.n_x)
-        if self.r_y is None:
-            object.__setattr__(self, "r_y", self.n_y)
         if self.u_x is None:
             object.__setattr__(self, "u_x", self.d_x)
         if self.u_y is None:
             object.__setattr__(self, "u_y", self.d_y)
-        for name in ("n_x", "n_y", "m_x", "m_y", "r_x", "r_y", "layers"):
+        for name in ("n_x", "n_y", "m_x", "m_y", "layers"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
@@ -92,10 +84,6 @@ class SimGeometry:
         return self.m_x * self.m_y
 
     @property
-    def r(self):
-        return self.r_x * self.r_y
-
-    @property
     def s_layer(self):
         """Vertical gap between adjacent layers."""
         return self.thickness / self.layers
@@ -109,9 +97,7 @@ class SimGeometry:
     def receiver_isomorphic(self):
         """True when the receiver repeats the input layer exactly."""
         return (
-            self.r_x == self.n_x
-            and self.r_y == self.n_y
-            and self.u_x == self.d_x
+            self.u_x == self.d_x
             and self.u_y == self.d_y
             and self.rotation == 0.0
         )
@@ -123,7 +109,7 @@ class PropagationSet:
 
     ``w0`` maps the input layer to the first intermediate layer (M x N),
     ``w_inner`` holds the L-1 layer-to-layer matrices (M x M each), and
-    ``w_last`` maps the final layer to the receiver (R x M).
+    ``w_last`` maps the final layer to the receiver (N x M).
     """
 
     w0: np.ndarray
@@ -140,7 +126,7 @@ class PropagationSet:
         for w in self.w_inner:
             if w.shape != (m, m):
                 raise ValueError("inner matrix shape inconsistent with geometry")
-        if self.w_last.shape != (self.geometry.r, m):
+        if self.w_last.shape != (n, m):
             raise ValueError("w_last shape inconsistent with geometry")
 
 
@@ -151,16 +137,6 @@ class DftTarget:
     matrix: np.ndarray
     n_x: int
     n_y: int
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Result of the rank check for exact DFT fitting."""
-
-    feasible: bool
-    m: int
-    n: int
-    message: str = field(default="")
 
 
 def linear_to_grid(idx, width, height=None):
@@ -239,7 +215,7 @@ def build_propagation_matrices(geom):
     if geom.receiver_isomorphic:
         w_last = w0.T.copy()
     else:
-        rx, ry = _centered_positions(geom.r_x, geom.r_y, geom.u_x, geom.u_y)
+        rx, ry = _centered_positions(geom.n_x, geom.n_y, geom.u_x, geom.u_y)
         c, s = math.cos(geom.rotation), math.sin(geom.rotation)
         rot_x = rx * c - ry * s
         rot_y = rx * s + ry * c
@@ -302,14 +278,12 @@ def dft_matrix(n_x, n_y):
 
 
 def check_feasibility(geom):
-    """Rank condition for a zero-residual DFT fit.
+    """Why a zero-residual DFT fit is out of reach, or "" when rank allows it.
 
     The stack response has rank at most M, so M >= N is necessary for the
     fit error to reach zero.
     """
     m, n = geom.m, geom.n
     if m >= n:
-        msg = f"M={m} >= N={n}: exact fit is not rank-limited"
-        return FeasibilityReport(feasible=True, m=m, n=n, message=msg)
-    msg = f"M={m} < N={n}: response rank is at most {m}, zero loss unattainable"
-    return FeasibilityReport(feasible=False, m=m, n=n, message=msg)
+        return ""
+    return f"M={m} < N={n}: response rank is at most {m}, zero loss unattainable"

@@ -111,10 +111,9 @@ def gradient(props, stack, f, beta, q=None, t=None):
     return -2.0 * np.imag(beta * t * rows)
 
 
-def finite_diff_gradient(props, stack, f, beta, step=1e-6):
+def finite_diff_gradient(props, stack, f, beta):
     """Central-difference gradient of the fitting loss, (L, M), for cross-checking."""
-    if step <= 0.0:
-        raise ValueError("step must be > 0")
+    step = 1e-6  # radians
     grads = np.zeros_like(stack.xi)
     probe = stack.copy()
     for l, m in np.ndindex(grads.shape):

@@ -598,14 +598,31 @@ def test_mse_bound_symmetric_axes():
 
 # ----------------------------------------------------------------------- floor
 
+def _midpoint_floor(cells):
+    """Mean squared snap error on a lattice of ``cells`` angles, integrated numerically.
+
+    The source angle runs over a 200,001-point midpoint grid of [-1, 1), and
+    each point snaps to the nearest angle of -1 + k * 2 / cells.
+    """
+    grid = 200001
+    values = -1.0 + 2.0 * (np.arange(grid) + 0.5) / grid
+    step = 2.0 / cells
+    offset = np.mod(values + 1.0, step)
+    err = np.minimum(offset, step - offset)
+    return float(np.mean(err ** 2))
+
+
 def test_quantization_floor_closed_form():
     fx, fy = quantization_floor(2, 2, ProtocolConfig(t_x=4, t_y=4))
-    assert fx == pytest.approx(0.25 ** 2 / 12.0, rel=1e-6)
+    assert fx == pytest.approx(_midpoint_floor(8), rel=1e-9)
     assert fy == fx
     fx, fy = quantization_floor(2, 2, ProtocolConfig(t_x=64, t_y=64))
-    assert fx == pytest.approx((1.0 / 64) ** 2 / 12.0, rel=1e-6)
+    assert fx == pytest.approx(_midpoint_floor(128), rel=1e-9)
+    fx, fy = quantization_floor(3, 2, ProtocolConfig(t_x=5, t_y=7))
+    assert (fx, fy) == pytest.approx((_midpoint_floor(15), _midpoint_floor(14)), rel=1e-9)
 
 
 def test_quantization_floor_single_bin():
     fx, fy = quantization_floor(1, 1, ProtocolConfig())
-    assert fx == pytest.approx(1.0 / 3.0, rel=1e-6)
+    assert fx == pytest.approx(_midpoint_floor(1), rel=1e-9)
+    assert fy == fx

@@ -15,10 +15,8 @@ import simdoa
 from simdoa import cli, experiments
 from simdoa.cli import (
     ConfigError,
-    RunManifest,
     load_stack,
     main,
-    new_manifest,
     parse_config,
     save_stack,
 )
@@ -36,6 +34,11 @@ def write_config(path, doc):
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh)
     return str(path)
+
+
+def read_manifest(path):
+    with open(path) as fh:
+        return yaml.safe_load(fh)
 
 
 def tiny_fit_doc(max_iters=15, restarts=2):
@@ -147,12 +150,12 @@ def test_fit_writes_artifacts(tmp_path, capsys):
     rows = read_csv(out / "loss_history.csv")
     assert rows[0] == ["iteration", "loss", "loss_db"]
     assert len(rows) == 17  # header + initial + 15 iterations
-    manifest = RunManifest.load(out / "fit-manifest.yaml")
-    assert manifest.command == "fit"
-    assert manifest.seeds == [0, 1]
-    assert manifest.results["best_db"] <= 0.0
-    assert manifest.results["beta_abs"] > 0.0
-    assert manifest.geometry_digest != ""
+    manifest = read_manifest(out / "fit-manifest.yaml")
+    assert manifest["command"] == "fit"
+    assert manifest["seeds"] == [0, 1]
+    assert manifest["results"]["best_db"] <= 0.0
+    assert manifest["results"]["beta_abs"] > 0.0
+    assert manifest["geometry_digest"] != ""
     stack = load_stack(out / "stack.bin")
     assert stack.layers == 2
     assert stack.xi[0].size == 25
@@ -168,7 +171,7 @@ def test_fit_manifest_lists_every_restart(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     assert main(["fit", "--config", cfg, "--outdir", str(out)]) == 0
     assert len(fits) == 1
-    results = RunManifest.load(out / "fit-manifest.yaml").results
+    results = read_manifest(out / "fit-manifest.yaml")["results"]
     restarts = results["restarts"]
     assert [r["seed"] for r in restarts] == [0, 1]
     assert all(r["stop_reason"] == "max_iters" and 0 <= r["best_iteration"] <= 6
@@ -226,14 +229,17 @@ def test_stack_dims_must_match_geometry(tmp_path, capsys, monkeypatch):
     assert builds == []  # the stack's dims are checked before the M x M matrices are built
 
 
-def test_manifest_round_trip(tmp_path):
-    manifest = new_manifest("spectrum", {"_raw": {"a": 1}}, [3, 4])
-    manifest.outputs = ["spectrum.csv"]
-    manifest.results = {"peak_psi_x": 0.5}
-    path = tmp_path / "m.yaml"
-    manifest.save(path)
-    back = RunManifest.load(path)
-    assert back == manifest
+def test_manifest_round_trip(tmp_path, capsys):
+    doc = {"geometry": {"n_x": 2, "n_y": 2}, "protocol": {"t_x": 2, "t_y": 2},
+           "source": {"psi_x": 0.5, "psi_y": 0.0}, "spectrum": {"ideal": True}}
+    out = tmp_path / "run"
+    assert main(["spectrum", "--config", write_config(tmp_path / "c.yaml", doc),
+                 "--outdir", str(out)]) == 0
+    manifest = read_manifest(out / "spectrum-manifest.yaml")
+    assert list(manifest) == ["command", "version", "created", "config", "seeds",
+                              "geometry_digest", "outputs", "results"]
+    assert manifest["command"] == "spectrum" and manifest["config"] == doc
+    assert manifest["seeds"] == [] and manifest["outputs"] == ["spectrum.csv"]
 
 
 def test_outdir_env_variable(tmp_path, monkeypatch, capsys):
@@ -261,10 +267,10 @@ def test_spectrum_peak_near_truth(tmp_path, capsys):
     rows = read_csv(out / "spectrum.csv")
     assert rows[0] == ["psi_x", "psi_y", "power"]
     assert len(rows) == 1 + 16 * 16
-    manifest = RunManifest.load(out / "spectrum-manifest.yaml")
+    results = read_manifest(out / "spectrum-manifest.yaml")["results"]
     cell = 2.0 / 16
-    assert abs(manifest.results["peak_psi_x"] - 0.48) <= cell / 2 + 1e-12
-    assert abs(manifest.results["peak_psi_y"] - 0.23) <= cell / 2 + 1e-12
+    assert abs(results["peak_psi_x"] - 0.48) <= cell / 2 + 1e-12
+    assert abs(results["peak_psi_y"] - 0.23) <= cell / 2 + 1e-12
 
 
 def test_estimate_snaps_to_lattice(tmp_path, capsys):
@@ -687,6 +693,23 @@ def test_train_values_exit_2_naming_the_key(tmp_path, capsys, key, value, messag
     assert f"'train.{key}' {message}" in err
 
 
+@pytest.mark.parametrize("section,key,value,message", [
+    ("geometry", "n_x", 0, "must be >= 1"),
+    ("geometry", "d_x", -1.0, "must be positive and finite"),
+    ("geometry", "rotation_deg", math.inf, "must be finite"),
+    ("protocol", "t_x", 0, "must be >= 1"),
+], ids=["n_x", "d_x", "rotation_deg", "t_x"])
+def test_geometry_and_protocol_ranges_exit_2_naming_the_key(tmp_path, capsys, section, key,
+                                                            value, message):
+    # each exited 2 with a message that named no dotted key, such as 'geometry: n_x must be
+    # a positive integer, got 0'; d_x's gave its value in meters, -0.005
+    doc = {**RUN_DOC, "estimate": {"ideal": True}}
+    doc[section] = {**doc[section], key: value}
+    code, err = _config_error(tmp_path, capsys, "estimate", doc)
+    assert code == 2
+    assert f"config error: '{section}.{key}' {message}\n" == err
+
+
 @pytest.mark.parametrize("command,section,key", [
     ("estimate", {"geometry": {"n_x": 2, "n_y": 2, "d_x": 10 ** 400}}, "geometry.d_x"),
     ("estimate", {"estimate": {"ideal": True, "snr_db": -10 ** 400}}, "estimate.snr_db"),
@@ -751,6 +774,28 @@ def test_rho_that_overflows_exits_1_naming_the_snr(tmp_path, capsys, command):
         code = main(argv + (["-j", "1"] if command == "montecarlo" else []))
     assert code == 1
     assert "error: snr_db 3082 gives a transmit SNR rho that overflows" in capsys.readouterr().err
+    assert not (tmp_path / "run" / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["bound", "montecarlo"])
+@pytest.mark.parametrize("snr", [1500, -3000])
+def test_bound_beyond_a_float_exits_1_naming_the_snr(tmp_path, capsys, command, snr):
+    # rho fits a float but the bound's chi-square moments do not: bound wrote '1500,nan,nan'
+    # and montecarlo a NaN bound column, each exiting 0 (after a RuntimeWarning at 1500 dB)
+    stack = tmp_path / "s.bin"
+    save_stack(stack, random_stack(2, 4, np.random.default_rng(3)))
+    doc = {**RUN_DOC, "geometry": {"n_x": 2, "n_y": 2, "m_x": 2, "m_y": 2, "layers": 2,
+                                   "thickness": 2.0},
+           "bound": {"snr_db": [10, snr]},
+           "montecarlo": {"trials": 20, "snr_db": [10, snr], "ideal": True}}
+    argv = [command, "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv + (["-j", "1"] if command == "montecarlo" else ["--stack", str(stack)]))
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: snr_db {snr} gives an MSE bound beyond a"
+                                       " float's range\n")
     assert not (tmp_path / "run" / f"{command}.csv").exists()
 
 
@@ -824,6 +869,27 @@ def test_fit_caps_need_a_train_section(tmp_path):
     assert parse_config(write_config(tmp_path / "c.yaml", doc))["geometry"].m_x == 4096
 
 
+@pytest.mark.parametrize("command", ["estimate", "spectrum", "bound", "montecarlo"])
+def test_stack_runs_refuse_matrices_beyond_the_cap(tmp_path, capsys, monkeypatch, command):
+    # 65 * 32 atoms is just above 2**22 propagation cells: 'fit' refused it, but a
+    # --stack run with a matching stack file built the matrices and exited 0
+    def started(*args, **kwargs):
+        raise RuntimeError("the work started")
+
+    monkeypatch.setattr(cli, "build_propagation_matrices", started)
+    stack = tmp_path / "s.bin"
+    save_stack(stack, random_stack(2, 65 * 32, np.random.default_rng(0)))
+    doc = {**RUN_DOC, "geometry": {"n_x": 2, "n_y": 2, "m_x": 65, "m_y": 32, "layers": 2},
+           "bound": {"snr_db": [10]}, "montecarlo": {"trials": 4, "snr_db": [10]}}
+    argv = [command, "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run"), "--stack", str(stack)]
+    assert main(argv + (["-j", "1"] if command == "montecarlo" else [])) == 2
+    assert ("config error: 'geometry.m_x' asks for too much work: geometry.m_x * geometry.m_y"
+            " * geometry.m_x * geometry.m_y = 4326400 propagation matrix cells, above the cap"
+            " of 4194304") in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_work_at_the_caps_is_accepted(tmp_path):
     # 2 x 2 inputs with 512 x 512 snapshots is 2**20 lattice cells, and
     # 4096 trials of them is 2**32 Monte Carlo cells per point
@@ -879,7 +945,7 @@ def test_montecarlo_manifest_reports_each_snr_point(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["montecarlo", "--config", cfg, "--outdir", str(out), "-j", "1"]) == 0
     assert capsys.readouterr().out == f"montecarlo: 3 SNR points x 30 trials -> {out}/montecarlo.csv\n"
-    per_point = RunManifest.load(out / "montecarlo-manifest.yaml").results["per_point"]
+    per_point = read_manifest(out / "montecarlo-manifest.yaml")["results"]["per_point"]
     rows = read_csv(out / "montecarlo.csv")[1:]
     assert [p["snr_db"] for p in per_point] == [0.0, 20.0, math.inf]
     points = run_monte_carlo(McConfig(

@@ -211,13 +211,6 @@ def test_gradient_leaves_the_passed_inputs_unchanged():
     assert np.array_equal(g, forward_response(props, stack))
 
 
-def test_finite_diff_rejects_bad_step():
-    props = make_props(layers=1)
-    stack = random_stack(1, 9, np.random.default_rng(6))
-    with pytest.raises(ValueError):
-        finite_diff_gradient(props, stack, dft_matrix(2, 2).matrix, 1.0, step=0.0)
-
-
 # -------------------------------------------------------------------- training
 
 def test_config_validation():
