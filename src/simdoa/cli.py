@@ -9,6 +9,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import struct
@@ -158,15 +159,15 @@ _SWEEP = {  # one table per sweep mode
 }
 _SWEEP_MODE = {"mode": (tuple(_SWEEP), "ablation")}
 # Work caps, checked across sections once all are read: (cap, what, factors).
-# The lattice cap bounds memory: the lattice keeps five real (N, T) arrays
-# and the complex transmission exp(j xi0), 56 MiB at the cap, and its array
-# build peaks near 90 MiB (0.2-0.4 s) before any snapshot is taken. A Monte
-# Carlo SNR point runs trials x R x T cells (R = N), at about 0.2 us a cell,
-# so its cap is about 15 minutes per point. The fit rows apply with a 'train'
-# section, and _MATRICES to --stack runs too: the matrices build at about 73
-# bytes and 0.17 us a cell of M^2, so near 300 MiB and 0.7 s at the cap, and
-# an iteration's GEMMs run layers x M^2 x N complex multiply-adds at about
-# 3e9 a second, so the fit's cap is about 12 minutes.
+# The lattice cap bounds memory: the lattice keeps four real (N, T) arrays and
+# the complex exp(j xi0), 48 MiB at the cap, and its build peaks near 83 MiB
+# (0.2-0.3 s) before any snapshot is taken. A Monte Carlo SNR point runs
+# trials x R x T cells (R = N) at about 0.2 us a cell, about 15 minutes at its
+# cap. The fit rows apply with a 'train' section, _MATRICES to --stack runs too:
+# the matrices take about 73 bytes and 0.17 us a cell of M^2, so near 300 MiB
+# and 0.7 s at the cap; the trainer's complex (L, M, N) layer inputs take
+# 256 MiB at theirs; an iteration's GEMMs run layers x M^2 x N complex
+# multiply-adds at about 3e9 a second, so the fit's cap is about 12 minutes.
 _M2 = ("geometry.m_x", "geometry.m_y", "geometry.m_x", "geometry.m_y")
 _MATRICES = (2 ** 22, "propagation matrix cells", _M2)
 _WORK = (
@@ -174,6 +175,8 @@ _WORK = (
     (2 ** 32, "Monte Carlo cells per SNR point",
      ("montecarlo.trials", "geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y")),
     (*_MATRICES, "train"),
+    (2 ** 24, "layer-input cells",
+     ("geometry.layers", "geometry.m_x", "geometry.m_y", "geometry.n_x", "geometry.n_y"), "train"),
     (2 ** 41, "multiply-adds in the fit's GEMMs",
      ("geometry.layers", *_M2, "geometry.n_x", "geometry.n_y", "train.max_iters",
       "train.restarts")),
@@ -276,23 +279,39 @@ def _check_work(parsed):
     """Refuse a config whose work exceeds a ``_WORK`` cap, naming its largest factor's key.
 
     A row applies when its keys' sections, and any section it names after them, are present.
+    A sweep also checks each cell it fits under the cell's keys, and the fits' GEMM work in sum.
     """
-    for cap, what, keys, *also in _WORK:
+    groups, sw = [[{}]], parsed.get("sweep")
+    if sw and "train" in parsed:  # each fitted cell as {base key: sweep key, or None to drop it}
+        layers = [{"geometry.layers": f"sweep.layers[{i}]"}
+                  for i, v in enumerate(sw["layers"]) if v >= 1]  # the sweep flags the rest
+        atoms = [{"geometry.m_x": f"sweep.atoms[{j}]", "geometry.m_y": None}  # the count is M
+                 for j, v in enumerate(sw.get("atoms", ())) if v > 0 and math.isqrt(v) ** 2 == v]
+        if sw["mode"] == "receiver":
+            layers, atoms = [{}] * (len(sw["u_x"]) + len(sw["rotation_deg"])) + layers, [{}]
+        fitted = [{"train.restarts": "sweep.runs", **a, **b} for a in layers for b in atoms]
+        groups.append(fitted * len(sw.get("thickness", [1])) * len(sw.get("spacing", [1])))
+        parsed = {**parsed, "sweep": {**sw, **{f"{key}[{i}]": v for key in ("layers", "atoms")
+                                               for i, v in enumerate(sw.get(key, ()))}}}
+    for (cap, what, keys, *also), cells in itertools.product(_WORK, groups):
         if all(name in parsed for name in [key.split(".")[0] for key in keys] + also):
-            _check_cap(parsed, cap, what, keys)
+            terms = [[k for k in (cell.get(key, key) for key in keys) if k] for cell in cells]
+            for each in [terms] if "train.restarts" in keys else [[term] for term in terms]:
+                _check_cap(parsed, cap, what, *each)
 
 
-def _check_cap(parsed, cap, what, keys):
-    """Refuse ``parsed`` if the product of its ``keys``' values exceeds ``cap``."""
-    values = []
-    for key in keys:
-        section, name = key.split(".")
-        obj = parsed[section]
-        values.append(obj[name] if isinstance(obj, dict) else getattr(obj, name))
-    if math.prod(values) > cap:
-        key = keys[values.index(max(values))]
-        raise ConfigError(f"'{key}' asks for too much work: {' * '.join(keys)} ="
-                          f" {math.prod(values)} {what}, above the cap of {cap}")
+def _check_cap(parsed, cap, what, *terms):
+    """Refuse ``parsed`` if its ``terms``' products sum above ``cap``, naming the largest key."""
+    view = {name: obj if isinstance(obj, dict) else vars(obj) for name, obj in parsed.items()}
+    values = [[view[section][name] for section, name in (key.split(".") for key in keys)]
+              for keys in terms]
+    products = [math.prod(term) for term in values]
+    if sum(products) > cap:
+        i = products.index(max(products))
+        more = f" + {len(terms) - 1} more cells" if len(terms) > 1 else ""
+        raise ConfigError(f"'{terms[i][values[i].index(max(values[i]))]}' asks for too much work:"
+                          f" {' * '.join(terms[i])}{more} = {sum(products)} {what},"
+                          f" above the cap of {cap}")
 
 
 def _need(config, name, command):
@@ -427,9 +446,12 @@ def _spectrum_map(config, args, command):
     else:
         rho = experiments.snr_rho(snr, beta, geom.n, proto.t)
         noise = np.random.default_rng(run["seed"])
-    emap = collect_snapshots(g, sv, source["s"], rho, proto, geom.n_x, geom.n_y,
-                             noise=noise)
-    return emap, proto, geom, source
+    try:  # energies beyond a float's range: EnergyMap refuses them, with no RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return collect_snapshots(g, sv, source["s"], rho, proto, geom.n_x, geom.n_y,
+                                     noise=noise), proto, geom, source
+    except ValueError as exc:
+        raise ValueError(f"snr_db {snr:g}: {exc}") from None
 
 
 def _cmd_spectrum(args, config):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TWO_PI, linear_to_grid, steering_vector
-from .wavemodel import ZerothLayerConfig, cn_noise, scale_field, synthesize_received
+from .wavemodel import cn_noise, scale_field, synthesize_received
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class ProtocolConfig:
             for psi in angles:
                 axis, index = np.unique(psi, return_inverse=True)
                 distinct.append((axis, index.reshape(psi.shape)))
-            for arr in (*angles, *distinct[0], *distinct[1]):
+            for arr in (zeroth, *angles, *distinct[0], *distinct[1]):
                 arr.flags.writeable = False
             cache[n_x, n_y] = SnapshotLattice(zeroth, *angles, *distinct)
         return cache[n_x, n_y]
@@ -46,14 +46,13 @@ class ProtocolConfig:
 class SnapshotLattice:
     """A protocol's schedule on one input grid as read-only (N, T) arrays.
 
-    Cell (n - 1, t - 1) of ``zeroth.xi0`` is ``zeroth_layer_phase(n, t)`` and of
-    ``psi_x``/``psi_y`` is ``electrical_angles(n, t)``, bit for bit;
-    ``zeroth.transmission()`` is exp(j xi0), built with it.
+    Cell (n - 1, t - 1) of ``zeroth`` is exp(j ``zeroth_layer_phase(n, t)``) and
+    of ``psi_x``/``psi_y`` is ``electrical_angles(n, t)``, bit for bit.
     ``distinct_x`` pairs the n_x * t_x distinct values of ``psi_x`` with the
     (N, T) map into them, so ``axis[index]`` is ``psi_x``; ``distinct_y`` likewise.
     """
 
-    zeroth: ZerothLayerConfig
+    zeroth: np.ndarray
     psi_x: np.ndarray
     psi_y: np.ndarray
     distinct_x: tuple
@@ -78,10 +77,6 @@ class EnergyMap:
     @property
     def receivers(self):
         return self.values.shape[-2]
-
-    @property
-    def snapshots(self):
-        return self.values.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -122,9 +117,9 @@ def zeroth_layer_phase(n, t, n_x, n_y, proto):
 
 
 def zeroth_layer_config(t, n_x, n_y, proto):
-    """The N input-layer phases of each snapshot in ``t`` (T,), as the columns (N, T)."""
+    """Transmissions exp(j xi0) of the N input-layer atoms at each snapshot in ``t``, (N, T)."""
     n = np.arange(1, n_x * n_y + 1)
-    return ZerothLayerConfig(zeroth_layer_phase(n[:, None], t, n_x, n_y, proto))
+    return np.exp(1j * zeroth_layer_phase(n[:, None], t, n_x, n_y, proto))
 
 
 def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None, field=None):

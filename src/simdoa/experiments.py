@@ -196,19 +196,18 @@ def digital_baseline(source, proto, n_x, n_y, rho, noise=None):
     axis. ``noise`` holds the (N, T) antenna noise draws, or is None for
     the clean field.
     """
-    sv = source.steering(n_x, n_y)
-    values = _digital_energies(sv, source.s, rho, proto, n_x, n_y, noise)
-    return estimate_from_map(EnergyMap(values), proto, n_x, n_y, (0.5, 0.5))
+    emap = _digital_energies(source.steering(n_x, n_y), source.s, rho, proto, n_x, n_y, noise)
+    return estimate_from_map(emap, proto, n_x, n_y, (0.5, 0.5))
 
 
 def _digital_energies(sv, s, rho, proto, n_x, n_y, noise=None):
-    """|F (sqrt(rho) Upsilon a s + u)|^2 over the lattice, (N, T); K trials give (K, N, T).
+    """Energies |F (sqrt(rho) Upsilon a s + u)|^2 on the lattice as an EnergyMap, (N, T).
 
-    K trials take (K, N) steering entries, K symbols and (K, N, T) noise;
-    slice k equals trial k's own call bit for bit.
+    K trials take (K, N) steering entries, K symbols and (K, N, T) noise
+    and give (K, N, T), slice k equal to trial k's own call bit for bit.
     """
     field = scale_field(antenna_field(proto.lattice(n_x, n_y).zeroth, sv), s, rho, noise)
-    return np.abs(matvec_columns(dft_matrix(n_x, n_y).matrix, field)) ** 2
+    return EnergyMap(np.abs(matvec_columns(dft_matrix(n_x, n_y).matrix, field)) ** 2)
 
 
 def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
@@ -238,8 +237,8 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     return wave, digital
 
 
-def _mc_block(cfg, stream, trials, rho):
-    """Per-trial squared errors, bounds and realizable flags of ``trials`` at one SNR point.
+def _mc_block(cfg, stream, trials, snr):
+    """Per-trial squared errors, bounds and realizable flags of ``trials`` at SNR point ``snr``.
 
     Each trial draws from its own stream in a fixed order (source, then
     noise), its normals straight into the block's (K, 2, R, T) buffer. The
@@ -249,13 +248,13 @@ def _mc_block(cfg, stream, trials, rho):
     (``analysis.clean_field``), scales it into the snapshots and reuses the
     field for the bound; a digital block computes its energies with the
     antenna noise at variance 1/N, as ``digital_baseline`` does for one
-    trial. Either runs one batched peak search. ``rho`` is None at a
-    noiseless point, which has no bound.
+    trial. Either runs one batched peak search. A noiseless point, ``snr``
+    inf, has no bound.
     """
-    noiseless = rho is None
-    run_rho = 1.0 if noiseless else rho  # a noiseless point runs at unit SNR without noise
-    wave = cfg.pipeline == "wave"
+    noiseless = math.isinf(snr)
     n = cfg.n_x * cfg.n_y
+    run_rho = 1.0 if noiseless else snr_rho(snr, cfg.beta, n, cfg.proto.t)  # noiseless: unit SNR
+    wave = cfg.pipeline == "wave"
     # each trial's real and imaginary normals, drawn in cn_noise's order by one call
     draws = None if noiseless else np.empty((len(trials), 2, n, cfg.proto.t))
     from .streams import trial_states  # only a Monte Carlo run loads it
@@ -280,12 +279,15 @@ def _mc_block(cfg, stream, trials, rho):
     noise = None if draws is None else complex_gaussian(draws[:, 0], draws[:, 1],
                                                         1.0 if wave else 1.0 / n)
     del draws  # the noise replaces its draws, so the bound below runs with one buffer less
-    if wave:
-        emap = collect_snapshots(cfg.g, sv, inp.s, run_rho, cfg.proto, cfg.n_x, cfg.n_y,
-                                 noise=noise, field=analysis.clean_field(inp))
-    else:
-        emap = EnergyMap(_digital_energies(sv, inp.s, run_rho, cfg.proto, cfg.n_x, cfg.n_y,
-                                           noise))
+    try:  # energies beyond a float's range: EnergyMap refuses them, with no RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if wave:
+                emap = collect_snapshots(cfg.g, sv, inp.s, run_rho, cfg.proto, cfg.n_x,
+                                         cfg.n_y, noise=noise, field=analysis.clean_field(inp))
+            else:
+                emap = _digital_energies(sv, inp.s, run_rho, cfg.proto, cfg.n_x, cfg.n_y, noise)
+    except ValueError as exc:
+        raise ValueError(f"snr_db {snr:g}: {exc}") from None
     est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, (0.5, 0.5))
     del noise, emap  # nor does the bound need the snapshots' noise and energies
     ex = wrapped_angle_error(psi_x, est.psi_x)
@@ -319,8 +321,8 @@ def run_monte_carlo(cfg):
             for snr in cfg.snr_db]
     from .streams import point_pool  # only a Monte Carlo run loads it
     streams = [point_pool(cfg.seed, si) for si in range(len(rhos))]
-    blocks = [(cfg, stream, range(start, min(start + size, cfg.trials)), rho)
-              for stream, rho in zip(streams, rhos) for start in starts]
+    blocks = [(cfg, stream, range(start, min(start + size, cfg.trials)), snr)
+              for stream, snr in zip(streams, cfg.snr_db) for start in starts]
     rows = _map(_mc_block, blocks, cfg.jobs)
     points = []
     for si, snr in enumerate(cfg.snr_db):
@@ -362,14 +364,14 @@ class SweepCell:
 
 
 def _fit_runs(geom, train_cfg, seed, index, runs):
-    """Best dB of ``runs`` one-restart fits on ``geom``, seeded from (seed, index, run)."""
+    """(mean, min, max best dB, runs) of ``runs`` one-restart fits seeded by (seed, index, run)."""
     props = build_propagation_matrices(geom)
     f = dft_matrix(geom.n_x, geom.n_y).matrix
     dbs = []
     for run in range(runs):
         child = int(np.random.SeedSequence(seed, spawn_key=(index, run)).generate_state(1)[0])
         dbs.append(train(props, f, dataclasses.replace(train_cfg, seed=child, restarts=1)).best_db)
-    return dbs
+    return float(np.mean(dbs)), float(np.min(dbs)), float(np.max(dbs)), runs
 
 
 def _fit_variants(variants, train_cfg, runs, seed, jobs):
@@ -383,14 +385,7 @@ def _fit_variants(variants, train_cfg, runs, seed, jobs):
     todo = [(geom, train_cfg, seed, index, runs)
             for index, geom in enumerate(variants) if geom is not None]
     fits = iter(_map(_fit_runs, todo, jobs))
-    rows = []
-    for geom in variants:
-        if geom is None:
-            rows.append((math.nan, math.nan, math.nan, 0))
-        else:
-            dbs = next(fits)
-            rows.append((float(np.mean(dbs)), float(np.min(dbs)), float(np.max(dbs)), runs))
-    return rows
+    return [(math.nan, math.nan, math.nan, 0) if geom is None else next(fits) for geom in variants]
 
 
 def ablation_sweep(geom, train_cfg, thickness_lam, layers, atoms, spacing_lam, runs=3, seed=0,

@@ -117,18 +117,6 @@ class PropagationSet:
     w_last: np.ndarray
     geometry: SimGeometry
 
-    def __post_init__(self):
-        m, n = self.w0.shape
-        if (m, n) != (self.geometry.m, self.geometry.n):
-            raise ValueError("w0 shape inconsistent with geometry")
-        if len(self.w_inner) != self.geometry.layers - 1:
-            raise ValueError("w_inner must hold layers-1 matrices")
-        for w in self.w_inner:
-            if w.shape != (m, m):
-                raise ValueError("inner matrix shape inconsistent with geometry")
-        if self.w_last.shape != (n, m):
-            raise ValueError("w_last shape inconsistent with geometry")
-
 
 @dataclass(frozen=True)
 class DftTarget:

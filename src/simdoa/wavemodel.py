@@ -33,23 +33,6 @@ class PhaseStack:
         return PhaseStack(self.xi.copy())
 
 
-@dataclass(frozen=True)
-class ZerothLayerConfig:
-    """Input-layer phases, one column per snapshot (N, T), and exp(j xi0); both read-only."""
-
-    xi0: np.ndarray
-
-    def __post_init__(self):
-        xi0 = np.mod(np.asarray(self.xi0, dtype=float), 2.0 * np.pi)
-        schedule = np.exp(1j * xi0)
-        xi0.flags.writeable = schedule.flags.writeable = False
-        object.__setattr__(self, "xi0", xi0)
-        object.__setattr__(self, "_transmission", schedule)
-
-    def transmission(self):
-        return self._transmission
-
-
 def random_stack(layers, m, rng):
     """Phase stack with i.i.d. uniform phases on [0, 2*pi), drawn layer after layer."""
     return PhaseStack(rng.uniform(0.0, 2.0 * np.pi, size=(layers, m)))
@@ -107,11 +90,11 @@ def matvec_columns(m, x):
 
 
 def antenna_field(zeroth, sv):
-    """Antenna field Y_0 a, one column per snapshot (N, T); a (K, N) steering array gives (K, N, T).
+    """Antenna field Y_0 a from the (N, T) transmissions ``zeroth``; (K, N) steering: (K, N, T).
 
     The wave path propagates it through the stack, the digital path through the numeric DFT.
     """
-    return zeroth.transmission() * sv[..., None]
+    return zeroth * sv[..., None]
 
 
 def synthesize_received(g, zeroth, sv):

@@ -756,6 +756,29 @@ def test_energies_that_overflow_exit_1(tmp_path, capsys, command):
     assert not (tmp_path / "run" / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("command,pipeline", [
+    ("estimate", "wave"), ("spectrum", "wave"), ("montecarlo", "wave"), ("montecarlo", "digital"),
+])
+def test_energies_that_overflow_exit_1_naming_the_snr_without_a_warning(tmp_path, capsys,
+                                                                        command, pipeline):
+    # each printed 'RuntimeWarning: overflow encountered in square' before an error that did
+    # not name the SNR; the SNR point before it runs as usual
+    doc = {**RUN_DOC, "protocol": {"t_x": 4, "t_y": 4},
+           "source": {**RUN_DOC["source"], "s_real": 2.0},
+           "estimate": {"ideal": True, "snr_db": 3058, "seed": 1},
+           "spectrum": {"ideal": True, "snr_db": 3058, "seed": 1},
+           "montecarlo": {"trials": 20, "snr_db": [10, 3058], "ideal": True,
+                          "pipeline": pipeline}}
+    argv = [command, "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + (["-j", "1"] if command == "montecarlo" else []))
+    assert code == 1
+    assert capsys.readouterr().err == "error: snr_db 3058: energy values must be finite and >= 0\n"
+    assert not (tmp_path / "run" / f"{command}.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["bound", "estimate", "spectrum", "montecarlo"])
 def test_rho_that_overflows_exits_1_naming_the_snr(tmp_path, capsys, command):
     # the power fits a float but rho, which carries the stack's |beta|^2, does not: bound
@@ -851,6 +874,56 @@ def test_fit_work_beyond_the_caps_exits_2_naming_the_key(tmp_path, capsys, monke
     code, err = _config_error(tmp_path, capsys, "fit", doc)
     assert code == 2
     assert f"'{key}' asks for too much work" in err
+
+
+SWEEP_BASE = {"geometry": {"n_x": 2, "n_y": 2, "m_x": 3, "m_y": 3, "layers": 2},
+              "train": {"max_iters": 2}}
+
+
+@pytest.mark.parametrize("sweep,train,key,what", [
+    # 10**8 layers of 3 x 3 atoms keep 3.6e9 complex layer inputs; it ran past a 30 s timeout
+    ({"mode": "receiver", "layers": [100000000]}, {}, "sweep.layers[0]", "layer-input cells"),
+    # 2000 x 2000 atoms: out of memory allocating 116 TiB of propagation matrices
+    ({"mode": "ablation", "thickness": [2.0], "layers": [2], "atoms": [25, 4000000],
+      "spacing": [0.5]}, {}, "sweep.atoms[1]", "propagation matrix cells"),
+    # each cell's 4e5 * 9 * 9 * 4 * 1000 * 3 multiply-adds keep under 2**41, six of them do not
+    ({"mode": "receiver", "layers": [7] + [400000] * 6}, {"max_iters": 1000},
+     "sweep.layers[1]", "multiply-adds in the fit's GEMMs"),
+], ids=["receiver-layers", "ablation-atoms", "summed-cells"])
+def test_sweep_cells_beyond_the_caps_exit_2_before_any_fit(tmp_path, capsys, monkeypatch, sweep,
+                                                            train, key, what):
+    # the caps checked the base geometry alone, whose 3 x 3 atoms and 2 layers pass them
+    def started(*args, **kwargs):
+        raise RuntimeError("the fit started")
+
+    monkeypatch.setattr(experiments, "_fit_runs", started)
+    doc = {**SWEEP_BASE, "train": {**SWEEP_BASE["train"], **train}, "sweep": sweep}
+    argv = ["sweep", "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run"), "-j", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: '{key}' asks for too much work: ")
+    assert f" {what}, above the cap of " in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_sweep_section_keeps_the_base_fit_caps(tmp_path):
+    # 'fit' reads the base geometry of a config that also holds a sweep
+    sweep = {"mode": "ablation", "thickness": [2.0], "layers": [2], "atoms": [25],
+             "spacing": [0.5]}
+    doc = {"geometry": {"n_x": 2, "n_y": 2, "m_x": 65, "m_y": 32}, "train": {}, "sweep": sweep}
+    with pytest.raises(ConfigError, match="'geometry.m_x' asks for too much work"):
+        parse_config(write_config(tmp_path / "c.yaml", doc))
+
+
+def test_sweep_cells_that_the_sweep_flags_are_not_counted(tmp_path):
+    # a non-square atom count or a layer count below 1 is flagged in the table, never fitted
+    sweep = {"mode": "ablation", "thickness": [2.0], "layers": [0, 2],
+             "atoms": [-4000000, 4000001, 25], "spacing": [0.5]}
+    parsed = parse_config(write_config(tmp_path / "c.yaml", {**SWEEP_BASE, "sweep": sweep}))
+    assert parsed["sweep"]["atoms"] == (-4000000, 4000001, 25)
+    for name in ("sweep-ablation.yaml", "sweep-receiver.yaml"):
+        assert parse_config(str(CONFIGS / name))["sweep"]["runs"] == 2
 
 
 def test_fit_work_at_the_caps_is_accepted(tmp_path):

@@ -21,7 +21,7 @@ from simdoa.estimator import (
 )
 from simdoa.analysis import BoundInputs, clean_field
 from simdoa.geometry import SimGeometry, dft_matrix, linear_to_grid
-from simdoa.wavemodel import ZerothLayerConfig, cn_noise
+from simdoa.wavemodel import cn_noise
 
 LAM = 0.005
 
@@ -51,10 +51,10 @@ def scalar_zeroth_layer_phase(n, t, n_x, n_y, proto):
                         - 2.0 * np.pi * (ny - 1) * (ty - 1) / (n_y * proto.t_y), 2.0 * np.pi))
 
 
-def scalar_zeroth_layer_config(t, n_x, n_y, proto):
-    """All N input-layer phases of snapshot t (N,), as a ZerothLayerConfig."""
-    return ZerothLayerConfig(np.array([scalar_zeroth_layer_phase(n, t, n_x, n_y, proto)
-                                       for n in range(1, n_x * n_y + 1)]))
+def scalar_zeroth_layer_phases(t, n_x, n_y, proto):
+    """All N input-layer phases of snapshot t (N,), one scalar call each."""
+    return np.array([scalar_zeroth_layer_phase(n, t, n_x, n_y, proto)
+                     for n in range(1, n_x * n_y + 1)])
 
 
 def scalar_electrical_angles(n, t, n_x, n_y, proto):
@@ -125,22 +125,22 @@ def test_phase_increment_per_axis():
 
 def test_zeroth_config_matches_scalar():
     proto = ProtocolConfig(t_x=4, t_y=4)
-    xi0 = zeroth_layer_config(np.array([7]), 2, 2, proto).xi0[:, 0]  # snapshot 7's column
-    assert xi0.shape == (4,)
+    schedule = zeroth_layer_config(np.array([7]), 2, 2, proto)[:, 0]  # snapshot 7's column
+    assert schedule.shape == (4,)
     for n in range(1, 5):
-        assert xi0[n - 1] == zeroth_layer_phase(n, 7, 2, 2, proto)
+        assert schedule[n - 1] == np.exp(1j * zeroth_layer_phase(n, 7, 2, 2, proto))
 
 
 def test_lattice_matches_scalar_definitions():
     # n_x != n_y and t_x != t_y, so a swapped axis anywhere would show
     proto = ProtocolConfig(t_x=3, t_y=2)
     lattice = proto.lattice(3, 2)
-    assert lattice.zeroth.xi0.shape == lattice.psi_x.shape == lattice.psi_y.shape == (6, 6)
-    schedule = lattice.zeroth.transmission()
+    assert lattice.zeroth.shape == lattice.psi_x.shape == lattice.psi_y.shape == (6, 6)
+    xi0 = zeroth_layer_phase(np.arange(1, 7)[:, None], np.arange(1, 7), 3, 2, proto)
     for t in range(1, 7):
-        column = scalar_zeroth_layer_config(t, 3, 2, proto)
-        assert np.array_equal(lattice.zeroth.xi0[:, t - 1], column.xi0)
-        assert np.array_equal(schedule[:, t - 1], column.transmission())
+        column = scalar_zeroth_layer_phases(t, 3, 2, proto)
+        assert np.array_equal(xi0[:, t - 1], column)
+        assert np.array_equal(lattice.zeroth[:, t - 1], np.exp(1j * column))
         for n in range(1, 7):
             assert (lattice.psi_x[n - 1, t - 1], lattice.psi_y[n - 1, t - 1]) \
                 == scalar_electrical_angles(n, t, 3, 2, proto)
@@ -149,8 +149,7 @@ def test_lattice_matches_scalar_definitions():
 def _per_cell_lattice(proto, n_x, n_y):
     """(xi0, psi_x, psi_y) built one scalar call per cell, as the lattice once was, as an oracle."""
     snapshots = range(1, proto.t + 1)
-    xi0 = ZerothLayerConfig(np.column_stack(
-        [scalar_zeroth_layer_config(t, n_x, n_y, proto).xi0 for t in snapshots])).xi0
+    xi0 = np.column_stack([scalar_zeroth_layer_phases(t, n_x, n_y, proto) for t in snapshots])
     angles = np.array([[scalar_electrical_angles(n, t, n_x, n_y, proto) for t in snapshots]
                        for n in range(1, n_x * n_y + 1)])
     return xi0, angles[..., 0], angles[..., 1]
@@ -163,7 +162,8 @@ def test_array_lattice_equals_per_cell_build_bit_for_bit(n_x, n_y, t_x, t_y):
     proto = ProtocolConfig(t_x=t_x, t_y=t_y)
     lattice = proto.lattice(n_x, n_y)
     xi0, psi_x, psi_y = _per_cell_lattice(proto, n_x, n_y)
-    for got, want in ((lattice.zeroth.xi0, xi0), (lattice.psi_x, psi_x), (lattice.psi_y, psi_y)):
+    for got, want in ((lattice.zeroth, np.exp(1j * xi0)), (lattice.psi_x, psi_x),
+                      (lattice.psi_y, psi_y)):
         assert got.shape == want.shape == (n_x * n_y, proto.t)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signed zeros too
     for (axis, index), psi in ((lattice.distinct_x, psi_x), (lattice.distinct_y, psi_y)):
@@ -172,13 +172,31 @@ def test_array_lattice_equals_per_cell_build_bit_for_bit(n_x, n_y, t_x, t_y):
         assert np.array_equal(index, want_index.reshape(psi.shape))
 
 
+@pytest.mark.parametrize("n_x, n_y, t_x, t_y", [
+    (2, 2, 4, 4), (4, 4, 8, 8), (3, 2, 3, 2), (1, 5, 7, 3), (2, 2, 64, 64), (7, 1, 1, 13),
+    (16, 16, 4, 4), (32, 32, 1, 1)])
+def test_lattice_transmission_equals_the_former_record_bit_for_bit(n_x, n_y, t_x, t_y):
+    # the removed zeroth-layer record reduced the phases with np.mod once more before exp(j
+    # xi0); the lattice's one array must keep those bits, signed zeros included
+    proto = ProtocolConfig(t_x=t_x, t_y=t_y)
+    phase = np.column_stack([scalar_zeroth_layer_phases(t, n_x, n_y, proto)
+                             for t in range(1, proto.t + 1)])
+    former = np.exp(1j * np.mod(phase, 2.0 * np.pi))
+    zeroth = proto.lattice(n_x, n_y).zeroth
+    assert zeroth.shape == former.shape == (n_x * n_y, proto.t)
+    assert np.array_equal(zeroth.view(np.int64), former.view(np.int64))
+    assert not zeroth.flags.writeable
+    with pytest.raises(ValueError):
+        zeroth[0, 0] = 1.0
+
+
 def test_scalar_lattice_calls_keep_their_types():
     proto = ProtocolConfig(t_x=3, t_y=2)
     # scalar indices give 0-d values equal to the per-cell formulas
     assert zeroth_layer_phase(4, 5, 3, 2, proto) == scalar_zeroth_layer_phase(4, 5, 3, 2, proto)
     assert electrical_angles(4, 5, 3, 2, proto) == scalar_electrical_angles(4, 5, 3, 2, proto)
     assert linear_to_grid(5, 3, 2) == scalar_linear_to_grid(5, 3, 2)
-    assert zeroth_layer_config(np.array([5]), 3, 2, proto).xi0.shape == (6, 1)
+    assert zeroth_layer_config(np.array([5]), 3, 2, proto).shape == (6, 1)
     with pytest.raises(ValueError):
         linear_to_grid(np.array([1, 7]), 3, 2)
     with pytest.raises(ValueError):
@@ -203,7 +221,7 @@ def test_lattice_is_cached_per_instance_and_read_only():
     assert proto.lattice(2, 2) is lattice
     assert proto.lattice(3, 2) is not lattice
     assert ProtocolConfig(t_x=2, t_y=3).lattice(2, 2) is not lattice
-    for arr in (lattice.zeroth.xi0, lattice.psi_x, lattice.psi_y):
+    for arr in (lattice.zeroth, lattice.psi_x, lattice.psi_y):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
 
@@ -217,7 +235,7 @@ def test_energy_map_validation():
         EnergyMap(np.array([[1.0, -0.1]]))
     emap = EnergyMap(np.ones((4, 16)))
     assert emap.receivers == 4
-    assert emap.snapshots == 16
+    assert emap.values.shape[-1] == 16
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -275,7 +293,7 @@ def test_collect_matches_direct_dft_computation():
     s = 0.8 - 0.3j
     emap = collect_snapshots(f, sv, s, rho, proto, 2, 2)
     for t in range(1, 5):
-        xi0 = scalar_zeroth_layer_config(t, 2, 2, proto).xi0
+        xi0 = scalar_zeroth_layer_phases(t, 2, 2, proto)
         r = math.sqrt(rho) * (f @ (np.exp(1j * xi0) * sv)) * s
         assert np.allclose(emap.values[:, t - 1], np.abs(r) ** 2, rtol=1e-12)
 
@@ -284,8 +302,8 @@ def _per_snapshot_energies(g, sv, symbols, rho, proto, n_x, n_y, noise):
     """The snapshot-by-snapshot loop that the lattice replaced, as an oracle."""
     values = np.empty((g.shape[0], proto.t))
     for t in range(1, proto.t + 1):
-        zeroth = scalar_zeroth_layer_config(t, n_x, n_y, proto)
-        r = np.sqrt(rho) * (g @ (zeroth.transmission() * sv)) * symbols[t - 1]
+        zeroth = np.exp(1j * scalar_zeroth_layer_phases(t, n_x, n_y, proto))
+        r = np.sqrt(rho) * (g @ (zeroth * sv)) * symbols[t - 1]
         if isinstance(noise, np.ndarray):
             r = r + noise[:, t - 1]
         elif noise is not None:

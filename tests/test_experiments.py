@@ -29,8 +29,8 @@ from simdoa.experiments import (
 from simdoa.geometry import (TWO_PI, SimGeometry, build_propagation_matrices,
                              dft_matrix)
 from simdoa.trainer import TrainConfig, train
-from simdoa.wavemodel import (ZerothLayerConfig, antenna_field, cn_noise, complex_gaussian,
-                              matvec_columns, scale_field, synthesize_received)
+from simdoa.wavemodel import (antenna_field, cn_noise, complex_gaussian, matvec_columns,
+                              scale_field, synthesize_received)
 
 LAM = 0.005
 
@@ -125,9 +125,9 @@ def _per_snapshot_digital_energies(source, proto, n_x, n_y, rho, noise):
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
     values = np.empty((n_x * n_y, proto.t))
     for t in range(1, proto.t + 1):
-        zeroth = ZerothLayerConfig(estimator.zeroth_layer_phase(np.arange(1, n_x * n_y + 1), t,
-                                                                n_x, n_y, proto))
-        x = np.sqrt(rho) * (zeroth.transmission() * sv) * source.s
+        zeroth = np.exp(1j * estimator.zeroth_layer_phase(np.arange(1, n_x * n_y + 1), t,
+                                                          n_x, n_y, proto))
+        x = np.sqrt(rho) * (zeroth * sv) * source.s
         if noise is not None:
             x = x + noise[:, t - 1]
         values[:, t - 1] = np.abs(f @ x) ** 2
@@ -194,7 +194,8 @@ def two_vector_paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     rho_wave = effective_rho(gamma, beta, n, proto.t)
     rho_digital = effective_rho(gamma, 1.0, n, proto.t)
     frame = np.conj(beta) / abs(beta) if beta != 0 else 1.0
-    xi0 = proto.lattice(n_x, n_y).zeroth.xi0
+    xi0 = estimator.zeroth_layer_phase(np.arange(1, n + 1)[:, None], np.arange(1, proto.t + 1),
+                                       n_x, n_y, proto)
     s = np.asarray(source.s, dtype=complex)
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
     field = matvec_columns(np.asarray(g), (np.exp(1j * xi0).T * sv).swapaxes(-1, -2))
@@ -386,7 +387,7 @@ def test_two_pass_noise_keeps_wave_and_digital_energies_on_signed_zeros():
             (1.0, lambda rho, noise: collect_snapshots(dft_matrix(2, 2).matrix, sv, s, rho,
                                                        proto, 2, 2, noise=noise).values),
             (0.25, lambda rho, noise: experiments._digital_energies(sv, s, rho, proto, 2, 2,
-                                                                    noise))):
+                                                                    noise).values)):
         two = complex_gaussian(re, im, variance)
         three = three_pass_complex_gaussian(re, im, variance)
         flipped |= bool(np.any(np.signbit([two.real, two.imag])

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from simdoa.estimator import ProtocolConfig, steering_for
+from simdoa.estimator import ProtocolConfig, steering_for, zeroth_layer_phase
 from simdoa.geometry import (SimGeometry, build_propagation_matrices,
                              dft_matrix, steering_vector)
 from simdoa.wavemodel import (
     DB_FLOOR,
     PhaseStack,
-    ZerothLayerConfig,
     cn_noise,
     fitting_loss,
     forward_response,
@@ -25,12 +24,13 @@ LAM = 0.005
 def received(g, zeroth, sv, s, rho, noise=None):
     """Snapshots sqrt(rho) * G Y_0 a s + noise, as the scaled synthesis once returned them.
 
-    A one-snapshot ``zeroth`` (N,) runs as a single column, and the result
-    drops that column again: length R, or (K, R) for K trials.
+    ``zeroth`` holds the transmissions exp(j xi0). A one-snapshot ``zeroth``
+    (N,) runs as a single column, and the result drops that column again:
+    length R, or (K, R) for K trials.
     """
-    if zeroth.xi0.ndim == 2:
+    if zeroth.ndim == 2:
         return scale_field(synthesize_received(g, zeroth, sv), s, rho, noise)
-    column = ZerothLayerConfig(zeroth.xi0[:, None])
+    column = zeroth[:, None]
     # one snapshot: its column axis goes after the symbols have broadcast against it
     noise = None if noise is None else np.asarray(noise)[..., None]
     return scale_field(synthesize_received(g, column, sv), s, rho, noise)[..., 0]
@@ -214,7 +214,7 @@ def test_loss_shape_mismatch():
 
 def test_received_no_signal_is_noise():
     f = dft_matrix(2, 2).matrix
-    zeroth = ZerothLayerConfig(np.zeros(4))
+    zeroth = np.exp(1j * np.zeros(4))
     sv = steering_vector(0.3, -0.2, 2, 2)
     u = cn_noise(np.random.default_rng(8), 4)
     r = received(f, zeroth, sv, 1.0 + 0j, 0.0, noise=u)
@@ -225,7 +225,7 @@ def test_received_on_bin_concentrates():
     # source exactly on DFT bin k: inner products are N there, 0 elsewhere
     n_x = n_y = 2
     f = dft_matrix(n_x, n_y).matrix
-    zeroth = ZerothLayerConfig(np.zeros(4))
+    zeroth = np.exp(1j * np.zeros(4))
     rho = 2.5
     for k in range(4):
         kx = k % n_x
@@ -242,7 +242,7 @@ def test_received_off_grid_matches_digital_dft():
     f = dft_matrix(2, 2).matrix
     rng = np.random.default_rng(9)
     xi0 = rng.uniform(0, 2 * math.pi, 4)
-    zeroth = ZerothLayerConfig(xi0)
+    zeroth = np.exp(1j * xi0)
     sv = steering_vector(0.48 * math.pi, 0.23 * math.pi, 2, 2)
     s = 0.8 - 0.3j
     r = received(f, zeroth, sv, s, 4.0)
@@ -252,7 +252,7 @@ def test_received_off_grid_matches_digital_dft():
 
 def test_received_rejects_bad_inputs():
     f = dft_matrix(2, 2).matrix
-    zeroth = ZerothLayerConfig(np.zeros(4))
+    zeroth = np.exp(1j * np.zeros(4))
     sv = steering_vector(0.0, 0.0, 2, 2)
     with pytest.raises(ValueError):
         received(f, zeroth, sv, 1.0, -1.0)
@@ -266,7 +266,7 @@ def test_received_trial_axis_slices_equal_one_trial_calls(symbols, columns):
     rng = np.random.default_rng(12)
     k, r, n, t = 5, 3, 6, 7
     g = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
-    zeroth = ZerothLayerConfig(rng.uniform(0, 7, (n, t) if columns else n))
+    zeroth = np.exp(1j * rng.uniform(0, 7, (n, t) if columns else n))
     entries = np.exp(1j * rng.uniform(0, 7, (k, n)))
     s = {"scalar": 0.3 - 0.8j,
          "per_trial": cn_noise(rng, k),
@@ -286,12 +286,12 @@ def test_received_trial_axis_slices_equal_one_trial_calls(symbols, columns):
 def test_synthesized_field_is_the_unit_field_column_by_column():
     rng = np.random.default_rng(30)
     g = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    zeroth = ZerothLayerConfig(rng.uniform(0, 7, (5, 4)))
+    zeroth = np.exp(1j * rng.uniform(0, 7, (5, 4)))
     sv = np.exp(1j * rng.uniform(0, 7, 5))
     field = synthesize_received(g, zeroth, sv)
     assert field.shape == (3, 4)
     for t in range(4):
-        assert np.array_equal(field[:, t], g @ (zeroth.transmission()[:, t] * sv))
+        assert np.array_equal(field[:, t], g @ (zeroth[:, t] * sv))
 
 
 def _signed_zero_fields():
@@ -333,22 +333,24 @@ def test_scaling_the_unit_field_once_keeps_the_energies_of_scaling_it_twice(nois
 
 
 def test_zeroth_transmission_is_computed_once_and_read_only():
-    rng = np.random.default_rng(34)
-    for xi0 in (rng.uniform(-7, 7, 6), rng.uniform(-7, 7, (6, 5))):
-        zeroth = ZerothLayerConfig(xi0)
-        schedule = zeroth.transmission()
-        assert schedule is zeroth.transmission()
-        assert np.array_equal(schedule.view(np.int64), np.exp(1j * zeroth.xi0).view(np.int64))
-        assert np.array_equal(zeroth.xi0, np.mod(xi0, 2.0 * np.pi))
-        for arr in (zeroth.xi0, schedule):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+    # the lattice holds exp(j xi0) alone, built once per grid; zeroth_layer_phase already
+    # reduces into [0, 2*pi), so the reduction that the removed record applied again changed
+    # no phase
+    for proto, n_x, n_y in ((ProtocolConfig(t_x=3, t_y=2), 2, 2),
+                            (ProtocolConfig(t_x=5, t_y=7), 3, 4)):
+        lattice = proto.lattice(n_x, n_y)
+        schedule = lattice.zeroth
+        assert schedule is proto.lattice(n_x, n_y).zeroth
+        xi0 = zeroth_layer_phase(np.arange(1, n_x * n_y + 1)[:, None], np.arange(1, proto.t + 1),
+                                 n_x, n_y, proto)
+        assert np.array_equal(np.mod(xi0, 2.0 * np.pi), xi0)
+        assert np.all((xi0 >= 0.0) & (xi0 < 2.0 * np.pi))
+        assert np.array_equal(schedule.view(np.int64), np.exp(1j * xi0).view(np.int64))
+        assert not schedule.flags.writeable
+        with pytest.raises(ValueError):
+            schedule[0] = 0.0
         with pytest.raises(AttributeError):
-            zeroth.xi0 = xi0
-    lattice = ProtocolConfig(t_x=3, t_y=2).lattice(2, 2)
-    assert np.array_equal(lattice.zeroth.transmission(), np.exp(1j * lattice.zeroth.xi0))
-    assert not lattice.zeroth.transmission().flags.writeable
+            lattice.zeroth = schedule
 
 
 def two_call_cn_noise(rng, shape, variance=1.0):
