@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import peak_cells, steering_for
+from .estimator import peak_cells, steering_for, wrapped_angle_error
 from .wavemodel import synthesize_received
 
 _ERFC_ZERO = 26.64174755704633  # least x with erfc(x) == 0.0 (scipy 1.17.1)
@@ -158,7 +158,7 @@ def _squared_errors(psi, distinct):
     row.
     """
     axis, index = distinct
-    return np.take((np.mod(psi[:, None] - axis + 1.0, 2.0) - 1.0) ** 2, index, axis=1)
+    return np.take(wrapped_angle_error(psi[:, None], axis) ** 2, index, axis=1)
 
 
 def mse_bound(inp):

@@ -9,7 +9,6 @@ import argparse
 import csv
 import dataclasses
 import hashlib
-import itertools
 import math
 import os
 import struct
@@ -158,25 +157,26 @@ _SWEEP = {  # one table per sweep mode
                  "layers": ([int], (), _AT_LEAST_ONE, _SIZE)},
 }
 _SWEEP_MODE = {"mode": (tuple(_SWEEP), "ablation")}
-# Work caps, checked across sections once all are read: (cap, what, factors).
+# Work caps, each (cap, what, factors); _COMMANDS names the rows each subcommand obeys.
 # The lattice cap bounds memory: the lattice keeps four real (N, T) arrays and
 # the complex exp(j xi0), 48 MiB at the cap, and its build peaks near 83 MiB
 # (0.2-0.3 s) before any snapshot is taken. A Monte Carlo SNR point runs
 # trials x R x T cells (R = N) at about 0.2 us a cell, about 15 minutes at its
-# cap. The fit rows apply with a 'train' section, _MATRICES to --stack runs too:
+# cap. The fit rows bind fits, and _MATRICES --stack runs too:
 # the matrices take about 73 bytes and 0.17 us a cell of M^2, so near 300 MiB
 # and 0.7 s at the cap; the trainer's complex (L, M, N) layer inputs take
 # 256 MiB at theirs; an iteration's GEMMs run layers x M^2 x N complex
 # multiply-adds at about 3e9 a second, so the fit's cap is about 12 minutes.
 _M2 = ("geometry.m_x", "geometry.m_y", "geometry.m_x", "geometry.m_y")
 _MATRICES = (2 ** 22, "propagation matrix cells", _M2)
-_WORK = (
-    (2 ** 20, "lattice cells", ("geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y")),
-    (2 ** 32, "Monte Carlo cells per SNR point",
-     ("montecarlo.trials", "geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y")),
-    (*_MATRICES, "train"),
+_LATTICE = (2 ** 20, "lattice cells",
+            ("geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y"))
+_MC_CELLS = (2 ** 32, "Monte Carlo cells per SNR point",
+             ("montecarlo.trials", "geometry.n_x", "geometry.n_y", "protocol.t_x", "protocol.t_y"))
+_FIT = (
+    _MATRICES,
     (2 ** 24, "layer-input cells",
-     ("geometry.layers", "geometry.m_x", "geometry.m_y", "geometry.n_x", "geometry.n_y"), "train"),
+     ("geometry.layers", "geometry.m_x", "geometry.m_y", "geometry.n_x", "geometry.n_y")),
     (2 ** 41, "multiply-adds in the fit's GEMMs",
      ("geometry.layers", *_M2, "geometry.n_x", "geometry.n_y", "train.max_iters",
       "train.restarts")),
@@ -187,17 +187,20 @@ def _parse_geometry(section, path):
     values = _read(section, path, _GEOMETRY)
     lam = values.pop("wavelength_mm") * 1e-3
     rotation = math.radians(values.pop("rotation_deg"))
-    # every other float is a length in wavelengths
-    return SimGeometry(wavelength=lam, rotation=rotation,
-                       **{k: v * lam if isinstance(v, float) else v
-                          for k, v in values.items()})
+    # every other float is a length in wavelengths, which in meters may leave a float's range
+    meters = {k: v * lam for k, v in values.items() if isinstance(v, float)}
+    for key, v in {"wavelength_mm": lam, **meters}.items():
+        if not 0.0 < v < math.inf:
+            raise ConfigError(f"'{path}.{key}' gives a length of {v!r} m, beyond a float's range")
+    return SimGeometry(wavelength=lam, rotation=rotation, **{**values, **meters})
 
 
 def _parse_source(section, path):
     v = _read(section, path, _SOURCE)
     angles = v["phi_deg"] is not None or v["theta_deg"] is not None
     if angles and (v["psi_x"] is not None or v["psi_y"] is not None):
-        raise ValueError("give psi_x/psi_y or phi_deg/theta_deg, not both")
+        raise ConfigError(f"give '{path}.psi_x'/'{path}.psi_y' or"
+                          f" '{path}.phi_deg'/'{path}.theta_deg', not both")
     for key in ("phi_deg", "theta_deg") if angles else ("psi_x", "psi_y"):
         if v[key] is None:
             raise ConfigError(f"missing required key '{path}.{key}'")
@@ -209,7 +212,7 @@ def _parse_source(section, path):
         psi_x, psi_y = v["psi_x"], v["psi_y"]
     s = complex(v["s_real"], v["s_imag"])
     if s == 0:
-        raise ValueError("symbol must be nonzero")
+        raise ConfigError(f"'{path}.s_real' and '{path}.s_imag' give a zero symbol")
     return {"psi_x": psi_x, "psi_y": psi_y, "s": s}
 
 
@@ -218,8 +221,8 @@ def _parse_sweep(section, path):
     values = _read(section, path, {**_SWEEP_MODE, **_SWEEP[mode]})
     if mode == "receiver" and not (values["u_x"] or values["rotation_deg"]
                                    or values["layers"]):
-        raise ValueError("receiver mode needs at least one of"
-                         " u_x, rotation_deg, layers")
+        raise ConfigError(f"'{path}.mode' receiver needs at least one of '{path}.u_x',"
+                          f" '{path}.rotation_deg', '{path}.layers'")
     return values
 
 
@@ -246,8 +249,7 @@ def parse_config(path):
 
     Each section is read by its table above, so a bad key or value is refused
     with its dotted path; invariant violations are rephrased with their
-    section context, and work beyond a ``_WORK`` cap is refused. The raw
-    document is kept under "_raw" for the manifest.
+    section context. The raw document is kept under "_raw" for the manifest.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -271,18 +273,17 @@ def parse_config(path):
             parsed[name] = _SECTION_PARSERS[name](section, name)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    _check_work(parsed)
     return parsed
 
 
-def _check_work(parsed):
-    """Refuse a config whose work exceeds a ``_WORK`` cap, naming its largest factor's key.
+def _check_work(parsed, rows, sweep):
+    """Refuse a config whose work exceeds a cap of ``rows``, naming its largest factor's key.
 
-    A row applies when its keys' sections, and any section it names after them, are present.
-    A sweep also checks each cell it fits under the cell's keys, and the fits' GEMM work in sum.
+    The rows bind the base geometry, or with ``sweep`` each cell that the sweep fits, under
+    the cell's keys, and the fits' GEMM work in sum.
     """
-    groups, sw = [[{}]], parsed.get("sweep")
-    if sw and "train" in parsed:  # each fitted cell as {base key: sweep key, or None to drop it}
+    cells, sw = [{}], parsed.get("sweep")
+    if sweep:  # each fitted cell as {base key: sweep key, or None to drop it}
         layers = [{"geometry.layers": f"sweep.layers[{i}]"}
                   for i, v in enumerate(sw["layers"]) if v >= 1]  # the sweep flags the rest
         atoms = [{"geometry.m_x": f"sweep.atoms[{j}]", "geometry.m_y": None}  # the count is M
@@ -290,14 +291,13 @@ def _check_work(parsed):
         if sw["mode"] == "receiver":
             layers, atoms = [{}] * (len(sw["u_x"]) + len(sw["rotation_deg"])) + layers, [{}]
         fitted = [{"train.restarts": "sweep.runs", **a, **b} for a in layers for b in atoms]
-        groups.append(fitted * len(sw.get("thickness", [1])) * len(sw.get("spacing", [1])))
+        cells = fitted * len(sw.get("thickness", [1])) * len(sw.get("spacing", [1]))
         parsed = {**parsed, "sweep": {**sw, **{f"{key}[{i}]": v for key in ("layers", "atoms")
                                                for i, v in enumerate(sw.get(key, ()))}}}
-    for (cap, what, keys, *also), cells in itertools.product(_WORK, groups):
-        if all(name in parsed for name in [key.split(".")[0] for key in keys] + also):
-            terms = [[k for k in (cell.get(key, key) for key in keys) if k] for cell in cells]
-            for each in [terms] if "train.restarts" in keys else [[term] for term in terms]:
-                _check_cap(parsed, cap, what, *each)
+    for cap, what, keys in rows:
+        terms = [[k for k in (cell.get(key, key) for key in keys) if k] for cell in cells]
+        for each in [terms] if "train.restarts" in keys else [[term] for term in terms]:
+            _check_cap(parsed, cap, what, *each)
 
 
 def _check_cap(parsed, cap, what, *terms):
@@ -312,12 +312,6 @@ def _check_cap(parsed, cap, what, *terms):
         raise ConfigError(f"'{terms[i][values[i].index(max(values[i]))]}' asks for too much work:"
                           f" {' * '.join(terms[i])}{more} = {sum(products)} {what},"
                           f" above the cap of {cap}")
-
-
-def _need(config, name, command):
-    if name not in config:
-        raise ConfigError(f"'{command}' needs a '{name}' section in the config")
-    return config[name]
 
 
 _STACK_MAGIC = b"PHSTK\x00"
@@ -393,7 +387,7 @@ def _emit(args, config, command, name, header, rows, geom, seeds=(), results=Non
 
 def _response_for(config, args, command, ideal=None):
     """(g, beta, geom) from --stack, else the exact DFT if ``ideal`` (None: no such key)."""
-    geom = _need(config, "geometry", command)
+    geom = config["geometry"]
     if args.stack:
         _check_cap(config, *_MATRICES)
         if not os.path.exists(args.stack):
@@ -401,7 +395,10 @@ def _response_for(config, args, command, ideal=None):
         stack = load_stack(args.stack)
         if stack.layers != geom.layers or stack.xi.shape[1] != geom.m:
             raise IOError(f"{args.stack}: stack dims do not match the geometry")
-        g = forward_response(build_propagation_matrices(geom), stack)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = forward_response(build_propagation_matrices(geom), stack)
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"{args.stack}: the stack's response leaves a float's range")
         beta = optimal_scale(g, dft_matrix(geom.n_x, geom.n_y).matrix)
         return g, beta, geom
     if ideal:
@@ -411,9 +408,8 @@ def _response_for(config, args, command, ideal=None):
 
 
 def _cmd_fit(args, config):
-    geom = _need(config, "geometry", "fit")
-    train_cfg = _need(config, "train", "fit")
-    best, _, _, reports = experiments.fit_reference(geom, train_cfg)
+    geom = config["geometry"]
+    best, _, _, reports = experiments.fit_reference(geom, config["train"])
     stack_path = os.path.join(_outdir(args), "stack.bin")
     save_stack(stack_path, best.stack)
     _emit(args, config, "fit", "loss_history.csv", ["iteration", "loss", "loss_db"],
@@ -437,8 +433,7 @@ def _cmd_fit(args, config):
 def _spectrum_map(config, args, command):
     run = config.get(command) or _read({}, command, _RUN)
     g, beta, geom = _response_for(config, args, command, run["ideal"])
-    proto = _need(config, "protocol", command)
-    source = _need(config, "source", command)
+    proto, source = config["protocol"], config["source"]
     sv = steering_for(source["psi_x"], source["psi_y"], geom.n_x, geom.n_y)
     snr = run["snr_db"]
     if math.isinf(snr):
@@ -490,15 +485,14 @@ def _cmd_estimate(args, config):
 
 def _cmd_bound(args, config):
     g, beta, geom = _response_for(config, args, "bound")
-    proto = _need(config, "protocol", "bound")
-    source = _need(config, "source", "bound")
-    snrs = _need(config, "bound", "bound")["snr_db"]
+    proto, source = config["protocol"], config["source"]
     rows = []
-    for snr in snrs:
+    for snr in config["bound"]["snr_db"]:
         inp = analysis.BoundInputs(g=g, proto=proto, n_x=geom.n_x, n_y=geom.n_y,
                                    rho=experiments.snr_rho(snr, beta, geom.n, proto.t),
                                    **source)
-        bx, by = analysis.mse_bound(inp)
+        with np.errstate(over="ignore", invalid="ignore"):  # a bound beyond range: refused below
+            bx, by = analysis.mse_bound(inp)
         if not (math.isfinite(bx) and math.isfinite(by)):
             raise ValueError(f"snr_db {snr:g} gives an MSE bound beyond a float's range")
         rows.append((f"{snr:.10g}", f"{bx:.10g}", f"{by:.10g}"))
@@ -509,9 +503,7 @@ def _cmd_bound(args, config):
 
 
 def _cmd_montecarlo(args, config):
-    mc = _need(config, "montecarlo", "montecarlo")
-    geom = _need(config, "geometry", "montecarlo")
-    proto = _need(config, "protocol", "montecarlo")
+    mc, geom, proto = config["montecarlo"], config["geometry"], config["protocol"]
     for key in ("d_x", "d_y"):  # trials draw and recover angles at half-wave spacing
         if getattr(geom, key) != geom.wavelength / 2:
             raise ConfigError(f"'geometry.{key}' must be 0.5 for 'montecarlo', whose trials"
@@ -549,9 +541,7 @@ def _cmd_montecarlo(args, config):
 
 
 def _cmd_sweep(args, config):
-    sw = _need(config, "sweep", "sweep")
-    geom = _need(config, "geometry", "sweep")
-    train_cfg = _need(config, "train", "sweep")
+    sw, geom, train_cfg = config["sweep"], config["geometry"], config["train"]
     if sw["mode"] == "ablation":
         cells = experiments.ablation_sweep(
             geom, train_cfg, thickness_lam=sw["thickness"], layers=sw["layers"],
@@ -625,15 +615,18 @@ _OPTIONS = {
                                 "help": "worker processes for experiment queues"}),
     "stack": (("--stack",), {"default": None, "help": "phase-stack file from a previous fit"}),
 }
-# Each subcommand's function and the _OPTIONS it reads; it is offered no other.
+# Each subcommand's function, the _OPTIONS it reads (it is offered no other), the config
+# sections it needs and the work caps it obeys; 'sweep' obeys them on each cell it fits.
+_RUN_SECTIONS = ("geometry", "protocol", "source")
 _COMMANDS = {
-    "fit": (_cmd_fit, ("config", "outdir")),
-    "spectrum": (_cmd_spectrum, ("config", "outdir", "stack")),
-    "estimate": (_cmd_estimate, ("config", "outdir", "stack")),
-    "bound": (_cmd_bound, ("config", "outdir", "stack")),
-    "montecarlo": (_cmd_montecarlo, ("config", "outdir", "jobs", "stack")),
-    "sweep": (_cmd_sweep, ("config", "outdir", "jobs")),
-    "gradcheck": (_cmd_gradcheck, ()),
+    "fit": (_cmd_fit, ("config", "outdir"), ("geometry", "train"), _FIT),
+    "spectrum": (_cmd_spectrum, ("config", "outdir", "stack"), _RUN_SECTIONS, (_LATTICE,)),
+    "estimate": (_cmd_estimate, ("config", "outdir", "stack"), _RUN_SECTIONS, (_LATTICE,)),
+    "bound": (_cmd_bound, ("config", "outdir", "stack"), (*_RUN_SECTIONS, "bound"), (_LATTICE,)),
+    "montecarlo": (_cmd_montecarlo, ("config", "outdir", "jobs", "stack"),
+                   ("montecarlo", "geometry", "protocol"), (_LATTICE, _MC_CELLS)),
+    "sweep": (_cmd_sweep, ("config", "outdir", "jobs"), ("sweep", "geometry", "train"), _FIT),
+    "gradcheck": (_cmd_gradcheck, (), (), ()),
 }
 
 
@@ -644,7 +637,7 @@ def build_parser():
                     " direction estimation.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, options) in _COMMANDS.items():
+    for name, (_, options, _, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         for option in options:
             flags, kwargs = _OPTIONS[option]
@@ -655,9 +648,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    command, _, needs, rows = _COMMANDS[args.command]
     try:
         config = parse_config(args.config) if getattr(args, "config", None) else {}
-        return _COMMANDS[args.command][0](args, config)
+        for name in needs:
+            if name not in config:
+                raise ConfigError(f"'{args.command}' needs a '{name}' section in the config")
+        _check_work(config, rows, "sweep" in needs)
+        return command(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

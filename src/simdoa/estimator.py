@@ -17,8 +17,9 @@ class ProtocolConfig:
     t_y: int = 1
 
     def __post_init__(self):
-        if self.t_x < 1 or self.t_y < 1:
-            raise ValueError("snapshot counts must be >= 1")
+        for name, v in (("t_x", self.t_x), ("t_y", self.t_y)):
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"snapshot count {name} must be an integer >= 1, got {v!r}")
 
     @property
     def t(self):

@@ -66,7 +66,7 @@ class SimGeometry:
             object.__setattr__(self, "u_y", self.d_y)
         for name in ("n_x", "n_y", "m_x", "m_y", "layers"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         for name in ("wavelength", "d_x", "d_y", "s_x", "s_y", "u_x", "u_y", "thickness"):
             v = float(getattr(self, name))
@@ -161,11 +161,23 @@ def _centered_positions(count_x, count_y, sp_x, sp_y):
     return x, y
 
 
-def _rs_matrix(dist, emit_area, geom):
-    """Vectorized Rayleigh-Sommerfeld coefficients for a distance array."""
-    kd = geom.kappa * dist
-    amp = emit_area * geom.s_layer / (TWO_PI * dist**3)
-    return amp * (1.0 - 1j * kd) * np.exp(1j * kd)
+def _rs_matrix(to, frm, emit_area, geom):
+    """Read-only Rayleigh-Sommerfeld coefficients from the (x, y) points ``frm`` to ``to``.
+
+    The point sets lie one layer gap apart. Coefficients beyond a float's range
+    raise a ValueError that names the geometry, with no RuntimeWarning.
+    """
+    with np.errstate(all="ignore"):
+        dist = np.sqrt((to[0][:, None] - frm[0][None, :]) ** 2
+                       + (to[1][:, None] - frm[1][None, :]) ** 2
+                       + np.float64(geom.s_layer) ** 2)  # inf, not OverflowError, past range
+        kd = geom.kappa * dist
+        amp = emit_area * geom.s_layer / (TWO_PI * dist**3)
+        w = amp * (1.0 - 1j * kd) * np.exp(1j * kd)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"propagation coefficients beyond a float's range for {geom}")
+    w.flags.writeable = False
+    return w
 
 
 def build_propagation_matrices(geom):
@@ -177,45 +189,18 @@ def build_propagation_matrices(geom):
     transpose of the first; otherwise it is built from the receiver element
     positions (a centered u-spaced grid rotated by ``geom.rotation``).
     """
-    in_x, in_y = _centered_positions(geom.n_x, geom.n_y, geom.d_x, geom.d_y)
-    mid_x, mid_y = _centered_positions(geom.m_x, geom.m_y, geom.s_x, geom.s_y)
-    sl2 = geom.s_layer**2
-
-    d0 = np.sqrt(
-        (mid_x[:, None] - in_x[None, :]) ** 2
-        + (mid_y[:, None] - in_y[None, :]) ** 2
-        + sl2
-    )
-    w0 = _rs_matrix(d0, geom.d_x * geom.d_y, geom)
-
-    if geom.layers > 1:
-        d_in = np.sqrt(
-            (mid_x[:, None] - mid_x[None, :]) ** 2
-            + (mid_y[:, None] - mid_y[None, :]) ** 2
-            + sl2
-        )
-        w_in = _rs_matrix(d_in, geom.s_x * geom.s_y, geom)
-        w_in.flags.writeable = False
-        w_inner = (w_in,) * (geom.layers - 1)
-    else:
-        w_inner = ()
-
+    inputs = _centered_positions(geom.n_x, geom.n_y, geom.d_x, geom.d_y)
+    atoms = _centered_positions(geom.m_x, geom.m_y, geom.s_x, geom.s_y)
+    w0 = _rs_matrix(atoms, inputs, geom.d_x * geom.d_y, geom)
+    w_in = (_rs_matrix(atoms, atoms, geom.s_x * geom.s_y, geom),) if geom.layers > 1 else ()
+    w_inner = w_in * (geom.layers - 1)
     if geom.receiver_isomorphic:
         w_last = w0.T.copy()
+        w_last.flags.writeable = False
     else:
         rx, ry = _centered_positions(geom.n_x, geom.n_y, geom.u_x, geom.u_y)
         c, s = math.cos(geom.rotation), math.sin(geom.rotation)
-        rot_x = rx * c - ry * s
-        rot_y = rx * s + ry * c
-        d_last = np.sqrt(
-            (rot_x[:, None] - mid_x[None, :]) ** 2
-            + (rot_y[:, None] - mid_y[None, :]) ** 2
-            + sl2
-        )
-        w_last = _rs_matrix(d_last, geom.s_x * geom.s_y, geom)
-
-    w0.flags.writeable = False
-    w_last.flags.writeable = False
+        w_last = _rs_matrix((rx * c - ry * s, rx * s + ry * c), atoms, geom.s_x * geom.s_y, geom)
     return PropagationSet(w0=w0, w_inner=w_inner, w_last=w_last, geometry=geom)
 
 

@@ -2,8 +2,8 @@
 
 Trial ``t`` of SNR point ``i`` draws from ``default_rng(SeedSequence(seed,
 spawn_key=(i, t)))``. Building those objects per trial costs more than a
-small trial's work, so this module reproduces their derivation: the
-``SeedSequence`` entropy pool is mixed once per point, a block's trial
+small trial's work, so this module reproduces their derivation: numpy
+mixes the ``SeedSequence`` entropy pool once per point, a block's trial
 words are hashed over uint32 arrays, and PCG64's seeding step turns each
 result into the state that ``default_rng`` would have set. The tests
 compare it with numpy's own classes.
@@ -46,24 +46,14 @@ def _words(n):
 def point_pool(seed, snr_index):
     """Pool of ``SeedSequence(seed, spawn_key=(snr_index, trial))`` before the trial's words.
 
-    The seed's words, padded to the pool size as numpy pads them ahead of a
-    spawn key, and the SNR index's words are mixed in Python ints, as
-    ``SeedSequence.mix_entropy`` does. Returns the four pool words and the
-    hash constant that the trial's words start from (``trial_states``).
+    Returns numpy's ``SeedSequence(seed, spawn_key=(snr_index,)).pool`` and the hash
+    constant that the trial's words start from (``trial_states``): the mix hashes
+    16 + 4 (words - 4) times, the seed counting at least four words, as numpy pads it
+    ahead of a spawn key.
     """
-    words = _words(int(seed))
-    entropy = words + [0] * (4 - len(words)) + _words(snr_index)
-    consts = _chain(_INIT_A, _MULT_A, 16 + 4 * (len(entropy) - 4))
-    steps = zip(consts, consts[1:])
-    pool = [_hashed(word, *next(steps)) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mixed(pool[dst], _hashed(pool[src], *next(steps)))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mixed(pool[dst], _hashed(word, *next(steps)))
-    return tuple(pool), consts[-1]
+    words = max(4, len(_words(int(seed)))) + len(_words(snr_index))
+    pool = np.random.SeedSequence(seed, spawn_key=(snr_index,)).pool
+    return tuple(pool.tolist()), _chain(_INIT_A, _MULT_A, 16 + 4 * (words - 4))[-1]
 
 
 # SeedSequence.generate_state's eight hash constants, one per 32-bit output word

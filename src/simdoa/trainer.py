@@ -126,6 +126,7 @@ def finite_diff_gradient(props, stack, f, beta):
     return grads
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a cascade beyond a float's range: TrainingDiverged
 def train(props, f, config):
     """Fit the stack phases to the target matrix by decayed gradient descent.
 

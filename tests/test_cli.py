@@ -822,6 +822,21 @@ def test_bound_beyond_a_float_exits_1_naming_the_snr(tmp_path, capsys, command, 
     assert not (tmp_path / "run" / f"{command}.csv").exists()
 
 
+def test_a_symbol_beyond_a_float_exits_1_from_bound_without_a_warning(tmp_path, capsys):
+    # the bound's cell powers |G a s|**2 overflowed with a RuntimeWarning before the refusal
+    stack = tmp_path / "s.bin"
+    save_stack(stack, random_stack(2, 4, np.random.default_rng(3)))
+    doc = {**RUN_DOC, "geometry": {"n_x": 2, "n_y": 2, "m_x": 2, "m_y": 2, "layers": 2,
+                                   "thickness": 2.0},
+           "source": {**RUN_DOC["source"], "s_imag": 1.0e308}, "bound": {"snr_db": [10]}}
+    argv = ["bound", "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run"), "--stack", str(stack)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr().err == "error: snr_db 10 gives an MSE bound beyond a float's range\n"
+
+
 @pytest.mark.parametrize("command,doc,key", [
     ("estimate", {**RUN_DOC, "protocol": {"t_x": 10 ** 400, "t_y": 2},
                   "estimate": {"ideal": True}}, "protocol.t_x"),
@@ -854,6 +869,55 @@ def test_work_beyond_the_caps_exits_2_naming_the_key(tmp_path, capsys, monkeypat
     code, err = _config_error(tmp_path, capsys, command, doc)
     assert code == 2
     assert f"'{key}' asks for too much work" in err
+
+
+@pytest.mark.parametrize("geometry", [{"wavelength_mm": 1.0e300}, {"wavelength_mm": 1.0e-300},
+                                      {"d_x": 1.0e300}],
+                         ids=["huge-wavelength", "tiny-wavelength", "huge-spacing"])
+@pytest.mark.parametrize("command", ["fit", "sweep", "estimate"])
+def test_lengths_beyond_a_float_exit_1_naming_the_geometry(tmp_path, capsys, geometry, command):
+    # fit and a receiver sweep ended in "OverflowError: (34, 'Numerical result out of range')"
+    # at the layer gap's square; the others warned "invalid value encountered in divide",
+    # then failed with "initial loss is not finite"
+    stack = tmp_path / "s.bin"
+    save_stack(stack, random_stack(2, 9, np.random.default_rng(0)))
+    doc = {**RUN_DOC, "geometry": {"n_x": 2, "n_y": 2, "m_x": 3, "m_y": 3, "layers": 2,
+                                   **geometry},
+           "train": {"max_iters": 3},
+           "sweep": {"mode": "receiver", "rotation_deg": [10.0], "runs": 1}}
+    options = {"fit": [], "sweep": ["-j", "1"], "estimate": ["--stack", str(stack)]}[command]
+    argv = [command, "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run"), *options]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: propagation coefficients beyond a float's range for"
+                          " SimGeometry(wavelength=")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,geometry,message", [
+    ("fit", {"layers": 3082}, "error: initial loss is not finite\n"),
+    ("bound", {"thickness": 1.0e-100}, "the stack's response leaves a float's range\n"),
+    ("estimate", {"thickness": 1.0e-100}, "the stack's response leaves a float's range\n"),
+], ids=["fit-3082-layers", "bound-thin-stack", "estimate-thin-stack"])
+def test_a_cascade_beyond_a_float_exits_1_without_a_warning(tmp_path, capsys, command, geometry,
+                                                             message):
+    # finite matrices whose cascade overflows: each warned "overflow encountered in matmul";
+    # the --stack runs then blamed the SNR ("rho that overflows", "energy values must be finite")
+    stack = tmp_path / "s.bin"
+    save_stack(stack, random_stack(2, 4, np.random.default_rng(0)))
+    doc = {**RUN_DOC, "geometry": {"n_x": 2, "n_y": 2, "m_x": 2, "m_y": 2, "layers": 2,
+                                   "thickness": 2.0, **geometry},
+           "train": {"max_iters": 2}, "bound": {"snr_db": [10]}}
+    argv = [command, "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run")] + ([] if command == "fit" else ["--stack", str(stack)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -907,39 +971,73 @@ def test_sweep_cells_beyond_the_caps_exit_2_before_any_fit(tmp_path, capsys, mon
     assert not (tmp_path / "run").exists()
 
 
-def test_a_sweep_section_keeps_the_base_fit_caps(tmp_path):
-    # 'fit' reads the base geometry of a config that also holds a sweep
+def _accepted(monkeypatch, command, config, *options):
+    """The config that ``main`` hands ``command`` once every check has passed; no work runs."""
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        (lambda args, parsed: seen.append(parsed) or 0, *cli._COMMANDS[command][1:]))
+    assert main([command, "--config", config, *options]) == 0
+    return seen[0]
+
+
+def test_a_sweep_section_keeps_the_base_fit_caps(tmp_path, capsys, monkeypatch):
+    # 'fit' reads the base geometry of a config that also holds a sweep, but an ablation
+    # sweep fits only its cells: it once exited 2 on the base's 65 x 32 atoms too
     sweep = {"mode": "ablation", "thickness": [2.0], "layers": [2], "atoms": [25],
-             "spacing": [0.5]}
-    doc = {"geometry": {"n_x": 2, "n_y": 2, "m_x": 65, "m_y": 32}, "train": {}, "sweep": sweep}
-    with pytest.raises(ConfigError, match="'geometry.m_x' asks for too much work"):
-        parse_config(write_config(tmp_path / "c.yaml", doc))
+             "spacing": [0.5], "runs": 1}
+    doc = {"geometry": {"n_x": 2, "n_y": 2, "m_x": 65, "m_y": 32}, "train": {"max_iters": 2},
+           "sweep": sweep}
+    def started(*args, **kwargs):
+        raise RuntimeError("the work started")
+
+    monkeypatch.setattr(experiments, "fit_reference", started)
+    code, err = _config_error(tmp_path, capsys, "fit", doc)
+    assert code == 2
+    assert "config error: 'geometry.m_x' asks for too much work" in err
+    argv = ["sweep", "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run"), "-j", "1"]
+    assert main(argv) == 0
+    assert len(read_csv(tmp_path / "run" / "sweep.csv")) == 2
 
 
-def test_sweep_cells_that_the_sweep_flags_are_not_counted(tmp_path):
+def test_sweep_cells_that_the_sweep_flags_are_not_counted(tmp_path, monkeypatch):
     # a non-square atom count or a layer count below 1 is flagged in the table, never fitted
     sweep = {"mode": "ablation", "thickness": [2.0], "layers": [0, 2],
              "atoms": [-4000000, 4000001, 25], "spacing": [0.5]}
-    parsed = parse_config(write_config(tmp_path / "c.yaml", {**SWEEP_BASE, "sweep": sweep}))
-    assert parsed["sweep"]["atoms"] == (-4000000, 4000001, 25)
+    cfg = write_config(tmp_path / "c.yaml", {**SWEEP_BASE, "sweep": sweep})
+    assert _accepted(monkeypatch, "sweep", cfg)["sweep"]["atoms"] == (-4000000, 4000001, 25)
     for name in ("sweep-ablation.yaml", "sweep-receiver.yaml"):
-        assert parse_config(str(CONFIGS / name))["sweep"]["runs"] == 2
+        assert _accepted(monkeypatch, "sweep", str(CONFIGS / name))["sweep"]["runs"] == 2
 
 
-def test_fit_work_at_the_caps_is_accepted(tmp_path):
+def test_fit_work_at_the_caps_is_accepted(tmp_path, monkeypatch):
     # 64 * 32 atoms is 2**22 propagation cells; 2**39 iterations of 2 x 2 inputs on one
     # atom is 2**41 multiply-adds
     for geometry, train in [({"m_x": 64, "m_y": 32}, {}),
                             ({"m_x": 1, "m_y": 1, "layers": 1}, {"max_iters": 2 ** 39})]:
         doc = {"geometry": {"n_x": 2, "n_y": 2, **geometry}, "train": train}
-        parsed = parse_config(write_config(tmp_path / "c.yaml", doc))
+        parsed = _accepted(monkeypatch, "fit", write_config(tmp_path / "c.yaml", doc))
         assert parsed["geometry"].m_x == geometry["m_x"]
 
 
-def test_fit_caps_need_a_train_section(tmp_path):
-    # an estimate from the exact DFT builds no propagation matrices, whatever the stack size
-    doc = {"geometry": {"n_x": 2, "n_y": 2, "m_x": 4096, "m_y": 4096}}
-    assert parse_config(write_config(tmp_path / "c.yaml", doc))["geometry"].m_x == 4096
+def test_fit_caps_need_a_train_section(tmp_path, capsys):
+    # an estimate from the exact DFT builds no propagation matrices, whatever the stack size;
+    # 'fit' refuses the config for its missing 'train' section before any cap
+    doc = {**RUN_DOC, "geometry": {"n_x": 2, "n_y": 2, "m_x": 4096, "m_y": 4096},
+           "estimate": {"ideal": True}}
+    assert _config_error(tmp_path, capsys, "estimate", doc) == (0, "")
+    assert _config_error(tmp_path, capsys, "fit", doc) == (
+        2, "config error: 'fit' needs a 'train' section in the config\n")
+
+
+def test_estimate_obeys_no_montecarlo_cap(tmp_path, capsys):
+    # the Monte Carlo cap bound every command of a config with a 'montecarlo' section: this
+    # estimate exited 2 with "'montecarlo.trials' asks for too much work"
+    doc = {**RUN_DOC, "estimate": {"ideal": True},
+           "montecarlo": {"trials": 100000000000, "snr_db": [10]}}
+    assert _config_error(tmp_path, capsys, "estimate", doc) == (0, "")
+    assert "'montecarlo.trials' asks for too much work" in _config_error(
+        tmp_path, capsys, "montecarlo", doc)[1]
 
 
 @pytest.mark.parametrize("command", ["estimate", "spectrum", "bound", "montecarlo"])
@@ -963,12 +1061,12 @@ def test_stack_runs_refuse_matrices_beyond_the_cap(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "run").exists()
 
 
-def test_work_at_the_caps_is_accepted(tmp_path):
+def test_work_at_the_caps_is_accepted(tmp_path, monkeypatch):
     # 2 x 2 inputs with 512 x 512 snapshots is 2**20 lattice cells, and
     # 4096 trials of them is 2**32 Monte Carlo cells per point
     doc = {**MC_DOC, "protocol": {"t_x": 512, "t_y": 512},
            "montecarlo": {**MC_DOC["montecarlo"], "trials": 4096}}
-    parsed = parse_config(write_config(tmp_path / "c.yaml", doc))
+    parsed = _accepted(monkeypatch, "montecarlo", write_config(tmp_path / "c.yaml", doc))
     assert parsed["montecarlo"]["trials"] == 4096
 
 

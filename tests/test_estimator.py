@@ -101,6 +101,16 @@ def test_protocol_counts():
         ProtocolConfig(t_x=0, t_y=1)
 
 
+@pytest.mark.parametrize("kwargs", [dict(t_x=True, t_y=2), dict(t_x=2.5), dict(t_y=np.True_),
+                                    dict(t_x=2, t_y=2.0)])
+def test_protocol_refuses_bool_and_non_integer_counts(kwargs):
+    # t_x=True ran as T=2, and t_x=2.5 failed only in the lattice: "index [1. 2. 3. 4. 5.]
+    # outside grid"
+    with pytest.raises(ValueError, match=r"snapshot count t_[xy] must be an integer >= 1, got"):
+        ProtocolConfig(**kwargs)
+    assert ProtocolConfig(t_x=np.int64(3), t_y=2).t == 6
+
+
 def test_first_snapshot_phases_are_zero():
     proto = ProtocolConfig(t_x=8, t_y=8)
     for n in range(1, 5):

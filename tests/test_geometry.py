@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,35 @@ def test_geometry_validation():
         make_geom(s_x=-0.001)
     with pytest.raises(ValueError):
         make_geom(thickness=0.0)
+
+
+@pytest.mark.parametrize("name", ["n_x", "m_y", "layers"])
+@pytest.mark.parametrize("value", [True, np.True_])
+def test_geometry_refuses_bool_counts(name, value):
+    # a bool was accepted as the count 1
+    with pytest.raises(ValueError, match=f"{name} must be a positive integer, got "):
+        make_geom(**{name: value})
+
+
+def _scaled(factor, **kw):
+    """make_geom with every length times ``factor``."""
+    lengths = dict(wavelength=LAM, d_x=LAM / 2, d_y=LAM / 2, s_x=LAM / 2, s_y=LAM / 2,
+                   thickness=0.015)
+    return make_geom(**{k: v * factor for k, v in lengths.items()}, **kw)
+
+
+@pytest.mark.parametrize("geom", [
+    _scaled(1e300), _scaled(1e-300), make_geom(d_x=1e300),
+    make_geom(u_x=1e300, rotation=0.3),  # only the rotated receiver's matrix leaves the range
+], ids=["huge-lengths", "tiny-lengths", "huge-input-spacing", "huge-receiver-spacing"])
+def test_propagation_beyond_a_float_raises_naming_the_geometry(geom):
+    # the layer gap's square raised OverflowError; tiny lengths or huge spacings warned
+    # "invalid value encountered in divide" and gave NaN matrices
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^propagation coefficients beyond a float's"
+                                             r" range for SimGeometry\(wavelength="):
+            build_propagation_matrices(geom)
 
 
 # ------------------------------------------------------------------ steering
