@@ -110,6 +110,11 @@ def _wilson_hilferty(nu1, nu2, nu3):
         np.subtract(1.0, z, out=z)
         np.cbrt(z, out=z)
         z -= 1.0
+        # where x = nu1/sqrt(h nu2) > 0 is so small that cbrt(1 - x) - 1 rounds to 0.0, the
+        # series value -x/3 keeps its sign and size; every other cell keeps its bits
+        flat = np.flatnonzero(z == 0.0)
+        x = nu1.take(flat) / np.sqrt(h.take(flat) * nu2.take(flat))
+        z.put(flat, np.where(x > 0.0, x / -3.0, 0.0))
         z += 2.0 / (9.0 * h)
         z *= np.sqrt(9.0 * h / 2.0)
         # the Gaussian tail P(Z > -z) = erfc(-z/sqrt(2))/2, clipped to [0, 1]; erfc runs only where
@@ -138,7 +143,7 @@ def _dead_nu1(d_peak):
     rounding of nu1, nu2 and the root stays within a few 1e-16 of them.
     The floats follow the exact value only while the cancellation in 1 -
     cbrt(1 - x) is mild; below x of about 1e-16 it rounds to 0 and the
-    transform gives 1/2. So the root serves only for c <= 1e6 a^2, where it
+    transform takes the series value -x/3. So the root serves only for c <= 1e6 a^2, where it
     implies x >= 3e-6, and +inf beyond. At x >= 3e-6 the difference carries
     a rounding error of about 1e-9 of itself, far inside the 1e-6 margin,
     and nothing overflows. A NaN d_peak gives +inf.

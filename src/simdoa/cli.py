@@ -5,10 +5,8 @@ failure. All config lengths are in wavelengths; the absolute wavelength
 defaults to 5 mm (60 GHz).
 """
 
-import argparse
 import csv
 import dataclasses
-import hashlib
 import math
 import os
 import struct
@@ -16,9 +14,8 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
-import yaml
 
-from . import __version__, analysis, experiments
+from . import __version__, experiments
 from .estimator import (ProtocolConfig, angular_spectrum, collect_snapshots,
                         estimate_from_map, steering_for)
 from .geometry import SimGeometry, build_propagation_matrices, dft_matrix
@@ -251,6 +248,7 @@ def parse_config(path):
     with its dotted path; invariant violations are rephrased with their
     section context. The raw document is kept under "_raw" for the manifest.
     """
+    import yaml  # only a run that reads or writes YAML loads it
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -367,6 +365,8 @@ def _emit(args, config, command, name, header, rows, geom, seeds=(), results=Non
     ``also`` names files the command already wrote to the output directory;
     the manifest lists them before the CSV.
     """
+    import hashlib
+    import yaml  # only a run that reads or writes YAML loads it
     out = _outdir(args)
     path = os.path.join(out, name)
     write_csv(path, header, rows)
@@ -484,8 +484,16 @@ def _cmd_estimate(args, config):
 
 
 def _cmd_bound(args, config):
+    from . import analysis  # only 'bound' and 'montecarlo' load it
     g, beta, geom = _response_for(config, args, "bound")
     proto, source = config["protocol"], config["source"]
+    field = analysis.clean_field(analysis.BoundInputs(g=g, proto=proto, n_x=geom.n_x,
+                                                      n_y=geom.n_y, rho=0.0, **source))
+    with np.errstate(over="ignore", invalid="ignore"):  # the bound's cell powers, at any SNR
+        power = np.abs(field * source["s"]) ** 2
+    if np.all(np.isfinite(field)) and not np.all(np.isfinite(power)):
+        raise ValueError("'source.s_real' and 'source.s_imag' give a symbol whose cell powers"
+                         " |G a s|**2 leave a float's range")
     rows = []
     for snr in config["bound"]["snr_db"]:
         inp = analysis.BoundInputs(g=g, proto=proto, n_x=geom.n_x, n_y=geom.n_y,
@@ -598,6 +606,7 @@ def _cmd_gradcheck(args, config):
 
 def _jobs(text):
     """The ``--jobs`` value: a worker count of at least 1; anything else is a usage error."""
+    import argparse  # already loaded by the parser that calls this
     try:
         value = int(text)
     except ValueError:
@@ -631,6 +640,7 @@ _COMMANDS = {
 
 
 def build_parser():
+    import argparse  # only a command-line run loads it
     parser = argparse.ArgumentParser(
         prog="simdoa",
         description="Stacked-metasurface DFT fitting and energy-peak"

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis
 from .estimator import (EnergyMap, ProtocolConfig, collect_snapshots,
                         estimate_from_map, steering_for, wrapped_angle_error)
 from .geometry import build_propagation_matrices, check_feasibility, dft_matrix
@@ -257,6 +256,7 @@ def _mc_block(cfg, stream, trials, snr):
     wave = cfg.pipeline == "wave"
     # each trial's real and imaginary normals, drawn in cn_noise's order by one call
     draws = None if noiseless else np.empty((len(trials), 2, n, cfg.proto.t))
+    from . import analysis  # only 'bound' and 'montecarlo' load it
     from .streams import trial_states  # only a Monte Carlo run loads it
     sources = []
     rng = np.random.Generator(np.random.PCG64(0))
@@ -364,8 +364,14 @@ class SweepCell:
 
 
 def _fit_runs(geom, train_cfg, seed, index, runs):
-    """(mean, min, max best dB, runs) of ``runs`` one-restart fits seeded by (seed, index, run)."""
-    props = build_propagation_matrices(geom)
+    """(mean, min, max best dB, runs) of ``runs`` one-restart fits seeded by (seed, index, run).
+
+    Propagation matrices beyond a float's range give the build's message instead.
+    """
+    try:
+        props = build_propagation_matrices(geom)
+    except ValueError as exc:
+        return str(exc)
     f = dft_matrix(geom.n_x, geom.n_y).matrix
     dbs = []
     for run in range(runs):
@@ -375,17 +381,17 @@ def _fit_runs(geom, train_cfg, seed, index, runs):
 
 
 def _fit_variants(variants, train_cfg, runs, seed, jobs):
-    """(mean, min, max dB, runs) of each geometry variant's fits; None marks a flagged cell.
+    """Each geometry variant's ``_fit_runs`` result; a variant given as a note flags its cell.
 
     Variant i is fitted by ``_fit_runs`` at index i, flagged cells counted,
     so its seeds do not depend on the other cells or on ``jobs``; with
     ``jobs > 1`` the process pool maps the variants that are fitted. A
-    flagged cell reads NaN dB and 0 runs.
+    flagged cell's result is its note.
     """
     todo = [(geom, train_cfg, seed, index, runs)
-            for index, geom in enumerate(variants) if geom is not None]
+            for index, geom in enumerate(variants) if not isinstance(geom, str)]
     fits = iter(_map(_fit_runs, todo, jobs))
-    return [(math.nan, math.nan, math.nan, 0) if geom is None else next(fits) for geom in variants]
+    return [geom if isinstance(geom, str) else next(fits) for geom in variants]
 
 
 def ablation_sweep(geom, train_cfg, thickness_lam, layers, atoms, spacing_lam, runs=3, seed=0,
@@ -395,12 +401,13 @@ def ablation_sweep(geom, train_cfg, thickness_lam, layers, atoms, spacing_lam, r
     A cell sets the stack: total thickness, layer count, a square grid of
     ``atoms`` meta-atoms and their spacing, lengths in wavelengths. Every
     other field of ``geom``, the receiver's included, is kept. Invalid or
-    infeasible cells come back flagged with the reason instead of being
-    dropped, so the emitted table always has the full grid shape.
+    infeasible cells, and cells whose propagation matrices leave a float's
+    range, come back flagged with the reason instead of being dropped, so the
+    emitted table always has the full grid shape.
     """
     lam = geom.wavelength
     cells = list(itertools.product(thickness_lam, layers, atoms, spacing_lam))
-    variants, notes = [], []
+    variants = []  # each cell's geometry, or the note that flags it
     for thickness, n_layers, n_atoms, spacing in cells:
         try:
             # checked here, so that a note names the sweep key and its value in wavelengths
@@ -413,14 +420,12 @@ def ablation_sweep(geom, train_cfg, thickness_lam, layers, atoms, spacing_lam, r
             variant = dataclasses.replace(geom, m_x=side, m_y=side, s_x=spacing * lam,
                                           s_y=spacing * lam, layers=n_layers,
                                           thickness=thickness * lam)
-            note = check_feasibility(variant)
+            variants.append(check_feasibility(variant) or variant)
         except ValueError as exc:
-            note = str(exc)
-        variants.append(None if note else variant)
-        notes.append(note)
-    fits = _fit_variants(variants, train_cfg, runs, seed, jobs)
-    return [SweepCell(*cell, variant is not None, note, *fit)
-            for cell, variant, note, fit in zip(cells, variants, notes, fits)]
+            variants.append(str(exc))
+    return [SweepCell(*cell, False, fit, math.nan, math.nan, math.nan, 0) if isinstance(fit, str)
+            else SweepCell(*cell, True, "", *fit)
+            for cell, fit in zip(cells, _fit_variants(variants, train_cfg, runs, seed, jobs))]
 
 
 @dataclass(frozen=True)
@@ -446,6 +451,9 @@ def receiver_study(geom, train_cfg, u_x=(), rotation=(), layers=(), runs=3, seed
     points += [("rotation", v, dataclasses.replace(geom, rotation=v)) for v in rotation]
     points += [("layers", v, dataclasses.replace(geom, layers=v)) for v in layers]
     fits = _fit_variants([variant for _, _, variant in points], train_cfg, runs, seed, jobs)
+    for fit in fits:
+        if isinstance(fit, str):  # a receiver table has no notes, so the study fails
+            raise ValueError(fit)
     return [ReceiverCell(name, float(value), *fit)
             for (name, value, _), fit in zip(points, fits)]
 

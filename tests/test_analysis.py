@@ -432,12 +432,33 @@ def test_cutoff_ends_where_its_rounding_bound_does():
 
 
 def test_near_tie_at_extreme_snr_is_left_to_the_transform():
-    # x = 3 nu1^2/nu2^2 = 3e-18: 1 - cbrt(1 - x) rounds to 0 and the transform gives 1/2,
-    # although erfc's argument, about nu1/(2 sqrt(nu2)) = 158, puts the exact value at 0.0
+    # x = 3 nu1^2/nu2^2 = 3e-18: 1 - cbrt(1 - x) rounds to 0, and the transform gave 1/2,
+    # although erfc's argument, about nu1/(2 sqrt(nu2)) = 158, puts the exact value at 0.0;
+    # the series value -x/3 on such cells gives that 0.0
     nu1, nu2 = np.array([1e14]), np.array([1e23])
-    assert _wilson_hilferty(nu1, nu2, 3.0 * nu1)[0] == 0.5
-    # so no cutoff covers such a cell, and mse_bound keeps today's 1/2
+    assert _wilson_hilferty(nu1, nu2, 3.0 * nu1)[0] == 0.0
+    # no cutoff covers such a cell, so the transform itself must give it
     assert analysis._dead_nu1(np.array([(1e23 - 4.0) / 4.0]))[0] == np.inf
+
+
+def test_series_value_replaces_only_the_cells_whose_cube_root_rounds_to_one():
+    # erfc's argument, about nu1/(2 sqrt(nu2)), from 0.1 to 30, at x = 3 nu1^2/nu2^2 from
+    # 1e-19 to 1e-14 and below 1e-20: the cells where cbrt(1 - x) - 1 rounds to 0.0 take -x/3
+    nu2 = np.repeat([1e18, 1e24], 301)
+    nu1 = 2.0 * np.sqrt(nu2) * np.tile(np.geomspace(0.1, 30.0, 301), 2)
+    nus = (nu1, nu2, 3.0 * nu1)
+    h = nu2 ** 3 / nus[2] ** 2
+    x = nu1 / np.sqrt(h * nu2)
+    rounded = np.cbrt(1.0 - x) - 1.0 == 0.0
+    assert np.any(rounded) and not np.all(rounded)
+    got = _wilson_hilferty(*nus)
+    assert np.array_equal(_bits(got[~rounded]), _bits(_masked_wilson_hilferty(*nus)[~rounded]))
+    z = (-x / 3.0 + 2.0 / (9.0 * h)) * np.sqrt(9.0 * h / 2.0)
+    want = np.clip(q_function(-z), 0.0, 1.0)[rounded]
+    assert np.any(want > 0.0) and np.any(want == 0.0)
+    np.testing.assert_allclose(got[rounded], want, rtol=1e-12, atol=0.0)
+    # those cells gave 1/2 before
+    assert np.all(_masked_wilson_hilferty(*nus)[rounded] == 0.5)
 
 
 def test_bound_transforms_at_least_1024_cells(monkeypatch):

@@ -344,6 +344,31 @@ def test_sweep_ablation_csv(tmp_path, capsys):
     assert float(table["25"][6]) < 0.0
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_flags_a_cell_whose_lengths_overflow_the_propagation_build(tmp_path, capsys,
+                                                                        jobs):
+    # the cell aborted the whole sweep with exit 1 and wrote no sweep.csv, while a negative
+    # thickness is flagged in the table
+    doc = {"geometry": {"n_x": 2, "n_y": 2, "m_x": 3, "m_y": 3, "layers": 2},
+           "train": {"max_iters": 3},
+           "sweep": {"mode": "ablation", "thickness": [2.0, 1.0e300, -1.0], "layers": [2],
+                     "atoms": [9], "spacing": [0.5], "runs": 1}}
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", write_config(tmp_path / "c.yaml", doc),
+                     "--outdir", str(out), "--jobs", jobs]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_csv(out / "sweep.csv")[1:]
+    assert [r[:2] + r[4:5] for r in rows] == [["2.0", "2", "True"], ["1e+300", "2", "False"],
+                                              ["-1.0", "2", "False"]]
+    assert rows[1][5].startswith("propagation coefficients beyond a float's range for"
+                                 " SimGeometry(wavelength=")
+    assert rows[1][6:] == ["nan", "nan", "nan", "0"]
+    assert rows[2][5] == "thickness_lam must be positive and finite, got -1.0"
+    assert float(rows[0][6]) < 0.0 and rows[0][9] == "1"
+
+
 def test_sweep_receiver_csv(tmp_path, capsys):
     doc = {"geometry": {"n_x": 2, "n_y": 2, "m_x": 5, "m_y": 5,
                         "layers": 2, "thickness": 2.0},
@@ -622,41 +647,84 @@ def test_import_simdoa_loads_no_submodule_and_no_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def _src_env():
+    """The environment, with this package's source first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(simdoa.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# modules that only some runs need: the config and manifest YAML, the parser, the bound,
+# the Monte Carlo streams, the bound's erfc and the process pool
+_RUN_ONLY = ("yaml", "argparse", "simdoa.analysis", "simdoa.streams", "scipy",
+             "concurrent.futures")
+
+
+def test_importing_cli_and_experiments_loads_no_run_only_module():
+    # yaml, argparse and simdoa.analysis loaded with simdoa.cli, so every set-up that only
+    # fits or runs paired trials imported them
+    code = ("import sys; from simdoa import cli, experiments;"
+            " print(*[m for m in sys.argv[1:] if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code, *_RUN_ONLY], capture_output=True,
+                          text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 _LOADED_MODULES = """\
 import sys
 from simdoa import cli
 workdir, commands = sys.argv[1], sys.argv[2:]
-print("loaded: import", "scipy" in sys.modules, "concurrent.futures" in sys.modules)
+watched = ("scipy", "concurrent.futures", "yaml", "argparse", "simdoa.analysis")
+
+def report(*what):
+    print("loaded:", *what, *[m for m in watched if m in sys.modules])
+
+report("import")
 for command in commands:
-    jobs = ["-j", "1"] if command == "montecarlo" else []
-    code = cli.main([command, "-c", f"{workdir}/{command}.yaml", "-o", f"{workdir}/{command}",
-                     *jobs])
-    print("loaded:", command, code, "scipy" in sys.modules, "concurrent.futures" in sys.modules)
+    options = {"montecarlo": ["-j", "1"], "bound": ["--stack", f"{workdir}/stack.bin"]}
+    report(command, cli.main([command, "-c", f"{workdir}/{command}.yaml",
+                              "-o", f"{workdir}/{command}", *options.get(command, [])]))
 """
+
+
+def _loaded_modules(workdir, docs):
+    """{step: [exit code, modules loaded]} of ``docs``' commands run in turn in one interpreter.
+
+    The "import" step, importing simdoa.cli, has no exit code.
+    """
+    for command, doc in docs.items():
+        write_config(workdir / f"{command}.yaml", doc)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, str(workdir), *docs],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {line.split()[1]: line.split()[2:] for line in proc.stdout.splitlines()
+            if line.startswith("loaded:")}
 
 
 def test_scipy_and_the_process_pool_load_only_when_used(tmp_path):
     # scipy (for the bound's erfc) and concurrent.futures loaded with the
-    # package, so every subcommand and every -j 1 run paid for both
+    # package, so every subcommand and every -j 1 run paid for both; yaml, argparse
+    # and simdoa.analysis loaded with simdoa.cli
     docs = {"fit": tiny_fit_doc(max_iters=2, restarts=1),
             "spectrum": {**RUN_DOC, "spectrum": {"ideal": True}},
             "estimate": {**RUN_DOC, "estimate": {"ideal": True, "snr_db": 10}},
             "montecarlo": MC_DOC}
-    for command, doc in docs.items():
-        write_config(tmp_path / f"{command}.yaml", doc)
-    src = os.path.dirname(os.path.dirname(simdoa.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, str(tmp_path), *docs],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    loaded = [line.split()[1:] for line in proc.stdout.splitlines()
-              if line.startswith("loaded:")]
-    assert loaded[:4] == [["import", "False", "False"], ["fit", "0", "False", "False"],
-                          ["spectrum", "0", "False", "False"],
-                          ["estimate", "0", "False", "False"]]
+    loaded = _loaded_modules(tmp_path, docs)
+    assert loaded.pop("import") == []
     # with_bound is on by default; scipy may load concurrent.futures itself
-    assert loaded[4][:3] == ["montecarlo", "0", "True"]
+    bounded = {"scipy", "yaml", "argparse", "simdoa.analysis"}
+    code, *modules = loaded.pop("montecarlo")
+    assert code == "0" and set(modules) - {"concurrent.futures"} == bounded
+    assert loaded == {command: ["0", "yaml", "argparse"]
+                      for command in ("fit", "spectrum", "estimate")}
+    # 'bound' loads the bound too, seen in an interpreter of its own
+    bound = tmp_path / "bound-run"
+    bound.mkdir()
+    save_stack(bound / "stack.bin", random_stack(2, 25, np.random.default_rng(0)))
+    doc = {**RUN_DOC, "geometry": tiny_fit_doc()["geometry"], "bound": {"snr_db": [10]}}
+    code, *modules = _loaded_modules(bound, {"bound": doc})["bound"]
+    assert code == "0" and set(modules) - {"concurrent.futures"} == bounded
 
 
 @pytest.mark.parametrize("command,doc,message", [
@@ -823,7 +891,8 @@ def test_bound_beyond_a_float_exits_1_naming_the_snr(tmp_path, capsys, command, 
 
 
 def test_a_symbol_beyond_a_float_exits_1_from_bound_without_a_warning(tmp_path, capsys):
-    # the bound's cell powers |G a s|**2 overflowed with a RuntimeWarning before the refusal
+    # the bound's cell powers |G a s|**2 overflowed with a RuntimeWarning before the refusal,
+    # which then blamed the SNR, although they overflow at every SNR
     stack = tmp_path / "s.bin"
     save_stack(stack, random_stack(2, 4, np.random.default_rng(3)))
     doc = {**RUN_DOC, "geometry": {"n_x": 2, "n_y": 2, "m_x": 2, "m_y": 2, "layers": 2,
@@ -834,7 +903,25 @@ def test_a_symbol_beyond_a_float_exits_1_from_bound_without_a_warning(tmp_path, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 1
-    assert capsys.readouterr().err == "error: snr_db 10 gives an MSE bound beyond a float's range\n"
+    assert capsys.readouterr().err == ("error: 'source.s_real' and 'source.s_imag' give a symbol"
+                                       " whose cell powers |G a s|**2 leave a float's range\n")
+
+
+def test_a_symbol_beyond_a_float_is_refused_before_any_snr_point(tmp_path, capsys, monkeypatch):
+    from simdoa import analysis
+
+    def bound(inp):
+        raise AssertionError("the bound ran")
+
+    monkeypatch.setattr(analysis, "mse_bound", bound)
+    doc = {**RUN_DOC, "source": {**RUN_DOC["source"], "s_real": -1.0e308, "s_imag": 1.0e308},
+           "bound": {"snr_db": [-300, 10, 300]}}
+    argv = ["bound", "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run"), "--stack", str(tmp_path / "s.bin")]
+    save_stack(tmp_path / "s.bin", random_stack(7, 121, np.random.default_rng(0)))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: 'source.s_real' and 'source.s_imag'")
+    assert not (tmp_path / "run" / "bound.csv").exists()
 
 
 @pytest.mark.parametrize("command,doc,key", [
