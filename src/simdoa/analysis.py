@@ -154,16 +154,18 @@ def _dead_nu1(d_peak):
         return np.where(c <= 1e6 * a2, c / (1.0 + np.sqrt(1.0 + c / a2)), np.inf)
 
 
-def _squared_errors(psi, distinct):
-    """Squared shorter-arc offsets of each true angle in ``psi`` (K,) to every lattice cell (K, N, T).
+def _weighted_errors(psi, distinct, probs):
+    """Per trial of ``psi`` (K,), the sum of ``probs`` (K, N, T) times the cells' squared offsets.
 
-    Computed and squared on the axis's distinct lattice angles and gathered
-    back, which gives the same bits as evaluating every cell. ``np.take``
-    keeps the result C-ordered, so each trial's sum runs over one contiguous
-    row.
+    The shorter-arc offsets are computed and squared on the axis's distinct
+    lattice angles and gathered back, the same bits as every cell's own, and
+    weighted in place. ``np.take`` keeps the gather C-ordered, so each
+    trial's sum runs over one contiguous row.
     """
     axis, index = distinct
-    return np.take(wrapped_angle_error(psi[:, None], axis) ** 2, index, axis=1)
+    errors = np.take(wrapped_angle_error(psi[:, None], axis) ** 2, index, axis=1)
+    errors *= probs
+    return np.sum(errors.reshape(len(psi), -1), axis=1)
 
 
 def mse_bound(inp):
@@ -185,13 +187,14 @@ def mse_bound(inp):
                          f" ({inp.n_x}, {inp.n_y}) input grid has {inp.n_x * inp.n_y} cells")
     psi_x, psi_y = np.atleast_1d(inp.psi_x), np.atleast_1d(inp.psi_y)
     k = psi_x.size
-    power = np.abs(clean_field(inp) * np.asarray(inp.s)[..., None, None]) ** 2
+    power = np.abs(clean_field(inp) * np.asarray(inp.s)[..., None, None], order="C")
+    power *= power
     power = power.reshape(k, *lattice.psi_x.shape)
     if not np.all(np.any(power > 0.0, axis=(1, 2))):
         raise DegenerateField("noiseless field is identically zero")
     n_pk, t_pk = peak_cells(power)  # the estimator's tie rule
     peaks = np.arange(k), n_pk, t_pk
-    delta = np.multiply(2.0 * inp.rho, power, order="C")  # take() below then copies nothing
+    delta = np.multiply(2.0 * inp.rho, power, out=power)  # C-ordered: take() below copies nothing
     d_peak = delta[peaks][:, None, None]
     nu1 = d_peak - delta
     keep = np.ravel(~(nu1 >= _dead_nu1(d_peak)))  # NaN cells stay
@@ -202,10 +205,10 @@ def mse_bound(inp):
     live = np.flatnonzero(keep)
     probs = np.zeros(nu1.shape)  # the dead cells stay in the sums as 0.0
     nu1 = nu1.take(live)
-    nu2 = 4.0 + 2.0 * (delta.take(live) + d_peak.ravel()[live // power[0].size])
+    nu2 = 4.0 + 2.0 * (delta.take(live) + d_peak.ravel()[live // delta[0].size])
     probs.put(live, _wilson_hilferty(nu1, nu2, 3.0 * nu1))
     probs[peaks] = 1.0
-    bx, by = (np.sum((_squared_errors(psi, distinct) * probs).reshape(k, -1), axis=1)
+    bx, by = (_weighted_errors(psi, distinct, probs)
               for psi, distinct in ((psi_x, lattice.distinct_x), (psi_y, lattice.distinct_y)))
     if np.ndim(inp.psi_x):
         return bx, by

@@ -146,7 +146,9 @@ def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None, field=None
         noise = np.column_stack([cn_noise(noise, np.shape(g)[0]) for _ in range(proto.t)])
     if field is None:
         field = synthesize_received(np.asarray(g), proto.lattice(n_x, n_y).zeroth, sv)
-    return EnergyMap(np.abs(scale_field(field, symbols, rho, noise)) ** 2)
+    energies = np.abs(scale_field(field, symbols, rho, noise))
+    energies *= energies
+    return EnergyMap(energies)
 
 
 def peak_cells(values):

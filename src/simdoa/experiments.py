@@ -178,9 +178,9 @@ def _map(fn, tasks, jobs):
     return [fn(*task) for task in tasks]
 
 
-# Cells per Monte Carlo block: a block runs max(1, _BLOCK_CELLS // (R*T))
-# trials, so its (K, R, T) arrays stay cache-sized whatever the shape.
-_BLOCK_CELLS = 2 ** 14
+# Cells per Monte Carlo block of max(1, _BLOCK_CELLS // (R*T)) trials: at 4x4/T=8x8 a block
+# costs about 0.8 ms however few trials it holds plus about 160 us a trial, so it holds 64.
+_BLOCK_CELLS = 2 ** 16
 
 
 def digital_baseline(source, proto, n_x, n_y, rho, noise=None):
@@ -206,7 +206,9 @@ def _digital_energies(sv, s, rho, proto, n_x, n_y, noise=None):
     and give (K, N, T), slice k equal to trial k's own call bit for bit.
     """
     field = scale_field(antenna_field(proto.lattice(n_x, n_y).zeroth, sv), s, rho, noise)
-    return EnergyMap(np.abs(matvec_columns(dft_matrix(n_x, n_y).matrix, field)) ** 2)
+    energies = np.abs(matvec_columns(dft_matrix(n_x, n_y).matrix, field))
+    energies *= energies
+    return EnergyMap(energies)
 
 
 def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
@@ -304,13 +306,14 @@ def run_monte_carlo(cfg):
     Every (SNR point, trial) pair owns an RNG stream spawned from
     (cfg.seed, point index, trial index), so results are independent of
     execution order and of how trials are distributed over workers. Each
-    point's trials run in blocks of max(1, 2**14 // (R*T)). A wave block
-    synthesizes one clean field G Y_0 a for all its trials, scales it into
-    the snapshots with the block's noise, runs one peak search over the
-    (K, R, T) energies and evaluates the bound on the same field; every
-    trial's result equals its one-trial run bit for bit. With ``jobs > 1``
-    the process pool maps blocks, so serial and parallel runs share one
-    kernel and give identical results.
+    point's trials run in blocks of max(1, _BLOCK_CELLS // (R*T)), 64 at
+    4x4/T=8x8, which spreads a block's fixed 0.8 ms over trials of 160 us.
+    A wave block synthesizes one clean field G Y_0 a for all its trials,
+    scales it into the snapshots with the block's noise, runs one peak
+    search over the (K, R, T) energies and evaluates the bound on the same
+    field; every trial's result equals its one-trial run bit for bit. With
+    ``jobs > 1`` the process pool maps blocks, so serial and parallel runs
+    share one kernel and give identical results.
     """
     # built here so worker processes receive it with the pickled config
     cfg.proto.lattice(cfg.n_x, cfg.n_y)
@@ -445,15 +448,16 @@ def receiver_study(geom, train_cfg, u_x=(), rotation=(), layers=(), runs=3, seed
     receiver ``rotation`` (radians), and layer count (thickness held
     fixed, so the per-gap distance rescales). Returns one row per
     (parameter, value) with mean/min/max dB over ``runs`` seeds; ``jobs``
-    worker processes fit the rows.
+    worker processes fit the rows. The table has no notes, so a propagation
+    build that leaves a float's range raises its ValueError before any fit.
     """
     points = [("u_x", v, dataclasses.replace(geom, u_x=v, u_y=v)) for v in u_x]
     points += [("rotation", v, dataclasses.replace(geom, rotation=v)) for v in rotation]
     points += [("layers", v, dataclasses.replace(geom, layers=v)) for v in layers]
-    fits = _fit_variants([variant for _, _, variant in points], train_cfg, runs, seed, jobs)
-    for fit in fits:
-        if isinstance(fit, str):  # a receiver table has no notes, so the study fails
-            raise ValueError(fit)
+    variants = [variant for _, _, variant in points]
+    for variant in variants:
+        build_propagation_matrices(variant)
+    fits = _fit_variants(variants, train_cfg, runs, seed, jobs)
     return [ReceiverCell(name, float(value), *fit)
             for (name, value, _), fit in zip(points, fits)]
 

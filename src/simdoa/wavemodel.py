@@ -122,12 +122,13 @@ def scale_field(field, s, rho, noise=None):
     if field.ndim == 3 and np.ndim(s):  # per-trial symbols lead; R and T broadcast
         s = np.asarray(s)
         s = s[:, None, None] if s.ndim == 1 else s[:, None, :]
-    r = math.sqrt(rho) * field * s
+    r = np.multiply(math.sqrt(rho), field, dtype=complex)  # symbols and noise then go in place
+    r *= s
     if noise is not None:
         noise = np.asarray(noise)
         if noise.shape != r.shape:
             raise ValueError(f"noise shape {noise.shape} does not match {r.shape}")
-        r = r + noise
+        r += noise
     return r
 
 

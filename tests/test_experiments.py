@@ -685,7 +685,8 @@ def mc_configs(draw):
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=mc_configs(), block_cells=st.sampled_from([1, 2 ** 14, 2 ** 40]))
+@given(cfg=mc_configs(),
+       block_cells=st.sampled_from([1, 2 ** 14, experiments._BLOCK_CELLS, 2 ** 40]))
 def test_mc_blocks_match_one_trial_oracle(cfg, block_cells):
     # block_cells 1 runs one trial per block, 2**40 one block per point
     want = _oracle_points(cfg)
@@ -738,7 +739,10 @@ def test_mc_raises_no_runtime_warning(pipeline):
 
 
 def test_mc_block_size_follows_the_input_shape(monkeypatch):
-    # 4x4 receivers and T=8x8 give 2**14 // 1024 = 16 trials per block
+    # 4x4 receivers and T=8x8 give _BLOCK_CELLS // 1024 trials per block; each point spans
+    # two full blocks and a half one
+    size = experiments._BLOCK_CELLS // 1024
+    assert size >= 2
     calls = []
     real = experiments.collect_snapshots
 
@@ -748,9 +752,38 @@ def test_mc_block_size_follows_the_input_shape(monkeypatch):
 
     monkeypatch.setattr(experiments, "collect_snapshots", counting)
     cfg = McConfig(n_x=4, n_y=4, proto=ProtocolConfig(t_x=8, t_y=8), snr_db=(10.0, 20.0),
-                   trials=40, g=dft_matrix(4, 4).matrix, seed=1)
+                   trials=2 * size + size // 2, g=dft_matrix(4, 4).matrix, seed=1)
     run_monte_carlo(cfg)
-    assert calls == [16, 16, 8] * 2
+    assert calls == [size, size, size // 2] * 2
+
+
+@pytest.mark.parametrize("per_snapshot", [False, True])
+def test_in_place_writes_touch_only_arrays_they_made(per_snapshot):
+    # a block's snapshots, energies and bound write their large arrays in place; the field, the
+    # noise, the symbols and the cached clean field must keep every bit, and no result may share
+    # their memory
+    rng = np.random.default_rng(14)
+    proto = ProtocolConfig(t_x=3, t_y=2)
+    k, n = 5, 4
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    s = cn_noise(rng, (k, proto.t) if per_snapshot else k)
+    inp = analysis.BoundInputs(g=g, proto=proto, n_x=2, n_y=2, psi_x=rng.uniform(-1.0, 1.0, k),
+                               psi_y=rng.uniform(-1.0, 1.0, k), rho=2.5, s=s.T[0])
+    field = analysis.clean_field(inp)
+    sv = inp.steering()
+    noise = cn_noise(rng, (k, n, proto.t))
+    inputs = [g, s, field, sv, noise, inp.s, inp.psi_x, inp.psi_y, proto.lattice(2, 2).zeroth]
+    before = [a.tobytes() for a in inputs]
+    results = [scale_field(field, s, 2.5, noise), scale_field(field, s, 2.5),
+               collect_snapshots(g, sv, s, 2.5, proto, 2, 2, noise=noise).values,
+               collect_snapshots(g, sv, s, 2.5, proto, 2, 2, noise=noise, field=field).values,
+               collect_snapshots(g, sv, s, 2.5, proto, 2, 2, field=field).values,
+               experiments._digital_energies(sv, s, 2.5, proto, 2, 2, noise).values,
+               *analysis.mse_bound(inp)]
+    assert analysis.clean_field(inp) is field
+    assert [a.tobytes() for a in inputs] == before
+    for result in results:
+        assert not any(np.shares_memory(result, a) for a in inputs)
 
 
 def test_mc_counts_unrealizable_peaks():
@@ -899,6 +932,21 @@ def test_receiver_study_parallel_matches_serial():
     cfg = TrainConfig(max_iters=8)
     study = dict(u_x=(geom.d_x, 2 * geom.d_x), rotation=(0.3,), layers=(1,), runs=2, seed=2)
     assert receiver_study(geom, cfg, **study) == receiver_study(geom, cfg, **study, jobs=2)
+
+
+def test_receiver_study_refuses_an_overflowing_build_before_any_fit(monkeypatch):
+    # the study once fitted every other variant before it refused the one it could not build
+    fits = []
+    real = experiments.train
+
+    def counting(*args, **kwargs):
+        fits.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", counting)
+    with pytest.raises(ValueError, match="propagation coefficients beyond a float's range"):
+        receiver_study(small_geom(), TrainConfig(max_iters=3), u_x=(1e300, 0.5), runs=1)
+    assert fits == []
 
 
 def test_receiver_study_rows_and_isomorphic_match():
