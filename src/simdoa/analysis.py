@@ -9,11 +9,9 @@ Summing squared angle offsets weighted by these probabilities bounds the
 MSE on each normalized-angle axis.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .estimator import peak_cells, steering_for, wrapped_angle_error
+from .estimator import peak_cells, wrapped_angle_error
 from .wavemodel import synthesize_received
 
 _ERFC_ZERO = 26.64174755704633  # least x with erfc(x) == 0.0 (scipy 1.17.1)
@@ -23,65 +21,25 @@ class DegenerateField(ValueError):
     """Noiseless field is identically zero; no peak exists."""
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Everything the detection and MSE bounds need for one realized trial.
-
-    ``g`` is the receiver-side response matrix (R x N), ``psi_x``/``psi_y``
-    the true normalized electrical angles, ``rho`` the transmit SNR and
-    ``s`` the realized unit-variance symbol held over the T snapshots.
-    Length-K arrays of ``psi_x``, ``psi_y`` and ``s`` hold K trials at one
-    ``rho``.
-    """
-
-    g: np.ndarray
-    proto: object
-    n_x: int
-    n_y: int
-    psi_x: float
-    psi_y: float
-    rho: float
-    s: complex
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=complex)
-        if g.ndim != 2:
-            raise ValueError("g must be a matrix")
-        if self.rho < 0.0:
-            raise ValueError("rho must be >= 0")
-        if g.shape[1] != self.n_x * self.n_y:
-            raise ValueError("g column count must equal n_x * n_y")
-        object.__setattr__(self, "g", g)
-
-    def steering(self):
-        """Steering vector of the true angles on the input grid, built once and kept read-only."""
-        cache = self.__dict__
-        if "_steering" not in cache:
-            sv = steering_for(self.psi_x, self.psi_y, self.n_x, self.n_y)
-            sv.flags.writeable = False
-            cache["_steering"] = sv
-        return cache["_steering"]
-
-
-def clean_field(inp):
+def clean_field(g, lattice, sv):
     """Noiseless unit-power receive field G Y_0 a, one column per snapshot (R x T).
 
-    Entry (n, t) is the n-th receive sample when the input layer runs
-    snapshot t's phase profile from the protocol's cached lattice against
-    a unit plane wave from the true direction, as ``synthesize_received``
-    returns it; SNR and symbol are applied by the callers. K trials give
-    (K, R, T), each slice equal to its one-trial call bit for bit. The
-    field is synthesized once per ``inp`` and kept on it read-only, so a
-    Monte Carlo block's snapshots (``collect_snapshots(..., field=)``) and
-    its bound share it.
+    ``g`` is the (N, N) response on the input grid of ``lattice`` and ``sv``
+    the true direction's steering vector there. Column t is the receive
+    field when the input layer runs snapshot t's phase profile against a
+    unit plane wave, as ``synthesize_received`` returns it; SNR and symbol
+    are applied by the callers. (K, N) steering rows give (K, R, T), each
+    slice equal to its one-trial call bit for bit. A Monte Carlo block's
+    snapshots (``collect_snapshots(..., field=)``) and its bound share it.
     """
-    cache = inp.__dict__
-    if "_field" not in cache:
-        field = synthesize_received(inp.g, inp.proto.lattice(inp.n_x, inp.n_y).zeroth,
-                                    inp.steering())
-        field.flags.writeable = False
-        cache["_field"] = field
-    return cache["_field"]
+    g = np.asarray(g, dtype=complex)
+    n = lattice.zeroth.shape[0]
+    if g.ndim != 2:
+        raise ValueError("g must be a matrix")
+    if g.shape != (n, n):
+        # the bound reads receiver n as input cell n
+        raise ValueError(f"g has shape {g.shape} but the {n}-cell input grid needs ({n}, {n})")
+    return synthesize_received(g, lattice.zeroth, sv)
 
 
 def _wilson_hilferty(nu1, nu2, nu3):
@@ -168,33 +126,37 @@ def _weighted_errors(psi, distinct, probs):
     return np.sum(errors.reshape(len(psi), -1), axis=1)
 
 
-def mse_bound(inp):
+def mse_bound(field, s, rho, lattice, psi_x, psi_y):
     """Per-axis MSE upper bounds for realized (source, symbol) pairs.
 
-    Each cell contributes its squared angle offset (shorter arc on the
-    period-2 circle) times its win-probability bound; the peak cell
-    carries the trivial probability 1. Scalar angles and symbol give two
-    floats; K trials give two length-K arrays, entry k equal to trial k's
-    scalar call bit for bit. The receiver grid must be the input grid,
-    since cell (n, t) is scored at the input lattice's angles. The clean
-    field is ``clean_field(inp)``, so a field that the snapshots of the same
-    ``inp`` already used is not synthesized again. A trial whose moments
-    leave a float's range (an extreme ``rho``) gets NaN bounds.
+    ``field`` is the trials' ``clean_field`` on ``lattice``, ``s`` their
+    unit-variance symbols held over the T snapshots, ``rho`` the transmit
+    SNR and ``psi_x``/``psi_y`` the true normalized electrical angles. Each
+    cell contributes its squared angle offset (shorter arc on the period-2
+    circle) times its win-probability bound; the peak cell carries the
+    trivial probability 1. Scalar angles and symbol with an (R, T) field
+    give two floats; K trials with a (K, R, T) field give two length-K
+    arrays, entry k equal to trial k's scalar call bit for bit. Cell (n, t)
+    is scored at the lattice's angles, so the field's cells must be the
+    lattice's. A trial whose moments leave a float's range (an extreme
+    ``rho``) gets NaN bounds.
     """
-    lattice = inp.proto.lattice(inp.n_x, inp.n_y)
-    if inp.g.shape[0] != inp.n_x * inp.n_y:
-        raise ValueError(f"g has {inp.g.shape[0]} receiver rows but the"
-                         f" ({inp.n_x}, {inp.n_y}) input grid has {inp.n_x * inp.n_y} cells")
-    psi_x, psi_y = np.atleast_1d(inp.psi_x), np.atleast_1d(inp.psi_y)
+    if rho < 0.0:
+        raise ValueError("rho must be >= 0")
+    if np.shape(field)[-2:] != lattice.psi_x.shape:
+        raise ValueError(f"field has {np.shape(field)[-2:]} cells but the lattice has"
+                         f" {lattice.psi_x.shape}")
+    scalar = not np.ndim(psi_x)
+    psi_x, psi_y = np.atleast_1d(psi_x), np.atleast_1d(psi_y)
     k = psi_x.size
-    power = np.abs(clean_field(inp) * np.asarray(inp.s)[..., None, None], order="C")
+    power = np.abs(field * np.asarray(s)[..., None, None], order="C")
     power *= power
     power = power.reshape(k, *lattice.psi_x.shape)
     if not np.all(np.any(power > 0.0, axis=(1, 2))):
         raise DegenerateField("noiseless field is identically zero")
     n_pk, t_pk = peak_cells(power)  # the estimator's tie rule
     peaks = np.arange(k), n_pk, t_pk
-    delta = np.multiply(2.0 * inp.rho, power, out=power)  # C-ordered: take() below copies nothing
+    delta = np.multiply(2.0 * rho, power, out=power)  # C-ordered: take() below copies nothing
     d_peak = delta[peaks][:, None, None]
     nu1 = d_peak - delta
     keep = np.ravel(~(nu1 >= _dead_nu1(d_peak)))  # NaN cells stay
@@ -210,9 +172,9 @@ def mse_bound(inp):
     probs[peaks] = 1.0
     bx, by = (_weighted_errors(psi, distinct, probs)
               for psi, distinct in ((psi_x, lattice.distinct_x), (psi_y, lattice.distinct_y)))
-    if np.ndim(inp.psi_x):
-        return bx, by
-    return float(bx[0]), float(by[0])
+    if scalar:
+        return float(bx[0]), float(by[0])
+    return bx, by
 
 
 def quantization_floor(n_x, n_y, proto):

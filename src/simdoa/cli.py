@@ -487,8 +487,9 @@ def _cmd_bound(args, config):
     from . import analysis  # only 'bound' and 'montecarlo' load it
     g, beta, geom = _response_for(config, args, "bound")
     proto, source = config["protocol"], config["source"]
-    field = analysis.clean_field(analysis.BoundInputs(g=g, proto=proto, n_x=geom.n_x,
-                                                      n_y=geom.n_y, rho=0.0, **source))
+    lattice = proto.lattice(geom.n_x, geom.n_y)
+    field = analysis.clean_field(g, lattice, steering_for(source["psi_x"], source["psi_y"],
+                                                          geom.n_x, geom.n_y))
     with np.errstate(over="ignore", invalid="ignore"):  # the bound's cell powers, at any SNR
         power = np.abs(field * source["s"]) ** 2
     if np.all(np.isfinite(field)) and not np.all(np.isfinite(power)):
@@ -496,11 +497,10 @@ def _cmd_bound(args, config):
                          " |G a s|**2 leave a float's range")
     rows = []
     for snr in config["bound"]["snr_db"]:
-        inp = analysis.BoundInputs(g=g, proto=proto, n_x=geom.n_x, n_y=geom.n_y,
-                                   rho=experiments.snr_rho(snr, beta, geom.n, proto.t),
-                                   **source)
+        rho = experiments.snr_rho(snr, beta, geom.n, proto.t)
         with np.errstate(over="ignore", invalid="ignore"):  # a bound beyond range: refused below
-            bx, by = analysis.mse_bound(inp)
+            bx, by = analysis.mse_bound(field, source["s"], rho, lattice, source["psi_x"],
+                                        source["psi_y"])
         if not (math.isfinite(bx) and math.isfinite(by)):
             raise ValueError(f"snr_db {snr:g} gives an MSE bound beyond a float's range")
         rows.append((f"{snr:.10g}", f"{bx:.10g}", f"{by:.10g}"))
@@ -550,6 +550,9 @@ def _cmd_montecarlo(args, config):
 
 def _cmd_sweep(args, config):
     sw, geom, train_cfg = config["sweep"], config["geometry"], config["train"]
+    for key, by in (("restarts", "runs"), ("seed", "seed")):  # the sweep's keys set its fits
+        if key in config["_raw"]["train"]:
+            raise ConfigError(f"'train.{key}' does not apply to 'sweep': set 'sweep.{by}' instead")
     if sw["mode"] == "ablation":
         cells = experiments.ablation_sweep(
             geom, train_cfg, thickness_lam=sw["thickness"], layers=sw["layers"],

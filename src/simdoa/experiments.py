@@ -25,15 +25,6 @@ class SourceTruth:
     psi_y: float
     s: complex
 
-    def steering(self, n_x, n_y):
-        """Steering vector on an (n_x, n_y) grid, built once per grid and kept read-only."""
-        cache = self.__dict__.setdefault("_steering", {})
-        if (n_x, n_y) not in cache:
-            sv = steering_for(self.psi_x, self.psi_y, n_x, n_y)
-            sv.flags.writeable = False
-            cache[n_x, n_y] = sv
-        return cache[n_x, n_y]
-
 
 def effective_rho(gamma, beta, n, t):
     """Transmit SNR that realizes effective SNR ``gamma`` (linear).
@@ -132,11 +123,11 @@ class McConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if (isinstance(self.seed, (bool, np.bool_)) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, low, what in (("trials", 1, "an integer >= 1"),
+                                ("seed", 0, "a non-negative integer")):
+            v = getattr(self, name)
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or v < low:
+                raise ValueError(f"{name} must be {what}, got {v!r}")
         if self.pipeline not in ("wave", "digital"):
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         if self.pipeline == "wave" and self.g is None:
@@ -183,7 +174,7 @@ def _map(fn, tasks, jobs):
 _BLOCK_CELLS = 2 ** 16
 
 
-def digital_baseline(source, proto, n_x, n_y, rho, noise=None):
+def digital_baseline(sv, s, proto, n_x, n_y, rho, noise=None):
     """Estimate via element-space sampling plus a numeric DFT.
 
     The array observes x_t = sqrt(rho) * Upsilon_t a s + u directly over
@@ -192,10 +183,11 @@ def digital_baseline(source, proto, n_x, n_y, rho, noise=None):
     resulting energies. Antenna noise has
     variance 1/N per element so the post-DFT noise is unit variance,
     making rho directly comparable with the wave path's effective SNR
-    axis. ``noise`` holds the (N, T) antenna noise draws, or is None for
-    the clean field.
+    axis. ``sv`` is the source's steering vector on the (n_x, n_y) grid and
+    ``s`` its symbol. ``noise`` holds the (N, T) antenna noise draws, or is
+    None for the clean field.
     """
-    emap = _digital_energies(source.steering(n_x, n_y), source.s, rho, proto, n_x, n_y, noise)
+    emap = _digital_energies(sv, s, rho, proto, n_x, n_y, noise)
     return estimate_from_map(emap, proto, n_x, n_y, (0.5, 0.5))
 
 
@@ -230,11 +222,11 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     rho_digital = effective_rho(gamma, 1.0, n, proto.t)
     # a complex beta keeps numpy's division, which Python's does not round alike
     frame = (np.conj(beta) if isinstance(beta, complex) else beta) / abs(beta) if beta != 0 else 1.0
-    sv = source.steering(n_x, n_y)  # digital_baseline reads the same vector
+    sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)  # both paths read this vector
     emap = collect_snapshots(g, sv, source.s, rho_wave, proto, n_x, n_y,
                              noise=frame * (f @ u_ant))
     wave = estimate_from_map(emap, proto, n_x, n_y, (0.5, 0.5))
-    digital = digital_baseline(source, proto, n_x, n_y, rho_digital, noise=u_ant)
+    digital = digital_baseline(sv, source.s, proto, n_x, n_y, rho_digital, noise=u_ant)
     return wave, digital
 
 
@@ -273,21 +265,20 @@ def _mc_block(cfg, stream, trials, snr):
             rng.standard_normal(out=draws[i])
     psi_x = np.array([src.psi_x for src in sources])
     psi_y = np.array([src.psi_y for src in sources])
-    inp = analysis.BoundInputs(
-        g=cfg.g if wave else dft_matrix(cfg.n_x, cfg.n_y).matrix, proto=cfg.proto,
-        n_x=cfg.n_x, n_y=cfg.n_y, psi_x=psi_x, psi_y=psi_y, rho=run_rho,
-        s=np.array([src.s for src in sources], dtype=complex))
-    sv = inp.steering()  # the one that analysis.clean_field builds its field from
+    s = np.array([src.s for src in sources], dtype=complex)
+    sv = steering_for(psi_x, psi_y, cfg.n_x, cfg.n_y)
+    lattice = cfg.proto.lattice(cfg.n_x, cfg.n_y)
     noise = None if draws is None else complex_gaussian(draws[:, 0], draws[:, 1],
                                                         1.0 if wave else 1.0 / n)
     del draws  # the noise replaces its draws, so the bound below runs with one buffer less
     try:  # energies beyond a float's range: EnergyMap refuses them, with no RuntimeWarning
         with np.errstate(over="ignore", invalid="ignore"):
             if wave:
-                emap = collect_snapshots(cfg.g, sv, inp.s, run_rho, cfg.proto, cfg.n_x,
-                                         cfg.n_y, noise=noise, field=analysis.clean_field(inp))
+                field = analysis.clean_field(cfg.g, lattice, sv)
+                emap = collect_snapshots(cfg.g, sv, s, run_rho, cfg.proto, cfg.n_x, cfg.n_y,
+                                         noise=noise, field=field)
             else:
-                emap = _digital_energies(sv, inp.s, run_rho, cfg.proto, cfg.n_x, cfg.n_y, noise)
+                emap = _digital_energies(sv, s, run_rho, cfg.proto, cfg.n_x, cfg.n_y, noise)
     except ValueError as exc:
         raise ValueError(f"snr_db {snr:g}: {exc}") from None
     est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, (0.5, 0.5))
@@ -296,7 +287,9 @@ def _mc_block(cfg, stream, trials, snr):
     ey = wrapped_angle_error(psi_y, est.psi_y)
     bx = by = np.full(len(sources), np.nan)
     if cfg.with_bound and not noiseless:
-        bx, by = analysis.mse_bound(inp)
+        if not wave:  # the digital path's response is the DFT itself
+            field = analysis.clean_field(dft_matrix(cfg.n_x, cfg.n_y).matrix, lattice, sv)
+        bx, by = analysis.mse_bound(field, s, run_rho, lattice, psi_x, psi_y)
     return ex * ex, ey * ey, bx, by, ~(np.isnan(est.phi) | np.isnan(est.theta))
 
 

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from scipy.special import erfc
 
 from simdoa import analysis
 from simdoa.analysis import (
-    BoundInputs,
     _ERFC_ZERO,
     _wilson_hilferty,
     DegenerateField,
@@ -20,6 +20,7 @@ from simdoa.estimator import (EnergyMap, ProtocolConfig, collect_snapshots, elec
                               peak_cells, peak_index, steering_for)
 from simdoa.experiments import effective_rho
 from simdoa.geometry import dft_matrix
+from simdoa.wavemodel import synthesize_received
 
 
 # Scalar twins of the vectorized bound, kept here as oracles: the Gaussian
@@ -51,9 +52,36 @@ class MomentTriple:
         return h - self.mu1 * np.sqrt(h / self.mu2)
 
 
+class Trial(NamedTuple):
+    """One realized trial, or K trials with length-K angles and symbols, as the oracles read it."""
+
+    g: np.ndarray
+    proto: ProtocolConfig
+    n_x: int
+    n_y: int
+    psi_x: float
+    psi_y: float
+    rho: float
+    s: complex
+
+
+def _lattice(inp):
+    return inp.proto.lattice(inp.n_x, inp.n_y)
+
+
+def _field(inp):
+    """``clean_field`` of the trial's response, lattice and true direction."""
+    return clean_field(inp.g, _lattice(inp), steering_for(inp.psi_x, inp.psi_y, inp.n_x, inp.n_y))
+
+
+def _bound(inp):
+    """``mse_bound`` of the trial on its own clean field."""
+    return mse_bound(_field(inp), inp.s, inp.rho, _lattice(inp), inp.psi_x, inp.psi_y)
+
+
 def _clean_power(inp):
     """|field * s|^2 per cell: (R, T), or (K, R, T) for K trials."""
-    return np.abs(clean_field(inp) * np.asarray(inp.s)[..., None, None]) ** 2
+    return np.abs(_field(inp) * np.asarray(inp.s)[..., None, None]) ** 2
 
 
 def noncentrality_map(inp):
@@ -147,8 +175,8 @@ def noncentrality(inp, n, t):
 
 def make_inputs(psi_x, psi_y, rho=1.0, s=1.0 + 0j, proto=None):
     proto = proto or ProtocolConfig(t_x=4, t_y=4)
-    return BoundInputs(g=dft_matrix(2, 2).matrix, proto=proto, n_x=2, n_y=2,
-                       psi_x=psi_x, psi_y=psi_y, rho=rho, s=s)
+    return Trial(g=dft_matrix(2, 2).matrix, proto=proto, n_x=2, n_y=2,
+                 psi_x=psi_x, psi_y=psi_y, rho=rho, s=s)
 
 
 # ------------------------------------------------------------------ q function
@@ -164,13 +192,16 @@ def test_q_function_basics():
 # ---------------------------------------------------------------- field models
 
 def test_bound_inputs_validation():
+    # g not a matrix, g with the wrong column count, rho < 0
     f = dft_matrix(2, 2).matrix
-    with pytest.raises(ValueError):
-        BoundInputs(g=f, proto=ProtocolConfig(), n_x=2, n_y=2,
-                    psi_x=0.0, psi_y=0.0, rho=-1.0, s=1.0 + 0j)
-    with pytest.raises(ValueError):
-        BoundInputs(g=f[:, :3], proto=ProtocolConfig(), n_x=2, n_y=2,
-                    psi_x=0.0, psi_y=0.0, rho=1.0, s=1.0 + 0j)
+    lattice = ProtocolConfig().lattice(2, 2)
+    sv = steering_for(0.0, 0.0, 2, 2)
+    with pytest.raises(ValueError, match="g must be a matrix"):
+        clean_field(f[0], lattice, sv)
+    with pytest.raises(ValueError, match=r"shape \(4, 3\).*needs \(4, 4\)"):
+        clean_field(f[:, :3], lattice, sv)
+    with pytest.raises(ValueError, match="rho must be >= 0"):
+        mse_bound(clean_field(f, lattice, sv), 1.0 + 0j, -1.0, lattice, 0.0, 0.0)
 
 
 def test_noncentrality_zero_without_signal():
@@ -209,32 +240,11 @@ def test_clean_field_is_the_clean_snapshot_exactly():
     # one schedule (the protocol's lattice) feeds both the estimator and the bound
     proto = ProtocolConfig(t_x=3, t_y=2)
     rng = np.random.default_rng(2)
-    g = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    inp = BoundInputs(g=g, proto=proto, n_x=3, n_y=2, psi_x=0.27, psi_y=-0.64,
-                      rho=1.0, s=1.0 + 0j)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    inp = Trial(g=g, proto=proto, n_x=3, n_y=2, psi_x=0.27, psi_y=-0.64,
+                rho=1.0, s=1.0 + 0j)
     emap = collect_snapshots(g, steering_for(0.27, -0.64, 3, 2), 1.0 + 0j, 1.0, proto, 3, 2)
-    assert np.array_equal(np.abs(clean_field(inp)) ** 2, emap.values)
-
-
-def test_bound_inputs_build_their_steering_once_and_read_only(monkeypatch):
-    # a Monte Carlo block's snapshots and its clean field read this one vector
-    calls = []
-    real = analysis.steering_for
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(analysis, "steering_for", counting)
-    psi_x, psi_y = np.array([0.27, -0.5]), np.array([-0.64, 0.125])
-    inp = BoundInputs(g=dft_matrix(3, 2).matrix, proto=ProtocolConfig(t_x=3, t_y=2), n_x=3,
-                      n_y=2, psi_x=psi_x, psi_y=psi_y, rho=1.0, s=np.ones(2, dtype=complex))
-    sv = inp.steering()
-    assert inp.steering() is sv
-    assert not sv.flags.writeable
-    assert np.array_equal(sv, steering_for(psi_x, psi_y, 3, 2))
-    clean_field(inp)
-    assert len(calls) == 1
+    assert np.array_equal(np.abs(_field(inp)) ** 2, emap.values)
 
 
 def test_noiseless_peak_matches_estimator():
@@ -254,8 +264,8 @@ def test_noiseless_peak_ignores_symbol_scale():
 
 
 def test_degenerate_field_raises():
-    inp = BoundInputs(g=np.zeros((4, 4)), proto=ProtocolConfig(), n_x=2, n_y=2,
-                      psi_x=0.1, psi_y=0.1, rho=1.0, s=1.0 + 0j)
+    inp = Trial(g=np.zeros((4, 4)), proto=ProtocolConfig(), n_x=2, n_y=2,
+                psi_x=0.1, psi_y=0.1, rho=1.0, s=1.0 + 0j)
     with pytest.raises(DegenerateField):
         peak_index_noiseless(inp)
 
@@ -368,8 +378,8 @@ def _bound_block(snr_db):
     psi_x, psi_y = rng.uniform(-1.0, 1.0, (2, k))
     s = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2.0)
     rho = effective_rho(10.0 ** (snr_db / 10.0), 1.0, 16, proto.t)
-    inp = BoundInputs(g=dft_matrix(4, 4).matrix, proto=proto, n_x=4, n_y=4,
-                      psi_x=psi_x, psi_y=psi_y, rho=rho, s=s)
+    inp = Trial(g=dft_matrix(4, 4).matrix, proto=proto, n_x=4, n_y=4,
+                psi_x=psi_x, psi_y=psi_y, rho=rho, s=s)
     delta = noncentrality_map(inp)
     n_pk, t_pk = peak_cells(delta)
     d_peak = delta[np.arange(k), n_pk, t_pk][:, None, None]
@@ -384,10 +394,10 @@ def test_bound_on_4x4_blocks_equals_erfc_on_every_cell(monkeypatch, snr_db):
         assert np.mean(_erfc_argument(*nus) >= _ERFC_ZERO) > 0.6
         want = _masked_wilson_hilferty(*nus)
     assert np.array_equal(_bits(_wilson_hilferty(*nus)), _bits(want))
-    got = mse_bound(inp)
+    got = _bound(inp)
     # erfc on every cell, and no cell skipped before the transform
     monkeypatch.setattr(analysis, "_ERFC_ZERO", math.inf)
-    want = mse_bound(inp)
+    want = _bound(inp)
     for a, b in zip(got, want):
         assert np.array_equal(_bits(a), _bits(b))
 
@@ -470,7 +480,7 @@ def test_bound_transforms_at_least_1024_cells(monkeypatch):
         return real(nu1, nu2, nu3)
 
     monkeypatch.setattr(analysis, "_wilson_hilferty", counting)
-    mse_bound(_bound_block(30)[0])
+    _bound(_bound_block(30)[0])
     # most of the 16384 cells are skipped, yet the transform's arrays stay too large for
     # numpy's cache of small buffers
     assert 1024 <= sizes[0] < 2048
@@ -498,7 +508,7 @@ def test_mse_bound_no_signal_closed_form():
     proto = ProtocolConfig(t_x=4, t_y=4)
     psi = electrical_angles(2, 6, 2, 2, proto)
     inp = make_inputs(psi[0], psi[1], rho=0.0, proto=proto)
-    bx, by = mse_bound(inp)
+    bx, by = _bound(inp)
     assert bx == pytest.approx(11.0, rel=1e-12)
     assert by == pytest.approx(11.0, rel=1e-12)
 
@@ -508,7 +518,7 @@ def test_mse_bound_decreases_with_snr():
     psi = electrical_angles(2, 6, 2, 2, proto)
     prev = None
     for rho in (0.0, 0.1, 1.0, 10.0, 100.0):
-        bx, by = mse_bound(make_inputs(psi[0], psi[1], rho=rho, proto=proto))
+        bx, by = _bound(make_inputs(psi[0], psi[1], rho=rho, proto=proto))
         if prev is not None:
             assert bx < prev[0]
             assert by < prev[1]
@@ -518,15 +528,15 @@ def test_mse_bound_decreases_with_snr():
 def test_mse_bound_vanishes_at_high_snr_on_lattice():
     proto = ProtocolConfig(t_x=4, t_y=4)
     psi = electrical_angles(3, 14, 2, 2, proto)
-    bx, by = mse_bound(make_inputs(psi[0], psi[1], rho=1e4, proto=proto))
+    bx, by = _bound(make_inputs(psi[0], psi[1], rho=1e4, proto=proto))
     assert bx < 1e-100
     assert by < 1e-100
 
 
 def test_mse_bound_matches_cell_by_cell_evaluation():
     proto = ProtocolConfig(t_x=3, t_y=2)
-    inp = BoundInputs(g=dft_matrix(2, 3).matrix, proto=proto, n_x=2, n_y=3,
-                      psi_x=0.31, psi_y=-0.52, rho=4.0, s=0.6 - 0.8j)
+    inp = Trial(g=dft_matrix(2, 3).matrix, proto=proto, n_x=2, n_y=3,
+                psi_x=0.31, psi_y=-0.52, rho=4.0, s=0.6 - 0.8j)
     delta = noncentrality_map(inp)
     n_pk, t_pk = peak_index_noiseless(inp)
     want_x = want_y = 0.0
@@ -537,14 +547,14 @@ def test_mse_bound_matches_cell_by_cell_evaluation():
             gx, gy = electrical_angles(n, t, 2, 3, proto)
             want_x += (math.remainder(inp.psi_x - gx, 2.0)) ** 2 * prob
             want_y += (math.remainder(inp.psi_y - gy, 2.0)) ** 2 * prob
-    bx, by = mse_bound(inp)
+    bx, by = _bound(inp)
     assert bx == pytest.approx(want_x, rel=1e-12)
     assert by == pytest.approx(want_y, rel=1e-12)
 
 
 def _mse_bound_every_cell(inp):
     """The bound with the wrapped offsets taken cell by cell, as before the lattice axes."""
-    power = np.abs(clean_field(inp) * inp.s) ** 2
+    power = np.abs(_field(inp) * inp.s) ** 2
     n_pk, t_pk = peak_index_noiseless(inp)
     delta = 2.0 * inp.rho * power
     d_peak = delta[n_pk - 1, t_pk - 1]
@@ -561,10 +571,10 @@ def _random_trials(rng, k, n_x, n_y, proto, rho):
     g = rng.standard_normal((n_x * n_y,) * 2) + 1j * rng.standard_normal((n_x * n_y,) * 2)
     psi_x, psi_y = rng.uniform(-1.0, 1.0, (2, k))
     s = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    batch = BoundInputs(g=g, proto=proto, n_x=n_x, n_y=n_y, psi_x=psi_x, psi_y=psi_y,
-                        rho=rho, s=s)
-    ones = [BoundInputs(g=g, proto=proto, n_x=n_x, n_y=n_y, psi_x=float(psi_x[i]),
-                        psi_y=float(psi_y[i]), rho=rho, s=complex(s[i])) for i in range(k)]
+    batch = Trial(g=g, proto=proto, n_x=n_x, n_y=n_y, psi_x=psi_x, psi_y=psi_y,
+                  rho=rho, s=s)
+    ones = [Trial(g=g, proto=proto, n_x=n_x, n_y=n_y, psi_x=float(psi_x[i]),
+                  psi_y=float(psi_y[i]), rho=rho, s=complex(s[i])) for i in range(k)]
     return batch, ones
 
 
@@ -573,7 +583,7 @@ def test_mse_bound_scalar_call_equals_cell_by_cell_offsets_exactly():
     for n_x, n_y, t_x, t_y in ((2, 2, 4, 4), (3, 2, 2, 3), (4, 4, 8, 8), (1, 1, 1, 1)):
         _, ones = _random_trials(rng, 6, n_x, n_y, ProtocolConfig(t_x=t_x, t_y=t_y), 3.0)
         for inp in ones:
-            got = mse_bound(inp)
+            got = _bound(inp)
             assert type(got[0]) is float and type(got[1]) is float
             assert got == _mse_bound_every_cell(inp)
 
@@ -583,37 +593,40 @@ def test_bound_functions_trial_axis_equal_scalar_calls():
     for n_x, n_y, t_x, t_y, k in ((2, 2, 4, 4, 7), (3, 2, 2, 3, 1), (4, 4, 8, 8, 70)):
         proto = ProtocolConfig(t_x=t_x, t_y=t_y)
         batch, ones = _random_trials(rng, k, n_x, n_y, proto, 2.0)
-        field, delta = clean_field(batch), noncentrality_map(batch)
-        bx, by = mse_bound(batch)
+        field, delta = _field(batch), noncentrality_map(batch)
+        bx, by = _bound(batch)
         assert field.shape == delta.shape == (k, n_x * n_y, proto.t)
         assert bx.shape == by.shape == (k,)
         for i, inp in enumerate(ones):
-            assert np.array_equal(field[i], clean_field(inp))
+            assert np.array_equal(field[i], _field(inp))
             assert np.array_equal(delta[i], noncentrality_map(inp))
-            assert (bx[i], by[i]) == mse_bound(inp)
+            assert (bx[i], by[i]) == _bound(inp)
 
 
 def test_mse_bound_trial_axis_raises_on_a_degenerate_trial():
     proto = ProtocolConfig(t_x=2, t_y=2)
-    inp = BoundInputs(g=np.zeros((4, 4)), proto=proto, n_x=2, n_y=2,
-                      psi_x=np.array([0.1, 0.2]), psi_y=np.array([0.0, 0.3]),
-                      rho=1.0, s=np.array([1.0 + 0j, 1.0 + 0j]))
+    inp = Trial(g=np.zeros((4, 4)), proto=proto, n_x=2, n_y=2,
+                psi_x=np.array([0.1, 0.2]), psi_y=np.array([0.0, 0.3]),
+                rho=1.0, s=np.array([1.0 + 0j, 1.0 + 0j]))
     with pytest.raises(DegenerateField):
-        mse_bound(inp)
+        _bound(inp)
 
 
 @pytest.mark.parametrize("rows", [2, 9])
 def test_mse_bound_refuses_receiver_grid_other_than_input_grid(rows):
-    # 2 rows once died on a numpy broadcast error, 9 on an index error
-    inp = BoundInputs(g=np.ones((rows, 4)), proto=ProtocolConfig(t_x=2, t_y=2), n_x=2,
-                      n_y=2, psi_x=0.1, psi_y=0.2, rho=1.0, s=1.0 + 0j)
-    with pytest.raises(ValueError, match=rf"{rows} receiver rows.*\(2, 2\).*4 cells"):
-        mse_bound(inp)
+    # 2 rows once died on a numpy broadcast error in the bound, 9 on an index error
+    lattice = ProtocolConfig(t_x=2, t_y=2).lattice(2, 2)
+    sv = steering_for(0.1, 0.2, 2, 2)
+    with pytest.raises(ValueError, match=rf"shape \({rows}, 4\).*4-cell input grid"):
+        clean_field(np.ones((rows, 4)), lattice, sv)
+    field = synthesize_received(np.ones((rows, 4)), lattice.zeroth, sv)
+    with pytest.raises(ValueError, match=rf"field has \({rows}, 4\) cells.*\(4, 4\)"):
+        mse_bound(field, 1.0 + 0j, 1.0, lattice, 0.1, 0.2)
 
 
 def test_mse_bound_symmetric_axes():
     proto = ProtocolConfig(t_x=4, t_y=4)
-    bx, by = mse_bound(make_inputs(0.3, 0.3, rho=2.0, proto=proto))
+    bx, by = _bound(make_inputs(0.3, 0.3, rho=2.0, proto=proto))
     assert bx == pytest.approx(by, rel=1e-9)
 
 

@@ -329,7 +329,7 @@ def test_montecarlo_csv_and_determinism(tmp_path, capsys):
 
 def test_sweep_ablation_csv(tmp_path, capsys):
     doc = {"geometry": {"n_x": 2, "n_y": 2},
-           "train": {"max_iters": 8, "seed": 0},
+           "train": {"max_iters": 8},
            "sweep": {"mode": "ablation", "thickness": [2.0], "layers": [2],
                      "atoms": [1, 25], "spacing": [0.5], "runs": 2}}
     cfg = write_config(tmp_path / "c.yaml", doc)
@@ -372,7 +372,7 @@ def test_sweep_flags_a_cell_whose_lengths_overflow_the_propagation_build(tmp_pat
 def test_sweep_receiver_csv(tmp_path, capsys):
     doc = {"geometry": {"n_x": 2, "n_y": 2, "m_x": 5, "m_y": 5,
                         "layers": 2, "thickness": 2.0},
-           "train": {"max_iters": 8, "seed": 0},
+           "train": {"max_iters": 8},
            "sweep": {"mode": "receiver", "u_x": [0.5, 1.0],
                      "rotation_deg": [30.0], "runs": 2}}
     cfg = write_config(tmp_path / "c.yaml", doc)
@@ -910,7 +910,7 @@ def test_a_symbol_beyond_a_float_exits_1_from_bound_without_a_warning(tmp_path, 
 def test_a_symbol_beyond_a_float_is_refused_before_any_snr_point(tmp_path, capsys, monkeypatch):
     from simdoa import analysis
 
-    def bound(inp):
+    def bound(*args):
         raise AssertionError("the bound ran")
 
     monkeypatch.setattr(analysis, "mse_bound", bound)
@@ -922,6 +922,24 @@ def test_a_symbol_beyond_a_float_is_refused_before_any_snr_point(tmp_path, capsy
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: 'source.s_real' and 'source.s_imag'")
     assert not (tmp_path / "run" / "bound.csv").exists()
+
+
+def test_bound_synthesizes_its_clean_field_once(tmp_path, capsys, monkeypatch):
+    # the field was synthesized for the symbol check and again at each of the 7 SNR points
+    from simdoa import analysis
+    calls = []
+    real = analysis.synthesize_received
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "synthesize_received", counting)
+    save_stack(tmp_path / "s.bin", random_stack(7, 121, np.random.default_rng(0)))
+    assert main(["bound", "--config", str(CONFIGS / "bound.yaml"), "--outdir",
+                 str(tmp_path / "run"), "--stack", str(tmp_path / "s.bin")]) == 0
+    assert len(read_csv(tmp_path / "run" / "bound.csv")) == 8
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command,doc,key", [
@@ -1056,6 +1074,29 @@ def test_sweep_cells_beyond_the_caps_exit_2_before_any_fit(tmp_path, capsys, mon
     assert err.startswith(f"config error: '{key}' asks for too much work: ")
     assert f" {what}, above the cap of " in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("mode", [{"mode": "receiver", "rotation_deg": [10.0]},
+                                  {"thickness": [2.0], "layers": [2], "atoms": [9],
+                                   "spacing": [0.5]}], ids=["receiver", "ablation"])
+@pytest.mark.parametrize("key,by", [("restarts", "runs"), ("seed", "seed")])
+def test_sweep_refuses_the_train_keys_it_replaces(tmp_path, capsys, monkeypatch, mode, key, by):
+    # a receiver sweep with 'train.restarts: 7' and 'sweep.runs: 2' fitted 2 runs a cell and
+    # exited 0, so the value was ignored silently
+    def started(*args, **kwargs):
+        raise RuntimeError("the fit started")
+
+    monkeypatch.setattr(experiments, "_fit_runs", started)
+    doc = {**SWEEP_BASE, "train": {**SWEEP_BASE["train"], key: 7},
+           "sweep": {**mode, "runs": 2}}
+    cfg = write_config(tmp_path / "c.yaml", doc)
+    assert main(["sweep", "--config", cfg, "--outdir", str(tmp_path / "run"), "-j", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: 'train.{key}' ")
+    assert f"'sweep.{by}'" in err
+    assert not (tmp_path / "run").exists()
+    # fit on the same config still reads it
+    assert getattr(_accepted(monkeypatch, "fit", cfg)["train"], key) == 7
 
 
 def _accepted(monkeypatch, command, config, *options):

@@ -19,7 +19,7 @@ from simdoa.estimator import (
     zeroth_layer_config,
     zeroth_layer_phase,
 )
-from simdoa.analysis import BoundInputs, clean_field
+from simdoa.analysis import clean_field
 from simdoa.geometry import SimGeometry, dft_matrix, linear_to_grid
 from simdoa.wavemodel import cn_noise
 
@@ -381,23 +381,20 @@ def test_collect_from_a_preset_field_equals_synthesizing_it(per_snapshot):
     psi_x, psi_y = rng.uniform(-1.0, 1.0, (2, 5))
     symbols = cn_noise(rng, (5, proto.t) if per_snapshot else 5)
     noise = cn_noise(rng, (5, 6, proto.t))
+    lattice = proto.lattice(3, 2)
     for rho in (0.0, 1.0, 2.7):
         for u in (None, noise):
             sv = steering_for(psi_x, psi_y, 3, 2)
-            inp = BoundInputs(g=g, proto=proto, n_x=3, n_y=2, psi_x=psi_x, psi_y=psi_y,
-                              rho=rho, s=symbols)
             want = collect_snapshots(g, sv, symbols, rho, proto, 3, 2, noise=u)
             got = collect_snapshots(g, sv, symbols, rho, proto, 3, 2, noise=u,
-                                    field=clean_field(inp))
+                                    field=clean_field(g, lattice, sv))
             assert np.array_equal(got.values, want.values)
             for i in range(5):  # and one trial at a time
-                one = BoundInputs(g=g, proto=proto, n_x=3, n_y=2, psi_x=psi_x[i],
-                                  psi_y=psi_y[i], rho=rho, s=symbols[i])
                 sv_i = steering_for(psi_x[i], psi_y[i], 3, 2)
                 noise_i = None if u is None else u[i]
                 want = collect_snapshots(g, sv_i, symbols[i], rho, proto, 3, 2, noise=noise_i)
                 got = collect_snapshots(g, sv_i, symbols[i], rho, proto, 3, 2, noise=noise_i,
-                                        field=clean_field(one))
+                                        field=clean_field(g, lattice, sv_i))
                 assert np.array_equal(got.values, want.values)
 
 

@@ -108,7 +108,7 @@ def test_digital_on_lattice_exact():
     proto = ProtocolConfig(t_x=4, t_y=4)
     for n0, t0 in ((1, 1), (3, 7), (4, 16), (2, 10)):
         src = lattice_source(n0, t0, 2, 2, proto, s=0.7 - 0.7j)
-        est = digital_baseline(src, proto, 2, 2, 5.0)
+        est = digital_baseline(steering_for(src.psi_x, src.psi_y, 2, 2), src.s, proto, 2, 2, 5.0)
         assert (est.n, est.t) == (n0, t0)
         assert (est.psi_x, est.psi_y) == (src.psi_x, src.psi_y)
 
@@ -146,16 +146,17 @@ def test_digital_matches_per_snapshot_loop_exactly(kind, monkeypatch):
     monkeypatch.setattr(experiments, "estimate_from_map", capture)
     proto = ProtocolConfig(t_x=3, t_y=4)
     src = SourceTruth(phi=0.0, theta=0.0, psi_x=0.37, psi_y=-0.58, s=0.3 - 1.1j)
+    sv = steering_for(src.psi_x, src.psi_y, 3, 2)
     noise = cn_noise(np.random.default_rng(5), (6, proto.t), variance=1.0 / 6)
     if kind == "clean":
-        digital_baseline(src, proto, 3, 2, 4.0)
+        digital_baseline(sv, src.s, proto, 3, 2, 4.0)
         want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, None)
     elif kind == "generator":
-        digital_baseline(src, proto, 3, 2, 4.0, noise=_antenna_noise(np.random.default_rng(5),
-                                                                     proto, 3, 2))
+        digital_baseline(sv, src.s, proto, 3, 2, 4.0,
+                         noise=_antenna_noise(np.random.default_rng(5), proto, 3, 2))
         want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, noise)
     else:
-        digital_baseline(src, proto, 3, 2, 4.0, noise=noise)
+        digital_baseline(sv, src.s, proto, 3, 2, 4.0, noise=noise)
         want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, noise)
     assert np.array_equal(maps[0], want)
 
@@ -321,17 +322,6 @@ def test_paired_trial_equals_its_former_one_map_path_bit_for_bit(response, monke
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-def test_source_steering_is_built_once_per_grid_and_read_only():
-    src = SourceTruth(phi=0.0, theta=0.0, psi_x=0.37, psi_y=-0.58, s=1.0)
-    sv = src.steering(3, 2)
-    assert sv is src.steering(3, 2)
-    want = steering_for(0.37, -0.58, 3, 2)
-    assert np.array_equal(sv.view(np.int64), want.view(np.int64))
-    assert not sv.flags.writeable
-    assert np.array_equal(src.steering(2, 2), steering_for(0.37, -0.58, 2, 2))
-    assert src == SourceTruth(phi=0.0, theta=0.0, psi_x=0.37, psi_y=-0.58, s=1.0)
-
-
 def former_sample_source(rng, mode, symbol):
     """``sample_source`` with its former symbol draw, ``complex(cn_noise(rng, ()))``."""
     if mode == "uniform-psi":
@@ -464,6 +454,20 @@ def test_mc_config_rejects_minus_inf():
                  trials=5, pipeline="digital")
 
 
+@pytest.mark.parametrize("trials", [0, 2.5, True, np.True_, np.int64(0), "3"])
+def test_mc_config_refuses_trials_that_are_not_a_positive_integer(trials):
+    # True ran one trial and reported 'trials: True', 2.5 raised TypeError in range()
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        McConfig(n_x=2, n_y=2, proto=ProtocolConfig(), snr_db=(0.0,), trials=trials,
+                 pipeline="digital")
+
+
+def test_mc_config_takes_numpy_integer_trials():
+    cfg = McConfig(n_x=2, n_y=2, proto=ProtocolConfig(), snr_db=(0.0,), trials=np.int64(3),
+                   pipeline="digital")
+    assert run_monte_carlo(cfg)[0].trials == 3
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, np.True_, np.int64(-3), "7"])
 def test_mc_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
     # -1 once failed inside numpy without naming the field, 1.5 raised TypeError and True
@@ -591,15 +595,15 @@ def _mc_trial(cfg, snr_index, trial, rho):
     else:
         source = sample_source(rng, cfg.source_mode, cfg.symbol)
     noiseless = rho is None
+    sv = steering_for(source.psi_x, source.psi_y, cfg.n_x, cfg.n_y)
     if cfg.pipeline == "digital":
         if noiseless:
-            est = digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, 1.0)
+            est = digital_baseline(sv, source.s, cfg.proto, cfg.n_x, cfg.n_y, 1.0)
         else:
-            est = digital_baseline(source, cfg.proto, cfg.n_x, cfg.n_y, rho,
+            est = digital_baseline(sv, source.s, cfg.proto, cfg.n_x, cfg.n_y, rho,
                                    noise=_antenna_noise(rng, cfg.proto, cfg.n_x, cfg.n_y))
         g_for_bound = dft_matrix(cfg.n_x, cfg.n_y).matrix
     else:
-        sv = steering_for(source.psi_x, source.psi_y, cfg.n_x, cfg.n_y)
         if noiseless:
             emap = collect_snapshots(cfg.g, sv, source.s, 1.0, cfg.proto,
                                      cfg.n_x, cfg.n_y)
@@ -613,10 +617,9 @@ def _mc_trial(cfg, snr_index, trial, rho):
     ey = wrapped_angle_error(source.psi_y, est.psi_y)
     bx = by = float("nan")
     if cfg.with_bound and not noiseless:
-        inp = analysis.BoundInputs(g=g_for_bound, proto=cfg.proto, n_x=cfg.n_x,
-                                   n_y=cfg.n_y, psi_x=source.psi_x,
-                                   psi_y=source.psi_y, rho=rho, s=source.s)
-        bx, by = analysis.mse_bound(inp)
+        lattice = cfg.proto.lattice(cfg.n_x, cfg.n_y)
+        bx, by = analysis.mse_bound(analysis.clean_field(g_for_bound, lattice, sv), source.s,
+                                    rho, lattice, source.psi_x, source.psi_y)
     return ex * ex, ey * ey, bx, by, est.realizable
 
 
@@ -757,30 +760,56 @@ def test_mc_block_size_follows_the_input_shape(monkeypatch):
     assert calls == [size, size, size // 2] * 2
 
 
+@pytest.mark.parametrize("pipeline", ["wave", "digital"])
+def test_mc_block_builds_one_steering_vector_for_its_snapshots_and_field(monkeypatch, pipeline):
+    # a block's snapshots (or digital energies) and its bound's clean field read one vector
+    built, read = [], []
+
+    def spy(module, name, record, arg):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            record.append(result if arg is None else args[arg])
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(experiments, "steering_for", built, None)
+    spy(analysis, "clean_field", read, 2)
+    spy(experiments, "collect_snapshots", read, 1)
+    spy(experiments, "_digital_energies", read, 0)
+    proto = ProtocolConfig(t_x=2, t_y=2)
+    run_monte_carlo(McConfig(n_x=2, n_y=2, proto=proto, snr_db=(10.0,), trials=3,
+                             g=dft_matrix(2, 2).matrix, seed=4, pipeline=pipeline))
+    assert len(built) == 1 and len(read) == 2
+    assert all(sv is built[0] for sv in read)
+
+
 @pytest.mark.parametrize("per_snapshot", [False, True])
 def test_in_place_writes_touch_only_arrays_they_made(per_snapshot):
-    # a block's snapshots, energies and bound write their large arrays in place; the field, the
-    # noise, the symbols and the cached clean field must keep every bit, and no result may share
+    # a block's snapshots, energies and bound write their large arrays in place; g, the steering,
+    # the noise, the symbols and the clean field must keep every bit, and no result may share
     # their memory
     rng = np.random.default_rng(14)
     proto = ProtocolConfig(t_x=3, t_y=2)
     k, n = 5, 4
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     s = cn_noise(rng, (k, proto.t) if per_snapshot else k)
-    inp = analysis.BoundInputs(g=g, proto=proto, n_x=2, n_y=2, psi_x=rng.uniform(-1.0, 1.0, k),
-                               psi_y=rng.uniform(-1.0, 1.0, k), rho=2.5, s=s.T[0])
-    field = analysis.clean_field(inp)
-    sv = inp.steering()
+    psi_x, psi_y = rng.uniform(-1.0, 1.0, k), rng.uniform(-1.0, 1.0, k)
+    lattice = proto.lattice(2, 2)
+    sv = steering_for(psi_x, psi_y, 2, 2)
+    field = analysis.clean_field(g, lattice, sv)
+    s_bound = s.T[0]
     noise = cn_noise(rng, (k, n, proto.t))
-    inputs = [g, s, field, sv, noise, inp.s, inp.psi_x, inp.psi_y, proto.lattice(2, 2).zeroth]
+    inputs = [g, s, field, sv, noise, s_bound, psi_x, psi_y, lattice.zeroth]
     before = [a.tobytes() for a in inputs]
     results = [scale_field(field, s, 2.5, noise), scale_field(field, s, 2.5),
                collect_snapshots(g, sv, s, 2.5, proto, 2, 2, noise=noise).values,
                collect_snapshots(g, sv, s, 2.5, proto, 2, 2, noise=noise, field=field).values,
                collect_snapshots(g, sv, s, 2.5, proto, 2, 2, field=field).values,
                experiments._digital_energies(sv, s, 2.5, proto, 2, 2, noise).values,
-               *analysis.mse_bound(inp)]
-    assert analysis.clean_field(inp) is field
+               *analysis.mse_bound(field, s_bound, 2.5, lattice, psi_x, psi_y)]
     assert [a.tobytes() for a in inputs] == before
     for result in results:
         assert not any(np.shares_memory(result, a) for a in inputs)
