@@ -127,31 +127,31 @@ def _weighted_errors(psi, distinct, probs):
 
 
 def mse_bound(field, s, rho, lattice, psi_x, psi_y):
-    """Per-axis MSE upper bounds for realized (source, symbol) pairs.
+    """Per-axis MSE upper bounds for K realized (source, symbol) pairs.
 
-    ``field`` is the trials' ``clean_field`` on ``lattice``, ``s`` their
-    unit-variance symbols held over the T snapshots, ``rho`` the transmit
-    SNR and ``psi_x``/``psi_y`` the true normalized electrical angles. Each
-    cell contributes its squared angle offset (shorter arc on the period-2
-    circle) times its win-probability bound; the peak cell carries the
-    trivial probability 1. Scalar angles and symbol with an (R, T) field
-    give two floats; K trials with a (K, R, T) field give two length-K
-    arrays, entry k equal to trial k's scalar call bit for bit. Cell (n, t)
-    is scored at the lattice's angles, so the field's cells must be the
-    lattice's. A trial whose moments leave a float's range (an extreme
-    ``rho``) gets NaN bounds.
+    ``field`` is the trials' (K, R, T) ``clean_field`` on ``lattice``, ``s``
+    their K unit-variance symbols, each held over the T snapshots, ``rho``
+    the transmit SNR and ``psi_x``/``psi_y`` the K true normalized
+    electrical angles. Each cell contributes its squared angle offset
+    (shorter arc on the period-2 circle) times its win-probability bound;
+    the peak cell carries the trivial probability 1. The result is two
+    length-K arrays, entry k equal to trial k's own one-trial call bit for
+    bit. Cell (n, t) is scored at the lattice's angles, so the field's
+    cells must be the lattice's. A trial whose moments leave a float's
+    range (an extreme ``rho``) gets NaN bounds.
     """
     if rho < 0.0:
         raise ValueError("rho must be >= 0")
     if np.shape(field)[-2:] != lattice.psi_x.shape:
         raise ValueError(f"field has {np.shape(field)[-2:]} cells but the lattice has"
                          f" {lattice.psi_x.shape}")
-    scalar = not np.ndim(psi_x)
-    psi_x, psi_y = np.atleast_1d(psi_x), np.atleast_1d(psi_y)
-    k = psi_x.size
-    power = np.abs(field * np.asarray(s)[..., None, None], order="C")
+    k = len(field)
+    if not (np.ndim(field) == 3 and np.shape(s) == np.shape(psi_x) == np.shape(psi_y) == (k,)):
+        raise ValueError(f"field has shape {np.shape(field)} but s, psi_x and psi_y have shapes"
+                         f" {np.shape(s)}, {np.shape(psi_x)} and {np.shape(psi_y)}: each needs"
+                         f" one entry per trial of a (K, R, T) field")
+    power = np.abs(field * np.asarray(s)[:, None, None], order="C")
     power *= power
-    power = power.reshape(k, *lattice.psi_x.shape)
     if not np.all(np.any(power > 0.0, axis=(1, 2))):
         raise DegenerateField("noiseless field is identically zero")
     n_pk, t_pk = peak_cells(power)  # the estimator's tie rule
@@ -170,11 +170,8 @@ def mse_bound(field, s, rho, lattice, psi_x, psi_y):
     nu2 = 4.0 + 2.0 * (delta.take(live) + d_peak.ravel()[live // delta[0].size])
     probs.put(live, _wilson_hilferty(nu1, nu2, 3.0 * nu1))
     probs[peaks] = 1.0
-    bx, by = (_weighted_errors(psi, distinct, probs)
-              for psi, distinct in ((psi_x, lattice.distinct_x), (psi_y, lattice.distinct_y)))
-    if scalar:
-        return float(bx[0]), float(by[0])
-    return bx, by
+    return (_weighted_errors(np.asarray(psi_x), lattice.distinct_x, probs),
+            _weighted_errors(np.asarray(psi_y), lattice.distinct_y, probs))
 
 
 def quantization_floor(n_x, n_y, proto):

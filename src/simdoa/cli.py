@@ -19,8 +19,8 @@ from . import __version__, experiments
 from .estimator import (ProtocolConfig, angular_spectrum, collect_snapshots,
                         estimate_from_map, steering_for)
 from .geometry import SimGeometry, build_propagation_matrices, dft_matrix
-from .trainer import TrainConfig, finite_diff_gradient, gradient
-from .wavemodel import PhaseStack, forward_response, optimal_scale, random_stack
+from .trainer import TrainConfig
+from .wavemodel import PhaseStack, complex_gaussian, forward_response, optimal_scale
 
 
 class ConfigError(Exception):
@@ -440,7 +440,9 @@ def _spectrum_map(config, args, command):
         rho, noise = 1.0, None
     else:
         rho = experiments.snr_rho(snr, beta, geom.n, proto.t)
-        noise = np.random.default_rng(run["seed"])
+        # unit complex noise, one snapshot's (2, R) normals after another, as cn_noise draws them
+        draws = np.random.default_rng(run["seed"]).standard_normal((proto.t, 2, len(g)))
+        noise = complex_gaussian(draws[:, 0], draws[:, 1]).T
     try:  # energies beyond a float's range: EnergyMap refuses them, with no RuntimeWarning
         with np.errstate(over="ignore", invalid="ignore"):
             return collect_snapshots(g, sv, source["s"], rho, proto, geom.n_x, geom.n_y,
@@ -496,11 +498,11 @@ def _cmd_bound(args, config):
         raise ValueError("'source.s_real' and 'source.s_imag' give a symbol whose cell powers"
                          " |G a s|**2 leave a float's range")
     rows = []
+    s, psi_x, psi_y = (np.array([source[key]]) for key in ("s", "psi_x", "psi_y"))  # one trial
     for snr in config["bound"]["snr_db"]:
         rho = experiments.snr_rho(snr, beta, geom.n, proto.t)
         with np.errstate(over="ignore", invalid="ignore"):  # a bound beyond range: refused below
-            bx, by = analysis.mse_bound(field, source["s"], rho, lattice, source["psi_x"],
-                                        source["psi_y"])
+            (bx,), (by,) = analysis.mse_bound(field[None], s, rho, lattice, psi_x, psi_y)
         if not (math.isfinite(bx) and math.isfinite(by)):
             raise ValueError(f"snr_db {snr:g} gives an MSE bound beyond a float's range")
         rows.append((f"{snr:.10g}", f"{bx:.10g}", f"{by:.10g}"))
@@ -581,32 +583,6 @@ def _cmd_sweep(args, config):
     return 0
 
 
-def _cmd_gradcheck(args, config):
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for case in range(20):
-        n_side = int(rng.integers(1, 3))
-        m_side = int(rng.integers(2, 4))
-        layers = int(rng.integers(1, 4))
-        lam = 0.005
-        geom = SimGeometry(
-            wavelength=lam, n_x=n_side, n_y=n_side, d_x=lam / 2, d_y=lam / 2,
-            m_x=m_side, m_y=m_side, s_x=lam / 2, s_y=lam / 2,
-            layers=layers, thickness=3 * lam * layers)
-        props = build_propagation_matrices(geom)
-        stack = random_stack(layers, geom.m, rng)
-        f = dft_matrix(n_side, n_side).matrix
-        # off-optimum beta keeps the residual nonzero on degenerate sizes
-        beta = optimal_scale(forward_response(props, stack), f) * (1.1 + 0.3j)
-        exact = gradient(props, stack, f, beta)
-        approx = finite_diff_gradient(props, stack, f, beta)
-        for ga, gf in zip(exact, approx):
-            scale = max(float(np.max(np.abs(gf))), 1e-300)
-            worst = max(worst, float(np.max(np.abs(ga - gf))) / scale)
-    print(f"gradcheck: max relative error {worst:.3e} over 20 instances")
-    return 0 if worst <= 1e-6 else 1
-
-
 def _jobs(text):
     """The ``--jobs`` value: a worker count of at least 1; anything else is a usage error."""
     import argparse  # already loaded by the parser that calls this
@@ -638,7 +614,6 @@ _COMMANDS = {
     "montecarlo": (_cmd_montecarlo, ("config", "outdir", "jobs", "stack"),
                    ("montecarlo", "geometry", "protocol"), (_LATTICE, _MC_CELLS)),
     "sweep": (_cmd_sweep, ("config", "outdir", "jobs"), ("sweep", "geometry", "train"), _FIT),
-    "gradcheck": (_cmd_gradcheck, (), (), ()),
 }
 
 
@@ -663,7 +638,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     command, _, needs, rows = _COMMANDS[args.command]
     try:
-        config = parse_config(args.config) if getattr(args, "config", None) else {}
+        config = parse_config(args.config)
         for name in needs:
             if name not in config:
                 raise ConfigError(f"'{args.command}' needs a '{name}' section in the config")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TWO_PI, linear_to_grid, steering_vector
-from .wavemodel import cn_noise, scale_field, synthesize_received
+from .wavemodel import scale_field, synthesize_received
 
 
 @dataclass(frozen=True)
@@ -123,27 +123,22 @@ def zeroth_layer_config(t, n_x, n_y, proto):
     return np.exp(1j * zeroth_layer_phase(n[:, None], t, n_x, n_y, proto))
 
 
-def collect_snapshots(g, sv, s_seq, rho, proto, n_x, n_y, noise=None, field=None):
+def collect_snapshots(g, sv, s, rho, proto, n_x, n_y, noise=None, field=None):
     """Run the T-snapshot schedule through response ``g`` and record powers.
 
     One ``synthesize_received`` call on the protocol's cached lattice
     gives the unit field G Y_0 a, and ``scale_field`` makes the snapshots.
-    ``s_seq`` is a single complex symbol reused every snapshot or a
-    length-T sequence. ``noise`` is None (clean), a numpy Generator
-    (unit-variance complex noise drawn per snapshot, one trial only), or a
-    preset (R, T) complex array. A (K, N) steering array runs K trials in
-    that one call: ``s_seq`` then holds K symbols (or K x T), a preset
-    ``noise`` is (K, R, T), and the result is one (K, R, T) energy map,
-    slice k equal to trial k's one-trial call bit for bit. ``field`` may
-    preset that unit field, as ``analysis.clean_field`` returns it; no field
-    is then synthesized.
+    ``s`` is the trial's complex symbol, held over every snapshot.
+    ``noise`` is None (clean) or a preset (R, T) complex array. A (K, N)
+    steering array runs K trials in that one call: ``s`` then holds K
+    symbols, a preset ``noise`` is (K, R, T), and the result is one
+    (K, R, T) energy map, slice k equal to trial k's one-trial call bit for
+    bit. ``field`` may preset that unit field, as ``analysis.clean_field``
+    returns it; no field is then synthesized.
     """
-    symbols = np.asarray(s_seq, dtype=complex)
-    trials = sv.shape[:-1]
-    if symbols.shape != trials and symbols.shape != trials + (proto.t,):
-        raise ValueError(f"expected {proto.t} symbols, got {symbols.shape}")
-    if noise is not None and not isinstance(noise, np.ndarray):
-        noise = np.column_stack([cn_noise(noise, np.shape(g)[0]) for _ in range(proto.t)])
+    symbols = np.asarray(s, dtype=complex)
+    if symbols.shape != sv.shape[:-1]:
+        raise ValueError(f"expected one symbol per trial, {sv.shape[:-1]}, got {symbols.shape}")
     if field is None:
         field = synthesize_received(np.asarray(g), proto.lattice(n_x, n_y).zeroth, sv)
     energies = np.abs(scale_field(field, symbols, rho, noise))

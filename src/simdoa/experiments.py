@@ -359,16 +359,12 @@ class SweepCell:
     runs: int
 
 
-def _fit_runs(geom, train_cfg, seed, index, runs):
-    """(mean, min, max best dB, runs) of ``runs`` one-restart fits seeded by (seed, index, run).
+def _fit_runs(props, train_cfg, seed, index, runs):
+    """(mean, min, max best dB, runs) of ``runs`` one-restart fits of the built ``props``.
 
-    Propagation matrices beyond a float's range give the build's message instead.
+    Run r is seeded by (seed, index, r).
     """
-    try:
-        props = build_propagation_matrices(geom)
-    except ValueError as exc:
-        return str(exc)
-    f = dft_matrix(geom.n_x, geom.n_y).matrix
+    f = dft_matrix(props.geometry.n_x, props.geometry.n_y).matrix
     dbs = []
     for run in range(runs):
         child = int(np.random.SeedSequence(seed, spawn_key=(index, run)).generate_state(1)[0])
@@ -377,17 +373,18 @@ def _fit_runs(geom, train_cfg, seed, index, runs):
 
 
 def _fit_variants(variants, train_cfg, runs, seed, jobs):
-    """Each geometry variant's ``_fit_runs`` result; a variant given as a note flags its cell.
+    """Each variant's ``_fit_runs`` result; a variant given as a note flags its cell.
 
-    Variant i is fitted by ``_fit_runs`` at index i, flagged cells counted,
-    so its seeds do not depend on the other cells or on ``jobs``; with
-    ``jobs > 1`` the process pool maps the variants that are fitted. A
-    flagged cell's result is its note.
+    A variant is its built propagation matrices. Variant i is fitted by
+    ``_fit_runs`` at index i, flagged cells counted, so its seeds do not
+    depend on the other cells or on ``jobs``; with ``jobs > 1`` the process
+    pool maps the variants that are fitted. A flagged cell's result is its
+    note.
     """
-    todo = [(geom, train_cfg, seed, index, runs)
-            for index, geom in enumerate(variants) if not isinstance(geom, str)]
+    todo = [(props, train_cfg, seed, index, runs)
+            for index, props in enumerate(variants) if not isinstance(props, str)]
     fits = iter(_map(_fit_runs, todo, jobs))
-    return [geom if isinstance(geom, str) else next(fits) for geom in variants]
+    return [props if isinstance(props, str) else next(fits) for props in variants]
 
 
 def ablation_sweep(geom, train_cfg, thickness_lam, layers, atoms, spacing_lam, runs=3, seed=0,
@@ -403,7 +400,7 @@ def ablation_sweep(geom, train_cfg, thickness_lam, layers, atoms, spacing_lam, r
     """
     lam = geom.wavelength
     cells = list(itertools.product(thickness_lam, layers, atoms, spacing_lam))
-    variants = []  # each cell's geometry, or the note that flags it
+    variants = []  # each cell's propagation matrices, or the note that flags it
     for thickness, n_layers, n_atoms, spacing in cells:
         try:
             # checked here, so that a note names the sweep key and its value in wavelengths
@@ -416,7 +413,7 @@ def ablation_sweep(geom, train_cfg, thickness_lam, layers, atoms, spacing_lam, r
             variant = dataclasses.replace(geom, m_x=side, m_y=side, s_x=spacing * lam,
                                           s_y=spacing * lam, layers=n_layers,
                                           thickness=thickness * lam)
-            variants.append(check_feasibility(variant) or variant)
+            variants.append(check_feasibility(variant) or build_propagation_matrices(variant))
         except ValueError as exc:
             variants.append(str(exc))
     return [SweepCell(*cell, False, fit, math.nan, math.nan, math.nan, 0) if isinstance(fit, str)
@@ -447,9 +444,7 @@ def receiver_study(geom, train_cfg, u_x=(), rotation=(), layers=(), runs=3, seed
     points = [("u_x", v, dataclasses.replace(geom, u_x=v, u_y=v)) for v in u_x]
     points += [("rotation", v, dataclasses.replace(geom, rotation=v)) for v in rotation]
     points += [("layers", v, dataclasses.replace(geom, layers=v)) for v in layers]
-    variants = [variant for _, _, variant in points]
-    for variant in variants:
-        build_propagation_matrices(variant)
+    variants = [build_propagation_matrices(variant) for _, _, variant in points]
     fits = _fit_variants(variants, train_cfg, runs, seed, jobs)
     return [ReceiverCell(name, float(value), *fit)
             for (name, value, _), fit in zip(points, fits)]

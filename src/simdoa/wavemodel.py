@@ -113,15 +113,14 @@ def scale_field(field, s, rho, noise=None):
     """Snapshots sqrt(rho) * field * s + noise from a unit field, G Y_0 a or the antenna field.
 
     The one place where SNR, symbol and noise enter a snapshot. ``field`` is
-    (R, T) or (K, R, T); ``s`` is a scalar or one symbol per snapshot, and
-    with a trial axis may also be K symbols or (K, T). ``noise`` has the
-    field's shape, or is None.
+    (R, T) with one symbol ``s``, held over the T snapshots, or (K, R, T)
+    with one symbol per trial: K of them, or one scalar for all. ``noise``
+    has the field's shape, or is None.
     """
     if rho < 0.0:
         raise ValueError("rho must be >= 0")
-    if field.ndim == 3 and np.ndim(s):  # per-trial symbols lead; R and T broadcast
-        s = np.asarray(s)
-        s = s[:, None, None] if s.ndim == 1 else s[:, None, :]
+    if np.ndim(s):  # per-trial symbols lead; R and T broadcast
+        s = np.asarray(s)[:, None, None]
     r = np.multiply(math.sqrt(rho), field, dtype=complex)  # symbols and noise then go in place
     r *= s
     if noise is not None:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -75,8 +76,16 @@ def _field(inp):
 
 
 def _bound(inp):
-    """``mse_bound`` of the trial on its own clean field."""
-    return mse_bound(_field(inp), inp.s, inp.rho, _lattice(inp), inp.psi_x, inp.psi_y)
+    """``mse_bound`` of the trials on their own clean field; one scalar trial gives two floats.
+
+    ``mse_bound`` takes trial arrays only, so a scalar trial runs as a trial
+    axis of one, as ``simdoa bound`` runs it.
+    """
+    if np.ndim(inp.psi_x):
+        return mse_bound(_field(inp), inp.s, inp.rho, _lattice(inp), inp.psi_x, inp.psi_y)
+    (bx,), (by,) = mse_bound(_field(inp)[None], np.array([inp.s]), inp.rho, _lattice(inp),
+                             np.array([inp.psi_x]), np.array([inp.psi_y]))
+    return float(bx), float(by)
 
 
 def _clean_power(inp):
@@ -622,6 +631,25 @@ def test_mse_bound_refuses_receiver_grid_other_than_input_grid(rows):
     field = synthesize_received(np.ones((rows, 4)), lattice.zeroth, sv)
     with pytest.raises(ValueError, match=rf"field has \({rows}, 4\) cells.*\(4, 4\)"):
         mse_bound(field, 1.0 + 0j, 1.0, lattice, 0.1, 0.2)
+
+
+def test_mse_bound_refuses_trial_counts_other_than_the_field_s():
+    # a (3, 4, 4) field with two angles once died on numpy's "cannot reshape array of size 48"
+    lattice = ProtocolConfig(t_x=2, t_y=2).lattice(2, 2)
+    two = np.array([0.1, 0.2])
+    field = clean_field(dft_matrix(2, 2).matrix, lattice,
+                        steering_for(np.array([0.1, 0.2, 0.3]), np.zeros(3), 2, 2))
+    ones = np.ones(3, complex)
+    for args in ((field, ones[:2], two, two), (field, ones, two, np.zeros(3)),
+                 (field, ones, np.zeros(3), two), (field[0], 1.0 + 0j, 0.1, 0.0),
+                 (field, 1.0 + 0j, np.zeros(3), np.zeros(3))):
+        with pytest.raises(ValueError, match=re.escape(f"field has shape {np.shape(args[0])} but"
+                                                       f" s, psi_x and psi_y have shapes")):
+            mse_bound(args[0], args[1], 1.0, lattice, *args[2:])
+    with pytest.raises(ValueError, match=r"shape \(3, 4, 4\) .* shapes \(2,\), \(2,\) and \(2,\)"):
+        mse_bound(field, ones[:2], 1.0, lattice, two, two)
+    bx, by = mse_bound(field, ones, 1.0, lattice, np.zeros(3), np.zeros(3))
+    assert bx.shape == by.shape == (3,)
 
 
 def test_mse_bound_symmetric_axes():

@@ -134,12 +134,6 @@ def test_exit_code_for_missing_stack_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_gradcheck_passes(capsys):
-    assert main(["gradcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "max relative error" in out
-
-
 # ------------------------------------------------------------------- artifacts
 
 def test_fit_writes_artifacts(tmp_path, capsys):
@@ -1209,23 +1203,23 @@ def test_jobs_below_one_exit_2(tmp_path, capsys, jobs):
 
 
 @pytest.mark.parametrize("argv", [["fit", "-j", "2"], ["spectrum", "-j", "2"],
-                                  ["estimate", "-j", "2"], ["bound", "-j", "2"],
-                                  ["gradcheck", "-j", "2"], ["gradcheck", "-o", "DIR"]])
+                                  ["estimate", "-j", "2"], ["bound", "-j", "2"]])
 def test_options_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
-    # each was once accepted and ignored; an empty config makes the others stop at once
-    config = [] if argv[0] == "gradcheck" else ["--config", write_config(tmp_path / "c.yaml", {})]
+    # each was once accepted and ignored; an empty config makes the command stop at once
+    config = ["--config", write_config(tmp_path / "c.yaml", {})]
     with pytest.raises(SystemExit) as exc:
         main([argv[0], *config, *argv[1:]])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
-def test_memory_error_exits_1_without_traceback(monkeypatch, capsys):
+def test_memory_error_exits_1_without_traceback(tmp_path, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 8.00 EiB for an array")
 
-    monkeypatch.setattr(cli, "random_stack", exhausted)
-    assert main(["gradcheck"]) == 1
+    monkeypatch.setattr(experiments, "run_monte_carlo", exhausted)
+    cfg = write_config(tmp_path / "c.yaml", MC_DOC)
+    assert main(["montecarlo", "--config", cfg, "--outdir", str(tmp_path / "run"), "-j", "1"]) == 1
     err = capsys.readouterr().err
     assert err == "error: out of memory Unable to allocate 8.00 EiB for an array\n"
 

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
+from simdoa import cli
 from simdoa.estimator import (
     DoaEstimate,
     EnergyMap,
@@ -267,6 +269,8 @@ def test_collect_noise_only_preset():
     preset = (np.arange(16).reshape(4, 4) + 1.0) * (1 + 1j)
     emap = collect_snapshots(f, sv, 1.0 + 0j, 0.0, proto, 2, 2, noise=preset)
     assert np.allclose(emap.values, np.abs(preset) ** 2)
+    with pytest.raises(ValueError, match="noise shape"):
+        collect_snapshots(f, sv, 1.0 + 0j, 1.0, proto, 2, 2, noise=np.zeros((4, 5), complex))
 
 
 def test_collect_noise_only_mean_power():
@@ -274,7 +278,7 @@ def test_collect_noise_only_mean_power():
     proto = ProtocolConfig(t_x=16, t_y=16)
     sv = steering_for(0.1, 0.2, 2, 2)
     emap = collect_snapshots(f, sv, 1.0 + 0j, 0.0, proto, 2, 2,
-                             noise=np.random.default_rng(3))
+                             noise=per_snapshot_noise(np.random.default_rng(3), 4, proto.t))
     assert np.mean(emap.values) == pytest.approx(1.0, rel=0.1)
 
 
@@ -308,57 +312,69 @@ def test_collect_matches_direct_dft_computation():
         assert np.allclose(emap.values[:, t - 1], np.abs(r) ** 2, rtol=1e-12)
 
 
-def _per_snapshot_energies(g, sv, symbols, rho, proto, n_x, n_y, noise):
+def per_snapshot_noise(rng, r, t):
+    """(R, T) unit complex noise as ``collect_snapshots`` once drew it from a Generator.
+
+    One ``cn_noise`` draw of R samples per snapshot, in snapshot order.
+    """
+    return np.column_stack([cn_noise(rng, r) for _ in range(t)])
+
+
+def _per_snapshot_energies(g, sv, s, rho, proto, n_x, n_y, noise):
     """The snapshot-by-snapshot loop that the lattice replaced, as an oracle."""
     values = np.empty((g.shape[0], proto.t))
     for t in range(1, proto.t + 1):
         zeroth = np.exp(1j * scalar_zeroth_layer_phases(t, n_x, n_y, proto))
-        r = np.sqrt(rho) * (g @ (zeroth * sv)) * symbols[t - 1]
-        if isinstance(noise, np.ndarray):
+        r = np.sqrt(rho) * (g @ (zeroth * sv)) * s
+        if noise is not None:
             r = r + noise[:, t - 1]
-        elif noise is not None:
-            r = r + cn_noise(noise, g.shape[0])
         values[:, t - 1] = np.abs(r) ** 2
     return values
 
 
-@pytest.mark.parametrize("kind", ["clean", "generator", "preset"])
+@pytest.mark.parametrize("kind", ["clean", "preset"])
 def test_collect_matches_per_snapshot_loop_exactly(kind):
     rng = np.random.default_rng(21)
     proto = ProtocolConfig(t_x=3, t_y=4)
     g = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
     sv = steering_for(0.41, -0.73, 3, 2)
-    symbols = cn_noise(rng, proto.t)
-    noise = {"clean": lambda: None,
-             "generator": lambda: np.random.default_rng(8),
-             "preset": lambda: cn_noise(np.random.default_rng(8), (5, proto.t))}[kind]
-    for s in (symbols, symbols[0]):
-        want = _per_snapshot_energies(g, sv, np.broadcast_to(s, (proto.t,)), 2.5,
-                                      proto, 3, 2, noise())
-        got = collect_snapshots(g, sv, s, 2.5, proto, 3, 2, noise=noise())
-        assert np.array_equal(got.values, want)
+    s = cn_noise(rng, proto.t)[0]
+    noise = None if kind == "clean" else cn_noise(np.random.default_rng(8), (5, proto.t))
+    want = _per_snapshot_energies(g, sv, s, 2.5, proto, 3, 2, noise)
+    got = collect_snapshots(g, sv, s, 2.5, proto, 3, 2, noise=noise)
+    assert np.array_equal(got.values, want)
 
 
-def test_collect_symbol_sequence():
-    f = dft_matrix(2, 2).matrix
-    proto = ProtocolConfig(t_x=2, t_y=1)
-    sv = steering_for(0.3, 0.3, 2, 2)
-    scalar = collect_snapshots(f, sv, 2.0 + 0j, 1.0, proto, 2, 2)
-    seq = collect_snapshots(f, sv, np.array([2.0 + 0j, 2.0 + 0j]), 1.0, proto, 2, 2)
-    assert np.array_equal(scalar.values, seq.values)
-    with pytest.raises(ValueError):
-        collect_snapshots(f, sv, np.ones(3, dtype=complex), 1.0, proto, 2, 2)
-    with pytest.raises(ValueError):
-        collect_snapshots(f, sv, 1.0 + 0j, 1.0, proto, 2, 2, noise=np.zeros((4, 5), complex))
+@pytest.mark.parametrize("n_x,n_y,t_x,t_y", [(2, 2, 4, 4), (3, 2, 3, 4)])
+def test_cli_noise_equals_the_per_snapshot_draws_bit_for_bit(tmp_path, monkeypatch,
+                                                             n_x, n_y, t_x, t_y):
+    # the CLI draws a run's noise in one call, where collect_snapshots drew it from the
+    # Generator one snapshot at a time
+    noises = []
+    real = cli.collect_snapshots
+
+    def capture(*args, noise=None):
+        noises.append(noise)
+        return real(*args, noise=noise)
+
+    monkeypatch.setattr(cli, "collect_snapshots", capture)
+    doc = {"geometry": {"n_x": n_x, "n_y": n_y}, "protocol": {"t_x": t_x, "t_y": t_y},
+           "source": {"psi_x": 0.3, "psi_y": -0.2},
+           "estimate": {"snr_db": 10.0, "seed": 7, "ideal": True}}
+    (tmp_path / "c.yaml").write_text(yaml.safe_dump(doc))
+    assert cli.main(["estimate", "-c", str(tmp_path / "c.yaml"), "-o", str(tmp_path)]) == 0
+    want = per_snapshot_noise(np.random.default_rng(7), n_x * n_y, t_x * t_y)
+    got, = noises
+    assert got.shape == want.shape
+    assert np.array_equal(*(np.ascontiguousarray(a).view(np.int64) for a in (got, want)))
 
 
-@pytest.mark.parametrize("per_snapshot", [False, True])
-def test_collect_trial_axis_maps_equal_one_trial_calls(per_snapshot):
+def test_collect_trial_axis_maps_equal_one_trial_calls():
     rng = np.random.default_rng(22)
     proto = ProtocolConfig(t_x=3, t_y=2)
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     psi_x, psi_y = rng.uniform(-1.0, 1.0, (2, 4))
-    symbols = cn_noise(rng, (4, proto.t) if per_snapshot else 4)
+    symbols = cn_noise(rng, 4)
     noise = cn_noise(rng, (4, 6, proto.t))
     for u in (None, noise):
         maps = collect_snapshots(g, steering_for(psi_x, psi_y, 3, 2), symbols, 1.7, proto,
@@ -368,18 +384,21 @@ def test_collect_trial_axis_maps_equal_one_trial_calls(per_snapshot):
             want = collect_snapshots(g, steering_for(psi_x[i], psi_y[i], 3, 2), symbols[i],
                                      1.7, proto, 3, 2, noise=None if u is None else u[i])
             assert np.array_equal(values, want.values)
-    with pytest.raises(ValueError):
-        collect_snapshots(g, steering_for(psi_x, psi_y, 3, 2), symbols[:3], 1.7, proto, 3, 2)
+    # one symbol per trial: K of them for K trials, one for one; a per-snapshot sequence is refused
+    for sv, bad in ((steering_for(psi_x, psi_y, 3, 2), symbols[:3]),
+                    (steering_for(psi_x, psi_y, 3, 2), np.ones((4, proto.t), complex)),
+                    (steering_for(psi_x[0], psi_y[0], 3, 2), np.ones(proto.t, complex))):
+        with pytest.raises(ValueError, match="one symbol per trial"):
+            collect_snapshots(g, sv, bad, 1.7, proto, 3, 2)
 
 
-@pytest.mark.parametrize("per_snapshot", [False, True])
-def test_collect_from_a_preset_field_equals_synthesizing_it(per_snapshot):
+def test_collect_from_a_preset_field_equals_synthesizing_it():
     # the Monte Carlo block scales one clean field into its snapshots
     rng = np.random.default_rng(23)
     proto = ProtocolConfig(t_x=3, t_y=2)
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     psi_x, psi_y = rng.uniform(-1.0, 1.0, (2, 5))
-    symbols = cn_noise(rng, (5, proto.t) if per_snapshot else 5)
+    symbols = cn_noise(rng, 5)
     noise = cn_noise(rng, (5, 6, proto.t))
     lattice = proto.lattice(3, 2)
     for rho in (0.0, 1.0, 2.7):

@@ -618,8 +618,9 @@ def _mc_trial(cfg, snr_index, trial, rho):
     bx = by = float("nan")
     if cfg.with_bound and not noiseless:
         lattice = cfg.proto.lattice(cfg.n_x, cfg.n_y)
-        bx, by = analysis.mse_bound(analysis.clean_field(g_for_bound, lattice, sv), source.s,
-                                    rho, lattice, source.psi_x, source.psi_y)
+        field = analysis.clean_field(g_for_bound, lattice, sv)[None]
+        (bx,), (by,) = analysis.mse_bound(field, np.array([source.s]), rho, lattice,
+                                          np.array([source.psi_x]), np.array([source.psi_y]))
     return ex * ex, ey * ey, bx, by, est.realizable
 
 
@@ -786,8 +787,7 @@ def test_mc_block_builds_one_steering_vector_for_its_snapshots_and_field(monkeyp
     assert all(sv is built[0] for sv in read)
 
 
-@pytest.mark.parametrize("per_snapshot", [False, True])
-def test_in_place_writes_touch_only_arrays_they_made(per_snapshot):
+def test_in_place_writes_touch_only_arrays_they_made():
     # a block's snapshots, energies and bound write their large arrays in place; g, the steering,
     # the noise, the symbols and the clean field must keep every bit, and no result may share
     # their memory
@@ -795,21 +795,20 @@ def test_in_place_writes_touch_only_arrays_they_made(per_snapshot):
     proto = ProtocolConfig(t_x=3, t_y=2)
     k, n = 5, 4
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    s = cn_noise(rng, (k, proto.t) if per_snapshot else k)
+    s = cn_noise(rng, k)
     psi_x, psi_y = rng.uniform(-1.0, 1.0, k), rng.uniform(-1.0, 1.0, k)
     lattice = proto.lattice(2, 2)
     sv = steering_for(psi_x, psi_y, 2, 2)
     field = analysis.clean_field(g, lattice, sv)
-    s_bound = s.T[0]
     noise = cn_noise(rng, (k, n, proto.t))
-    inputs = [g, s, field, sv, noise, s_bound, psi_x, psi_y, lattice.zeroth]
+    inputs = [g, s, field, sv, noise, psi_x, psi_y, lattice.zeroth]
     before = [a.tobytes() for a in inputs]
     results = [scale_field(field, s, 2.5, noise), scale_field(field, s, 2.5),
                collect_snapshots(g, sv, s, 2.5, proto, 2, 2, noise=noise).values,
                collect_snapshots(g, sv, s, 2.5, proto, 2, 2, noise=noise, field=field).values,
                collect_snapshots(g, sv, s, 2.5, proto, 2, 2, field=field).values,
                experiments._digital_energies(sv, s, 2.5, proto, 2, 2, noise).values,
-               *analysis.mse_bound(field, s_bound, 2.5, lattice, psi_x, psi_y)]
+               *analysis.mse_bound(field, s, 2.5, lattice, psi_x, psi_y)]
     assert [a.tobytes() for a in inputs] == before
     for result in results:
         assert not any(np.shares_memory(result, a) for a in inputs)
@@ -976,6 +975,31 @@ def test_receiver_study_refuses_an_overflowing_build_before_any_fit(monkeypatch)
     with pytest.raises(ValueError, match="propagation coefficients beyond a float's range"):
         receiver_study(small_geom(), TrainConfig(max_iters=3), u_x=(1e300, 0.5), runs=1)
     assert fits == []
+
+
+def test_sweeps_build_each_variant_once(monkeypatch):
+    # the receiver study built each variant for its overflow check and again in its fit
+    builds = []
+    real = experiments.build_propagation_matrices
+
+    def counting(geom):
+        builds.append(geom)
+        return real(geom)
+
+    monkeypatch.setattr(experiments, "build_propagation_matrices", counting)
+    geom, cfg = small_geom(), TrainConfig(max_iters=2)
+    rows = receiver_study(geom, cfg, u_x=(geom.d_x, 2 * geom.d_x), rotation=(0.3,),
+                          layers=(1,), runs=2)
+    assert len(rows) == 4
+    assert builds == [dataclasses.replace(geom, u_x=geom.d_x, u_y=geom.d_x),
+                      dataclasses.replace(geom, u_x=2 * geom.d_x, u_y=2 * geom.d_x),
+                      dataclasses.replace(geom, rotation=0.3), dataclasses.replace(geom, layers=1)]
+    builds.clear()
+    # the infeasible 1-atom cell is flagged without a build
+    cells = ablation_sweep(geom, cfg, thickness_lam=(3.0,), layers=(1, 2), atoms=(1, 25),
+                           spacing_lam=(0.5,), runs=2)
+    assert [c.feasible for c in cells] == [False, True, False, True]
+    assert [(b.layers, b.m) for b in builds] == [(1, 25), (2, 25)]
 
 
 def test_receiver_study_rows_and_isomorphic_match():

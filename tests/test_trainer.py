@@ -185,6 +185,30 @@ def test_gradient_matches_finite_differences():
     assert worst <= 1e-6
 
 
+def test_gradient_matches_finite_differences_on_twenty_random_instances():
+    # the 20 instances of the former `simdoa gradcheck` subcommand, at its 1e-6 bound
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(20):
+        n_side = int(rng.integers(1, 3))
+        m_side = int(rng.integers(2, 4))
+        layers = int(rng.integers(1, 4))
+        geom = SimGeometry(
+            wavelength=LAM, n_x=n_side, n_y=n_side, d_x=LAM / 2, d_y=LAM / 2,
+            m_x=m_side, m_y=m_side, s_x=LAM / 2, s_y=LAM / 2,
+            layers=layers, thickness=3 * LAM * layers)
+        props = build_propagation_matrices(geom)
+        stack = random_stack(layers, geom.m, rng)
+        f = dft_matrix(n_side, n_side).matrix
+        # off-optimum beta keeps the residual nonzero on degenerate sizes
+        beta = optimal_scale(forward_response(props, stack), f) * (1.1 + 0.3j)
+        for ga, gf in zip(gradient(props, stack, f, beta),
+                          finite_diff_gradient(props, stack, f, beta), strict=True):
+            scale = max(float(np.max(np.abs(gf))), 1e-300)
+            worst = max(worst, float(np.max(np.abs(ga - gf))) / scale)
+    assert worst <= 1e-6
+
+
 def test_gradient_accepts_precomputed_inputs():
     props = make_props(layers=3)
     stack = random_stack(3, 9, np.random.default_rng(5))

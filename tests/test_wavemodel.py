@@ -258,9 +258,11 @@ def test_received_rejects_bad_inputs():
         received(f, zeroth, sv, 1.0, -1.0)
     with pytest.raises(ValueError):
         received(f, zeroth, sv, 1.0, 1.0, noise=np.zeros(3))
+    with pytest.raises(ValueError):  # one symbol a trial: a per-snapshot sequence is refused
+        scale_field(synthesize_received(f, np.ones((4, 3)), sv), np.ones(3), 1.0)
 
 
-@pytest.mark.parametrize("symbols", ["scalar", "per_trial", "per_snapshot"])
+@pytest.mark.parametrize("symbols", ["scalar", "per_trial"])
 @pytest.mark.parametrize("columns", [True, False])
 def test_received_trial_axis_slices_equal_one_trial_calls(symbols, columns):
     rng = np.random.default_rng(12)
@@ -268,9 +270,7 @@ def test_received_trial_axis_slices_equal_one_trial_calls(symbols, columns):
     g = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
     zeroth = np.exp(1j * rng.uniform(0, 7, (n, t) if columns else n))
     entries = np.exp(1j * rng.uniform(0, 7, (k, n)))
-    s = {"scalar": 0.3 - 0.8j,
-         "per_trial": cn_noise(rng, k),
-         "per_snapshot": cn_noise(rng, (k, t if columns else 1))}[symbols]
+    s = {"scalar": 0.3 - 0.8j, "per_trial": cn_noise(rng, k)}[symbols]
     shape = (r, t) if columns else (r,)
     noise = cn_noise(rng, (k, *shape))
     for u in (None, noise):
