@@ -30,7 +30,7 @@ def clean_field(g, lattice, sv):
     unit plane wave, as ``synthesize_received`` returns it; SNR and symbol
     are applied by the callers. (K, N) steering rows give (K, R, T), each
     slice equal to its one-trial call bit for bit. A Monte Carlo block's
-    snapshots (``collect_snapshots(..., field=)``) and its bound share it.
+    snapshots (``collect_snapshots``) and its bound share it.
     """
     g = np.asarray(g, dtype=complex)
     n = lattice.zeroth.shape[0]

@@ -20,7 +20,8 @@ from .estimator import (ProtocolConfig, angular_spectrum, collect_snapshots,
                         estimate_from_map, steering_for)
 from .geometry import SimGeometry, build_propagation_matrices, dft_matrix
 from .trainer import TrainConfig
-from .wavemodel import PhaseStack, complex_gaussian, forward_response, optimal_scale
+from .wavemodel import (PhaseStack, complex_gaussian, forward_response, optimal_scale,
+                        synthesize_received)
 
 
 class ConfigError(Exception):
@@ -443,17 +444,19 @@ def _spectrum_map(config, args, command):
         # unit complex noise, one snapshot's (2, R) normals after another, as cn_noise draws them
         draws = np.random.default_rng(run["seed"]).standard_normal((proto.t, 2, len(g)))
         noise = complex_gaussian(draws[:, 0], draws[:, 1]).T
+    lattice = proto.lattice(geom.n_x, geom.n_y)
     try:  # energies beyond a float's range: EnergyMap refuses them, with no RuntimeWarning
         with np.errstate(over="ignore", invalid="ignore"):
-            return collect_snapshots(g, sv, source["s"], rho, proto, geom.n_x, geom.n_y,
-                                     noise=noise), proto, geom, source
+            emap = collect_snapshots(synthesize_received(g, lattice.zeroth, sv), source["s"], rho,
+                                     noise=noise)
     except ValueError as exc:
         raise ValueError(f"snr_db {snr:g}: {exc}") from None
+    return emap, lattice, geom, source
 
 
 def _cmd_spectrum(args, config):
-    emap, proto, geom, source = _spectrum_map(config, args, "spectrum")
-    axis_x, axis_y, power = angular_spectrum(emap, proto, geom.n_x, geom.n_y)
+    emap, lattice, geom, source = _spectrum_map(config, args, "spectrum")
+    axis_x, axis_y, power = angular_spectrum(emap, lattice)
     rows = [(f"{x:.10g}", f"{y:.10g}", f"{p:.17g}")
             for y, row in zip(axis_y, power) for x, p in zip(axis_x, row)]
     peak = int(np.argmax(power))
@@ -471,9 +474,8 @@ def _cmd_spectrum(args, config):
 
 
 def _cmd_estimate(args, config):
-    emap, proto, geom, source = _spectrum_map(config, args, "estimate")
-    est = estimate_from_map(emap, proto, geom.n_x, geom.n_y,
-                            (geom.d_x / geom.wavelength, geom.d_y / geom.wavelength))
+    emap, lattice, geom, source = _spectrum_map(config, args, "estimate")
+    est = estimate_from_map(emap, lattice, (geom.d_x / geom.wavelength, geom.d_y / geom.wavelength))
     path = _emit(args, config, "estimate", "estimate.csv",
                  ["antenna", "snapshot", "psi_x", "psi_y", "phi_rad", "theta_rad"],
                  [(est.n, est.t, f"{est.psi_x:.10g}", f"{est.psi_y:.10g}",

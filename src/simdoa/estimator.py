@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TWO_PI, linear_to_grid, steering_vector
-from .wavemodel import scale_field, synthesize_received
+from .wavemodel import scale_field
 
 
 @dataclass(frozen=True)
@@ -123,25 +123,19 @@ def zeroth_layer_config(t, n_x, n_y, proto):
     return np.exp(1j * zeroth_layer_phase(n[:, None], t, n_x, n_y, proto))
 
 
-def collect_snapshots(g, sv, s, rho, proto, n_x, n_y, noise=None, field=None):
-    """Run the T-snapshot schedule through response ``g`` and record powers.
+def collect_snapshots(field, s, rho, noise=None):
+    """Record the powers of the T snapshots made from unit field ``field``.
 
-    One ``synthesize_received`` call on the protocol's cached lattice
-    gives the unit field G Y_0 a, and ``scale_field`` makes the snapshots.
-    ``s`` is the trial's complex symbol, held over every snapshot.
-    ``noise`` is None (clean) or a preset (R, T) complex array. A (K, N)
-    steering array runs K trials in that one call: ``s`` then holds K
+    ``field`` is the unit field G Y_0 a on the snapshot lattice, (R, T), as
+    ``synthesize_received`` returns it, and ``scale_field`` makes the
+    snapshots. ``s`` is the trial's complex symbol, held over every
+    snapshot. ``noise`` is None (clean) or a preset (R, T) complex array. A
+    (K, R, T) field runs K trials in that one call: ``s`` then holds K
     symbols, a preset ``noise`` is (K, R, T), and the result is one
     (K, R, T) energy map, slice k equal to trial k's one-trial call bit for
-    bit. ``field`` may preset that unit field, as ``analysis.clean_field``
-    returns it; no field is then synthesized.
+    bit.
     """
-    symbols = np.asarray(s, dtype=complex)
-    if symbols.shape != sv.shape[:-1]:
-        raise ValueError(f"expected one symbol per trial, {sv.shape[:-1]}, got {symbols.shape}")
-    if field is None:
-        field = synthesize_received(np.asarray(g), proto.lattice(n_x, n_y).zeroth, sv)
-    energies = np.abs(scale_field(field, symbols, rho, noise))
+    energies = np.abs(scale_field(field, s, rho, noise))
     energies *= energies
     return EnergyMap(energies)
 
@@ -212,23 +206,21 @@ def visible_angles(psi_x, psi_y, d_x, d_y):
     return phi, theta
 
 
-def estimate_from_map(emap, proto, n_x, n_y, spacing):
+def estimate_from_map(emap, lattice, spacing):
     """Peak search plus angle recovery in one step.
 
     ``spacing`` is the input grid's (d_x, d_y) in wavelengths, from which
     ``visible_angles`` recovers the physical angles; an unrealizable peak
     yields NaN angles rather than an error so Monte Carlo scoring (which
-    uses electrical angles only) can proceed. The peak maps through the
-    (n_x, n_y) input grid, so the map must have one row per input cell,
-    and its angles are read from the protocol's cached lattice. A batch of
-    K maps gives one estimate of length-K arrays, entry k equal to map k's
-    own call.
+    uses electrical angles only) can proceed. The map's (R, T) cells must
+    be those of ``lattice``, the SnapshotLattice it was collected on, and
+    the peak's angles are read from it. A batch of K maps gives one
+    estimate of length-K arrays, entry k equal to map k's own call.
     """
-    if emap.receivers != n_x * n_y:
-        raise ValueError(f"energy map has {emap.receivers} receivers but the"
-                         f" ({n_x}, {n_y}) input grid has {n_x * n_y} cells")
+    if emap.values.shape[-2:] != lattice.zeroth.shape:
+        raise ValueError(f"energy map has {emap.values.shape[-2:]} cells but the lattice has"
+                         f" {lattice.zeroth.shape}")
     n_hat, t_hat = peak_index(emap)
-    lattice = proto.lattice(n_x, n_y)
     cell = n_hat - 1, t_hat - 1
     if emap.values.ndim == 2:
         psi_x, psi_y = lattice.psi_x.item(cell), lattice.psi_y.item(cell)
@@ -238,18 +230,18 @@ def estimate_from_map(emap, proto, n_x, n_y, spacing):
     return DoaEstimate(n=n_hat, t=t_hat, psi_x=psi_x, psi_y=psi_y, phi=phi, theta=theta)
 
 
-def angular_spectrum(emap, proto, n_x, n_y):
+def angular_spectrum(emap, lattice):
     """Measurements rearranged onto the normalized-angle lattice.
 
     Returns (psi_x_axis, psi_y_axis, power) where power[iy, ix] is the
     energy at (psi_x_axis[ix], psi_y_axis[iy]), peak-normalized to 1. The
-    axes are the lattice's distinct angles (its read-only arrays), n_x * t_x
-    and n_y * t_y of them in ascending order, so every cell has a bin of its
-    own.
+    axes are the distinct angles of ``lattice`` (its read-only arrays),
+    n_x * t_x and n_y * t_y of them in ascending order, so every cell has a
+    bin of its own.
     """
-    if emap.values.shape != (n_x * n_y, proto.t):
-        raise ValueError("energy map shape does not match the lattice")
-    lattice = proto.lattice(n_x, n_y)
+    if emap.values.shape != lattice.zeroth.shape:
+        raise ValueError(f"energy map has shape {emap.values.shape} but the lattice has"
+                         f" {lattice.zeroth.shape}")
     (axis_x, ix), (axis_y, iy) = lattice.distinct_x, lattice.distinct_y
     power = np.zeros((axis_y.size, axis_x.size))
     power[iy, ix] = emap.values

@@ -12,7 +12,7 @@ from .estimator import (EnergyMap, ProtocolConfig, collect_snapshots,
 from .geometry import build_propagation_matrices, check_feasibility, dft_matrix
 from .trainer import train, train_restarts
 from .wavemodel import (antenna_field, cn_noise, complex_gaussian, forward_response,
-                        matvec_columns, optimal_scale, scale_field)
+                        matvec_columns, optimal_scale, scale_field, synthesize_received)
 
 
 @dataclass(frozen=True)
@@ -174,31 +174,31 @@ def _map(fn, tasks, jobs):
 _BLOCK_CELLS = 2 ** 16
 
 
-def digital_baseline(sv, s, proto, n_x, n_y, rho, noise=None):
+def digital_baseline(f, lattice, sv, s, rho, noise=None):
     """Estimate via element-space sampling plus a numeric DFT.
 
     The array observes x_t = sqrt(rho) * Upsilon_t a s + u directly over
-    the protocol's cached lattice, the exact DFT matrix is applied
-    digitally, and the same peak search and angle recovery run on the
-    resulting energies. Antenna noise has
+    the snapshot lattice ``lattice``, the exact DFT matrix ``f`` of its
+    input grid is applied digitally, and the same peak search and angle
+    recovery run on the resulting energies. Antenna noise has
     variance 1/N per element so the post-DFT noise is unit variance,
     making rho directly comparable with the wave path's effective SNR
-    axis. ``sv`` is the source's steering vector on the (n_x, n_y) grid and
+    axis. ``sv`` is the source's steering vector on the input grid and
     ``s`` its symbol. ``noise`` holds the (N, T) antenna noise draws, or is
     None for the clean field.
     """
-    emap = _digital_energies(sv, s, rho, proto, n_x, n_y, noise)
-    return estimate_from_map(emap, proto, n_x, n_y, (0.5, 0.5))
+    emap = _digital_energies(f, lattice, sv, s, rho, noise)
+    return estimate_from_map(emap, lattice, (0.5, 0.5))
 
 
-def _digital_energies(sv, s, rho, proto, n_x, n_y, noise=None):
+def _digital_energies(f, lattice, sv, s, rho, noise=None):
     """Energies |F (sqrt(rho) Upsilon a s + u)|^2 on the lattice as an EnergyMap, (N, T).
 
     K trials take (K, N) steering entries, K symbols and (K, N, T) noise
     and give (K, N, T), slice k equal to trial k's own call bit for bit.
     """
-    field = scale_field(antenna_field(proto.lattice(n_x, n_y).zeroth, sv), s, rho, noise)
-    energies = np.abs(matvec_columns(dft_matrix(n_x, n_y).matrix, field))
+    field = scale_field(antenna_field(lattice.zeroth, sv), s, rho, noise)
+    energies = np.abs(matvec_columns(f, field))
     energies *= energies
     return EnergyMap(energies)
 
@@ -217,16 +217,17 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     """
     n = n_x * n_y
     f = dft_matrix(n_x, n_y).matrix
+    lattice = proto.lattice(n_x, n_y)
     u_ant = cn_noise(rng, (n, proto.t), variance=1.0 / n)
     rho_wave = effective_rho(gamma, beta, n, proto.t)
     rho_digital = effective_rho(gamma, 1.0, n, proto.t)
     # a complex beta keeps numpy's division, which Python's does not round alike
     frame = (np.conj(beta) if isinstance(beta, complex) else beta) / abs(beta) if beta != 0 else 1.0
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)  # both paths read this vector
-    emap = collect_snapshots(g, sv, source.s, rho_wave, proto, n_x, n_y,
-                             noise=frame * (f @ u_ant))
-    wave = estimate_from_map(emap, proto, n_x, n_y, (0.5, 0.5))
-    digital = digital_baseline(sv, source.s, proto, n_x, n_y, rho_digital, noise=u_ant)
+    field = synthesize_received(g, lattice.zeroth, sv)
+    emap = collect_snapshots(field, source.s, rho_wave, noise=frame * (f @ u_ant))
+    wave = estimate_from_map(emap, lattice, (0.5, 0.5))
+    digital = digital_baseline(f, lattice, sv, source.s, rho_digital, noise=u_ant)
     return wave, digital
 
 
@@ -275,20 +276,20 @@ def _mc_block(cfg, stream, trials, snr):
         with np.errstate(over="ignore", invalid="ignore"):
             if wave:
                 field = analysis.clean_field(cfg.g, lattice, sv)
-                emap = collect_snapshots(cfg.g, sv, s, run_rho, cfg.proto, cfg.n_x, cfg.n_y,
-                                         noise=noise, field=field)
+                emap = collect_snapshots(field, s, run_rho, noise)
             else:
-                emap = _digital_energies(sv, s, run_rho, cfg.proto, cfg.n_x, cfg.n_y, noise)
+                f = dft_matrix(cfg.n_x, cfg.n_y).matrix  # the bound below reads it too
+                emap = _digital_energies(f, lattice, sv, s, run_rho, noise)
     except ValueError as exc:
         raise ValueError(f"snr_db {snr:g}: {exc}") from None
-    est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, (0.5, 0.5))
+    est = estimate_from_map(emap, lattice, (0.5, 0.5))
     del noise, emap  # nor does the bound need the snapshots' noise and energies
     ex = wrapped_angle_error(psi_x, est.psi_x)
     ey = wrapped_angle_error(psi_y, est.psi_y)
     bx = by = np.full(len(sources), np.nan)
     if cfg.with_bound and not noiseless:
         if not wave:  # the digital path's response is the DFT itself
-            field = analysis.clean_field(dft_matrix(cfg.n_x, cfg.n_y).matrix, lattice, sv)
+            field = analysis.clean_field(f, lattice, sv)
         bx, by = analysis.mse_bound(field, s, run_rho, lattice, psi_x, psi_y)
     return ex * ex, ey * ey, bx, by, ~(np.isnan(est.phi) | np.isnan(est.theta))
 

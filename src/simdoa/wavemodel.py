@@ -114,15 +114,16 @@ def scale_field(field, s, rho, noise=None):
 
     The one place where SNR, symbol and noise enter a snapshot. ``field`` is
     (R, T) with one symbol ``s``, held over the T snapshots, or (K, R, T)
-    with one symbol per trial: K of them, or one scalar for all. ``noise``
-    has the field's shape, or is None.
+    with one symbol per trial, K of them. ``noise`` has the field's shape,
+    or is None.
     """
     if rho < 0.0:
         raise ValueError("rho must be >= 0")
-    if np.ndim(s):  # per-trial symbols lead; R and T broadcast
-        s = np.asarray(s)[:, None, None]
+    s = np.asarray(s, dtype=complex)
+    if s.shape != np.shape(field)[:-2]:
+        raise ValueError(f"expected one symbol per trial, {np.shape(field)[:-2]}, got {s.shape}")
     r = np.multiply(math.sqrt(rho), field, dtype=complex)  # symbols and noise then go in place
-    r *= s
+    r *= s[..., None, None]  # per-trial symbols lead; R and T broadcast
     if noise is not None:
         noise = np.asarray(noise)
         if noise.shape != r.shape:

@@ -239,7 +239,7 @@ def test_noncentrality_matches_collected_energies():
     rho = 2.3
     s = 0.9 + 0.1j
     sv = steering_for(0.41, -0.77, 2, 2)
-    emap = collect_snapshots(f, sv, s, rho, proto, 2, 2)
+    emap = collect_snapshots(synthesize_received(f, proto.lattice(2, 2).zeroth, sv), s, rho)
     inp = make_inputs(0.41, -0.77, rho=rho, s=s, proto=proto)
     assert np.allclose(noncentrality_map(inp), 2.0 * emap.values, rtol=1e-10)
     assert noncentrality(inp, 3, 5) == pytest.approx(2.0 * emap.values[2, 4], rel=1e-10)
@@ -252,7 +252,8 @@ def test_clean_field_is_the_clean_snapshot_exactly():
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     inp = Trial(g=g, proto=proto, n_x=3, n_y=2, psi_x=0.27, psi_y=-0.64,
                 rho=1.0, s=1.0 + 0j)
-    emap = collect_snapshots(g, steering_for(0.27, -0.64, 3, 2), 1.0 + 0j, 1.0, proto, 3, 2)
+    field = synthesize_received(g, proto.lattice(3, 2).zeroth, steering_for(0.27, -0.64, 3, 2))
+    emap = collect_snapshots(field, 1.0 + 0j, 1.0)
     assert np.array_equal(np.abs(_field(inp)) ** 2, emap.values)
 
 
@@ -260,7 +261,7 @@ def test_noiseless_peak_matches_estimator():
     proto = ProtocolConfig(t_x=4, t_y=4)
     f = dft_matrix(2, 2).matrix
     sv = steering_for(0.33, 0.52, 2, 2)
-    emap = collect_snapshots(f, sv, 1.0 + 0j, 1.0, proto, 2, 2)
+    emap = collect_snapshots(synthesize_received(f, proto.lattice(2, 2).zeroth, sv), 1.0 + 0j, 1.0)
     from simdoa.estimator import peak_index
     inp = make_inputs(0.33, 0.52, proto=proto)
     assert peak_index_noiseless(inp) == peak_index(emap)

@@ -21,9 +21,8 @@ from simdoa.estimator import (
     zeroth_layer_config,
     zeroth_layer_phase,
 )
-from simdoa.analysis import clean_field
 from simdoa.geometry import SimGeometry, dft_matrix, linear_to_grid
-from simdoa.wavemodel import cn_noise
+from simdoa.wavemodel import cn_noise, synthesize_received
 
 LAM = 0.005
 
@@ -262,22 +261,27 @@ def test_energy_map_refuses_non_finite_values(bad):
     assert EnergyMap(np.array([[0.0, -0.0, np.finfo(float).max]])).values.shape == (1, 3)
 
 
+def unit_field(g, sv, proto, n_x, n_y):
+    """The unit field G Y_0 a that ``collect_snapshots`` scales, on the protocol's lattice."""
+    return synthesize_received(g, proto.lattice(n_x, n_y).zeroth, sv)
+
+
 def test_collect_noise_only_preset():
     f = dft_matrix(2, 2).matrix
     proto = ProtocolConfig(t_x=2, t_y=2)
-    sv = steering_for(0.3, -0.4, 2, 2)
+    field = unit_field(f, steering_for(0.3, -0.4, 2, 2), proto, 2, 2)
     preset = (np.arange(16).reshape(4, 4) + 1.0) * (1 + 1j)
-    emap = collect_snapshots(f, sv, 1.0 + 0j, 0.0, proto, 2, 2, noise=preset)
+    emap = collect_snapshots(field, 1.0 + 0j, 0.0, noise=preset)
     assert np.allclose(emap.values, np.abs(preset) ** 2)
     with pytest.raises(ValueError, match="noise shape"):
-        collect_snapshots(f, sv, 1.0 + 0j, 1.0, proto, 2, 2, noise=np.zeros((4, 5), complex))
+        collect_snapshots(field, 1.0 + 0j, 1.0, noise=np.zeros((4, 5), complex))
 
 
 def test_collect_noise_only_mean_power():
     f = dft_matrix(2, 2).matrix
     proto = ProtocolConfig(t_x=16, t_y=16)
     sv = steering_for(0.1, 0.2, 2, 2)
-    emap = collect_snapshots(f, sv, 1.0 + 0j, 0.0, proto, 2, 2,
+    emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), 1.0 + 0j, 0.0,
                              noise=per_snapshot_noise(np.random.default_rng(3), 4, proto.t))
     assert np.mean(emap.values) == pytest.approx(1.0, rel=0.1)
 
@@ -290,7 +294,7 @@ def test_collect_on_lattice_concentrates():
     n0, t0 = 3, 6
     psi = electrical_angles(n0, t0, 2, 2, proto)
     sv = steering_for(psi[0], psi[1], 2, 2)
-    emap = collect_snapshots(f, sv, s, rho, proto, 2, 2)
+    emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), s, rho)
     assert peak_index(emap) == (n0, t0)
     assert emap.values[n0 - 1, t0 - 1] == pytest.approx(rho * 16.0 * abs(s) ** 2, rel=1e-12)
     # at the matched snapshot the other antennas are dark
@@ -305,7 +309,7 @@ def test_collect_matches_direct_dft_computation():
     sv = steering_for(0.37, -0.21, 2, 2)
     rho = 2.0
     s = 0.8 - 0.3j
-    emap = collect_snapshots(f, sv, s, rho, proto, 2, 2)
+    emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), s, rho)
     for t in range(1, 5):
         xi0 = scalar_zeroth_layer_phases(t, 2, 2, proto)
         r = math.sqrt(rho) * (f @ (np.exp(1j * xi0) * sv)) * s
@@ -341,7 +345,7 @@ def test_collect_matches_per_snapshot_loop_exactly(kind):
     s = cn_noise(rng, proto.t)[0]
     noise = None if kind == "clean" else cn_noise(np.random.default_rng(8), (5, proto.t))
     want = _per_snapshot_energies(g, sv, s, 2.5, proto, 3, 2, noise)
-    got = collect_snapshots(g, sv, s, 2.5, proto, 3, 2, noise=noise)
+    got = collect_snapshots(unit_field(g, sv, proto, 3, 2), s, 2.5, noise=noise)
     assert np.array_equal(got.values, want)
 
 
@@ -377,44 +381,21 @@ def test_collect_trial_axis_maps_equal_one_trial_calls():
     symbols = cn_noise(rng, 4)
     noise = cn_noise(rng, (4, 6, proto.t))
     for u in (None, noise):
-        maps = collect_snapshots(g, steering_for(psi_x, psi_y, 3, 2), symbols, 1.7, proto,
-                                 3, 2, noise=u)
+        maps = collect_snapshots(unit_field(g, steering_for(psi_x, psi_y, 3, 2), proto, 3, 2),
+                                 symbols, 1.7, noise=u)
         assert maps.values.shape == (4, 6, proto.t)
         for i, values in enumerate(maps.values):
-            want = collect_snapshots(g, steering_for(psi_x[i], psi_y[i], 3, 2), symbols[i],
-                                     1.7, proto, 3, 2, noise=None if u is None else u[i])
+            field = unit_field(g, steering_for(psi_x[i], psi_y[i], 3, 2), proto, 3, 2)
+            want = collect_snapshots(field, symbols[i], 1.7, noise=None if u is None else u[i])
             assert np.array_equal(values, want.values)
-    # one symbol per trial: K of them for K trials, one for one; a per-snapshot sequence is refused
+    # one symbol per trial: K of them for K trials, one for one; a per-snapshot sequence, and
+    # one scalar for K trials, are refused
     for sv, bad in ((steering_for(psi_x, psi_y, 3, 2), symbols[:3]),
                     (steering_for(psi_x, psi_y, 3, 2), np.ones((4, proto.t), complex)),
+                    (steering_for(psi_x, psi_y, 3, 2), symbols[0]),
                     (steering_for(psi_x[0], psi_y[0], 3, 2), np.ones(proto.t, complex))):
         with pytest.raises(ValueError, match="one symbol per trial"):
-            collect_snapshots(g, sv, bad, 1.7, proto, 3, 2)
-
-
-def test_collect_from_a_preset_field_equals_synthesizing_it():
-    # the Monte Carlo block scales one clean field into its snapshots
-    rng = np.random.default_rng(23)
-    proto = ProtocolConfig(t_x=3, t_y=2)
-    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    psi_x, psi_y = rng.uniform(-1.0, 1.0, (2, 5))
-    symbols = cn_noise(rng, 5)
-    noise = cn_noise(rng, (5, 6, proto.t))
-    lattice = proto.lattice(3, 2)
-    for rho in (0.0, 1.0, 2.7):
-        for u in (None, noise):
-            sv = steering_for(psi_x, psi_y, 3, 2)
-            want = collect_snapshots(g, sv, symbols, rho, proto, 3, 2, noise=u)
-            got = collect_snapshots(g, sv, symbols, rho, proto, 3, 2, noise=u,
-                                    field=clean_field(g, lattice, sv))
-            assert np.array_equal(got.values, want.values)
-            for i in range(5):  # and one trial at a time
-                sv_i = steering_for(psi_x[i], psi_y[i], 3, 2)
-                noise_i = None if u is None else u[i]
-                want = collect_snapshots(g, sv_i, symbols[i], rho, proto, 3, 2, noise=noise_i)
-                got = collect_snapshots(g, sv_i, symbols[i], rho, proto, 3, 2, noise=noise_i,
-                                        field=clean_field(g, lattice, sv_i))
-                assert np.array_equal(got.values, want.values)
+            collect_snapshots(unit_field(g, sv, proto, 3, 2), bad, 1.7)
 
 
 # ----------------------------------------------------------------- peak search
@@ -547,11 +528,12 @@ def test_estimate_batch_equals_one_map_calls():
     values = rng.uniform(0.0, 1.0, (9, 6, proto.t))
     values[2] = 1.0  # every cell tied: the first cell wins
     values[4, 5, 5] = 7.0  # the last cell
-    batch = estimate_from_map(EnergyMap(values), proto, 3, 2, (0.5, 0.5))
+    batch = estimate_from_map(EnergyMap(values), proto.lattice(3, 2), (0.5, 0.5))
     assert not batch.realizable or all(
-        estimate_from_map(EnergyMap(v), proto, 3, 2, (0.5, 0.5)).realizable for v in values)
+        estimate_from_map(EnergyMap(v), proto.lattice(3, 2), (0.5, 0.5)).realizable
+        for v in values)
     for i, v in enumerate(values):
-        one = estimate_from_map(EnergyMap(v), proto, 3, 2, (0.5, 0.5))
+        one = estimate_from_map(EnergyMap(v), proto.lattice(3, 2), (0.5, 0.5))
         assert (batch.n[i], batch.t[i]) == (one.n, one.t)
         assert (batch.psi_x[i], batch.psi_y[i]) == (one.psi_x, one.psi_y)
         assert (one.psi_x, one.psi_y) == electrical_angles(one.n, one.t, 3, 2, proto)
@@ -565,19 +547,20 @@ def test_estimate_nan_for_unrealizable_peak():
     proto = ProtocolConfig()
     v = np.zeros((4, 1))
     v[3, 0] = 1.0  # cell (-1, -1): radius sqrt(2) > 1
-    est = estimate_from_map(EnergyMap(v), proto, 2, 2, (0.5, 0.5))
+    est = estimate_from_map(EnergyMap(v), proto.lattice(2, 2), (0.5, 0.5))
     assert (est.psi_x, est.psi_y) == (-1.0, -1.0)
     assert not est.realizable
     assert math.isnan(est.phi) and math.isnan(est.theta)
     # at 0.75 wavelengths the same cell lies at radius sqrt(2) / 1.5, inside the visible region
-    wide = estimate_from_map(EnergyMap(v), proto, 2, 2, (0.75, 0.75))
+    wide = estimate_from_map(EnergyMap(v), proto.lattice(2, 2), (0.75, 0.75))
     assert wide.realizable
     geom = dataclasses.replace(make_geom(), d_x=0.75 * LAM, d_y=0.75 * LAM)
     assert (wide.phi, wide.theta) == pytest.approx(physical_angles(-1.0, -1.0, geom), abs=1e-12)
 
 
 def test_estimate_of_a_one_cell_map_is_broadside():
-    est = estimate_from_map(EnergyMap(np.array([[1.0]])), ProtocolConfig(), 1, 1, (0.5, 0.5))
+    est = estimate_from_map(EnergyMap(np.array([[1.0]])), ProtocolConfig().lattice(1, 1),
+                            (0.5, 0.5))
     assert est.n == 1 and est.t == 1
     assert (est.phi, est.theta) == (0.0, 0.0)
 
@@ -585,9 +568,21 @@ def test_estimate_of_a_one_cell_map_is_broadside():
 @pytest.mark.parametrize("receivers", [2, 9])
 def test_estimate_refuses_receiver_grid_other_than_input_grid(receivers):
     # a 2-row map once came back as a cell of the 2x2 grid, silently
-    with pytest.raises(ValueError, match=rf"{receivers} receivers.*\(2, 2\).*4 cells"):
-        estimate_from_map(EnergyMap(np.ones((receivers, 4))), ProtocolConfig(t_x=2, t_y=2),
-                          2, 2, (0.5, 0.5))
+    with pytest.raises(ValueError, match=rf"\({receivers}, 4\) cells.*lattice has \(4, 4\)"):
+        estimate_from_map(EnergyMap(np.ones((receivers, 4))),
+                          ProtocolConfig(t_x=2, t_y=2).lattice(2, 2), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("snapshots", [8, 20])
+def test_estimate_refuses_snapshot_count_other_than_the_lattice(snapshots):
+    # on a T=16 lattice a (4, 8) map was read off the wrong cells and a (4, 20) map raised an
+    # IndexError; one map and a batch of maps are refused alike
+    lattice = ProtocolConfig(t_x=4, t_y=4).lattice(2, 2)
+    for shape in ((4, snapshots), (3, 4, snapshots)):
+        values = np.zeros(shape)
+        values[..., 1, snapshots - 1] = 1.0
+        with pytest.raises(ValueError, match=rf"\(4, {snapshots}\) cells.*\(4, 16\)"):
+            estimate_from_map(EnergyMap(values), lattice, (0.5, 0.5))
 
 
 def test_on_lattice_round_trip():
@@ -600,8 +595,8 @@ def test_on_lattice_round_trip():
         t0 = int(rng.integers(1, 9))
         psi = electrical_angles(n0, t0, 2, 2, proto)
         sv = steering_for(psi[0], psi[1], 2, 2)
-        emap = collect_snapshots(f, sv, 1.0 + 0j, 1.0, proto, 2, 2)
-        est = estimate_from_map(emap, proto, 2, 2, (0.5, 0.5))
+        emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), 1.0 + 0j, 1.0)
+        est = estimate_from_map(emap, proto.lattice(2, 2), (0.5, 0.5))
         assert (est.n, est.t) == (n0, t0)
         assert (est.psi_x, est.psi_y) == psi
 
@@ -613,8 +608,8 @@ def test_spectrum_on_lattice_is_delta():
     proto = ProtocolConfig(t_x=4, t_y=4)
     psi = electrical_angles(2, 11, 2, 2, proto)
     sv = steering_for(psi[0], psi[1], 2, 2)
-    emap = collect_snapshots(f, sv, 1.0 + 0j, 1.0, proto, 2, 2)
-    ax, ay, power = angular_spectrum(emap, proto, 2, 2)
+    emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), 1.0 + 0j, 1.0)
+    ax, ay, power = angular_spectrum(emap, proto.lattice(2, 2))
     assert ax.shape == (8,) and ay.shape == (8,)
     assert power.shape == (8, 8)
     iy, ix = np.unravel_index(np.argmax(power), power.shape)
@@ -627,8 +622,8 @@ def test_spectrum_peak_snaps_to_nearest_cell():
     f = dft_matrix(2, 2).matrix
     proto = ProtocolConfig(t_x=16, t_y=16)
     sv = steering_for(0.48, 0.23, 2, 2)
-    emap = collect_snapshots(f, sv, 1.0 + 0j, 1.0, proto, 2, 2)
-    ax, ay, power = angular_spectrum(emap, proto, 2, 2)
+    emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), 1.0 + 0j, 1.0)
+    ax, ay, power = angular_spectrum(emap, proto.lattice(2, 2))
     iy, ix = np.unravel_index(np.argmax(power), power.shape)
     assert abs(ax[ix] - 0.48) <= 1.0 / 32 + 1e-12
     assert abs(ay[iy] - 0.23) <= 1.0 / 32 + 1e-12
@@ -638,7 +633,7 @@ def test_spectrum_places_every_cell_like_the_scalar_loop():
     # each cell goes to the bin of its own angles; the 9-bin x axis is odd
     proto = ProtocolConfig(t_x=3, t_y=2)
     values = np.random.default_rng(4).uniform(0.5, 1.0, (6, 6))
-    ax, ay, power = angular_spectrum(EnergyMap(values), proto, 3, 2)
+    ax, ay, power = angular_spectrum(EnergyMap(values), proto.lattice(3, 2))
     cells = [(n, t, *electrical_angles(n, t, 3, 2, proto))
              for t in range(1, 7) for n in range(1, 7)]
     want_x = sorted({px for _, _, px, _ in cells})
@@ -655,14 +650,15 @@ def test_spectrum_places_every_cell_like_the_scalar_loop():
 def test_spectrum_fills_every_bin(n_x, n_y, t_x, t_y):
     # an odd n*t axis once missed the lattice by half a bin: cells collided, bins stayed empty
     proto = ProtocolConfig(t_x=t_x, t_y=t_y)
-    ax, ay, power = angular_spectrum(EnergyMap(np.ones((n_x * n_y, proto.t))), proto, n_x, n_y)
+    ax, ay, power = angular_spectrum(EnergyMap(np.ones((n_x * n_y, proto.t))),
+                                     proto.lattice(n_x, n_y))
     assert power.shape == (n_y * t_y, n_x * t_x) == (ay.size, ax.size)
     assert np.all(power == 1.0)
 
 
 def test_spectrum_rejects_mismatched_map():
     with pytest.raises(ValueError):
-        angular_spectrum(EnergyMap(np.ones((4, 3))), ProtocolConfig(t_x=2, t_y=2), 2, 2)
+        angular_spectrum(EnergyMap(np.ones((4, 3))), ProtocolConfig(t_x=2, t_y=2).lattice(2, 2))
 
 
 # ---------------------------------------------------------------------- errors

@@ -108,7 +108,8 @@ def test_digital_on_lattice_exact():
     proto = ProtocolConfig(t_x=4, t_y=4)
     for n0, t0 in ((1, 1), (3, 7), (4, 16), (2, 10)):
         src = lattice_source(n0, t0, 2, 2, proto, s=0.7 - 0.7j)
-        est = digital_baseline(steering_for(src.psi_x, src.psi_y, 2, 2), src.s, proto, 2, 2, 5.0)
+        est = digital_baseline(dft_matrix(2, 2).matrix, proto.lattice(2, 2),
+                               steering_for(src.psi_x, src.psi_y, 2, 2), src.s, 5.0)
         assert (est.n, est.t) == (n0, t0)
         assert (est.psi_x, est.psi_y) == (src.psi_x, src.psi_y)
 
@@ -147,18 +148,27 @@ def test_digital_matches_per_snapshot_loop_exactly(kind, monkeypatch):
     proto = ProtocolConfig(t_x=3, t_y=4)
     src = SourceTruth(phi=0.0, theta=0.0, psi_x=0.37, psi_y=-0.58, s=0.3 - 1.1j)
     sv = steering_for(src.psi_x, src.psi_y, 3, 2)
+    f, lattice = dft_matrix(3, 2).matrix, proto.lattice(3, 2)
     noise = cn_noise(np.random.default_rng(5), (6, proto.t), variance=1.0 / 6)
     if kind == "clean":
-        digital_baseline(sv, src.s, proto, 3, 2, 4.0)
+        digital_baseline(f, lattice, sv, src.s, 4.0)
         want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, None)
     elif kind == "generator":
-        digital_baseline(sv, src.s, proto, 3, 2, 4.0,
+        digital_baseline(f, lattice, sv, src.s, 4.0,
                          noise=_antenna_noise(np.random.default_rng(5), proto, 3, 2))
         want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, noise)
     else:
-        digital_baseline(sv, src.s, proto, 3, 2, 4.0, noise=noise)
+        digital_baseline(f, lattice, sv, src.s, 4.0, noise=noise)
         want = _per_snapshot_digital_energies(src, proto, 3, 2, 4.0, noise)
     assert np.array_equal(maps[0], want)
+
+
+def test_digital_energies_refuse_symbols_other_than_one_per_trial():
+    # the count was once refused only by numpy's broadcast error, which names no argument
+    lattice = ProtocolConfig(t_x=2, t_y=2).lattice(2, 2)
+    sv = steering_for(np.array([0.1, -0.3]), np.array([0.2, 0.4]), 2, 2)
+    with pytest.raises(ValueError, match=r"one symbol per trial, \(2,\), got \(3,\)"):
+        experiments._digital_energies(dft_matrix(2, 2).matrix, lattice, sv, np.ones(3), 1.0)
 
 
 def three_pass_complex_gaussian(re, im, variance=1.0):
@@ -204,7 +214,7 @@ def two_vector_paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
     x = np.sqrt(rho_digital) * (np.exp(1j * xi0) * sv[..., None]) * source.s + u_ant
     digital_map = np.abs(matvec_columns(f, x)) ** 2
-    return [estimate_from_map(EnergyMap(m), proto, n_x, n_y, (0.5, 0.5))
+    return [estimate_from_map(EnergyMap(m), proto.lattice(n_x, n_y), (0.5, 0.5))
             for m in (wave_map, digital_map)], [wave_map, digital_map]
 
 
@@ -370,13 +380,14 @@ def test_two_pass_noise_keeps_wave_and_digital_energies_on_signed_zeros():
     s = cn_noise(np.random.default_rng(46), 4)
     g = np.random.default_rng(47).standard_normal((4, 4)) + 0j
     g[1] = g[3] = 0.0
+    f = dft_matrix(2, 2).matrix
     flipped = False
     for variance, energies in (
-            (1.0, lambda rho, noise: collect_snapshots(g, sv, s, rho, proto, 2, 2,
-                                                       noise=noise).values),
-            (1.0, lambda rho, noise: collect_snapshots(dft_matrix(2, 2).matrix, sv, s, rho,
-                                                       proto, 2, 2, noise=noise).values),
-            (0.25, lambda rho, noise: experiments._digital_energies(sv, s, rho, proto, 2, 2,
+            (1.0, lambda rho, noise: collect_snapshots(
+                synthesize_received(g, lattice.zeroth, sv), s, rho, noise=noise).values),
+            (1.0, lambda rho, noise: collect_snapshots(
+                synthesize_received(f, lattice.zeroth, sv), s, rho, noise=noise).values),
+            (0.25, lambda rho, noise: experiments._digital_energies(f, lattice, sv, s, rho,
                                                                     noise).values)):
         two = complex_gaussian(re, im, variance)
         three = three_pass_complex_gaussian(re, im, variance)
@@ -596,28 +607,27 @@ def _mc_trial(cfg, snr_index, trial, rho):
         source = sample_source(rng, cfg.source_mode, cfg.symbol)
     noiseless = rho is None
     sv = steering_for(source.psi_x, source.psi_y, cfg.n_x, cfg.n_y)
+    lattice = cfg.proto.lattice(cfg.n_x, cfg.n_y)
     if cfg.pipeline == "digital":
-        if noiseless:
-            est = digital_baseline(sv, source.s, cfg.proto, cfg.n_x, cfg.n_y, 1.0)
-        else:
-            est = digital_baseline(sv, source.s, cfg.proto, cfg.n_x, cfg.n_y, rho,
-                                   noise=_antenna_noise(rng, cfg.proto, cfg.n_x, cfg.n_y))
         g_for_bound = dft_matrix(cfg.n_x, cfg.n_y).matrix
-    else:
         if noiseless:
-            emap = collect_snapshots(cfg.g, sv, source.s, 1.0, cfg.proto,
-                                     cfg.n_x, cfg.n_y)
+            est = digital_baseline(g_for_bound, lattice, sv, source.s, 1.0)
+        else:
+            est = digital_baseline(g_for_bound, lattice, sv, source.s, rho,
+                                   noise=_antenna_noise(rng, cfg.proto, cfg.n_x, cfg.n_y))
+    else:
+        field = synthesize_received(cfg.g, lattice.zeroth, sv)
+        if noiseless:
+            emap = collect_snapshots(field, source.s, 1.0)
         else:
             noise = cn_noise(rng, (np.asarray(cfg.g).shape[0], cfg.proto.t))
-            emap = collect_snapshots(cfg.g, sv, source.s, rho, cfg.proto,
-                                     cfg.n_x, cfg.n_y, noise=noise)
-        est = estimate_from_map(emap, cfg.proto, cfg.n_x, cfg.n_y, (0.5, 0.5))
+            emap = collect_snapshots(field, source.s, rho, noise=noise)
+        est = estimate_from_map(emap, lattice, (0.5, 0.5))
         g_for_bound = cfg.g
     ex = wrapped_angle_error(source.psi_x, est.psi_x)
     ey = wrapped_angle_error(source.psi_y, est.psi_y)
     bx = by = float("nan")
     if cfg.with_bound and not noiseless:
-        lattice = cfg.proto.lattice(cfg.n_x, cfg.n_y)
         field = analysis.clean_field(g_for_bound, lattice, sv)[None]
         (bx,), (by,) = analysis.mse_bound(field, np.array([source.s]), rho, lattice,
                                           np.array([source.psi_x]), np.array([source.psi_y]))
@@ -750,9 +760,9 @@ def test_mc_block_size_follows_the_input_shape(monkeypatch):
     calls = []
     real = experiments.collect_snapshots
 
-    def counting(g, sv, *args, **kwargs):
-        calls.append(sv.shape[0])
-        return real(g, sv, *args, **kwargs)
+    def counting(field, *args, **kwargs):
+        calls.append(field.shape[0])
+        return real(field, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "collect_snapshots", counting)
     cfg = McConfig(n_x=4, n_y=4, proto=ProtocolConfig(t_x=8, t_y=8), snr_db=(10.0, 20.0),
@@ -763,28 +773,40 @@ def test_mc_block_size_follows_the_input_shape(monkeypatch):
 
 @pytest.mark.parametrize("pipeline", ["wave", "digital"])
 def test_mc_block_builds_one_steering_vector_for_its_snapshots_and_field(monkeypatch, pipeline):
-    # a block's snapshots (or digital energies) and its bound's clean field read one vector
-    built, read = [], []
+    # a block's snapshots (or digital energies) and its bound read one steering vector and one
+    # clean field; a digital block's energies and bound read one DFT matrix
+    calls = {}
 
-    def spy(module, name, record, arg):
+    def spy(module, name):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             result = real(*args, **kwargs)
-            record.append(result if arg is None else args[arg])
+            calls.setdefault(name, []).append((args, result))
             return result
 
         monkeypatch.setattr(module, name, wrapper)
 
-    spy(experiments, "steering_for", built, None)
-    spy(analysis, "clean_field", read, 2)
-    spy(experiments, "collect_snapshots", read, 1)
-    spy(experiments, "_digital_energies", read, 0)
+    for module, name in ((experiments, "steering_for"), (analysis, "clean_field"),
+                         (experiments, "collect_snapshots"), (experiments, "_digital_energies"),
+                         (analysis, "mse_bound")):
+        spy(module, name)
     proto = ProtocolConfig(t_x=2, t_y=2)
     run_monte_carlo(McConfig(n_x=2, n_y=2, proto=proto, snr_db=(10.0,), trials=3,
                              g=dft_matrix(2, 2).matrix, seed=4, pipeline=pipeline))
-    assert len(built) == 1 and len(read) == 2
-    assert all(sv is built[0] for sv in read)
+    (_, sv), = calls["steering_for"]
+    ((response, _, read), field), = calls["clean_field"]
+    assert read is sv
+    (bound_args, _), = calls["mse_bound"]
+    assert bound_args[0] is field
+    if pipeline == "wave":
+        (snapshot_args, _), = calls["collect_snapshots"]
+        assert snapshot_args[0] is field
+        assert "_digital_energies" not in calls
+    else:
+        (energy_args, _), = calls["_digital_energies"]
+        assert energy_args[0] is response and energy_args[2] is sv
+        assert "collect_snapshots" not in calls
 
 
 def test_in_place_writes_touch_only_arrays_they_made():
@@ -804,10 +826,12 @@ def test_in_place_writes_touch_only_arrays_they_made():
     inputs = [g, s, field, sv, noise, psi_x, psi_y, lattice.zeroth]
     before = [a.tobytes() for a in inputs]
     results = [scale_field(field, s, 2.5, noise), scale_field(field, s, 2.5),
-               collect_snapshots(g, sv, s, 2.5, proto, 2, 2, noise=noise).values,
-               collect_snapshots(g, sv, s, 2.5, proto, 2, 2, noise=noise, field=field).values,
-               collect_snapshots(g, sv, s, 2.5, proto, 2, 2, field=field).values,
-               experiments._digital_energies(sv, s, 2.5, proto, 2, 2, noise).values,
+               collect_snapshots(synthesize_received(g, lattice.zeroth, sv), s, 2.5,
+                                 noise=noise).values,
+               collect_snapshots(field, s, 2.5, noise=noise).values,
+               collect_snapshots(field, s, 2.5).values,
+               experiments._digital_energies(dft_matrix(2, 2).matrix, lattice, sv, s, 2.5,
+                                             noise).values,
                *analysis.mse_bound(field, s, 2.5, lattice, psi_x, psi_y)]
     assert [a.tobytes() for a in inputs] == before
     for result in results:

@@ -262,7 +262,7 @@ def test_received_rejects_bad_inputs():
         scale_field(synthesize_received(f, np.ones((4, 3)), sv), np.ones(3), 1.0)
 
 
-@pytest.mark.parametrize("symbols", ["scalar", "per_trial"])
+@pytest.mark.parametrize("symbols", ["per_trial"])  # one symbol a trial, the only form
 @pytest.mark.parametrize("columns", [True, False])
 def test_received_trial_axis_slices_equal_one_trial_calls(symbols, columns):
     rng = np.random.default_rng(12)
@@ -270,17 +270,27 @@ def test_received_trial_axis_slices_equal_one_trial_calls(symbols, columns):
     g = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
     zeroth = np.exp(1j * rng.uniform(0, 7, (n, t) if columns else n))
     entries = np.exp(1j * rng.uniform(0, 7, (k, n)))
-    s = {"scalar": 0.3 - 0.8j, "per_trial": cn_noise(rng, k)}[symbols]
+    s = cn_noise(rng, k)
     shape = (r, t) if columns else (r,)
     noise = cn_noise(rng, (k, *shape))
     for u in (None, noise):
         got = received(g, zeroth, entries, s, 2.5, u)
         assert got.shape == (k, *shape)
         for i in range(k):
-            want = received(g, zeroth, entries[i],
-                            s if symbols == "scalar" else s[i], 2.5,
-                            None if u is None else u[i])
+            want = received(g, zeroth, entries[i], s[i], 2.5, None if u is None else u[i])
             assert np.array_equal(got[i], want)
+
+
+def test_scale_field_refuses_symbols_other_than_one_per_trial():
+    # a wrong count was once refused only by numpy's broadcast error, which names no argument;
+    # one scalar for K trials is refused too
+    one, batch = np.ones((4, 3), complex), np.ones((2, 4, 3), complex)
+    for field, s, want in ((one, np.ones(3), r"\(\), got \(3,\)"),
+                           (batch, np.ones(3), r"\(2,\), got \(3,\)"),
+                           (batch, 0.6 - 0.8j, r"\(2,\), got \(\)"),
+                           (batch, np.ones((2, 3)), r"\(2,\), got \(2, 3\)")):
+        with pytest.raises(ValueError, match="expected one symbol per trial, " + want):
+            scale_field(field, s, 1.0)
 
 
 def test_synthesized_field_is_the_unit_field_column_by_column():
@@ -318,11 +328,11 @@ def test_scaling_the_unit_field_once_keeps_the_energies_of_scaling_it_twice(nois
     # the bound's clean field was once scaled by sqrt(1) and 1 before the snapshots
     # scaled it again; that pass can flip only signed zeros, which |r|^2 erases
     rng = np.random.default_rng(32)
-    s = cn_noise(rng, 4) if per_trial else 0.6 - 0.8j
+    s = cn_noise(rng, 4) if per_trial else np.full(4, 0.6 - 0.8j)
     noise = cn_noise(rng, (4, 4, 4)) if noisy else None
     flipped = False
     for field in _signed_zero_fields():
-        twice = scale_field(field, 1.0, 1.0)
+        twice = scale_field(field, np.full(4, 1.0), 1.0)
         flipped |= bool(np.any(np.signbit([twice.real, twice.imag])
                                != np.signbit([field.real, field.imag])))
         for rho in (0.0, 2.5):
