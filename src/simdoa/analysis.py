@@ -75,13 +75,10 @@ def _wilson_hilferty(nu1, nu2, nu3):
         z.put(flat, np.where(x > 0.0, x / -3.0, 0.0))
         z += 2.0 / (9.0 * h)
         z *= np.sqrt(9.0 * h / 2.0)
-        # the Gaussian tail P(Z > -z) = erfc(-z/sqrt(2))/2, clipped to [0, 1]; erfc runs only where
-        # it is not 0.0, below _ERFC_ZERO or NaN, and the other cells hold 0.0
+        # the Gaussian tail P(Z > -z) = erfc(-z/sqrt(2))/2, clipped to [0, 1]
         np.negative(z, out=z)
         z /= np.sqrt(2.0)
-        live = ~(z >= _ERFC_ZERO)
-        probs = np.zeros(z.shape)
-        probs[live] = erfc(z[live])
+        probs = erfc(z, out=z)
         probs *= 0.5
         np.clip(probs, 0.0, 1.0, out=probs)
     probs[nu3 == 0.0] = 0.5
@@ -159,12 +156,7 @@ def mse_bound(field, s, rho, lattice, psi_x, psi_y):
     delta = np.multiply(2.0 * rho, power, out=power)  # C-ordered: take() below copies nothing
     d_peak = delta[peaks][:, None, None]
     nu1 = d_peak - delta
-    keep = np.ravel(~(nu1 >= _dead_nu1(d_peak)))  # NaN cells stay
-    # the first 1024 cells run too (a dead one comes out 0.0), so that no array of the
-    # transform is small enough for numpy's cache of buffers under 1024 bytes, which keeps
-    # up to 7 per size and so scatters buffers that pin freed heap memory
-    keep[:1024] = True
-    live = np.flatnonzero(keep)
+    live = np.flatnonzero(~(nu1 >= _dead_nu1(d_peak)))  # NaN cells stay
     probs = np.zeros(nu1.shape)  # the dead cells stay in the sums as 0.0
     nu1 = nu1.take(live)
     nu2 = 4.0 + 2.0 * (delta.take(live) + d_peak.ravel()[live // delta[0].size])

@@ -398,9 +398,11 @@ def _response_for(config, args, command, ideal=None):
             raise IOError(f"{args.stack}: stack dims do not match the geometry")
         with np.errstate(over="ignore", invalid="ignore"):
             g = forward_response(build_propagation_matrices(geom), stack)
+            beta = optimal_scale(g, dft_matrix(geom.n_x, geom.n_y).matrix)
         if not np.all(np.isfinite(g)):
             raise ValueError(f"{args.stack}: the stack's response leaves a float's range")
-        beta = optimal_scale(g, dft_matrix(geom.n_x, geom.n_y).matrix)
+        if not np.isfinite(beta):  # a response power below 1/DBL_MAX
+            raise ValueError(f"{args.stack}: the stack's fitted scale beta leaves a float's range")
         return g, beta, geom
     if ideal:
         return dft_matrix(geom.n_x, geom.n_y).matrix, 1.0 + 0.0j, geom

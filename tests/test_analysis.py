@@ -481,19 +481,22 @@ def test_series_value_replaces_only_the_cells_whose_cube_root_rounds_to_one():
     assert np.all(_masked_wilson_hilferty(*nus)[rounded] == 0.5)
 
 
-def test_bound_transforms_at_least_1024_cells(monkeypatch):
-    sizes = []
+def test_bound_transforms_exactly_the_cells_not_proven_dead(monkeypatch):
+    received = []
     real = analysis._wilson_hilferty
 
-    def counting(nu1, nu2, nu3):
-        sizes.append(nu1.size)
+    def recording(nu1, nu2, nu3):
+        received.append(nu1.copy())
         return real(nu1, nu2, nu3)
 
-    monkeypatch.setattr(analysis, "_wilson_hilferty", counting)
-    _bound(_bound_block(30)[0])
-    # most of the 16384 cells are skipped, yet the transform's arrays stay too large for
-    # numpy's cache of small buffers
-    assert 1024 <= sizes[0] < 2048
+    monkeypatch.setattr(analysis, "_wilson_hilferty", recording)
+    inp, d_peak, nus = _bound_block(30)
+    _bound(inp)
+    keep = ~(nus[0] >= analysis._dead_nu1(d_peak))
+    # fewer than 1024 of the 16384 cells, each one that the cutoff cannot prove dead, in order
+    (got,) = received
+    assert 0 < np.count_nonzero(keep) < 1024
+    assert np.array_equal(_bits(got), _bits(nus[0][keep]))
 
 
 def test_detection_tracks_monte_carlo():

@@ -24,7 +24,7 @@ from simdoa.estimator import ProtocolConfig
 from simdoa.experiments import McConfig, run_monte_carlo
 from simdoa.geometry import dft_matrix
 from simdoa.trainer import TrainConfig
-from simdoa.wavemodel import random_stack
+from simdoa.wavemodel import PhaseStack, random_stack
 
 LAM = 0.005
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -860,6 +860,25 @@ def test_rho_that_overflows_exits_1_naming_the_snr(tmp_path, capsys, command):
     assert code == 1
     assert "error: snr_db 3082 gives a transmit SNR rho that overflows" in capsys.readouterr().err
     assert not (tmp_path / "run" / f"{command}.csv").exists()
+
+
+def test_a_stack_whose_scale_overflows_exits_1_without_a_warning(tmp_path, capsys):
+    # a 33-layer cascade of single atoms over 300000 wavelengths has vdot(g, g) of about 4e-309,
+    # below 1/DBL_MAX: beta = vdot(g, F)/vdot(g, g) overflowed with a RuntimeWarning, a traceback
+    # under -W error::RuntimeWarning, and without it the error blamed the SNR
+    stack = tmp_path / "s.bin"
+    save_stack(stack, PhaseStack(np.zeros((33, 1))))
+    doc = {**RUN_DOC, "geometry": {"n_x": 2, "n_y": 2, "m_x": 1, "m_y": 1, "layers": 33,
+                                   "thickness": 300000.0},
+           "bound": {"snr_db": [10]}}
+    argv = ["bound", "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run"), "--stack", str(stack)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {stack}: the stack's fitted scale beta leaves a"
+                                       " float's range\n")
+    assert not (tmp_path / "run" / "bound.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["bound", "montecarlo"])

@@ -102,6 +102,15 @@ def test_effective_rho_formula():
     assert effective_rho(1.0, 1.0, 4, 1) == pytest.approx(1.0 / 16.0)
 
 
+@pytest.mark.parametrize("beta", [1e160, np.float64(1e160), complex(1e160, 1.0)])
+def test_snr_rho_refuses_a_beta_whose_power_overflows(beta):
+    # |beta|**2 of a Python float raised OverflowError past the ValueError that names the SNR
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="snr_db 0 gives a transmit SNR rho that overflows"):
+            experiments.snr_rho(0.0, beta, 4, 16)
+
+
 # -------------------------------------------------------------- digital branch
 
 def test_digital_on_lattice_exact():
