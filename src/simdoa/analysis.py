@@ -123,6 +123,7 @@ def _weighted_errors(psi, distinct, probs):
     return np.sum(errors.reshape(len(psi), -1), axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # moments beyond a float's range: NaN bounds
 def mse_bound(field, s, rho, lattice, psi_x, psi_y):
     """Per-axis MSE upper bounds for K realized (source, symbol) pairs.
 
@@ -135,7 +136,7 @@ def mse_bound(field, s, rho, lattice, psi_x, psi_y):
     length-K arrays, entry k equal to trial k's own one-trial call bit for
     bit. Cell (n, t) is scored at the lattice's angles, so the field's
     cells must be the lattice's. A trial whose moments leave a float's
-    range (an extreme ``rho``) gets NaN bounds.
+    range (an extreme ``rho``) gets NaN bounds, with no RuntimeWarning.
     """
     if rho < 0.0:
         raise ValueError("rho must be >= 0")

@@ -505,8 +505,7 @@ def _cmd_bound(args, config):
     s, psi_x, psi_y = (np.array([source[key]]) for key in ("s", "psi_x", "psi_y"))  # one trial
     for snr in config["bound"]["snr_db"]:
         rho = experiments.snr_rho(snr, beta, geom.n, proto.t)
-        with np.errstate(over="ignore", invalid="ignore"):  # a bound beyond range: refused below
-            (bx,), (by,) = analysis.mse_bound(field[None], s, rho, lattice, psi_x, psi_y)
+        (bx,), (by,) = analysis.mse_bound(field[None], s, rho, lattice, psi_x, psi_y)
         if not (math.isfinite(bx) and math.isfinite(by)):
             raise ValueError(f"snr_db {snr:g} gives an MSE bound beyond a float's range")
         rows.append((f"{snr:.10g}", f"{bx:.10g}", f"{by:.10g}"))

@@ -75,14 +75,10 @@ class EnergyMap:
             raise ValueError("energy values must be finite and >= 0")
         object.__setattr__(self, "values", v)
 
-    @property
-    def receivers(self):
-        return self.values.shape[-2]
-
 
 @dataclass(frozen=True)
 class DoaEstimate:
-    """Peak cell plus the angles recovered from it.
+    """1-based peak cell (n, t) plus the angles recovered from it.
 
     ``psi_x``/``psi_y`` are normalized electrical angles in [-1, 1) (units
     of pi radians per element). ``phi``/``theta`` are radians; they are NaN
@@ -151,19 +147,6 @@ def peak_cells(values):
     return n_hat, t_hat
 
 
-def peak_index(emap):
-    """1-based (n, t) of the strongest cell; index arrays for a batch of maps.
-
-    Ties resolve to the smallest t, then the smallest n, by scanning in
-    snapshot-major order.
-    """
-    if emap.values.ndim == 3:
-        n_hat, t_hat = peak_cells(emap.values)
-        return n_hat + 1, t_hat + 1
-    t_hat, n_hat = divmod(int(emap.values.T.argmax()), emap.receivers)  # row-major over (t, n)
-    return n_hat + 1, t_hat + 1
-
-
 def electrical_angles(n, t, n_x, n_y, proto):
     """Normalized electrical angles of lattice cell (n, t), each in [-1, 1).
 
@@ -207,7 +190,7 @@ def visible_angles(psi_x, psi_y, d_x, d_y):
 
 
 def estimate_from_map(emap, lattice, spacing):
-    """Peak search plus angle recovery in one step.
+    """Peak search plus angle recovery in one step; a tie goes to the smallest t, then n.
 
     ``spacing`` is the input grid's (d_x, d_y) in wavelengths, from which
     ``visible_angles`` recovers the physical angles; an unrealizable peak
@@ -220,14 +203,14 @@ def estimate_from_map(emap, lattice, spacing):
     if emap.values.shape[-2:] != lattice.zeroth.shape:
         raise ValueError(f"energy map has {emap.values.shape[-2:]} cells but the lattice has"
                          f" {lattice.zeroth.shape}")
-    n_hat, t_hat = peak_index(emap)
-    cell = n_hat - 1, t_hat - 1
     if emap.values.ndim == 2:
-        psi_x, psi_y = lattice.psi_x.item(cell), lattice.psi_y.item(cell)
+        t_hat, n_hat = divmod(int(emap.values.T.argmax()), emap.values.shape[0])  # over (t, n)
+        psi_x, psi_y = lattice.psi_x.item(n_hat, t_hat), lattice.psi_y.item(n_hat, t_hat)
     else:
-        psi_x, psi_y = lattice.psi_x[cell], lattice.psi_y[cell]
+        n_hat, t_hat = peak_cells(emap.values)
+        psi_x, psi_y = lattice.psi_x[n_hat, t_hat], lattice.psi_y[n_hat, t_hat]
     phi, theta = visible_angles(psi_x, psi_y, *spacing)
-    return DoaEstimate(n=n_hat, t=t_hat, psi_x=psi_x, psi_y=psi_y, phi=phi, theta=theta)
+    return DoaEstimate(n=n_hat + 1, t=t_hat + 1, psi_x=psi_x, psi_y=psi_y, phi=phi, theta=theta)
 
 
 def angular_spectrum(emap, lattice):

@@ -36,8 +36,15 @@ def effective_rho(gamma, beta, n, t):
     quantization floors around 10 dB and the T=4 -> T=16 curves sit about
     20 dB apart, the operating points the estimator is quoted at. The
     per-snapshot received peak-cell SNR implied by gamma is gamma * T^2.
+    A rho that is not finite raises a ValueError.
     """
-    return gamma * (abs(beta) ** 2) * t ** 2 / n ** 2
+    try:  # a Python float's power raises OverflowError where numpy's would warn
+        rho = gamma * float(abs(beta)) ** 2 * t ** 2 / n ** 2
+    except OverflowError:
+        rho = math.inf
+    if math.isfinite(rho):
+        return rho
+    raise ValueError(f"gamma {gamma:g} and |beta| {abs(beta):g} give a rho beyond a float's range")
 
 
 def snr_rho(snr_db, beta, n, t):
@@ -47,12 +54,10 @@ def snr_rho(snr_db, beta, n, t):
     """
     try:
         with np.errstate(over="ignore"):
-            rho = effective_rho(10.0 ** (snr_db / 10.0), beta, n, t)
-    except OverflowError:  # Python's own float power, as |beta|^2 of a Python float beta
-        rho = math.inf
-    if not math.isfinite(rho):
-        raise ValueError(f"snr_db {snr_db:g} gives a transmit SNR rho that overflows a float")
-    return rho
+            return effective_rho(10.0 ** (snr_db / 10.0), beta, n, t)
+    except (OverflowError, ValueError):  # OverflowError: Python's own float power of the SNR
+        pass
+    raise ValueError(f"snr_db {snr_db:g} gives a transmit SNR rho that overflows a float")
 
 
 def sample_source(rng, mode="parameter", symbol="cscg"):
@@ -227,10 +232,11 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     # a complex beta keeps numpy's division, which Python's does not round alike
     frame = (np.conj(beta) if isinstance(beta, complex) else beta) / abs(beta) if beta != 0 else 1.0
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)  # both paths read this vector
-    field = synthesize_received(g, lattice.zeroth, sv)
-    emap = collect_snapshots(field, source.s, rho_wave, noise=frame * (f @ u_ant))
-    wave = estimate_from_map(emap, lattice, (0.5, 0.5))
-    digital = digital_baseline(f, lattice, sv, source.s, rho_digital, noise=u_ant)
+    with np.errstate(over="ignore", invalid="ignore"):  # energies beyond range: EnergyMap refuses
+        field = synthesize_received(g, lattice.zeroth, sv)
+        emap = collect_snapshots(field, source.s, rho_wave, noise=frame * (f @ u_ant))
+        wave = estimate_from_map(emap, lattice, (0.5, 0.5))
+        digital = digital_baseline(f, lattice, sv, source.s, rho_digital, noise=u_ant)
     return wave, digital
 
 

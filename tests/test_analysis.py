@@ -18,7 +18,7 @@ from simdoa.analysis import (
     quantization_floor,
 )
 from simdoa.estimator import (EnergyMap, ProtocolConfig, collect_snapshots, electrical_angles,
-                              peak_cells, peak_index, steering_for)
+                              estimate_from_map, peak_cells, steering_for)
 from simdoa.experiments import effective_rho
 from simdoa.geometry import dft_matrix
 from simdoa.wavemodel import synthesize_received
@@ -103,7 +103,8 @@ def peak_index_noiseless(inp):
     power = _clean_power(inp)
     if not np.any(power > 0.0):
         raise DegenerateField("noiseless field is identically zero")
-    return peak_index(EnergyMap(power))
+    est = estimate_from_map(EnergyMap(power), inp.proto.lattice(inp.n_x, inp.n_y), (0.5, 0.5))
+    return est.n, est.t
 
 
 def moments(delta_nt, delta_peak):
@@ -262,9 +263,9 @@ def test_noiseless_peak_matches_estimator():
     f = dft_matrix(2, 2).matrix
     sv = steering_for(0.33, 0.52, 2, 2)
     emap = collect_snapshots(synthesize_received(f, proto.lattice(2, 2).zeroth, sv), 1.0 + 0j, 1.0)
-    from simdoa.estimator import peak_index
+    est = estimate_from_map(emap, proto.lattice(2, 2), (0.5, 0.5))
     inp = make_inputs(0.33, 0.52, proto=proto)
-    assert peak_index_noiseless(inp) == peak_index(emap)
+    assert peak_index_noiseless(inp) == (est.n, est.t)
 
 
 def test_noiseless_peak_ignores_symbol_scale():

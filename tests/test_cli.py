@@ -903,6 +903,24 @@ def test_bound_beyond_a_float_exits_1_naming_the_snr(tmp_path, capsys, command, 
     assert not (tmp_path / "run" / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("pipeline", ["wave", "digital"])
+@pytest.mark.parametrize("snr", [3060, 3065])
+def test_montecarlo_bound_beyond_a_float_exits_1_without_a_warning(tmp_path, capsys, pipeline,
+                                                                   snr):
+    # rho fits a float but 2 rho |G a s|**2 does not: the bound's moments overflowed with a
+    # RuntimeWarning before the refusal, which 'bound' silenced and 'montecarlo' did not
+    doc = {**RUN_DOC, "montecarlo": {"trials": 20, "snr_db": [10, snr], "ideal": True,
+                                     "pipeline": pipeline}}
+    argv = ["montecarlo", "--config", write_config(tmp_path / "c.yaml", doc),
+            "--outdir", str(tmp_path / "run"), "-j", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: snr_db {snr} gives an MSE bound beyond a"
+                                       " float's range\n")
+    assert not (tmp_path / "run" / "montecarlo.csv").exists()
+
+
 def test_a_symbol_beyond_a_float_exits_1_from_bound_without_a_warning(tmp_path, capsys):
     # the bound's cell powers |G a s|**2 overflowed with a RuntimeWarning before the refusal,
     # which then blamed the SNR, although they overflow at every SNR

@@ -14,7 +14,6 @@ from simdoa.estimator import (
     collect_snapshots,
     electrical_angles,
     estimate_from_map,
-    peak_index,
     steering_for,
     visible_angles,
     wrapped_angle_error,
@@ -245,7 +244,6 @@ def test_energy_map_validation():
     with pytest.raises(ValueError):
         EnergyMap(np.array([[1.0, -0.1]]))
     emap = EnergyMap(np.ones((4, 16)))
-    assert emap.receivers == 4
     assert emap.values.shape[-1] == 16
 
 
@@ -295,7 +293,8 @@ def test_collect_on_lattice_concentrates():
     psi = electrical_angles(n0, t0, 2, 2, proto)
     sv = steering_for(psi[0], psi[1], 2, 2)
     emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), s, rho)
-    assert peak_index(emap) == (n0, t0)
+    est = estimate_from_map(emap, proto.lattice(2, 2), (0.5, 0.5))
+    assert (est.n, est.t) == (n0, t0)
     assert emap.values[n0 - 1, t0 - 1] == pytest.approx(rho * 16.0 * abs(s) ** 2, rel=1e-12)
     # at the matched snapshot the other antennas are dark
     col = emap.values[:, t0 - 1].copy()
@@ -400,26 +399,36 @@ def test_collect_trial_axis_maps_equal_one_trial_calls():
 
 # ----------------------------------------------------------------- peak search
 
+def peak_read(values):
+    """1-based (n, t) that ``estimate_from_map`` reads off an (R, T) map, and off it as a batch.
+
+    The lattice is any of the map's shape: R input cells along x, T snapshots along x.
+    """
+    lattice = ProtocolConfig(t_x=values.shape[1]).lattice(values.shape[0], 1)
+    one = estimate_from_map(EnergyMap(values), lattice, (0.5, 0.5))
+    batch = estimate_from_map(EnergyMap(values[None]), lattice, (0.5, 0.5))
+    return (one.n, one.t), (batch.n.item(), batch.t.item())
+
+
 def test_peak_tie_breaks_to_first_cell():
-    emap = EnergyMap(np.ones((4, 4)))
-    assert peak_index(emap) == (1, 1)
+    assert peak_read(np.ones((4, 4))) == ((1, 1), (1, 1))
 
 
 def test_peak_earlier_snapshot_wins_tie():
     v = np.zeros((3, 3))
     v[1, 0] = 5.0  # n=2, t=1
     v[0, 1] = 5.0  # n=1, t=2
-    assert peak_index(EnergyMap(v)) == (2, 1)
+    assert peak_read(v) == ((2, 1), (2, 1))
 
 
 def test_peak_single_cell():
-    assert peak_index(EnergyMap(np.array([[2.5]]))) == (1, 1)
+    assert peak_read(np.array([[2.5]])) == ((1, 1), (1, 1))
 
 
 def test_peak_invariant_to_positive_rescale():
     rng = np.random.default_rng(5)
     v = rng.uniform(0.0, 1.0, (4, 16))
-    assert peak_index(EnergyMap(v)) == peak_index(EnergyMap(10.0 * v))
+    assert peak_read(v) == peak_read(10.0 * v)
 
 
 # ------------------------------------------------------------- angle recovery

@@ -104,11 +104,32 @@ def test_effective_rho_formula():
 
 @pytest.mark.parametrize("beta", [1e160, np.float64(1e160), complex(1e160, 1.0)])
 def test_snr_rho_refuses_a_beta_whose_power_overflows(beta):
-    # |beta|**2 of a Python float raised OverflowError past the ValueError that names the SNR
+    # |beta|**2 of a Python float raised OverflowError past the ValueError that names the SNR,
+    # and effective_rho itself, which paired_trial calls, raised that bare OverflowError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="snr_db 0 gives a transmit SNR rho that overflows"):
             experiments.snr_rho(0.0, beta, 4, 16)
+        with pytest.raises(ValueError, match="give a rho beyond a float's range"):
+            effective_rho(1.0, beta, 4, 16)
+
+
+@pytest.mark.parametrize("beta,gamma,s,t_side,message", [
+    # |beta|**2 of a Python float beta ended the trial in a bare OverflowError
+    (1e160, 1.0, 1.0 + 0j, 2, r"gamma 1 and \|beta\| 1e\+160 give a rho beyond a float's range"),
+    # at gamma = 1e307 the snapshots overflowed with 'invalid value encountered in multiply'
+    # before EnergyMap refused them; rho = 16 gamma is inf and is refused itself
+    (1.0, 1e307, 1.0 + 0j, 4, r"gamma 1e\+307 and \|beta\| 1 give a rho beyond"),
+    # rho fits a float but the peak's energy does not: 'overflow encountered in multiply'
+    (1.0, 1e305, 10.0 + 0j, 4, "energy values must be finite"),
+], ids=["beta-power", "rho", "energies"])
+def test_paired_trial_refuses_an_overflow_without_a_warning(beta, gamma, s, t_side, message):
+    src = SourceTruth(phi=0.0, theta=0.0, psi_x=0.1, psi_y=0.2, s=s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            paired_trial(dft_matrix(2, 2).matrix, beta, src, ProtocolConfig(t_x=t_side, t_y=t_side),
+                         2, 2, gamma, np.random.default_rng(0))
 
 
 # -------------------------------------------------------------- digital branch
