@@ -156,9 +156,9 @@ _SWEEP = {  # one table per sweep mode
 }
 _SWEEP_MODE = {"mode": (tuple(_SWEEP), "ablation")}
 # Work caps, each (cap, what, factors); _COMMANDS names the rows each subcommand obeys.
-# The lattice cap bounds memory: the lattice keeps four real (N, T) arrays and
-# the complex exp(j xi0), 48 MiB at the cap, and its build peaks near 83 MiB
-# (0.2-0.3 s) before any snapshot is taken. A Monte Carlo SNR point runs
+# The lattice cap bounds memory: the lattice keeps six real (N, T) arrays and
+# the complex exp(j xi0), 64 MiB at the cap, and its build peaks near 97 MiB
+# (about 0.3 s) before any snapshot is taken. A Monte Carlo SNR point runs
 # trials x R x T cells (R = N) at about 0.2 us a cell, about 15 minutes at its
 # cap. The fit rows bind fits, and _MATRICES --stack runs too:
 # the matrices take about 73 bytes and 0.17 us a cell of M^2, so near 300 MiB
@@ -446,7 +446,8 @@ def _spectrum_map(config, args, command):
         # unit complex noise, one snapshot's (2, R) normals after another, as cn_noise draws them
         draws = np.random.default_rng(run["seed"]).standard_normal((proto.t, 2, len(g)))
         noise = complex_gaussian(draws[:, 0], draws[:, 1]).T
-    lattice = proto.lattice(geom.n_x, geom.n_y)
+    lattice = proto.lattice(geom.n_x, geom.n_y, (geom.d_x / geom.wavelength,
+                                                 geom.d_y / geom.wavelength))
     try:  # energies beyond a float's range: EnergyMap refuses them, with no RuntimeWarning
         with np.errstate(over="ignore", invalid="ignore"):
             emap = collect_snapshots(synthesize_received(g, lattice.zeroth, sv), source["s"], rho,
@@ -477,7 +478,7 @@ def _cmd_spectrum(args, config):
 
 def _cmd_estimate(args, config):
     emap, lattice, geom, source = _spectrum_map(config, args, "estimate")
-    est = estimate_from_map(emap, lattice, (geom.d_x / geom.wavelength, geom.d_y / geom.wavelength))
+    est = estimate_from_map(emap, lattice)
     path = _emit(args, config, "estimate", "estimate.csv",
                  ["antenna", "snapshot", "psi_x", "psi_y", "phi_rad", "theta_rad"],
                  [(est.n, est.t, f"{est.psi_x:.10g}", f"{est.psi_y:.10g}",

@@ -25,30 +25,35 @@ class ProtocolConfig:
     def t(self):
         return self.t_x * self.t_y
 
-    def lattice(self, n_x, n_y):
-        """This schedule's SnapshotLattice on an (n_x, n_y) grid, kept on the instance."""
+    def lattice(self, n_x, n_y, spacing=(0.5, 0.5)):
+        """This schedule's SnapshotLattice on an (n_x, n_y) grid, kept on the instance.
+
+        ``spacing`` is the grid's input (d_x, d_y) in wavelengths, for the cells' physical angles.
+        """
         cache = self.__dict__.setdefault("_lattices", {})
-        if (n_x, n_y) not in cache:
+        if (key := (n_x, n_y, *spacing)) not in cache:
             snapshots = np.arange(1, self.t + 1)
             zeroth = zeroth_layer_config(snapshots, n_x, n_y, self)
             angles = electrical_angles(np.arange(1, n_x * n_y + 1)[:, None], snapshots,
                                        n_x, n_y, self)
+            physical = visible_angles(*angles, *spacing)
             distinct = []
             for psi in angles:
                 axis, index = np.unique(psi, return_inverse=True)
                 distinct.append((axis, index.reshape(psi.shape)))
-            for arr in (zeroth, *angles, *distinct[0], *distinct[1]):
+            for arr in (zeroth, *angles, *physical, *distinct[0], *distinct[1]):
                 arr.flags.writeable = False
-            cache[n_x, n_y] = SnapshotLattice(zeroth, *angles, *distinct)
-        return cache[n_x, n_y]
+            cache[key] = SnapshotLattice(zeroth, *angles, *physical, *distinct)
+        return cache[key]
 
 
 @dataclass(frozen=True)
 class SnapshotLattice:
     """A protocol's schedule on one input grid as read-only (N, T) arrays.
 
-    Cell (n - 1, t - 1) of ``zeroth`` is exp(j ``zeroth_layer_phase(n, t)``) and
-    of ``psi_x``/``psi_y`` is ``electrical_angles(n, t)``, bit for bit.
+    Cell (n - 1, t - 1) of ``zeroth`` is exp(j ``zeroth_layer_phase(n, t)``),
+    of ``psi_x``/``psi_y`` is ``electrical_angles(n, t)``, bit for bit, and of
+    ``phi``/``theta`` their ``visible_angles`` at the grid's input spacing.
     ``distinct_x`` pairs the n_x * t_x distinct values of ``psi_x`` with the
     (N, T) map into them, so ``axis[index]`` is ``psi_x``; ``distinct_y`` likewise.
     """
@@ -56,6 +61,8 @@ class SnapshotLattice:
     zeroth: np.ndarray
     psi_x: np.ndarray
     psi_y: np.ndarray
+    phi: np.ndarray
+    theta: np.ndarray
     distinct_x: tuple
     distinct_y: tuple
 
@@ -131,8 +138,9 @@ def collect_snapshots(field, s, rho, noise=None):
     (K, R, T) energy map, slice k equal to trial k's one-trial call bit for
     bit.
     """
-    energies = np.abs(scale_field(field, s, rho, noise))
-    energies *= energies
+    with np.errstate(over="ignore", invalid="ignore"):  # energies beyond range: EnergyMap refuses
+        energies = np.abs(scale_field(field, s, rho, noise))
+        energies *= energies
     return EnergyMap(energies)
 
 
@@ -159,28 +167,18 @@ def electrical_angles(n, t, n_x, n_y, proto):
     return psi_x, psi_y
 
 
+@np.errstate(over="ignore")  # extreme spacings overflow to inf as floats do; an inf radius is NaN
 def visible_angles(psi_x, psi_y, d_x, d_y):
-    """Azimuth and elevation (radians) of normalized electrical angles.
+    """Azimuth and elevation (radians) of arrays of normalized electrical angles.
 
     Normalized angles are in units of pi radians per element, and ``d_x``,
     ``d_y`` are the input element spacings in wavelengths. Both angles are
     NaN outside the visible region; azimuth is 0 by convention at
-    broadside, where it is otherwise undefined. Scalars give floats; arrays
-    give arrays of their shape, each entry equal to its scalar call bit for
-    bit.
+    broadside, where it is otherwise undefined. The results have the
+    arrays' shape; ``ProtocolConfig.lattice`` keeps them for every cell.
     """
     px, py = np.pi * psi_x, np.pi * psi_y
-    square = (px / d_x) * (px / d_x) + (py / d_y) * (py / d_y)
-    # Scalars and 0-d arrays branch in Python. math.sqrt and % round as np.sqrt and
-    # np.mod do; arctan2 and arcsin stay numpy's, whose SIMD code math need not match.
-    if not isinstance(square, np.ndarray):
-        radius = math.sqrt(square) / TWO_PI
-        if radius > 1.0:
-            return math.nan, math.nan
-        if psi_x == 0.0 and psi_y == 0.0:
-            return 0.0, 0.0
-        return float(np.arctan2(py * d_x, px * d_y)) % TWO_PI, float(np.arcsin(radius))
-    radius = np.sqrt(square) / TWO_PI
+    radius = np.sqrt((px / d_x) * (px / d_x) + (py / d_y) * (py / d_y)) / TWO_PI
     outside = radius > 1.0
     theta = np.arcsin(np.where(outside, np.nan, radius))
     phi = np.mod(np.arctan2(py * d_x, px * d_y), TWO_PI)
@@ -189,28 +187,27 @@ def visible_angles(psi_x, psi_y, d_x, d_y):
     return phi, theta
 
 
-def estimate_from_map(emap, lattice, spacing):
+def estimate_from_map(emap, lattice):
     """Peak search plus angle recovery in one step; a tie goes to the smallest t, then n.
 
-    ``spacing`` is the input grid's (d_x, d_y) in wavelengths, from which
-    ``visible_angles`` recovers the physical angles; an unrealizable peak
-    yields NaN angles rather than an error so Monte Carlo scoring (which
-    uses electrical angles only) can proceed. The map's (R, T) cells must
-    be those of ``lattice``, the SnapshotLattice it was collected on, and
-    the peak's angles are read from it. A batch of K maps gives one
-    estimate of length-K arrays, entry k equal to map k's own call.
+    The map's (R, T) cells must be those of ``lattice``, the SnapshotLattice
+    it was collected on, and the peak cell's electrical and physical angles
+    are read from it: NaN physical angles for an unrealizable peak, so Monte
+    Carlo scoring (which uses electrical angles only) can proceed. One map
+    gives Python ints and floats; a batch of K maps gives one estimate of
+    length-K arrays, entry k equal to map k's own call.
     """
     if emap.values.shape[-2:] != lattice.zeroth.shape:
         raise ValueError(f"energy map has {emap.values.shape[-2:]} cells but the lattice has"
                          f" {lattice.zeroth.shape}")
     if emap.values.ndim == 2:
         t_hat, n_hat = divmod(int(emap.values.T.argmax()), emap.values.shape[0])  # over (t, n)
-        psi_x, psi_y = lattice.psi_x.item(n_hat, t_hat), lattice.psi_y.item(n_hat, t_hat)
-    else:
-        n_hat, t_hat = peak_cells(emap.values)
-        psi_x, psi_y = lattice.psi_x[n_hat, t_hat], lattice.psi_y[n_hat, t_hat]
-    phi, theta = visible_angles(psi_x, psi_y, *spacing)
-    return DoaEstimate(n=n_hat + 1, t=t_hat + 1, psi_x=psi_x, psi_y=psi_y, phi=phi, theta=theta)
+        cell = n_hat, t_hat
+        return DoaEstimate(n_hat + 1, t_hat + 1, lattice.psi_x.item(cell), lattice.psi_y.item(cell),
+                           lattice.phi.item(cell), lattice.theta.item(cell))
+    cell = n_hat, t_hat = peak_cells(emap.values)
+    return DoaEstimate(n_hat + 1, t_hat + 1, lattice.psi_x[cell], lattice.psi_y[cell],
+                       lattice.phi[cell], lattice.theta[cell])
 
 
 def angular_spectrum(emap, lattice):

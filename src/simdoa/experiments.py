@@ -196,7 +196,7 @@ def digital_baseline(f, lattice, sv, s, rho, noise=None):
     None for the clean field.
     """
     emap = _digital_energies(f, lattice, sv, s, rho, noise)
-    return estimate_from_map(emap, lattice, (0.5, 0.5))
+    return estimate_from_map(emap, lattice)
 
 
 def _digital_energies(f, lattice, sv, s, rho, noise=None):
@@ -205,9 +205,10 @@ def _digital_energies(f, lattice, sv, s, rho, noise=None):
     K trials take (K, N) steering entries, K symbols and (K, N, T) noise
     and give (K, N, T), slice k equal to trial k's own call bit for bit.
     """
-    field = scale_field(antenna_field(lattice.zeroth, sv), s, rho, noise)
-    energies = np.abs(matvec_columns(f, field))
-    energies *= energies
+    with np.errstate(over="ignore", invalid="ignore"):  # energies beyond range: EnergyMap refuses
+        field = scale_field(antenna_field(lattice.zeroth, sv), s, rho, noise)
+        energies = np.abs(matvec_columns(f, field))
+        energies *= energies
     return EnergyMap(energies)
 
 
@@ -232,10 +233,10 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     # a complex beta keeps numpy's division, which Python's does not round alike
     frame = (np.conj(beta) if isinstance(beta, complex) else beta) / abs(beta) if beta != 0 else 1.0
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)  # both paths read this vector
-    with np.errstate(over="ignore", invalid="ignore"):  # energies beyond range: EnergyMap refuses
+    with np.errstate(over="ignore", invalid="ignore"):  # a field beyond range: EnergyMap refuses
         field = synthesize_received(g, lattice.zeroth, sv)
         emap = collect_snapshots(field, source.s, rho_wave, noise=frame * (f @ u_ant))
-        wave = estimate_from_map(emap, lattice, (0.5, 0.5))
+        wave = estimate_from_map(emap, lattice)
         digital = digital_baseline(f, lattice, sv, source.s, rho_digital, noise=u_ant)
     return wave, digital
 
@@ -290,7 +291,7 @@ def _mc_block(cfg, stream, trials, snr, rho):
                 emap = _digital_energies(f, lattice, sv, s, run_rho, noise)
     except ValueError as exc:
         raise ValueError(f"snr_db {snr:g}: {exc}") from None
-    est = estimate_from_map(emap, lattice, (0.5, 0.5))
+    est = estimate_from_map(emap, lattice)
     del noise, emap  # nor does the bound need the snapshots' noise and energies
     ex = wrapped_angle_error(psi_x, est.psi_x)
     ey = wrapped_angle_error(psi_y, est.psi_y)

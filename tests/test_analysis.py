@@ -103,7 +103,7 @@ def peak_index_noiseless(inp):
     power = _clean_power(inp)
     if not np.any(power > 0.0):
         raise DegenerateField("noiseless field is identically zero")
-    est = estimate_from_map(EnergyMap(power), inp.proto.lattice(inp.n_x, inp.n_y), (0.5, 0.5))
+    est = estimate_from_map(EnergyMap(power), inp.proto.lattice(inp.n_x, inp.n_y))
     return est.n, est.t
 
 
@@ -263,7 +263,7 @@ def test_noiseless_peak_matches_estimator():
     f = dft_matrix(2, 2).matrix
     sv = steering_for(0.33, 0.52, 2, 2)
     emap = collect_snapshots(synthesize_received(f, proto.lattice(2, 2).zeroth, sv), 1.0 + 0j, 1.0)
-    est = estimate_from_map(emap, proto.lattice(2, 2), (0.5, 0.5))
+    est = estimate_from_map(emap, proto.lattice(2, 2))
     inp = make_inputs(0.33, 0.52, proto=proto)
     assert peak_index_noiseless(inp) == (est.n, est.t)
 

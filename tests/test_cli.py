@@ -284,6 +284,24 @@ def test_estimate_snaps_to_lattice(tmp_path, capsys):
     assert float(est["theta_rad"]) == pytest.approx(math.asin(math.hypot(0.5, 0.25)))
 
 
+def test_estimate_recovers_physical_angles_at_the_input_spacing(tmp_path, capsys):
+    # the lattice that estimate reads is built at the geometry's spacing, not at half a wavelength
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"geometry": {"n_x": 2, "n_y": 2, "d_x": 0.7, "d_y": 0.6},
+                        "protocol": {"t_x": 4, "t_y": 4},
+                        "source": {"psi_x": 0.25, "psi_y": -0.25},
+                        "estimate": {"ideal": True}})
+    out = tmp_path / "run"
+    assert main(["estimate", "--config", cfg, "--outdir", str(out)]) == 0
+    rows = read_csv(out / "estimate.csv")
+    est = dict(zip(rows[0], rows[1]))
+    assert (float(est["psi_x"]), float(est["psi_y"])) == (0.25, -0.25)
+    assert float(est["phi_rad"]) == pytest.approx(math.atan2(-0.25 * 0.7, 0.25 * 0.6)
+                                                  + 2 * math.pi)
+    assert float(est["theta_rad"]) == pytest.approx(math.asin(math.hypot(0.25 / 0.7,
+                                                                         0.25 / 0.6) / 2))
+
+
 def test_bound_csv(tmp_path, capsys):
     doc = tiny_fit_doc()
     doc.update({"protocol": {"t_x": 4, "t_y": 4},

@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simdoa import cli
 from simdoa.estimator import (
@@ -20,7 +23,7 @@ from simdoa.estimator import (
     zeroth_layer_config,
     zeroth_layer_phase,
 )
-from simdoa.geometry import SimGeometry, dft_matrix, linear_to_grid
+from simdoa.geometry import TWO_PI, SimGeometry, dft_matrix, linear_to_grid
 from simdoa.wavemodel import cn_noise, synthesize_received
 
 LAM = 0.005
@@ -64,6 +67,21 @@ def scalar_electrical_angles(n, t, n_x, n_y, proto):
     psi_x = np.mod(2.0 * ((nx - 1) / n_x + (tx - 1) / (n_x * proto.t_x)) + 1.0, 2.0) - 1.0
     psi_y = np.mod(2.0 * ((ny - 1) / n_y + (ty - 1) / (n_y * proto.t_y)) + 1.0, 2.0) - 1.0
     return float(psi_x), float(psi_y)
+
+
+def scalar_visible_angles(psi_x, psi_y, d_x, d_y):
+    """``visible_angles`` of one cell's normalized angles, as two floats (radians).
+
+    math.sqrt and % round as np.sqrt and np.mod do; arctan2 and arcsin stay
+    numpy's, whose SIMD code math need not match.
+    """
+    px, py = np.pi * psi_x, np.pi * psi_y
+    radius = math.sqrt((px / d_x) * (px / d_x) + (py / d_y) * (py / d_y)) / TWO_PI
+    if radius > 1.0:
+        return math.nan, math.nan
+    if psi_x == 0.0 and psi_y == 0.0:
+        return 0.0, 0.0
+    return float(np.arctan2(py * d_x, px * d_y)) % TWO_PI, float(np.arcsin(radius))
 
 
 def physical_angles(psi_x, psi_y, geom):
@@ -156,26 +174,44 @@ def test_lattice_matches_scalar_definitions():
                 == scalar_electrical_angles(n, t, 3, 2, proto)
 
 
-def _per_cell_lattice(proto, n_x, n_y):
-    """(xi0, psi_x, psi_y) built one scalar call per cell, as the lattice once was, as an oracle."""
+def _per_cell_lattice(proto, n_x, n_y, spacing):
+    """(xi0, psi_x, psi_y, phi, theta) built one scalar call per cell, as an oracle."""
     snapshots = range(1, proto.t + 1)
     xi0 = np.column_stack([scalar_zeroth_layer_phases(t, n_x, n_y, proto) for t in snapshots])
     angles = np.array([[scalar_electrical_angles(n, t, n_x, n_y, proto) for t in snapshots]
                        for n in range(1, n_x * n_y + 1)])
-    return xi0, angles[..., 0], angles[..., 1]
+    physical = np.array([[scalar_visible_angles(*cell, *spacing) for cell in row]
+                         for row in angles.tolist()])
+    return xi0, angles[..., 0], angles[..., 1], physical[..., 0], physical[..., 1]
+
+
+# spacings in wavelengths; below 1/sqrt(2) the corner cells (psi_x, psi_y) = (-1, -1) lie
+# outside the visible region, and at 0.5 the axis cells psi = -1 lie on its edge; the
+# extreme examples below overflow the cells' radii or the arctan2 arguments
+SPACINGS = st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0))
 
 
 @pytest.mark.parametrize("n_x, n_y, t_x, t_y", [
     (2, 2, 4, 4), (4, 4, 8, 8), (3, 2, 3, 2), (1, 5, 7, 3), (5, 3, 2, 9), (2, 2, 64, 64),
     (1, 1, 1, 1), (7, 1, 1, 13)])
-def test_array_lattice_equals_per_cell_build_bit_for_bit(n_x, n_y, t_x, t_y):
+@settings(max_examples=4, derandomize=True, deadline=None, database=None)
+@given(spacing=SPACINGS)
+@example(spacing=(0.5, 0.5))
+@example(spacing=(0.7, 0.37))
+@example(spacing=(1e-300, 0.6))
+@example(spacing=(1e300, 1.7e308))
+def test_array_lattice_equals_per_cell_build_bit_for_bit(n_x, n_y, t_x, t_y, spacing):
     proto = ProtocolConfig(t_x=t_x, t_y=t_y)
-    lattice = proto.lattice(n_x, n_y)
-    xi0, psi_x, psi_y = _per_cell_lattice(proto, n_x, n_y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lattice = proto.lattice(n_x, n_y, spacing)
+    xi0, psi_x, psi_y, phi, theta = _per_cell_lattice(proto, n_x, n_y, spacing)
     for got, want in ((lattice.zeroth, np.exp(1j * xi0)), (lattice.psi_x, psi_x),
-                      (lattice.psi_y, psi_y)):
+                      (lattice.psi_y, psi_y), (lattice.phi, phi), (lattice.theta, theta)):
         assert got.shape == want.shape == (n_x * n_y, proto.t)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signed zeros too
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signed zeros, NaNs too
+        assert not got.flags.writeable
+    assert np.array_equal(np.isnan(lattice.phi), np.isnan(lattice.theta))
     for (axis, index), psi in ((lattice.distinct_x, psi_x), (lattice.distinct_y, psi_y)):
         want_axis, want_index = np.unique(psi, return_inverse=True)
         assert np.array_equal(axis.view(np.int64), want_axis.view(np.int64))
@@ -229,9 +265,13 @@ def test_lattice_is_cached_per_instance_and_read_only():
     proto = ProtocolConfig(t_x=2, t_y=3)
     lattice = proto.lattice(2, 2)
     assert proto.lattice(2, 2) is lattice
+    assert proto.lattice(2, 2, (0.5, 0.5)) is lattice  # half-wave spacing is the default
     assert proto.lattice(3, 2) is not lattice
+    wide = proto.lattice(2, 2, (0.7, 0.5))
+    assert wide is not lattice and proto.lattice(2, 2, (0.7, 0.5)) is wide
+    assert np.array_equal(wide.psi_x, lattice.psi_x) and not np.array_equal(wide.phi, lattice.phi)
     assert ProtocolConfig(t_x=2, t_y=3).lattice(2, 2) is not lattice
-    for arr in (lattice.zeroth, lattice.psi_x, lattice.psi_y):
+    for arr in (lattice.zeroth, lattice.psi_x, lattice.psi_y, lattice.phi, lattice.theta):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
 
@@ -293,7 +333,7 @@ def test_collect_on_lattice_concentrates():
     psi = electrical_angles(n0, t0, 2, 2, proto)
     sv = steering_for(psi[0], psi[1], 2, 2)
     emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), s, rho)
-    est = estimate_from_map(emap, proto.lattice(2, 2), (0.5, 0.5))
+    est = estimate_from_map(emap, proto.lattice(2, 2))
     assert (est.n, est.t) == (n0, t0)
     assert emap.values[n0 - 1, t0 - 1] == pytest.approx(rho * 16.0 * abs(s) ** 2, rel=1e-12)
     # at the matched snapshot the other antennas are dark
@@ -405,8 +445,8 @@ def peak_read(values):
     The lattice is any of the map's shape: R input cells along x, T snapshots along x.
     """
     lattice = ProtocolConfig(t_x=values.shape[1]).lattice(values.shape[0], 1)
-    one = estimate_from_map(EnergyMap(values), lattice, (0.5, 0.5))
-    batch = estimate_from_map(EnergyMap(values[None]), lattice, (0.5, 0.5))
+    one = estimate_from_map(EnergyMap(values), lattice)
+    batch = estimate_from_map(EnergyMap(values[None]), lattice)
     return (one.n, one.t), (batch.n.item(), batch.t.item())
 
 
@@ -457,15 +497,16 @@ def test_physical_angles_examples():
     phi, theta = physical_angles(0.6, 0.8, geom)
     assert theta == pytest.approx(math.pi / 2)
     assert phi == pytest.approx(math.atan2(0.8, 0.6))
-    assert visible_angles(0.0, 0.0, 0.5, 0.5) == (0.0, 0.0)
+    (phi,), (theta,) = visible_angles(np.zeros(1), np.zeros(1), 0.5, 0.5)
+    assert (phi, theta) == (0.0, 0.0)
 
 
 def test_physical_angles_unrealizable():
     assert all(math.isnan(a) for a in physical_angles(0.9, 0.9, make_geom()))
-    assert all(math.isnan(a) for a in visible_angles(0.9, 0.9, 0.5, 0.5))
-    assert all(math.isnan(a) for a in visible_angles(-1.0, -1.0, 0.5, 0.5))
+    cells = np.array([0.9, -1.0])
+    assert np.all(np.isnan(visible_angles(cells, cells, 0.5, 0.5)))
     # the same pair is visible once the elements sit further apart
-    phi, theta = visible_angles(0.9, 0.9, 0.7, 0.7)
+    (phi,), (theta,) = visible_angles(np.array([0.9]), np.array([0.9]), 0.7, 0.7)
     assert math.sin(theta) == pytest.approx(math.hypot(0.9, 0.9) / 1.4)
     assert phi == pytest.approx(math.pi / 4)
 
@@ -488,7 +529,7 @@ def test_visible_angles_arrays_equal_scalar_calls_bit_for_bit(d_x, d_y):
         phi, theta = visible_angles(psi_x, psi_y, d_x, d_y)
         assert phi.shape == theta.shape == psi_x.shape
         for i in range(psi_x.size):
-            one = visible_angles(float(psi_x[i]), float(psi_y[i]), d_x, d_y)
+            one = scalar_visible_angles(float(psi_x[i]), float(psi_y[i]), d_x, d_y)
             assert type(one[0]) is float and type(one[1]) is float
             got = (float(phi[i]), float(theta[i]))
             assert np.array_equal(np.array(got), np.array(one), equal_nan=True), (i, got, one)
@@ -496,7 +537,7 @@ def test_visible_angles_arrays_equal_scalar_calls_bit_for_bit(d_x, d_y):
 
 @pytest.mark.parametrize("d_x, d_y", [(0.5, 0.5), (0.7, 0.37)])
 def test_visible_angles_scalar_kinds_equal_the_array_path_bit_for_bit(d_x, d_y):
-    # the scalar branch runs on Python floats (math.sqrt, %); the array path on numpy's
+    # the oracle runs on Python floats (math.sqrt, %); the array path on numpy's
     above = float(np.nextafter(1.0, 2.0))
     cases = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 0.5), (-0.25, 0.0),  # psi = 0
              (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),  # radius exactly 1 at d = 0.5
@@ -510,7 +551,7 @@ def test_visible_angles_scalar_kinds_equal_the_array_path_bit_for_bit(d_x, d_y):
     for i, (x, y) in enumerate(cases):
         want = np.array([phi[i], theta[i]]).view(np.int64)
         for kind in (float, np.float64, np.array):
-            one = visible_angles(kind(x), kind(y), d_x, d_y)
+            one = scalar_visible_angles(kind(x), kind(y), d_x, d_y)
             assert type(one[0]) is float and type(one[1]) is float
             assert np.array_equal(np.array(one).view(np.int64), want), (kind, x, y, one)
 
@@ -537,12 +578,17 @@ def test_estimate_batch_equals_one_map_calls():
     values = rng.uniform(0.0, 1.0, (9, 6, proto.t))
     values[2] = 1.0  # every cell tied: the first cell wins
     values[4, 5, 5] = 7.0  # the last cell
-    batch = estimate_from_map(EnergyMap(values), proto.lattice(3, 2), (0.5, 0.5))
+    batch = estimate_from_map(EnergyMap(values), proto.lattice(3, 2))
     assert not batch.realizable or all(
-        estimate_from_map(EnergyMap(v), proto.lattice(3, 2), (0.5, 0.5)).realizable
+        estimate_from_map(EnergyMap(v), proto.lattice(3, 2)).realizable
         for v in values)
     for i, v in enumerate(values):
-        one = estimate_from_map(EnergyMap(v), proto.lattice(3, 2), (0.5, 0.5))
+        one = estimate_from_map(EnergyMap(v), proto.lattice(3, 2))
+        # Python ints and floats, which the estimate manifest's yaml.safe_dump needs
+        assert [type(f) for f in dataclasses.astuple(one)] == [int, int] + [float] * 4
+        yaml.safe_dump(dataclasses.asdict(one))
+        assert np.array_equal([one.phi, one.theta],
+                              scalar_visible_angles(one.psi_x, one.psi_y, 0.5, 0.5), equal_nan=True)
         assert (batch.n[i], batch.t[i]) == (one.n, one.t)
         assert (batch.psi_x[i], batch.psi_y[i]) == (one.psi_x, one.psi_y)
         assert (one.psi_x, one.psi_y) == electrical_angles(one.n, one.t, 3, 2, proto)
@@ -556,20 +602,19 @@ def test_estimate_nan_for_unrealizable_peak():
     proto = ProtocolConfig()
     v = np.zeros((4, 1))
     v[3, 0] = 1.0  # cell (-1, -1): radius sqrt(2) > 1
-    est = estimate_from_map(EnergyMap(v), proto.lattice(2, 2), (0.5, 0.5))
+    est = estimate_from_map(EnergyMap(v), proto.lattice(2, 2))
     assert (est.psi_x, est.psi_y) == (-1.0, -1.0)
     assert not est.realizable
     assert math.isnan(est.phi) and math.isnan(est.theta)
     # at 0.75 wavelengths the same cell lies at radius sqrt(2) / 1.5, inside the visible region
-    wide = estimate_from_map(EnergyMap(v), proto.lattice(2, 2), (0.75, 0.75))
+    wide = estimate_from_map(EnergyMap(v), proto.lattice(2, 2, (0.75, 0.75)))
     assert wide.realizable
     geom = dataclasses.replace(make_geom(), d_x=0.75 * LAM, d_y=0.75 * LAM)
     assert (wide.phi, wide.theta) == pytest.approx(physical_angles(-1.0, -1.0, geom), abs=1e-12)
 
 
 def test_estimate_of_a_one_cell_map_is_broadside():
-    est = estimate_from_map(EnergyMap(np.array([[1.0]])), ProtocolConfig().lattice(1, 1),
-                            (0.5, 0.5))
+    est = estimate_from_map(EnergyMap(np.array([[1.0]])), ProtocolConfig().lattice(1, 1))
     assert est.n == 1 and est.t == 1
     assert (est.phi, est.theta) == (0.0, 0.0)
 
@@ -579,7 +624,7 @@ def test_estimate_refuses_receiver_grid_other_than_input_grid(receivers):
     # a 2-row map once came back as a cell of the 2x2 grid, silently
     with pytest.raises(ValueError, match=rf"\({receivers}, 4\) cells.*lattice has \(4, 4\)"):
         estimate_from_map(EnergyMap(np.ones((receivers, 4))),
-                          ProtocolConfig(t_x=2, t_y=2).lattice(2, 2), (0.5, 0.5))
+                          ProtocolConfig(t_x=2, t_y=2).lattice(2, 2))
 
 
 @pytest.mark.parametrize("snapshots", [8, 20])
@@ -591,7 +636,7 @@ def test_estimate_refuses_snapshot_count_other_than_the_lattice(snapshots):
         values = np.zeros(shape)
         values[..., 1, snapshots - 1] = 1.0
         with pytest.raises(ValueError, match=rf"\(4, {snapshots}\) cells.*\(4, 16\)"):
-            estimate_from_map(EnergyMap(values), lattice, (0.5, 0.5))
+            estimate_from_map(EnergyMap(values), lattice)
 
 
 def test_on_lattice_round_trip():
@@ -605,7 +650,7 @@ def test_on_lattice_round_trip():
         psi = electrical_angles(n0, t0, 2, 2, proto)
         sv = steering_for(psi[0], psi[1], 2, 2)
         emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), 1.0 + 0j, 1.0)
-        est = estimate_from_map(emap, proto.lattice(2, 2), (0.5, 0.5))
+        est = estimate_from_map(emap, proto.lattice(2, 2))
         assert (est.n, est.t) == (n0, t0)
         assert (est.psi_x, est.psi_y) == psi
 

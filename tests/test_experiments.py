@@ -132,6 +132,21 @@ def test_paired_trial_refuses_an_overflow_without_a_warning(beta, gamma, s, t_si
                          2, 2, gamma, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("path", ["wave", "digital"])
+def test_energy_functions_refuse_an_overflow_without_a_warning(path):
+    # called outside paired_trial and the CLI, whose errstates they once relied on, both warned
+    # 'overflow encountered in multiply' before EnergyMap refused the energies
+    f, lattice = dft_matrix(2, 2).matrix, ProtocolConfig(t_x=4, t_y=4).lattice(2, 2)
+    sv = steering_for(0.1, 0.2, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="energy values must be finite"):
+            if path == "wave":
+                collect_snapshots(synthesize_received(f, lattice.zeroth, sv), 10.0 + 0j, 1.6e306)
+            else:
+                digital_baseline(f, lattice, sv, 10.0 + 0j, 1.6e306)
+
+
 # -------------------------------------------------------------- digital branch
 
 def test_digital_on_lattice_exact():
@@ -244,7 +259,7 @@ def two_vector_paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
     x = np.sqrt(rho_digital) * (np.exp(1j * xi0) * sv[..., None]) * source.s + u_ant
     digital_map = np.abs(matvec_columns(f, x)) ** 2
-    return [estimate_from_map(EnergyMap(m), proto.lattice(n_x, n_y), (0.5, 0.5))
+    return [estimate_from_map(EnergyMap(m), proto.lattice(n_x, n_y))
             for m in (wave_map, digital_map)], [wave_map, digital_map]
 
 
@@ -652,7 +667,7 @@ def _mc_trial(cfg, snr_index, trial, rho):
         else:
             noise = cn_noise(rng, (np.asarray(cfg.g).shape[0], cfg.proto.t))
             emap = collect_snapshots(field, source.s, rho, noise=noise)
-        est = estimate_from_map(emap, lattice, (0.5, 0.5))
+        est = estimate_from_map(emap, lattice)
         g_for_bound = cfg.g
     ex = wrapped_angle_error(source.psi_x, est.psi_x)
     ey = wrapped_angle_error(source.psi_y, est.psi_y)
