@@ -9,6 +9,8 @@ Summing squared angle offsets weighted by these probabilities bounds the
 MSE on each normalized-angle axis.
 """
 
+import math
+
 import numpy as np
 
 from .estimator import peak_cells, wrapped_angle_error
@@ -135,11 +137,12 @@ def mse_bound(field, s, rho, lattice, psi_x, psi_y):
     the peak cell carries the trivial probability 1. The result is two
     length-K arrays, entry k equal to trial k's own one-trial call bit for
     bit. Cell (n, t) is scored at the lattice's angles, so the field's
-    cells must be the lattice's. A trial whose moments leave a float's
-    range (an extreme ``rho``) gets NaN bounds, with no RuntimeWarning.
+    cells must be the lattice's. A ``rho`` that is negative, infinite or NaN
+    raises a ValueError. A trial whose moments leave a float's range (an
+    extreme finite ``rho``) gets NaN bounds, with no RuntimeWarning.
     """
-    if rho < 0.0:
-        raise ValueError("rho must be >= 0")
+    if not 0.0 <= rho < math.inf:  # a NaN fails the comparison
+        raise ValueError(f"rho must be >= 0 and finite, got {rho}")
     if np.shape(field)[-2:] != lattice.psi_x.shape:
         raise ValueError(f"field has {np.shape(field)[-2:]} cells but the lattice has"
                          f" {lattice.psi_x.shape}")

@@ -51,6 +51,17 @@ def _power_fits(snr_db):
 _SNR_POWER = (_power_fits, "is too large: its power 10**(snr_db/10) overflows a float")
 
 
+def _exponent_hint(value):
+    """A hint for a number that YAML 1.1 reads as a string, such as 1e-200; '' for other values."""
+    if isinstance(value, str) and "e" in value.lower():
+        try:
+            float(value)
+        except ValueError:
+            return ""
+        return " (YAML reads an exponent as a number only with a dot and a sign, as in 1.0e-200)"
+    return ""
+
+
 def _value(value, kind, key, checks=()):
     """``value`` checked as ``kind`` and by each (test, message) of ``checks``.
 
@@ -71,7 +82,7 @@ def _value(value, kind, key, checks=()):
             raise ConfigError(f"'{key}' is too large for a float") from None
     if kind is _SNR_DB:
         if not (value == "inf" or number and (value == math.inf or math.isfinite(value))):
-            raise ConfigError(f"'{key}' must be {_SNR_DB}")
+            raise ConfigError(f"'{key}' must be {_SNR_DB}{_exponent_hint(value)}")
         value = float(value)
     elif isinstance(kind, tuple):
         if value not in kind:
@@ -79,7 +90,8 @@ def _value(value, kind, key, checks=()):
     else:
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise ConfigError(f"'{key}' must be {kind.__name__},"
-                              f" got {type(value).__name__}")
+                              f" got {type(value).__name__}"
+                              f"{_exponent_hint(value) if kind is float else ''}")
     for test, message in checks:
         if not test(value):
             raise ConfigError(f"'{key}' {message}")

@@ -28,10 +28,13 @@ class ProtocolConfig:
     def lattice(self, n_x, n_y, spacing=(0.5, 0.5)):
         """This schedule's SnapshotLattice on an (n_x, n_y) grid, kept on the instance.
 
-        ``spacing`` is the grid's input (d_x, d_y) in wavelengths, for the cells' physical angles.
+        ``spacing`` is the grid's input (d_x, d_y) in wavelengths, for the cells' physical angles;
+        a ValueError refuses any other than two positive finite numbers.
         """
         cache = self.__dict__.setdefault("_lattices", {})
         if (key := (n_x, n_y, *spacing)) not in cache:
+            if len(spacing) != 2 or not all(0.0 < d < math.inf for d in spacing):  # NaN fails
+                raise ValueError(f"spacing must be two positive finite numbers, got {spacing}")
             snapshots = np.arange(1, self.t + 1)
             zeroth = zeroth_layer_config(snapshots, n_x, n_y, self)
             angles = electrical_angles(np.arange(1, n_x * n_y + 1)[:, None], snapshots,

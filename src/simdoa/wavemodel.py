@@ -86,7 +86,7 @@ def matvec_columns(m, x):
     One GEMM sums in another order and does not. Leading axes of an
     (..., N, T) ``x`` are batch axes.
     """
-    return (m @ x.swapaxes(-1, -2)[..., None])[..., 0].swapaxes(-1, -2)
+    return np.matvec(m, x, axes=[(-2, -1), -2, -2])
 
 
 def antenna_field(zeroth, sv):

@@ -214,6 +214,17 @@ def test_bound_inputs_validation():
         mse_bound(clean_field(f, lattice, sv), 1.0 + 0j, -1.0, lattice, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("rho", [math.inf, math.nan])
+def test_mse_bound_refuses_a_rho_that_is_not_finite(rho):
+    # both once returned NaN bounds with no refusal
+    lattice = ProtocolConfig().lattice(2, 2)
+    field = clean_field(dft_matrix(2, 2).matrix, lattice, steering_for(0.0, 0.0, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rho must be >= 0 and finite"):
+            mse_bound(field[None], np.array([1.0 + 0j]), rho, lattice, np.zeros(1), np.zeros(1))
+
+
 def test_noncentrality_zero_without_signal():
     inp = make_inputs(0.37, -0.5, rho=0.0)
     assert np.all(noncentrality_map(inp) == 0.0)

@@ -445,6 +445,25 @@ def test_flags_must_be_yaml_booleans(tmp_path, capsys, command, key):
     assert f"{command}.{key}" in err
 
 
+@pytest.mark.parametrize("key,value,hint", [("geometry.d_x", "1e-200", True),
+                                            ("estimate.snr_db", "1e1", True),
+                                            ("geometry.d_x", "1.0e-2x", False),
+                                            ("geometry.d_x", "inf", False),
+                                            ("protocol.t_x", "1e1", False)])
+def test_a_yaml_1_1_exponent_gets_a_hint(tmp_path, capsys, key, value, hint):
+    # YAML 1.1 reads a float only with a dot and a signed exponent: 1e-200 is a string
+    values = {"geometry.d_x": "0.5", "protocol.t_x": "2", "estimate.snr_db": "20.0", key: value}
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"geometry: {{n_x: 2, n_y: 2, d_x: {values['geometry.d_x']}}}\n"
+                   f"protocol: {{t_x: {values['protocol.t_x']}, t_y: 2}}\n"
+                   "source: {psi_x: 0.1, psi_y: 0.2}\n"
+                   f"estimate: {{ideal: true, snr_db: {values['estimate.snr_db']}}}\n")
+    assert main(["estimate", "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err
+    assert ("with a dot and a sign, as in 1.0e-200" in err) is hint
+
+
 def _stack_bytes(tmp_path):
     path = tmp_path / "s.bin"
     save_stack(path, random_stack(2, 4, np.random.default_rng(3)))

@@ -276,6 +276,17 @@ def test_lattice_is_cached_per_instance_and_read_only():
             arr[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("spacing", [(0.0, 0.5), (math.inf, 0.5), (-0.5, 0.5), (0.5, math.nan),
+                                     (0.5,)])
+def test_lattice_refuses_a_spacing_that_is_not_two_positive_finite_numbers(spacing):
+    # zero and inf once warned from visible_angles, a negative or NaN spacing built a lattice,
+    # and one entry raised a TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="spacing must be two positive finite numbers"):
+            ProtocolConfig(t_x=2, t_y=2).lattice(2, 2, spacing)
+
+
 # ------------------------------------------------------------------ energy map
 
 def test_energy_map_validation():
