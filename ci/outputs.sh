@@ -113,15 +113,16 @@ estimate:
   seed: 7
   ideal: true
 EOF
-# sha256 over every field of 2000 paired_trial estimates: the exact 2x2 DFT, and a
-# 3x3 response off the DFT with a complex beta (public API that both trees have)
+# sha256 over every field of 3000 paired_trial estimates: the exact 2x2 DFT, a 3x3 response
+# off the DFT with a complex beta, and a 2x2 one with a negative real beta, whose frame is
+# -1.0 (public API that both trees have)
 cat > "$cfg/paired.py" <<'EOF'
 import hashlib, struct, sys
 import numpy as np
 from simdoa import experiments, geometry
 from simdoa.estimator import ProtocolConfig
 digest = hashlib.sha256()
-for n_side, t_side, beta in ((2, 4, 1.0), (3, 2, 1.3 - 0.4j)):
+for n_side, t_side, beta in ((2, 4, 1.0), (3, 2, 1.3 - 0.4j), (2, 3, -2.0)):
     rng = np.random.default_rng(2024)
     f = geometry.dft_matrix(n_side, n_side).matrix
     g = f if beta == 1.0 else (f + 0.05 * (rng.standard_normal(f.shape)

@@ -32,7 +32,7 @@ class ProtocolConfig:
         a ValueError refuses any other than two positive finite numbers.
         """
         cache = self.__dict__.setdefault("_lattices", {})
-        if (key := (n_x, n_y, *spacing)) not in cache:
+        if (lattice := cache.get(key := (n_x, n_y, *spacing))) is None:
             if len(spacing) != 2 or not all(0.0 < d < math.inf for d in spacing):  # NaN fails
                 raise ValueError(f"spacing must be two positive finite numbers, got {spacing}")
             snapshots = np.arange(1, self.t + 1)
@@ -46,8 +46,8 @@ class ProtocolConfig:
                 distinct.append((axis, index.reshape(psi.shape)))
             for arr in (zeroth, *angles, *physical, *distinct[0], *distinct[1]):
                 arr.flags.writeable = False
-            cache[key] = SnapshotLattice(zeroth, *angles, *physical, *distinct)
-        return cache[key]
+            lattice = cache[key] = SnapshotLattice(zeroth, *angles, *physical, *distinct)
+        return lattice
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,12 @@ class EnergyMap:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        if (v := np.asarray(self.values, dtype=float)) is not self.values:
+            object.__setattr__(self, "values", v)
         if v.ndim not in (2, 3) or v.size == 0:
             raise ValueError("energy map must be a nonempty 2-D array, or 3-D for a batch")
-        low, high = np.minimum.reduce(v, axis=None), np.maximum.reduce(v, axis=None)
-        if not 0.0 <= low <= high < math.inf:  # a NaN fails every comparison
-            raise ValueError("energy values must be finite and >= 0")
-        object.__setattr__(self, "values", v)
+        if not 0.0 <= np.minimum.reduce(v, None) <= np.maximum.reduce(v, None) < math.inf:
+            raise ValueError("energy values must be finite and >= 0")  # a NaN fails all of <=
 
 
 @dataclass(frozen=True)
@@ -129,6 +128,7 @@ def zeroth_layer_config(t, n_x, n_y, proto):
     return np.exp(1j * zeroth_layer_phase(n[:, None], t, n_x, n_y, proto))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # energies beyond range: EnergyMap refuses
 def collect_snapshots(field, s, rho, noise=None):
     """Record the powers of the T snapshots made from unit field ``field``.
 
@@ -141,9 +141,8 @@ def collect_snapshots(field, s, rho, noise=None):
     (K, R, T) energy map, slice k equal to trial k's one-trial call bit for
     bit.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # energies beyond range: EnergyMap refuses
-        energies = np.abs(scale_field(field, s, rho, noise))
-        energies *= energies
+    energies = np.abs(scale_field(field, s, rho, noise))
+    energies *= energies
     return EnergyMap(energies)
 
 
@@ -200,15 +199,16 @@ def estimate_from_map(emap, lattice):
     gives Python ints and floats; a batch of K maps gives one estimate of
     length-K arrays, entry k equal to map k's own call.
     """
-    if emap.values.shape[-2:] != lattice.zeroth.shape:
-        raise ValueError(f"energy map has {emap.values.shape[-2:]} cells but the lattice has"
+    values = emap.values
+    if (cells := values.shape[-2:]) != lattice.zeroth.shape:
+        raise ValueError(f"energy map has {cells} cells but the lattice has"
                          f" {lattice.zeroth.shape}")
-    if emap.values.ndim == 2:
-        t_hat, n_hat = divmod(int(emap.values.T.argmax()), emap.values.shape[0])  # over (t, n)
+    if values.ndim == 2:
+        t_hat, n_hat = divmod(int(values.T.argmax()), cells[0])  # over (t, n)
         cell = n_hat, t_hat
         return DoaEstimate(n_hat + 1, t_hat + 1, lattice.psi_x.item(cell), lattice.psi_y.item(cell),
                            lattice.phi.item(cell), lattice.theta.item(cell))
-    cell = n_hat, t_hat = peak_cells(emap.values)
+    cell = n_hat, t_hat = peak_cells(values)
     return DoaEstimate(n_hat + 1, t_hat + 1, lattice.psi_x[cell], lattice.psi_y[cell],
                        lattice.phi[cell], lattice.theta[cell])
 

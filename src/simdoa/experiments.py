@@ -199,19 +199,22 @@ def digital_baseline(f, lattice, sv, s, rho, noise=None):
     return estimate_from_map(emap, lattice)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # energies beyond range: EnergyMap refuses
 def _digital_energies(f, lattice, sv, s, rho, noise=None):
     """Energies |F (sqrt(rho) Upsilon a s + u)|^2 on the lattice as an EnergyMap, (N, T).
 
     K trials take (K, N) steering entries, K symbols and (K, N, T) noise
     and give (K, N, T), slice k equal to trial k's own call bit for bit.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # energies beyond range: EnergyMap refuses
-        field = scale_field(antenna_field(lattice.zeroth, sv), s, rho, noise)
-        energies = np.abs(matvec_columns(f, field))
-        energies *= energies
+    field = scale_field(antenna_field(lattice.zeroth, sv), s, rho, noise)
+    energies = np.abs(matvec_columns(f, field))
+    energies *= energies
     return EnergyMap(energies)
 
 
+# a field beyond range, such as G Y_0 a for a finite G of 1e308 entries, warns in matmul; the
+# energy functions' own errstates do not cover synthesize_received: EnergyMap refuses it
+@np.errstate(over="ignore", invalid="ignore")
 def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     """Wave and digital estimates on one shared noise realization.
 
@@ -224,20 +227,21 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     even for a perfect fit, which is an artifact of the pairing and not a
     property of either estimator. Returns (wave_estimate, digital_estimate).
     """
-    n = n_x * n_y
+    n, t = n_x * n_y, proto.t
     f = dft_matrix(n_x, n_y).matrix
     lattice = proto.lattice(n_x, n_y)
-    u_ant = cn_noise(rng, (n, proto.t), variance=1.0 / n)
-    rho_wave = effective_rho(gamma, beta, n, proto.t)
-    rho_digital = effective_rho(gamma, 1.0, n, proto.t)
+    u_ant = cn_noise(rng, (n, t), variance=1.0 / n)
+    rho_wave = effective_rho(gamma, beta, n, t)
+    rho_digital = effective_rho(gamma, 1.0, n, t)
     # a complex beta keeps numpy's division, which Python's does not round alike
     frame = (np.conj(beta) if isinstance(beta, complex) else beta) / abs(beta) if beta != 0 else 1.0
     sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)  # both paths read this vector
-    with np.errstate(over="ignore", invalid="ignore"):  # a field beyond range: EnergyMap refuses
-        field = synthesize_received(g, lattice.zeroth, sv)
-        emap = collect_snapshots(field, source.s, rho_wave, noise=frame * (f @ u_ant))
-        wave = estimate_from_map(emap, lattice)
-        digital = digital_baseline(f, lattice, sv, source.s, rho_digital, noise=u_ant)
+    field = synthesize_received(g, lattice.zeroth, sv)
+    noise = f @ u_ant
+    if frame != 1.0:  # a unit frame leaves the finite noise as it is
+        noise = frame * noise  # not in place: numpy's complex scalar rounds otherwise
+    wave = estimate_from_map(collect_snapshots(field, source.s, rho_wave, noise=noise), lattice)
+    digital = digital_baseline(f, lattice, sv, source.s, rho_digital, noise=u_ant)
     return wave, digital
 
 

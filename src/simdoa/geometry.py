@@ -6,6 +6,7 @@ matrices, plane-wave steering vectors, and the 2D DFT target matrix.
 """
 
 from dataclasses import dataclass
+import cmath
 import functools
 import math
 
@@ -222,11 +223,12 @@ def steering_vector(psi_x, psi_y, n_x, n_y):
         ax = np.exp(1j * psi_x[:, None] * np.arange(n_x))
         ay = np.exp(1j * psi_y[:, None] * np.arange(n_y))
         return (ay[:, :, None] * ax[:, None, :]).reshape(len(ax), -1)
-    if not (math.isfinite(psi_x) and math.isfinite(psi_y)):
-        raise ValueError("steering angles must be finite")
-    ax = np.exp(1j * psi_x * np.arange(n_x))
-    ay = np.exp(1j * psi_y * np.arange(n_y))
-    return (ay[:, None] * ax).ravel()
+    # both ramps' Python products, each equal to its product with np.arange, and one exp
+    ramps = [1j * psi_x * k for k in range(n_x)] + [1j * psi_y * k for k in range(n_y)]
+    if not (cmath.isfinite(ramps[n_x - 1]) and cmath.isfinite(ramps[-1])):  # the largest
+        raise ValueError("steering angles must be finite, as must each ramp's psi * (n - 1)")
+    ramps = np.exp(ramps)
+    return (ramps[n_x:, None] * ramps[:n_x]).ravel()
 
 
 @functools.lru_cache(maxsize=8)  # bounded: a 32x32 grid's matrix alone is 16 MB

@@ -1,5 +1,6 @@
 """End-to-end wave response of the stack and the DFT fitting loss."""
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -115,15 +116,17 @@ def scale_field(field, s, rho, noise=None):
     The one place where SNR, symbol and noise enter a snapshot. ``field`` is
     (R, T) with one symbol ``s``, held over the T snapshots, or (K, R, T)
     with one symbol per trial, K of them. ``noise`` has the field's shape,
-    or is None.
+    or is None. A symbol or a ``rho`` that is not finite raises a ValueError.
     """
-    if rho < 0.0:
-        raise ValueError("rho must be >= 0")
-    s = np.asarray(s, dtype=complex)
-    if s.shape != np.shape(field)[:-2]:
-        raise ValueError(f"expected one symbol per trial, {np.shape(field)[:-2]}, got {s.shape}")
+    if not 0.0 <= rho < math.inf:  # a NaN fails every comparison
+        raise ValueError(f"rho must be >= 0 and finite, got {rho}")
     r = np.multiply(math.sqrt(rho), field, dtype=complex)  # symbols and noise then go in place
-    r *= s[..., None, None]  # per-trial symbols lead; R and T broadcast
+    s = np.asarray(s, dtype=complex)
+    if s.shape != (trials := r.shape[:-2]):
+        raise ValueError(f"expected one symbol per trial, {trials}, got {s.shape}")
+    if not (np.isfinite(s).all() if trials else cmath.isfinite(s)):
+        raise ValueError(f"symbol s must be finite, got {s}")
+    r *= s[..., None, None] if trials else s  # per-trial symbols lead; R and T broadcast
     if noise is not None:
         noise = np.asarray(noise)
         if noise.shape != r.shape:
@@ -143,6 +146,14 @@ def complex_gaussian(re, im, variance=1.0):
 
 
 def cn_noise(rng, shape, variance=1.0):
-    """Circularly symmetric complex Gaussian samples; one (2, *shape) draw, real parts first."""
+    """Circularly symmetric complex Gaussian samples; one (2, *shape) draw, real parts first.
+
+    A ``variance`` that is negative or not finite raises a ValueError.
+    """
+    if not 0.0 <= variance < math.inf:  # a NaN fails every comparison
+        raise ValueError(f"variance must be >= 0 and finite, got {variance}")
     draws = rng.standard_normal((2, *shape) if np.iterable(shape) else (2, shape))
-    return complex_gaussian(draws[0], draws[1], variance)
+    draws *= math.sqrt(variance / 2.0)  # complex_gaussian's products, made in place
+    out = np.empty(draws.shape[1:], dtype=complex)
+    out.real, out.imag = draws
+    return out

@@ -132,6 +132,19 @@ def test_paired_trial_refuses_an_overflow_without_a_warning(beta, gamma, s, t_si
                          2, 2, gamma, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("beta", [1.0, 1.3 - 0.4j])
+def test_paired_trial_refuses_a_response_beyond_range_without_a_warning(beta):
+    # G Y_0 a of a finite G with 1e308 entries warns 'overflow encountered' in synthesize_received,
+    # which no energy function's errstate covers: paired_trial's own errstate must
+    g = np.full((4, 4), 1e308 + 0j)
+    src = SourceTruth(phi=0.0, theta=0.0, psi_x=0.1, psi_y=0.2, s=0.6 - 0.8j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="energy values must be finite and >= 0"):
+            paired_trial(g, beta, src, ProtocolConfig(t_x=4, t_y=4), 2, 2, 10.0,
+                         np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("path", ["wave", "digital"])
 def test_energy_functions_refuse_an_overflow_without_a_warning(path):
     # called outside paired_trial and the CLI, whose errstates they once relied on, both warned

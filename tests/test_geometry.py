@@ -336,6 +336,21 @@ def test_scalar_steering_equals_its_array_row_and_the_outer_form_bit_for_bit():
             assert np.array_equal(one.view(np.int64), outer.ravel().view(np.int64))
 
 
+@pytest.mark.parametrize("psi_x,psi_y,n_x,n_y", [
+    (1e308, 0.1, 3, 2), (0.1, -1e308, 2, 3), (6e307, 0.1, 4, 1),
+    (math.inf, 0.1, 1, 1), (0.1, math.nan, 2, 2),
+])
+def test_scalar_steering_refuses_a_ramp_beyond_a_float(psi_x, psi_y, n_x, n_y):
+    # a finite progression whose ramp psi * (n - 1) overflows warned 'overflow encountered in
+    # multiply' and 'invalid value encountered in exp', and gave NaN entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="steering angles must be finite"):
+            steering_vector(psi_x, psi_y, n_x, n_y)
+    # the largest ramp that fits is kept
+    assert np.all(np.isfinite(steering_vector(8e307, -1e308, 3, 2)))
+
+
 @given(st.floats(-10, 10), st.floats(-10, 10))
 @settings(max_examples=50)
 def test_steering_unit_modulus(px, py):

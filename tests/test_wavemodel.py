@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from simdoa.estimator import ProtocolConfig, steering_for, zeroth_layer_phase
+from simdoa.estimator import ProtocolConfig, collect_snapshots, steering_for, zeroth_layer_phase
 from simdoa.geometry import (SimGeometry, build_propagation_matrices,
                              dft_matrix, steering_vector)
 from simdoa.wavemodel import (
@@ -388,3 +389,32 @@ def test_noise_unit_variance():
     assert np.mean(np.abs(u) ** 2) == pytest.approx(1.0, rel=0.02)
     assert np.var(u.real) == pytest.approx(0.5, rel=0.03)
     assert np.var(u.imag) == pytest.approx(0.5, rel=0.03)
+
+
+@pytest.mark.parametrize("variance", [-1.0, math.nan, math.inf])
+def test_cn_noise_refuses_a_variance_that_is_not_finite_and_non_negative(variance):
+    # a NaN or infinite variance made NaN or infinite noise, and a negative one raised
+    # math.sqrt's 'math domain error', which names no argument
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="variance must be >= 0 and finite"):
+        cn_noise(rng, (4, 3), variance)
+
+
+@pytest.mark.parametrize("s,rho,message", [
+    (complex(math.nan, 0.0), 10.0, "symbol s must be finite"),
+    (complex(0.0, math.inf), 10.0, "symbol s must be finite"),
+    (np.array([1.0, math.nan]), 10.0, "symbol s must be finite"),
+    (1.0 + 0j, math.nan, "rho must be >= 0 and finite"),
+    (1.0 + 0j, math.inf, "rho must be >= 0 and finite"),
+    (1.0 + 0j, -1.0, "rho must be >= 0 and finite"),
+], ids=["nan-symbol", "inf-symbol", "nan-symbol-of-two", "nan-rho", "inf-rho", "negative-rho"])
+def test_scale_field_refuses_a_symbol_or_rho_that_is_not_finite(s, rho, message):
+    # a NaN or infinite symbol or rho made NaN or infinite snapshots, which EnergyMap then
+    # refused as 'energy values must be finite and >= 0', naming neither argument
+    field = np.ones((2, 4, 3) if np.ndim(s) else (4, 3), complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            scale_field(field, s, rho)
+        with pytest.raises(ValueError, match=message):
+            collect_snapshots(field, s, rho)
