@@ -16,9 +16,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, experiments
-from .estimator import (ProtocolConfig, angular_spectrum, collect_snapshots,
-                        estimate_from_map, steering_for)
-from .geometry import SimGeometry, build_propagation_matrices, dft_matrix
+from .estimator import ProtocolConfig, angular_spectrum, collect_snapshots, estimate_from_map
+from .geometry import SimGeometry, build_propagation_matrices, dft_matrix, steering_vector
 from .trainer import TrainConfig
 from .wavemodel import (PhaseStack, complex_gaussian, forward_response, optimal_scale,
                         synthesize_received)
@@ -295,14 +294,16 @@ def _check_work(parsed, rows, sweep):
     """
     cells, sw = [{}], parsed.get("sweep")
     if sweep:  # each fitted cell as {base key: sweep key, or None to drop it}
-        layers = [{"geometry.layers": f"sweep.layers[{i}]"}
-                  for i, v in enumerate(sw["layers"]) if v >= 1]  # the sweep flags the rest
-        atoms = [{"geometry.m_x": f"sweep.atoms[{j}]", "geometry.m_y": None}  # the count is M
-                 for j, v in enumerate(sw.get("atoms", ())) if v > 0 and math.isqrt(v) ** 2 == v]
+        layers = [{"geometry.layers": f"sweep.layers[{i}]"} for i in range(len(sw["layers"]))]
         if sw["mode"] == "receiver":
-            layers, atoms = [{}] * (len(sw["u_x"]) + len(sw["rotation_deg"])) + layers, [{}]
-        fitted = [{"train.restarts": "sweep.runs", **a, **b} for a in layers for b in atoms]
-        cells = fitted * len(sw.get("thickness", [1])) * len(sw.get("spacing", [1]))
+            cells = [{}] * (len(sw["u_x"]) + len(sw["rotation_deg"])) + layers
+        else:  # the cells that experiments.ablation_variant does not flag; the count is M
+            geom = parsed["geometry"]
+            cells = [{**layers[i], "geometry.m_x": f"sweep.atoms[{j}]", "geometry.m_y": None}
+                     for t in sw["thickness"] for i, n in enumerate(sw["layers"])
+                     for j, m in enumerate(sw["atoms"]) for d in sw["spacing"]
+                     if not isinstance(experiments.ablation_variant(geom, t, n, m, d), str)]
+        cells = [{"train.restarts": "sweep.runs", **cell} for cell in cells]
         parsed = {**parsed, "sweep": {**sw, **{f"{key}[{i}]": v for key in ("layers", "atoms")
                                                for i, v in enumerate(sw.get(key, ()))}}}
     for cap, what, keys in rows:
@@ -449,7 +450,7 @@ def _spectrum_map(config, args, command):
     run = config.get(command) or _read({}, command, _RUN)
     g, beta, geom = _response_for(config, args, command, run["ideal"])
     proto, source = config["protocol"], config["source"]
-    sv = steering_for(source["psi_x"], source["psi_y"], geom.n_x, geom.n_y)
+    sv = steering_vector(source["psi_x"], source["psi_y"], geom.n_x, geom.n_y)
     snr = run["snr_db"]
     if math.isinf(snr):
         rho, noise = 1.0, None
@@ -507,8 +508,8 @@ def _cmd_bound(args, config):
     g, beta, geom = _response_for(config, args, "bound")
     proto, source = config["protocol"], config["source"]
     lattice = proto.lattice(geom.n_x, geom.n_y)
-    field = analysis.clean_field(g, lattice, steering_for(source["psi_x"], source["psi_y"],
-                                                          geom.n_x, geom.n_y))
+    field = analysis.clean_field(g, lattice, steering_vector(source["psi_x"], source["psi_y"],
+                                                             geom.n_x, geom.n_y))
     with np.errstate(over="ignore", invalid="ignore"):  # the bound's cell powers, at any SNR
         power = np.abs(field * source["s"]) ** 2
     if np.all(np.isfinite(field)) and not np.all(np.isfinite(power)):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, linear_to_grid, steering_vector
+from .geometry import TWO_PI, linear_to_grid
 from .wavemodel import scale_field
 
 
@@ -244,7 +244,3 @@ def wrapped_angle_error(true_psi, est_psi):
     err = np.mod(true_psi - est_psi + 1.0, 2.0) - 1.0
     return err if np.ndim(err) else float(err)
 
-
-def steering_for(psi_x, psi_y, n_x, n_y):
-    """Steering vector (N,) from normalized electrical angles; length-K arrays give (K, N)."""
-    return steering_vector(np.pi * psi_x, np.pi * psi_y, n_x, n_y)

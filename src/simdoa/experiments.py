@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import (EnergyMap, ProtocolConfig, collect_snapshots,
-                        estimate_from_map, steering_for, wrapped_angle_error)
-from .geometry import build_propagation_matrices, check_feasibility, dft_matrix
+                        estimate_from_map, wrapped_angle_error)
+from .geometry import build_propagation_matrices, check_feasibility, dft_matrix, steering_vector
 from .trainer import train, train_restarts
 from .wavemodel import (antenna_field, cn_noise, complex_gaussian, forward_response,
                         matvec_columns, optimal_scale, scale_field, synthesize_received)
@@ -17,10 +17,8 @@ from .wavemodel import (antenna_field, cn_noise, complex_gaussian, forward_respo
 
 @dataclass(frozen=True)
 class SourceTruth:
-    """One realized emitter: physical angles, electrical angles, symbol."""
+    """One realized emitter: its normalized electrical angles and its symbol."""
 
-    phi: float
-    theta: float
     psi_x: float
     psi_y: float
     s: complex
@@ -67,20 +65,12 @@ def sample_source(rng, mode="parameter", symbol="cscg"):
     and elevation uniformly (the documented default), "solid" draws
     uniformly over the hemisphere's solid angle, and "uniform-psi" draws
     the normalized electrical angles directly as independent Uniform[-1, 1)
-    (a lattice-test mode; the draw may fall outside the visible region, in
-    which case the physical angles are NaN). Electrical angles assume
-    half-wavelength receive spacing. ``symbol`` is "cscg" for a
-    unit-variance complex Gaussian or "phase" for unit modulus.
+    (a lattice-test mode; the draw may fall outside the visible region).
+    Electrical angles assume half-wavelength receive spacing. ``symbol`` is
+    "cscg" for a unit-variance complex Gaussian or "phase" for unit modulus.
     """
     if mode == "uniform-psi":
-        psi_x = rng.uniform(-1.0, 1.0)
-        psi_y = rng.uniform(-1.0, 1.0)
-        radius = math.hypot(psi_x, psi_y)
-        if radius <= 1.0:
-            theta = math.asin(radius)
-            phi = math.atan2(psi_y, psi_x) % (2.0 * math.pi)
-        else:
-            theta = phi = float("nan")
+        psi_x, psi_y = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
     else:
         # uniform(0.0, high) is 0.0 + high * random(), FMA-fused or not: high * random()
         phi = 2.0 * math.pi * rng.random()
@@ -90,17 +80,14 @@ def sample_source(rng, mode="parameter", symbol="cscg"):
             theta = math.acos(rng.random())
         else:
             raise ValueError(f"unknown source mode {mode!r}")
-        psi_x = math.sin(theta) * math.cos(phi)
-        psi_y = math.sin(theta) * math.sin(phi)
-    if symbol == "cscg":
-        # cn_noise's draw and scaling of one sample, on Python floats
-        scale = math.sqrt(0.5)
-        s = complex(scale * rng.standard_normal(), scale * rng.standard_normal())
+        psi_x, psi_y = math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi)
+    if symbol == "cscg":  # complex_gaussian's draws and scaling of one sample, on Python floats
+        s = complex(math.sqrt(0.5) * rng.standard_normal(), math.sqrt(0.5) * rng.standard_normal())
     elif symbol == "phase":
         s = complex(np.exp(1j * (2.0 * math.pi * rng.random())))
     else:
         raise ValueError(f"unknown symbol mode {symbol!r}")
-    return SourceTruth(phi=phi, theta=theta, psi_x=psi_x, psi_y=psi_y, s=s)
+    return SourceTruth(psi_x, psi_y, s)
 
 
 @dataclass(frozen=True)
@@ -235,7 +222,9 @@ def paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     rho_digital = effective_rho(gamma, 1.0, n, t)
     # a complex beta keeps numpy's division, which Python's does not round alike
     frame = (np.conj(beta) if isinstance(beta, complex) else beta) / abs(beta) if beta != 0 else 1.0
-    sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)  # both paths read this vector
+    if not math.isfinite(abs(frame)):  # a subnormal complex beta's division overflows
+        raise ValueError(f"beta {beta} gives a noise frame conj(beta) / |beta| that is not finite")
+    sv = steering_vector(source.psi_x, source.psi_y, n_x, n_y)  # both paths read this vector
     field = synthesize_received(g, lattice.zeroth, sv)
     noise = f @ u_ant
     if frame != 1.0:  # a unit frame leaves the finite noise as it is
@@ -271,14 +260,12 @@ def _mc_block(cfg, stream, trials, snr, rho):
     rng = np.random.Generator(np.random.PCG64(0))
     for i, (trial, state) in enumerate(zip(trials, trial_states(stream, trials))):
         rng.bit_generator.state = state
-        if cfg.sources is not None:
-            source = cfg.sources[trial % len(cfg.sources)]
-        else:
-            source = sample_source(rng, cfg.source_mode, cfg.symbol)
+        source = (sample_source(rng, cfg.source_mode, cfg.symbol) if cfg.sources is None
+                  else cfg.sources[trial % len(cfg.sources)])
         psi_x[i], psi_y[i], s[i] = source.psi_x, source.psi_y, source.s
         if draws is not None:
             rng.standard_normal(out=draws[i])
-    sv = steering_for(psi_x, psi_y, cfg.n_x, cfg.n_y)
+    sv = steering_vector(psi_x, psi_y, cfg.n_x, cfg.n_y)
     lattice = cfg.proto.lattice(cfg.n_x, cfg.n_y)
     noise = None if draws is None else complex_gaussian(draws[:, 0], draws[:, 1],
                                                         1.0 if wave else 1.0 / n)
@@ -401,33 +388,43 @@ def _fit_variants(variants, train_cfg, runs, seed, jobs):
     return [props if isinstance(props, str) else next(fits) for props in variants]
 
 
+def ablation_variant(geom, thickness, layers, atoms, spacing):
+    """``geom`` given one ablation cell's stack, or the note that flags the cell unfitted.
+
+    The cell sets the total thickness, the layer count, a square grid of ``atoms`` meta-atoms
+    and their spacing, lengths in wavelengths; it is flagged if invalid or if M < N.
+    """
+    try:
+        # checked here, so that a note names the sweep key and its value in wavelengths
+        for key, value in (("thickness_lam", thickness), ("spacing_lam", spacing)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {value}")
+        side = math.isqrt(max(atoms, 0))
+        if side < 1 or side * side != atoms:
+            raise ValueError(f"atoms must be a positive square, got {atoms}")
+        lam = geom.wavelength
+        variant = dataclasses.replace(geom, m_x=side, m_y=side, s_x=spacing * lam,
+                                      s_y=spacing * lam, layers=layers, thickness=thickness * lam)
+    except ValueError as exc:
+        return str(exc)
+    return check_feasibility(variant) or variant
+
+
 def ablation_sweep(geom, train_cfg, thickness_lam, layers, atoms, spacing_lam, runs=3, seed=0,
                    jobs=1):
     """Fit quality over a grid of stack variants of ``geom``; one row per cell.
 
-    A cell sets the stack: total thickness, layer count, a square grid of
-    ``atoms`` meta-atoms and their spacing, lengths in wavelengths. Every
-    other field of ``geom``, the receiver's included, is kept. Invalid or
-    infeasible cells, and cells whose propagation matrices leave a float's
-    range, come back flagged with the reason instead of being dropped, so the
-    emitted table always has the full grid shape.
+    Each cell is an ``ablation_variant`` of ``geom``, the receiver's fields kept. The cells it
+    flags, and those whose propagation matrices leave a float's range, come back flagged
+    with the reason instead of being dropped, so the table always has the full grid shape.
     """
-    lam = geom.wavelength
     cells = list(itertools.product(thickness_lam, layers, atoms, spacing_lam))
     variants = []  # each cell's propagation matrices, or the note that flags it
-    for thickness, n_layers, n_atoms, spacing in cells:
-        try:
-            # checked here, so that a note names the sweep key and its value in wavelengths
-            for key, value in (("thickness_lam", thickness), ("spacing_lam", spacing)):
-                if not 0.0 < value < math.inf:
-                    raise ValueError(f"{key} must be positive and finite, got {value}")
-            side = math.isqrt(max(n_atoms, 0))
-            if side < 1 or side * side != n_atoms:
-                raise ValueError(f"atoms must be a positive square, got {n_atoms}")
-            variant = dataclasses.replace(geom, m_x=side, m_y=side, s_x=spacing * lam,
-                                          s_y=spacing * lam, layers=n_layers,
-                                          thickness=thickness * lam)
-            variants.append(check_feasibility(variant) or build_propagation_matrices(variant))
+    for cell in cells:
+        variant = ablation_variant(geom, *cell)
+        try:  # matrices beyond a float's range flag the cell too
+            variants.append(variant if isinstance(variant, str)
+                            else build_propagation_matrices(variant))
         except ValueError as exc:
             variants.append(str(exc))
     return [SweepCell(*cell, False, fit, math.nan, math.nan, math.nan, 0) if isinstance(fit, str)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_RAMP_BEYOND_RANGE = "steering angles must be finite, as must each ramp's pi * psi * (n - 1)"
 
 
 @dataclass(frozen=True)
@@ -208,25 +209,28 @@ def build_propagation_matrices(geom):
 def steering_vector(psi_x, psi_y, n_x, n_y):
     """Steering vector of an (n_x, n_y) planar grid, as its (N,) entries array.
 
-    ``psi_x`` and ``psi_y`` are the per-element phase progressions in
-    radians; entry n equals exp(j*(psi_x*(n_x-1) + psi_y*(n_y-1))). The
-    result is the Kronecker product of the y ramp with the x ramp, matching
-    the x-fastest linear index convention. Length-K numpy arrays of
-    progressions give a (K, N) array, row k equal to its one-wave call.
+    ``psi_x`` and ``psi_y`` are normalized electrical angles (units of pi rad
+    per element); entry n equals exp(j*pi*(psi_x*(n_x-1) + psi_y*(n_y-1))),
+    the Kronecker product of the y ramp with the x ramp, x fastest. Two
+    length-K numpy arrays give (K, N), row k equal to its one-wave call. An
+    angle that is not finite, or a ramp pi*psi*(n-1) beyond a float's range,
+    raises a ValueError on either path.
     """
-    # Scalars keep Python-float arithmetic: the array form makes a one-wave
-    # call about twice as slow, and paired trials make two per pair.
-    if isinstance(psi_x, np.ndarray) and psi_x.ndim:
-        psi_x, psi_y = psi_x.astype(float), np.asarray(psi_y, dtype=float)
-        if not (np.all(np.isfinite(psi_x)) and np.all(np.isfinite(psi_y))):
-            raise ValueError("steering angles must be finite")
-        ax = np.exp(1j * psi_x[:, None] * np.arange(n_x))
-        ay = np.exp(1j * psi_y[:, None] * np.arange(n_y))
-        return (ay[:, :, None] * ax[:, None, :]).reshape(len(ax), -1)
-    # both ramps' Python products, each equal to its product with np.arange, and one exp
+    if isinstance(psi_x, np.ndarray) and psi_x.ndim or isinstance(psi_y, np.ndarray) and psi_y.ndim:
+        if np.ndim(psi_x) != 1 or np.shape(psi_y) != np.shape(psi_x):
+            raise ValueError("steering angles must be two numbers or two length-K arrays")
+        with np.errstate(over="ignore", invalid="ignore"):  # a ramp beyond range is refused below
+            ax, ay = (np.exp(1j * np.asarray(np.pi * psi, dtype=float)[:, None] * np.arange(n))
+                      for psi, n in ((psi_x, n_x), (psi_y, n_y)))
+        if not (np.isfinite(ax[:, -1]).all() and np.isfinite(ay[:, -1]).all()):  # the largest
+            raise ValueError(_RAMP_BEYOND_RANGE)
+        return (ay[:, :, None] * ax[:, None, :]).reshape(len(ax), n_x * n_y)
+    # Python floats, twice as fast as the array form and overflowing to inf with no warning; both
+    # ramps' products, each equal to its product with np.arange, go under one exp
+    psi_x, psi_y = np.pi * float(psi_x), np.pi * float(psi_y)
     ramps = [1j * psi_x * k for k in range(n_x)] + [1j * psi_y * k for k in range(n_y)]
     if not (cmath.isfinite(ramps[n_x - 1]) and cmath.isfinite(ramps[-1])):  # the largest
-        raise ValueError("steering angles must be finite, as must each ramp's psi * (n - 1)")
+        raise ValueError(_RAMP_BEYOND_RANGE)
     ramps = np.exp(ramps)
     return (ramps[n_x:, None] * ramps[:n_x]).ravel()
 

@@ -136,24 +136,25 @@ def scale_field(field, s, rho, noise=None):
 
 
 def complex_gaussian(re, im, variance=1.0):
-    """Complex samples from standard normal draws ``re``, ``im``, as ``cn_noise`` makes them."""
-    # each part is one real product written into the result: no complex temporaries
+    """Complex samples sqrt(variance / 2) * (re + j im) of standard normal draws; the one builder.
+
+    A negative or non-finite variance, or samples beyond a float's range, raise a ValueError.
+    """
+    if not 0.0 <= variance < math.inf:  # a NaN fails every comparison
+        raise ValueError(f"variance must be >= 0 and finite, got {variance}")
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    parts = out.reshape(-1).view(float)  # every real and imaginary part, one contiguous run
     scale = math.sqrt(variance / 2.0)
-    out = np.empty(re.shape, dtype=complex)
-    np.multiply(scale, re, out=out.real)
-    np.multiply(scale, im, out=out.imag)
+    # the extreme parts' Python products refuse NaN and overflow where numpy's would warn
+    low, high = np.minimum.reduce(parts, initial=0.0), np.maximum.reduce(parts, initial=0.0)
+    if not (-math.inf < float(low) * scale and float(high) * scale < math.inf):
+        raise ValueError(f"complex samples beyond a float's range at variance {variance}")
+    parts *= scale
     return out
 
 
 def cn_noise(rng, shape, variance=1.0):
-    """Circularly symmetric complex Gaussian samples; one (2, *shape) draw, real parts first.
-
-    A ``variance`` that is negative or not finite raises a ValueError.
-    """
-    if not 0.0 <= variance < math.inf:  # a NaN fails every comparison
-        raise ValueError(f"variance must be >= 0 and finite, got {variance}")
-    draws = rng.standard_normal((2, *shape) if np.iterable(shape) else (2, shape))
-    draws *= math.sqrt(variance / 2.0)  # complex_gaussian's products, made in place
-    out = np.empty(draws.shape[1:], dtype=complex)
-    out.real, out.imag = draws
-    return out
+    """``complex_gaussian`` samples of one (2, *shape) standard normal draw, real parts first."""
+    return complex_gaussian(*rng.standard_normal((2, *shape) if np.iterable(shape) else (2, shape)),
+                            variance)

@@ -18,9 +18,9 @@ from simdoa.analysis import (
     quantization_floor,
 )
 from simdoa.estimator import (EnergyMap, ProtocolConfig, collect_snapshots, electrical_angles,
-                              estimate_from_map, peak_cells, steering_for)
+                              estimate_from_map, peak_cells)
 from simdoa.experiments import effective_rho
-from simdoa.geometry import dft_matrix
+from simdoa.geometry import dft_matrix, steering_vector
 from simdoa.wavemodel import synthesize_received
 
 
@@ -72,7 +72,8 @@ def _lattice(inp):
 
 def _field(inp):
     """``clean_field`` of the trial's response, lattice and true direction."""
-    return clean_field(inp.g, _lattice(inp), steering_for(inp.psi_x, inp.psi_y, inp.n_x, inp.n_y))
+    return clean_field(inp.g, _lattice(inp),
+                       steering_vector(inp.psi_x, inp.psi_y, inp.n_x, inp.n_y))
 
 
 def _bound(inp):
@@ -205,7 +206,7 @@ def test_bound_inputs_validation():
     # g not a matrix, g with the wrong column count, rho < 0
     f = dft_matrix(2, 2).matrix
     lattice = ProtocolConfig().lattice(2, 2)
-    sv = steering_for(0.0, 0.0, 2, 2)
+    sv = steering_vector(0.0, 0.0, 2, 2)
     with pytest.raises(ValueError, match="g must be a matrix"):
         clean_field(f[0], lattice, sv)
     with pytest.raises(ValueError, match=r"shape \(4, 3\).*needs \(4, 4\)"):
@@ -218,7 +219,7 @@ def test_bound_inputs_validation():
 def test_mse_bound_refuses_a_rho_that_is_not_finite(rho):
     # both once returned NaN bounds with no refusal
     lattice = ProtocolConfig().lattice(2, 2)
-    field = clean_field(dft_matrix(2, 2).matrix, lattice, steering_for(0.0, 0.0, 2, 2))
+    field = clean_field(dft_matrix(2, 2).matrix, lattice, steering_vector(0.0, 0.0, 2, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="rho must be >= 0 and finite"):
@@ -250,7 +251,7 @@ def test_noncentrality_matches_collected_energies():
     f = dft_matrix(2, 2).matrix
     rho = 2.3
     s = 0.9 + 0.1j
-    sv = steering_for(0.41, -0.77, 2, 2)
+    sv = steering_vector(0.41, -0.77, 2, 2)
     emap = collect_snapshots(synthesize_received(f, proto.lattice(2, 2).zeroth, sv), s, rho)
     inp = make_inputs(0.41, -0.77, rho=rho, s=s, proto=proto)
     assert np.allclose(noncentrality_map(inp), 2.0 * emap.values, rtol=1e-10)
@@ -264,7 +265,7 @@ def test_clean_field_is_the_clean_snapshot_exactly():
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     inp = Trial(g=g, proto=proto, n_x=3, n_y=2, psi_x=0.27, psi_y=-0.64,
                 rho=1.0, s=1.0 + 0j)
-    field = synthesize_received(g, proto.lattice(3, 2).zeroth, steering_for(0.27, -0.64, 3, 2))
+    field = synthesize_received(g, proto.lattice(3, 2).zeroth, steering_vector(0.27, -0.64, 3, 2))
     emap = collect_snapshots(field, 1.0 + 0j, 1.0)
     assert np.array_equal(np.abs(_field(inp)) ** 2, emap.values)
 
@@ -272,7 +273,7 @@ def test_clean_field_is_the_clean_snapshot_exactly():
 def test_noiseless_peak_matches_estimator():
     proto = ProtocolConfig(t_x=4, t_y=4)
     f = dft_matrix(2, 2).matrix
-    sv = steering_for(0.33, 0.52, 2, 2)
+    sv = steering_vector(0.33, 0.52, 2, 2)
     emap = collect_snapshots(synthesize_received(f, proto.lattice(2, 2).zeroth, sv), 1.0 + 0j, 1.0)
     est = estimate_from_map(emap, proto.lattice(2, 2))
     inp = make_inputs(0.33, 0.52, proto=proto)
@@ -641,7 +642,7 @@ def test_mse_bound_trial_axis_raises_on_a_degenerate_trial():
 def test_mse_bound_refuses_receiver_grid_other_than_input_grid(rows):
     # 2 rows once died on a numpy broadcast error in the bound, 9 on an index error
     lattice = ProtocolConfig(t_x=2, t_y=2).lattice(2, 2)
-    sv = steering_for(0.1, 0.2, 2, 2)
+    sv = steering_vector(0.1, 0.2, 2, 2)
     with pytest.raises(ValueError, match=rf"shape \({rows}, 4\).*4-cell input grid"):
         clean_field(np.ones((rows, 4)), lattice, sv)
     field = synthesize_received(np.ones((rows, 4)), lattice.zeroth, sv)
@@ -654,7 +655,7 @@ def test_mse_bound_refuses_trial_counts_other_than_the_field_s():
     lattice = ProtocolConfig(t_x=2, t_y=2).lattice(2, 2)
     two = np.array([0.1, 0.2])
     field = clean_field(dft_matrix(2, 2).matrix, lattice,
-                        steering_for(np.array([0.1, 0.2, 0.3]), np.zeros(3), 2, 2))
+                        steering_vector(np.array([0.1, 0.2, 0.3]), np.zeros(3), 2, 2))
     ones = np.ones(3, complex)
     for args in ((field, ones[:2], two, two), (field, ones, two, np.zeros(3)),
                  (field, ones, np.zeros(3), two), (field[0], 1.0 + 0j, 0.1, 0.0),

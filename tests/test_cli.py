@@ -1197,11 +1197,23 @@ def test_a_sweep_section_keeps_the_base_fit_caps(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_cells_that_the_sweep_flags_are_not_counted(tmp_path, monkeypatch):
-    # a non-square atom count or a layer count below 1 is flagged in the table, never fitted
-    sweep = {"mode": "ablation", "thickness": [2.0], "layers": [0, 2],
-             "atoms": [-4000000, 4000001, 25], "spacing": [0.5]}
-    cfg = write_config(tmp_path / "c.yaml", {**SWEEP_BASE, "sweep": sweep})
-    assert _accepted(monkeypatch, "sweep", cfg)["sweep"]["atoms"] == (-4000000, 4000001, 25)
+    for sweep, train in [
+        # a non-square atom count or a layer count below 1 is flagged in the table, never fitted
+        ({"thickness": [2.0], "layers": [0, 2], "atoms": [-4000000, 4000001, 25],
+          "spacing": [0.5]}, {}),
+        # one atom cannot span rank 4 (M < N): 2**40 layers of it exited 2 on layer-input cells
+        ({"thickness": [2.0], "layers": [2 ** 40], "atoms": [1], "spacing": [0.5]}, {}),
+        # a thickness or spacing that is not positive and finite: 2 * 16 * 4 * 2**34
+        # multiply-adds a cell is the cap, 2**41, and the flagged cell doubled it
+        ({"thickness": [2.0, -1.0], "layers": [2], "atoms": [4], "spacing": [0.5], "runs": 1},
+         {"max_iters": 2 ** 34}),
+        ({"thickness": [2.0], "layers": [2], "atoms": [4], "spacing": [0.5, math.inf],
+          "runs": 1}, {"max_iters": 2 ** 34}),
+    ]:
+        doc = {**SWEEP_BASE, "train": {**SWEEP_BASE["train"], **train},
+               "sweep": {"mode": "ablation", **sweep}}
+        cfg = write_config(tmp_path / "c.yaml", doc)
+        assert _accepted(monkeypatch, "sweep", cfg)["sweep"]["atoms"] == tuple(sweep["atoms"])
     for name in ("sweep-ablation.yaml", "sweep-receiver.yaml"):
         assert _accepted(monkeypatch, "sweep", str(CONFIGS / name))["sweep"]["runs"] == 2
 

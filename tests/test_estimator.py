@@ -17,13 +17,12 @@ from simdoa.estimator import (
     collect_snapshots,
     electrical_angles,
     estimate_from_map,
-    steering_for,
     visible_angles,
     wrapped_angle_error,
     zeroth_layer_config,
     zeroth_layer_phase,
 )
-from simdoa.geometry import TWO_PI, SimGeometry, dft_matrix, linear_to_grid
+from simdoa.geometry import TWO_PI, SimGeometry, dft_matrix, linear_to_grid, steering_vector
 from simdoa.wavemodel import cn_noise, synthesize_received
 
 LAM = 0.005
@@ -318,7 +317,7 @@ def unit_field(g, sv, proto, n_x, n_y):
 def test_collect_noise_only_preset():
     f = dft_matrix(2, 2).matrix
     proto = ProtocolConfig(t_x=2, t_y=2)
-    field = unit_field(f, steering_for(0.3, -0.4, 2, 2), proto, 2, 2)
+    field = unit_field(f, steering_vector(0.3, -0.4, 2, 2), proto, 2, 2)
     preset = (np.arange(16).reshape(4, 4) + 1.0) * (1 + 1j)
     emap = collect_snapshots(field, 1.0 + 0j, 0.0, noise=preset)
     assert np.allclose(emap.values, np.abs(preset) ** 2)
@@ -329,7 +328,7 @@ def test_collect_noise_only_preset():
 def test_collect_noise_only_mean_power():
     f = dft_matrix(2, 2).matrix
     proto = ProtocolConfig(t_x=16, t_y=16)
-    sv = steering_for(0.1, 0.2, 2, 2)
+    sv = steering_vector(0.1, 0.2, 2, 2)
     emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), 1.0 + 0j, 0.0,
                              noise=per_snapshot_noise(np.random.default_rng(3), 4, proto.t))
     assert np.mean(emap.values) == pytest.approx(1.0, rel=0.1)
@@ -342,7 +341,7 @@ def test_collect_on_lattice_concentrates():
     s = 0.6 + 0.8j
     n0, t0 = 3, 6
     psi = electrical_angles(n0, t0, 2, 2, proto)
-    sv = steering_for(psi[0], psi[1], 2, 2)
+    sv = steering_vector(psi[0], psi[1], 2, 2)
     emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), s, rho)
     est = estimate_from_map(emap, proto.lattice(2, 2))
     assert (est.n, est.t) == (n0, t0)
@@ -356,7 +355,7 @@ def test_collect_on_lattice_concentrates():
 def test_collect_matches_direct_dft_computation():
     f = dft_matrix(2, 2).matrix
     proto = ProtocolConfig(t_x=2, t_y=2)
-    sv = steering_for(0.37, -0.21, 2, 2)
+    sv = steering_vector(0.37, -0.21, 2, 2)
     rho = 2.0
     s = 0.8 - 0.3j
     emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), s, rho)
@@ -391,7 +390,7 @@ def test_collect_matches_per_snapshot_loop_exactly(kind):
     rng = np.random.default_rng(21)
     proto = ProtocolConfig(t_x=3, t_y=4)
     g = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
-    sv = steering_for(0.41, -0.73, 3, 2)
+    sv = steering_vector(0.41, -0.73, 3, 2)
     s = cn_noise(rng, proto.t)[0]
     noise = None if kind == "clean" else cn_noise(np.random.default_rng(8), (5, proto.t))
     want = _per_snapshot_energies(g, sv, s, 2.5, proto, 3, 2, noise)
@@ -431,19 +430,19 @@ def test_collect_trial_axis_maps_equal_one_trial_calls():
     symbols = cn_noise(rng, 4)
     noise = cn_noise(rng, (4, 6, proto.t))
     for u in (None, noise):
-        maps = collect_snapshots(unit_field(g, steering_for(psi_x, psi_y, 3, 2), proto, 3, 2),
+        maps = collect_snapshots(unit_field(g, steering_vector(psi_x, psi_y, 3, 2), proto, 3, 2),
                                  symbols, 1.7, noise=u)
         assert maps.values.shape == (4, 6, proto.t)
         for i, values in enumerate(maps.values):
-            field = unit_field(g, steering_for(psi_x[i], psi_y[i], 3, 2), proto, 3, 2)
+            field = unit_field(g, steering_vector(psi_x[i], psi_y[i], 3, 2), proto, 3, 2)
             want = collect_snapshots(field, symbols[i], 1.7, noise=None if u is None else u[i])
             assert np.array_equal(values, want.values)
     # one symbol per trial: K of them for K trials, one for one; a per-snapshot sequence, and
     # one scalar for K trials, are refused
-    for sv, bad in ((steering_for(psi_x, psi_y, 3, 2), symbols[:3]),
-                    (steering_for(psi_x, psi_y, 3, 2), np.ones((4, proto.t), complex)),
-                    (steering_for(psi_x, psi_y, 3, 2), symbols[0]),
-                    (steering_for(psi_x[0], psi_y[0], 3, 2), np.ones(proto.t, complex))):
+    for sv, bad in ((steering_vector(psi_x, psi_y, 3, 2), symbols[:3]),
+                    (steering_vector(psi_x, psi_y, 3, 2), np.ones((4, proto.t), complex)),
+                    (steering_vector(psi_x, psi_y, 3, 2), symbols[0]),
+                    (steering_vector(psi_x[0], psi_y[0], 3, 2), np.ones(proto.t, complex))):
         with pytest.raises(ValueError, match="one symbol per trial"):
             collect_snapshots(unit_field(g, sv, proto, 3, 2), bad, 1.7)
 
@@ -659,7 +658,7 @@ def test_on_lattice_round_trip():
         n0 = int(rng.integers(1, 5))
         t0 = int(rng.integers(1, 9))
         psi = electrical_angles(n0, t0, 2, 2, proto)
-        sv = steering_for(psi[0], psi[1], 2, 2)
+        sv = steering_vector(psi[0], psi[1], 2, 2)
         emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), 1.0 + 0j, 1.0)
         est = estimate_from_map(emap, proto.lattice(2, 2))
         assert (est.n, est.t) == (n0, t0)
@@ -672,7 +671,7 @@ def test_spectrum_on_lattice_is_delta():
     f = dft_matrix(2, 2).matrix
     proto = ProtocolConfig(t_x=4, t_y=4)
     psi = electrical_angles(2, 11, 2, 2, proto)
-    sv = steering_for(psi[0], psi[1], 2, 2)
+    sv = steering_vector(psi[0], psi[1], 2, 2)
     emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), 1.0 + 0j, 1.0)
     ax, ay, power = angular_spectrum(emap, proto.lattice(2, 2))
     assert ax.shape == (8,) and ay.shape == (8,)
@@ -686,7 +685,7 @@ def test_spectrum_on_lattice_is_delta():
 def test_spectrum_peak_snaps_to_nearest_cell():
     f = dft_matrix(2, 2).matrix
     proto = ProtocolConfig(t_x=16, t_y=16)
-    sv = steering_for(0.48, 0.23, 2, 2)
+    sv = steering_vector(0.48, 0.23, 2, 2)
     emap = collect_snapshots(unit_field(f, sv, proto, 2, 2), 1.0 + 0j, 1.0)
     ax, ay, power = angular_spectrum(emap, proto.lattice(2, 2))
     iy, ix = np.unravel_index(np.argmax(power), power.shape)

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from simdoa import analysis, estimator, experiments, streams
 from simdoa.analysis import quantization_floor
 from simdoa.estimator import (DoaEstimate, EnergyMap, ProtocolConfig, collect_snapshots,
-                              electrical_angles, estimate_from_map, steering_for,
-                              wrapped_angle_error)
+                              electrical_angles, estimate_from_map, wrapped_angle_error)
 from simdoa.experiments import (
     McConfig,
     McPoint,
@@ -27,7 +26,7 @@ from simdoa.experiments import (
     sample_source,
 )
 from simdoa.geometry import (TWO_PI, SimGeometry, build_propagation_matrices,
-                             dft_matrix)
+                             dft_matrix, steering_vector)
 from simdoa.trainer import TrainConfig, train
 from simdoa.wavemodel import (antenna_field, cn_noise, complex_gaussian, matvec_columns,
                               scale_field, synthesize_received)
@@ -46,27 +45,39 @@ def small_geom(**overrides):
 
 def lattice_source(n, t, n_x, n_y, proto, s=1.0 + 0j):
     psi_x, psi_y = electrical_angles(n, t, n_x, n_y, proto)
-    return SourceTruth(phi=0.0, theta=0.0, psi_x=psi_x, psi_y=psi_y, s=s)
+    return SourceTruth(psi_x=psi_x, psi_y=psi_y, s=s)
 
 
 # --------------------------------------------------------------------- sources
 
+def physical(source):
+    """(phi, theta) of a source in the visible region, derived from its electrical angles."""
+    radius = math.hypot(source.psi_x, source.psi_y)
+    assert radius <= 1.0 + 1e-12
+    return math.atan2(source.psi_y, source.psi_x) % (2.0 * math.pi), math.asin(min(radius, 1.0))
+
+
+def test_source_truth_holds_the_electrical_angles_and_the_symbol():
+    assert [f.name for f in dataclasses.fields(SourceTruth)] == ["psi_x", "psi_y", "s"]
+
+
 def test_sample_source_parameter_mode():
     rng = np.random.default_rng(0)
-    draws = [sample_source(rng) for _ in range(30_000)]
-    sines = [math.sin(d.theta) for d in draws]
-    # theta uniform on [0, pi/2) has mean sine 2/pi
-    assert np.mean(sines) == pytest.approx(2.0 / math.pi, abs=0.01)
-    for d in draws[:500]:
-        assert d.psi_x ** 2 + d.psi_y ** 2 <= 1.0 + 1e-12
-        assert d.psi_x == pytest.approx(math.sin(d.theta) * math.cos(d.phi))
+    angles = [physical(sample_source(rng)) for _ in range(30_000)]
+    # theta uniform on [0, pi/2) has mean sine 2/pi; phi uniform on [0, 2 pi) has mean pi
+    assert np.mean([math.sin(theta) for _, theta in angles]) == pytest.approx(2.0 / math.pi,
+                                                                             abs=0.01)
+    assert np.mean([theta for _, theta in angles]) == pytest.approx(math.pi / 4, abs=0.01)
+    assert np.mean([phi for phi, _ in angles]) == pytest.approx(math.pi, abs=0.03)
 
 
 def test_sample_source_solid_mode():
     rng = np.random.default_rng(1)
-    draws = [sample_source(rng, mode="solid") for _ in range(30_000)]
+    angles = [physical(sample_source(rng, mode="solid")) for _ in range(30_000)]
     # cos(theta) uniform on (0, 1] has mean sine pi/4
-    assert np.mean([math.sin(d.theta) for d in draws]) == pytest.approx(math.pi / 4, abs=0.01)
+    assert np.mean([math.sin(theta) for _, theta in angles]) == pytest.approx(math.pi / 4,
+                                                                             abs=0.01)
+    assert np.mean([phi for phi, _ in angles]) == pytest.approx(math.pi, abs=0.03)
 
 
 def test_sample_source_uniform_psi_mode():
@@ -74,11 +85,10 @@ def test_sample_source_uniform_psi_mode():
     draws = [sample_source(rng, mode="uniform-psi") for _ in range(5000)]
     xs = [d.psi_x for d in draws]
     assert min(xs) < -0.95 and max(xs) > 0.95
-    for d in draws:
-        if d.psi_x ** 2 + d.psi_y ** 2 <= 1.0:
-            assert d.theta == pytest.approx(math.asin(math.hypot(d.psi_x, d.psi_y)))
-        else:
-            assert math.isnan(d.theta)
+    assert all(-1.0 <= v < 1.0 for d in draws for v in (d.psi_x, d.psi_y))
+    # uniform on the square: pi/4 of the draws fall in the visible region, the unit disk
+    visible = np.mean([math.hypot(d.psi_x, d.psi_y) <= 1.0 for d in draws])
+    assert visible == pytest.approx(math.pi / 4, abs=0.02)
 
 
 def test_sample_source_symbols():
@@ -124,7 +134,7 @@ def test_snr_rho_refuses_a_beta_whose_power_overflows(beta):
     (1.0, 1e305, 10.0 + 0j, 4, "energy values must be finite"),
 ], ids=["beta-power", "rho", "energies"])
 def test_paired_trial_refuses_an_overflow_without_a_warning(beta, gamma, s, t_side, message):
-    src = SourceTruth(phi=0.0, theta=0.0, psi_x=0.1, psi_y=0.2, s=s)
+    src = SourceTruth(psi_x=0.1, psi_y=0.2, s=s)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
@@ -132,12 +142,26 @@ def test_paired_trial_refuses_an_overflow_without_a_warning(beta, gamma, s, t_si
                          2, 2, gamma, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("beta", [np.complex128(5e-324), 5e-324 + 0j, complex(1e-320, -3e-322)],
+                         ids=["numpy", "python", "python-off-axis"])
+def test_paired_trial_refuses_a_beta_whose_noise_frame_is_not_finite(beta):
+    # numpy's conj(beta) / |beta| of a subnormal complex beta is NaN, and the NaN noise was
+    # refused by EnergyMap's 'energy values must be finite and >= 0', which names no input
+    src = SourceTruth(psi_x=0.1, psi_y=0.2, s=1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^beta .* gives a noise frame conj\(beta\) / \|beta\|"
+                                             r" that is not finite$"):
+            paired_trial(dft_matrix(2, 2).matrix, beta, src, ProtocolConfig(t_x=2, t_y=2), 2, 2,
+                         10.0, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("beta", [1.0, 1.3 - 0.4j])
 def test_paired_trial_refuses_a_response_beyond_range_without_a_warning(beta):
     # G Y_0 a of a finite G with 1e308 entries warns 'overflow encountered' in synthesize_received,
     # which no energy function's errstate covers: paired_trial's own errstate must
     g = np.full((4, 4), 1e308 + 0j)
-    src = SourceTruth(phi=0.0, theta=0.0, psi_x=0.1, psi_y=0.2, s=0.6 - 0.8j)
+    src = SourceTruth(psi_x=0.1, psi_y=0.2, s=0.6 - 0.8j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="energy values must be finite and >= 0"):
@@ -150,7 +174,7 @@ def test_energy_functions_refuse_an_overflow_without_a_warning(path):
     # called outside paired_trial and the CLI, whose errstates they once relied on, both warned
     # 'overflow encountered in multiply' before EnergyMap refused the energies
     f, lattice = dft_matrix(2, 2).matrix, ProtocolConfig(t_x=4, t_y=4).lattice(2, 2)
-    sv = steering_for(0.1, 0.2, 2, 2)
+    sv = steering_vector(0.1, 0.2, 2, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="energy values must be finite"):
@@ -167,7 +191,7 @@ def test_digital_on_lattice_exact():
     for n0, t0 in ((1, 1), (3, 7), (4, 16), (2, 10)):
         src = lattice_source(n0, t0, 2, 2, proto, s=0.7 - 0.7j)
         est = digital_baseline(dft_matrix(2, 2).matrix, proto.lattice(2, 2),
-                               steering_for(src.psi_x, src.psi_y, 2, 2), src.s, 5.0)
+                               steering_vector(src.psi_x, src.psi_y, 2, 2), src.s, 5.0)
         assert (est.n, est.t) == (n0, t0)
         assert (est.psi_x, est.psi_y) == (src.psi_x, src.psi_y)
 
@@ -181,7 +205,7 @@ def _antenna_noise(rng, proto, n_x, n_y):
 def _per_snapshot_digital_energies(source, proto, n_x, n_y, rho, noise):
     """The snapshot-by-snapshot loop that the lattice replaced, as an oracle."""
     f = dft_matrix(n_x, n_y).matrix
-    sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
+    sv = steering_vector(source.psi_x, source.psi_y, n_x, n_y)
     values = np.empty((n_x * n_y, proto.t))
     for t in range(1, proto.t + 1):
         zeroth = np.exp(1j * estimator.zeroth_layer_phase(np.arange(1, n_x * n_y + 1), t,
@@ -204,8 +228,8 @@ def test_digital_matches_per_snapshot_loop_exactly(kind, monkeypatch):
 
     monkeypatch.setattr(experiments, "estimate_from_map", capture)
     proto = ProtocolConfig(t_x=3, t_y=4)
-    src = SourceTruth(phi=0.0, theta=0.0, psi_x=0.37, psi_y=-0.58, s=0.3 - 1.1j)
-    sv = steering_for(src.psi_x, src.psi_y, 3, 2)
+    src = SourceTruth(psi_x=0.37, psi_y=-0.58, s=0.3 - 1.1j)
+    sv = steering_vector(src.psi_x, src.psi_y, 3, 2)
     f, lattice = dft_matrix(3, 2).matrix, proto.lattice(3, 2)
     noise = cn_noise(np.random.default_rng(5), (6, proto.t), variance=1.0 / 6)
     if kind == "clean":
@@ -224,7 +248,7 @@ def test_digital_matches_per_snapshot_loop_exactly(kind, monkeypatch):
 def test_digital_energies_refuse_symbols_other_than_one_per_trial():
     # the count was once refused only by numpy's broadcast error, which names no argument
     lattice = ProtocolConfig(t_x=2, t_y=2).lattice(2, 2)
-    sv = steering_for(np.array([0.1, -0.3]), np.array([0.2, 0.4]), 2, 2)
+    sv = steering_vector(np.array([0.1, -0.3]), np.array([0.2, 0.4]), 2, 2)
     with pytest.raises(ValueError, match=r"one symbol per trial, \(2,\), got \(3,\)"):
         experiments._digital_energies(dft_matrix(2, 2).matrix, lattice, sv, np.ones(3), 1.0)
 
@@ -266,10 +290,10 @@ def two_vector_paired_trial(g, beta, source, proto, n_x, n_y, gamma, rng):
     xi0 = estimator.zeroth_layer_phase(np.arange(1, n + 1)[:, None], np.arange(1, proto.t + 1),
                                        n_x, n_y, proto)
     s = np.asarray(source.s, dtype=complex)
-    sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
+    sv = steering_vector(source.psi_x, source.psi_y, n_x, n_y)
     field = matvec_columns(np.asarray(g), (np.exp(1j * xi0).T * sv).swapaxes(-1, -2))
     wave_map = np.abs(scale_field(field, s, rho_wave, frame * (f @ u_ant))) ** 2
-    sv = steering_for(source.psi_x, source.psi_y, n_x, n_y)
+    sv = steering_vector(source.psi_x, source.psi_y, n_x, n_y)
     x = np.sqrt(rho_digital) * (np.exp(1j * xi0) * sv[..., None]) * source.s + u_ant
     digital_map = np.abs(matvec_columns(f, x)) ** 2
     return [estimate_from_map(EnergyMap(m), proto.lattice(n_x, n_y))
@@ -395,12 +419,6 @@ def former_sample_source(rng, mode, symbol):
     if mode == "uniform-psi":
         psi_x = rng.uniform(-1.0, 1.0)
         psi_y = rng.uniform(-1.0, 1.0)
-        radius = math.hypot(psi_x, psi_y)
-        if radius <= 1.0:
-            theta = math.asin(radius)
-            phi = math.atan2(psi_y, psi_x) % (2.0 * math.pi)
-        else:
-            theta = phi = float("nan")
     else:
         phi = rng.uniform(0.0, 2.0 * math.pi)
         if mode == "parameter":
@@ -413,7 +431,7 @@ def former_sample_source(rng, mode, symbol):
         s = complex(three_pass_cn_noise(rng, ()))
     else:
         s = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
-    return SourceTruth(phi=phi, theta=theta, psi_x=psi_x, psi_y=psi_y, s=s)
+    return SourceTruth(psi_x=psi_x, psi_y=psi_y, s=s)
 
 
 @pytest.mark.parametrize("symbol", ["cscg", "phase"])
@@ -434,7 +452,7 @@ def test_two_pass_noise_keeps_wave_and_digital_energies_on_signed_zeros():
     re, im = (np.array([p[i] for p in parts] * 4).reshape(4, 4, 4) for i in (0, 1))
     proto = ProtocolConfig(t_x=2, t_y=2)
     lattice = proto.lattice(2, 2)
-    sv = steering_for(lattice.psi_x[:, 1], lattice.psi_y[:, 1], 2, 2)
+    sv = steering_vector(lattice.psi_x[:, 1], lattice.psi_y[:, 1], 2, 2)
     s = cn_noise(np.random.default_rng(46), 4)
     g = np.random.default_rng(47).standard_normal((4, 4)) + 0j
     g[1] = g[3] = 0.0
@@ -664,7 +682,7 @@ def _mc_trial(cfg, snr_index, trial, rho):
     else:
         source = sample_source(rng, cfg.source_mode, cfg.symbol)
     noiseless = rho is None
-    sv = steering_for(source.psi_x, source.psi_y, cfg.n_x, cfg.n_y)
+    sv = steering_vector(source.psi_x, source.psi_y, cfg.n_x, cfg.n_y)
     lattice = cfg.proto.lattice(cfg.n_x, cfg.n_y)
     if cfg.pipeline == "digital":
         g_for_bound = dft_matrix(cfg.n_x, cfg.n_y).matrix
@@ -745,7 +763,7 @@ def mc_configs(draw):
     sources = None
     if draw(st.booleans()):
         angle = st.floats(-1.0, 1.0, exclude_max=True)
-        sources = tuple(SourceTruth(0.0, 0.0, draw(angle), draw(angle),
+        sources = tuple(SourceTruth(draw(angle), draw(angle),
                                     complex(draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0))))
                         for _ in range(draw(st.integers(1, 3))))
     return McConfig(
@@ -845,14 +863,14 @@ def test_mc_block_builds_one_steering_vector_for_its_snapshots_and_field(monkeyp
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((experiments, "steering_for"), (analysis, "clean_field"),
+    for module, name in ((experiments, "steering_vector"), (analysis, "clean_field"),
                          (experiments, "collect_snapshots"), (experiments, "_digital_energies"),
                          (analysis, "mse_bound")):
         spy(module, name)
     proto = ProtocolConfig(t_x=2, t_y=2)
     run_monte_carlo(McConfig(n_x=2, n_y=2, proto=proto, snr_db=(10.0,), trials=3,
                              g=dft_matrix(2, 2).matrix, seed=4, pipeline=pipeline))
-    (_, sv), = calls["steering_for"]
+    (_, sv), = calls["steering_vector"]
     ((response, _, read), field), = calls["clean_field"]
     assert read is sv
     (bound_args, _), = calls["mse_bound"]
@@ -878,7 +896,7 @@ def test_in_place_writes_touch_only_arrays_they_made():
     s = cn_noise(rng, k)
     psi_x, psi_y = rng.uniform(-1.0, 1.0, k), rng.uniform(-1.0, 1.0, k)
     lattice = proto.lattice(2, 2)
-    sv = steering_for(psi_x, psi_y, 2, 2)
+    sv = steering_vector(psi_x, psi_y, 2, 2)
     field = analysis.clean_field(g, lattice, sv)
     noise = cn_noise(rng, (k, n, proto.t))
     inputs = [g, s, field, sv, noise, psi_x, psi_y, lattice.zeroth]

@@ -282,7 +282,7 @@ def test_steering_zero_angles_all_ones():
 
 
 def test_steering_endfire_alternates():
-    sv = steering_vector(math.pi, 0.0, 2, 1)
+    sv = steering_vector(1.0, 0.0, 2, 1)  # normalized angles: a progression of pi radians
     assert sv == pytest.approx([1.0, -1.0])
 
 
@@ -290,7 +290,7 @@ def test_steering_kronecker_oracle():
     px, py = 0.48 * math.pi, 0.23 * math.pi
     ax = np.array([1.0, cmath.exp(1j * px)])
     ay = np.array([1.0, cmath.exp(1j * py)])
-    sv = steering_vector(px, py, 2, 2)
+    sv = steering_vector(0.48, 0.23, 2, 2)
     assert sv == pytest.approx(np.kron(ay, ax), rel=1e-15)
 
 
@@ -298,10 +298,10 @@ def test_steering_equals_kronecker_product_exactly():
     rng = np.random.default_rng(6)
     for _ in range(200):
         nx, ny = (int(v) for v in rng.integers(1, 9, 2))
-        px, py = rng.uniform(-4.0, 4.0, 2)
-        ax = np.exp(1j * px * np.arange(nx))
-        ay = np.exp(1j * py * np.arange(ny))
-        assert np.array_equal(steering_vector(px, py, nx, ny), np.kron(ay, ax))
+        psi_x, psi_y = rng.uniform(-4.0, 4.0, 2)
+        ax = np.exp(1j * (np.pi * psi_x) * np.arange(nx))
+        ay = np.exp(1j * (np.pi * psi_y) * np.arange(ny))
+        assert np.array_equal(steering_vector(psi_x, psi_y, nx, ny), np.kron(ay, ax))
 
 
 def test_steering_rows_equal_one_wave_calls_exactly():
@@ -330,7 +330,8 @@ def test_scalar_steering_equals_its_array_row_and_the_outer_form_bit_for_bit():
         rows = steering_vector(px, py, nx, ny)
         for row, x, y in zip(rows, px, py):
             one = steering_vector(float(x), float(y), nx, ny)
-            outer = np.outer(np.exp(1j * y * np.arange(ny)), np.exp(1j * x * np.arange(nx)))
+            outer = np.outer(np.exp(1j * (np.pi * y) * np.arange(ny)),
+                             np.exp(1j * (np.pi * x) * np.arange(nx)))
             assert one.shape == (nx * ny,)
             assert np.array_equal(one.view(np.int64), row.view(np.int64))
             assert np.array_equal(one.view(np.int64), outer.ravel().view(np.int64))
@@ -338,17 +339,38 @@ def test_scalar_steering_equals_its_array_row_and_the_outer_form_bit_for_bit():
 
 @pytest.mark.parametrize("psi_x,psi_y,n_x,n_y", [
     (1e308, 0.1, 3, 2), (0.1, -1e308, 2, 3), (6e307, 0.1, 4, 1),
-    (math.inf, 0.1, 1, 1), (0.1, math.nan, 2, 2),
+    (math.inf, 0.1, 1, 1), (0.1, math.nan, 2, 2), (1e308, 0.1, 1, 1),
+    # pi * psi fits a float and the ramp does not
+    (1e308 / math.pi, 0.1, 3, 2), (0.1, -1e308 / math.pi, 2, 3), (6e307 / math.pi, 0.1, 4, 1),
+    # numpy scalars, whose products beyond a float's range warn where Python's do not
+    (np.float64(1.7976931348623157e308), 0.1, 1, 1), (0.1, np.float64(4e307), 2, 3),
 ])
 def test_scalar_steering_refuses_a_ramp_beyond_a_float(psi_x, psi_y, n_x, n_y):
-    # a finite progression whose ramp psi * (n - 1) overflows warned 'overflow encountered in
-    # multiply' and 'invalid value encountered in exp', and gave NaN entries
+    # a finite progression whose ramp pi * psi * (n - 1) overflows warned 'overflow encountered
+    # in multiply' and 'invalid value encountered in exp', and gave NaN entries
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="steering angles must be finite"):
             steering_vector(psi_x, psi_y, n_x, n_y)
     # the largest ramp that fits is kept
-    assert np.all(np.isfinite(steering_vector(8e307, -1e308, 3, 2)))
+    assert np.all(np.isfinite(steering_vector(8e307 / math.pi, -1e308 / math.pi, 3, 2)))
+
+
+@pytest.mark.parametrize("psi_x,psi_y,n_x,n_y", [
+    ([1e308, 0.1], [0.1, 0.2], 3, 2), ([0.1, 4e307], [0.1, 0.2], 3, 2),
+    ([0.1, 0.2], [0.3, -4e307], 2, 3), ([0.1, 0.2], [0.3, math.inf], 2, 1),
+    ([math.nan, 0.2], [0.3, 0.4], 1, 2),
+])
+def test_array_steering_refuses_a_ramp_beyond_a_float(psi_x, psi_y, n_x, n_y):
+    # the K-wave path warned 'overflow encountered in multiply' and gave NaN rows for a finite
+    # psi whose ramp overflows, where the one-wave path refused it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="steering angles must be finite"):
+            steering_vector(np.array(psi_x), np.array(psi_y), n_x, n_y)
+    rows = steering_vector(np.array([8e307, 0.1]) / math.pi, np.array([-1e308, 0.2]) / math.pi,
+                           3, 2)
+    assert np.all(np.isfinite(rows))
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))

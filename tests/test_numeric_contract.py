@@ -1,7 +1,8 @@
-"""The one-map path's numeric contract, drawn across magnitudes and shapes.
+"""The trial inputs' and the one-map path's numeric contract, drawn across magnitudes and shapes.
 
-Every function on the path from a source to a paired wave/digital estimate takes arguments
-drawn from subnormal to 1e308, +-0, NaN and +-inf, on 2x2 and 3x2 grids, and array arguments
+Every function on the path from a source to a paired wave/digital estimate, and the K-wave
+steering and complex noise of a Monte Carlo block, takes arguments drawn from subnormal to
+1e308, +-0, NaN and +-inf, on 2x2 and 3x2 grids, and array arguments
 whose shape is now and then off by one axis. With warnings raised as errors, each call must
 give a finite result of its documented shape or raise a ValueError. An estimate's physical
 angles may be NaN, as documented for a peak outside the visible region, and must then be its
@@ -19,7 +20,7 @@ from simdoa.estimator import (DoaEstimate, EnergyMap, ProtocolConfig, collect_sn
                               estimate_from_map)
 from simdoa.experiments import SourceTruth, digital_baseline, paired_trial
 from simdoa.geometry import dft_matrix, steering_vector
-from simdoa.wavemodel import cn_noise, scale_field
+from simdoa.wavemodel import cn_noise, complex_gaussian, scale_field
 
 MAGNITUDES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-200, 1e-8, 0.7, 1.0, 3.0, 1e8, 1e154,
               1e200, 1e307, 4e307, 1.7976931348623157e308]
@@ -104,11 +105,35 @@ def test_cn_noise(grid, shape, variance):
 
 
 @FUZZ
-@given(grid=grids, psi_x=reals, psi_y=reals)
+@given(grid=grids, data=st.data(), variance=scalars)
+def test_complex_gaussian(grid, data, variance):
+    # one trial's (N, T) draws or a block's (K, N, T), each part drawn on its own
+    shape = data.draw(st.sampled_from([(grid[0] * grid[1], 4), (2, grid[0] * grid[1], 4)]))
+    re, im = data.draw(arrays(shape, real=True)), data.draw(arrays(shape, real=True))
+    noise = outcome(complex_gaussian, re, im, variance)
+    if noise is not None:
+        assert noise.shape == re.shape and noise.dtype == complex
+        assert np.all(np.isfinite(noise))
+
+
+@FUZZ
+@given(grid=grids, psi_x=scalars, psi_y=scalars)
 def test_steering_vector(grid, psi_x, psi_y):
     sv = outcome(steering_vector, psi_x, psi_y, *grid)
     if sv is not None:
         assert sv.shape == (grid[0] * grid[1],)
+        assert np.all(np.isfinite(sv))
+
+
+@FUZZ
+@given(grid=grids, data=st.data())
+def test_steering_vector_waves(grid, data):
+    # K waves' angles; a dropped axis leaves a 0-d array, which is one wave
+    waves = data.draw(st.integers(1, 3))
+    psi_x, psi_y = data.draw(arrays((waves,), real=True)), data.draw(arrays((waves,), real=True))
+    sv = outcome(steering_vector, psi_x, psi_y, *grid)
+    if sv is not None:
+        assert sv.shape == (*psi_x.shape, grid[0] * grid[1])
         assert np.all(np.isfinite(sv))
 
 
@@ -200,7 +225,7 @@ def paired_inputs(draw):
 # each warned before paired_trial's errstate covered its whole body and steering_vector
 # refused a ramp beyond a float: 'overflow encountered in multiply' for psi_x * 2 in the ramp,
 # in scalar multiply for a numpy gamma's rho and a numpy psi_y's pi * psi_y, and in scalar
-# divide for the frame of a subnormal numpy beta
+# divide for the frame of a subnormal numpy beta, which paired_trial now refuses by name
 @example(inputs=((3, 2), ProtocolConfig(2, 2), None, 1.0, (4e307, 0.1, 1 + 0j), 10.0))
 @example(inputs=((2, 2), ProtocolConfig(2, 2), None, 1e10, (0.1, 0.2, 1 + 0j),
                  np.float64(1e300)))
@@ -210,7 +235,7 @@ def paired_inputs(draw):
 def test_paired_trial(inputs):
     grid, proto, g, beta, source, gamma = inputs
     g = dft_matrix(*grid).matrix if g is None else g
-    pair = outcome(paired_trial, g, beta, SourceTruth(math.nan, math.nan, *source), proto, *grid,
+    pair = outcome(paired_trial, g, beta, SourceTruth(*source), proto, *grid,
                    gamma, np.random.default_rng(0))
     if pair is not None:
         for est in pair:

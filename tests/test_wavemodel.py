@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from simdoa.estimator import ProtocolConfig, collect_snapshots, steering_for, zeroth_layer_phase
+from simdoa.estimator import ProtocolConfig, collect_snapshots, zeroth_layer_phase
 from simdoa.geometry import (SimGeometry, build_propagation_matrices,
                              dft_matrix, steering_vector)
 from simdoa.wavemodel import (
@@ -231,7 +231,7 @@ def test_received_on_bin_concentrates():
     for k in range(4):
         kx = k % n_x
         ky = k // n_x
-        sv = steering_vector(2 * math.pi * kx / n_x, 2 * math.pi * ky / n_y, n_x, n_y)
+        sv = steering_vector(2 * kx / n_x, 2 * ky / n_y, n_x, n_y)
         r = received(f, zeroth, sv, 1.0 + 0j, rho)
         mags = np.abs(r)
         assert mags[k] == pytest.approx(math.sqrt(rho) * 4, rel=1e-12)
@@ -244,7 +244,7 @@ def test_received_off_grid_matches_digital_dft():
     rng = np.random.default_rng(9)
     xi0 = rng.uniform(0, 2 * math.pi, 4)
     zeroth = np.exp(1j * xi0)
-    sv = steering_vector(0.48 * math.pi, 0.23 * math.pi, 2, 2)
+    sv = steering_vector(0.48, 0.23, 2, 2)
     s = 0.8 - 0.3j
     r = received(f, zeroth, sv, s, 4.0)
     oracle = 2.0 * f @ (np.exp(1j * xi0) * sv * s)
@@ -313,7 +313,7 @@ def _signed_zero_fields():
     """
     rng = np.random.default_rng(31)
     lattice = ProtocolConfig(t_x=2, t_y=2).lattice(2, 2)
-    sv = steering_for(lattice.psi_x[:, 1], lattice.psi_y[:, 1], 2, 2)
+    sv = steering_vector(lattice.psi_x[:, 1], lattice.psi_y[:, 1], 2, 2)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     g[1] = g[3] = 0.0
     parts = np.array([[re, im] for re in (0.0, -0.0, 0.7, -0.7) for im in (0.0, -0.0, 0.3, -0.3)])
