@@ -19,7 +19,7 @@ from . import __version__, experiments
 from .estimator import ProtocolConfig, angular_spectrum, collect_snapshots, estimate_from_map
 from .geometry import SimGeometry, build_propagation_matrices, dft_matrix, steering_vector
 from .trainer import TrainConfig
-from .wavemodel import (PhaseStack, complex_gaussian, forward_response, optimal_scale,
+from .wavemodel import (PhaseStack, _complex_normals, forward_response, optimal_scale,
                         synthesize_received)
 
 
@@ -458,7 +458,7 @@ def _spectrum_map(config, args, command):
         rho = experiments.snr_rho(snr, beta, geom.n, proto.t)
         # unit complex noise, one snapshot's (2, R) normals after another, as cn_noise draws them
         draws = np.random.default_rng(run["seed"]).standard_normal((proto.t, 2, len(g)))
-        noise = complex_gaussian(draws[:, 0], draws[:, 1]).T
+        noise = _complex_normals(draws[:, 0], draws[:, 1]).T
     lattice = proto.lattice(geom.n_x, geom.n_y, (geom.d_x / geom.wavelength,
                                                  geom.d_y / geom.wavelength))
     try:  # energies beyond a float's range: EnergyMap refuses them, with no RuntimeWarning

@@ -141,9 +141,17 @@ def collect_snapshots(field, s, rho, noise=None):
     (K, R, T) energy map, slice k equal to trial k's one-trial call bit for
     bit.
     """
-    energies = np.abs(scale_field(field, s, rho, noise))
-    energies *= energies
-    return EnergyMap(energies)
+    return _power_map(scale_field(field, s, rho, noise))
+
+
+def _power_map(x):
+    """EnergyMap of |x|^2, squared in place; past __post_init__ once its max alone is < inf."""
+    energies = np.abs(x)
+    energies *= energies  # >= 0 or NaN, and np.maximum.reduce propagates a NaN
+    if energies.ndim in (2, 3) and energies.size and np.maximum.reduce(energies, None) < math.inf:
+        object.__setattr__(emap := object.__new__(EnergyMap), "values", energies)
+        return emap
+    return EnergyMap(energies)  # which refuses it with its own message
 
 
 def peak_cells(values):

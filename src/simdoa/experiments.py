@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import (EnergyMap, ProtocolConfig, collect_snapshots,
-                        estimate_from_map, wrapped_angle_error)
+from .estimator import (ProtocolConfig, _power_map, collect_snapshots, estimate_from_map,
+                        wrapped_angle_error)
 from .geometry import build_propagation_matrices, check_feasibility, dft_matrix, steering_vector
 from .trainer import train, train_restarts
-from .wavemodel import (antenna_field, cn_noise, complex_gaussian, forward_response,
+from .wavemodel import (_complex_normals, antenna_field, cn_noise, forward_response,
                         matvec_columns, optimal_scale, scale_field, synthesize_received)
 
 
@@ -194,9 +194,7 @@ def _digital_energies(f, lattice, sv, s, rho, noise=None):
     and give (K, N, T), slice k equal to trial k's own call bit for bit.
     """
     field = scale_field(antenna_field(lattice.zeroth, sv), s, rho, noise)
-    energies = np.abs(matvec_columns(f, field))
-    energies *= energies
-    return EnergyMap(energies)
+    return _power_map(matvec_columns(f, field))
 
 
 # a field beyond range, such as G Y_0 a for a finite G of 1e308 entries, warns in matmul; the
@@ -267,7 +265,7 @@ def _mc_block(cfg, stream, trials, snr, rho):
             rng.standard_normal(out=draws[i])
     sv = steering_vector(psi_x, psi_y, cfg.n_x, cfg.n_y)
     lattice = cfg.proto.lattice(cfg.n_x, cfg.n_y)
-    noise = None if draws is None else complex_gaussian(draws[:, 0], draws[:, 1],
+    noise = None if draws is None else _complex_normals(draws[:, 0], draws[:, 1],
                                                         1.0 if wave else 1.0 / n)
     # the noise replaces its draws, so the bound below runs with one buffer less: without this del
     # and the one below, bench/ mc-bound-4x4 read 0.80x ops_per_s, +2.2 MB peak RSS (0/10, 2 cores)

@@ -136,25 +136,30 @@ def scale_field(field, s, rho, noise=None):
 
 
 def complex_gaussian(re, im, variance=1.0):
-    """Complex samples sqrt(variance / 2) * (re + j im) of standard normal draws; the one builder.
+    """Complex samples sqrt(variance / 2) * (re + j im); ``re`` and ``im`` of two shapes, a
+    negative or non-finite variance, or samples beyond a float's range raise a ValueError."""
+    if np.shape(re) != np.shape(im):
+        raise ValueError(f"re has shape {np.shape(re)} but im has shape {np.shape(im)}")
+    with np.errstate(over="ignore", invalid="ignore"):  # the scan below refuses what they flag
+        out = _complex_normals(re, im, variance)
+    if not np.isfinite(out).all():
+        raise ValueError(f"complex samples beyond a float's range at variance {variance}")
+    return out
 
-    A negative or non-finite variance, or samples beyond a float's range, raise a ValueError.
-    """
+
+def _complex_normals(re, im, variance=1.0):
+    """``complex_gaussian`` with no scan, for numpy's normals: its ziggurat draws are finite with
+    |z| < r + log(2^53) / r < 14 (tail start r = 3.654), and sqrt(variance / 2) <= 9.5e153."""
     if not 0.0 <= variance < math.inf:  # a NaN fails every comparison
         raise ValueError(f"variance must be >= 0 and finite, got {variance}")
     out = np.empty(np.shape(re), dtype=complex)
     out.real, out.imag = re, im
     parts = out.reshape(-1).view(float)  # every real and imaginary part, one contiguous run
-    scale = math.sqrt(variance / 2.0)
-    # the extreme parts' Python products refuse NaN and overflow where numpy's would warn
-    low, high = np.minimum.reduce(parts, initial=0.0), np.maximum.reduce(parts, initial=0.0)
-    if not (-math.inf < float(low) * scale and float(high) * scale < math.inf):
-        raise ValueError(f"complex samples beyond a float's range at variance {variance}")
-    parts *= scale
+    parts *= math.sqrt(variance / 2.0)
     return out
 
 
 def cn_noise(rng, shape, variance=1.0):
     """``complex_gaussian`` samples of one (2, *shape) standard normal draw, real parts first."""
-    return complex_gaussian(*rng.standard_normal((2, *shape) if np.iterable(shape) else (2, shape)),
+    return _complex_normals(*rng.standard_normal((2, *shape) if np.iterable(shape) else (2, shape)),
                             variance)

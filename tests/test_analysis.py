@@ -226,6 +226,21 @@ def test_mse_bound_refuses_a_rho_that_is_not_finite(rho):
             mse_bound(field[None], np.array([1.0 + 0j]), rho, lattice, np.zeros(1), np.zeros(1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["psi_x", "psi_y"])
+def test_mse_bound_refuses_an_angle_that_is_not_finite(name, bad):
+    # a NaN or infinite angle once gave NaN bounds with no refusal
+    lattice = ProtocolConfig(t_x=2, t_y=2).lattice(2, 2)
+    field = clean_field(dft_matrix(2, 2).matrix, lattice,
+                        steering_vector(np.array([0.1, 0.2]), np.zeros(2), 2, 2))
+    angles = {"psi_x": np.array([0.1, 0.2]), "psi_y": np.zeros(2)}
+    angles[name][1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            mse_bound(field, np.ones(2, complex), 10.0, lattice, angles["psi_x"], angles["psi_y"])
+
+
 def test_noncentrality_zero_without_signal():
     inp = make_inputs(0.37, -0.5, rho=0.0)
     assert np.all(noncentrality_map(inp) == 0.0)

@@ -309,6 +309,15 @@ def test_energy_map_refuses_non_finite_values(bad):
     assert EnergyMap(np.array([[0.0, -0.0, np.finfo(float).max]])).values.shape == (1, 3)
 
 
+def test_energy_map_refuses_a_negative_entry():
+    # the one-map path checks only the max of its |x|^2 maps; the public map keeps its min
+    for shape, cell in (((4, 16), (3, 15)), ((3, 4, 16), (2, 0, 0))):
+        values = np.ones(shape)
+        values[cell] = -5e-324
+        with pytest.raises(ValueError, match=r"^energy values must be finite and >= 0$"):
+            EnergyMap(values)
+
+
 def unit_field(g, sv, proto, n_x, n_y):
     """The unit field G Y_0 a that ``collect_snapshots`` scales, on the protocol's lattice."""
     return synthesize_received(g, proto.lattice(n_x, n_y).zeroth, sv)

@@ -184,6 +184,50 @@ def test_energy_functions_refuse_an_overflow_without_a_warning(path):
                 digital_baseline(f, lattice, sv, 10.0 + 0j, 1.6e306)
 
 
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("path", ["wave", "digital"])
+def test_energy_functions_refuse_energies_that_are_not_finite_without_a_warning(path, bad,
+                                                                                 trials):
+    # their maps are |x|^2, checked by the max alone; NaN and inf noise must still be refused
+    # with EnergyMap's message, on one map and on K maps
+    f, lattice = dft_matrix(2, 2).matrix, ProtocolConfig(t_x=2, t_y=2).lattice(2, 2)
+    if trials == 1:
+        sv, s, noise = steering_vector(0.1, 0.2, 2, 2), 1.0 + 0j, np.zeros((4, 4), complex)
+    else:
+        sv = steering_vector(np.full(trials, 0.1), np.full(trials, 0.2), 2, 2)
+        s, noise = np.ones(trials, complex), np.zeros((trials, 4, 4), complex)
+    noise.flat[-1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^energy values must be finite and >= 0$"):
+            if path == "wave":
+                collect_snapshots(synthesize_received(f, lattice.zeroth, sv), s, 10.0, noise)
+            else:
+                digital_baseline(f, lattice, sv, s, 10.0, noise)
+
+
+@pytest.mark.parametrize("pipeline", ["wave", "digital"])
+def test_mc_block_noise_equals_complex_gaussian_of_its_draws_bit_for_bit(monkeypatch, pipeline):
+    # a block builds its noise with no range scan; its buffers are complex_gaussian's bit for bit
+    built = []
+    real = experiments._complex_normals
+
+    def record(re, im, variance):
+        built.append((re.copy(), im.copy(), variance, noise := real(re, im, variance)))
+        return noise
+
+    monkeypatch.setattr(experiments, "_complex_normals", record)
+    run_monte_carlo(McConfig(n_x=2, n_y=2, proto=ProtocolConfig(t_x=2, t_y=4), snr_db=(0.0, 20.0),
+                             trials=5, g=dft_matrix(2, 2).matrix, seed=9, pipeline=pipeline))
+    assert len(built) == 2
+    for re, im, variance, noise in built:
+        assert noise.shape == (5, 4, 8)
+        assert variance == (1.0 if pipeline == "wave" else 0.25)
+        want = complex_gaussian(re, im, variance)
+        assert np.array_equal(noise.view(np.int64), want.view(np.int64))
+
+
 # -------------------------------------------------------------- digital branch
 
 def test_digital_on_lattice_exact():

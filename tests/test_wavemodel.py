@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from simdoa.wavemodel import (
     DB_FLOOR,
     PhaseStack,
     cn_noise,
+    complex_gaussian,
     fitting_loss,
     forward_response,
     optimal_scale,
@@ -382,6 +384,31 @@ def test_cn_noise_equals_two_draws_bit_for_bit(variance):
         assert got.shape == np.shape(want) and got.dtype == complex
         assert np.array_equal(got.reshape(-1).view(np.int64), want.reshape(-1).view(np.int64))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("variance", [0.0, 5e-324, 1.0, 1e300, sys.float_info.max])
+def test_cn_noise_equals_complex_gaussian_of_its_draws_bit_for_bit(variance):
+    # cn_noise skips complex_gaussian's range scan, which its ziggurat normals cannot fail
+    rng, oracle_rng = np.random.default_rng(22), np.random.default_rng(22)
+    for shape in (5, (4, 16), (3, 4, 6)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cn_noise(rng, shape, variance)
+            want = complex_gaussian(*oracle_rng.standard_normal((2, *np.atleast_1d(shape))),
+                                    variance)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.reshape(-1).view(np.int64), want.reshape(-1).view(np.int64))
+        assert np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("re_shape,im_shape", [((2, 2), (2,)), ((4,), (1, 4)), ((), (1,)),
+                                               ((3, 4), (4, 3))])
+def test_complex_gaussian_refuses_parts_of_two_shapes(re_shape, im_shape):
+    # an im of another shape was broadcast into re's: complex_gaussian(np.zeros((2, 2)),
+    # np.ones(2)) gave rows of identical imaginary parts
+    with pytest.raises(ValueError) as refusal:
+        complex_gaussian(np.zeros(re_shape), np.ones(im_shape))
+    assert str(refusal.value) == f"re has shape {re_shape} but im has shape {im_shape}"
 
 
 def test_noise_unit_variance():
