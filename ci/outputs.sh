@@ -91,6 +91,20 @@ train:
   max_iters: 30
   restarts: 2
 EOF
+# a fit that stops on rel_tolerance, so the converged path is compared too
+cat > "$cfg/fit-converged.yaml" <<'EOF'
+geometry:
+  n_x: 2
+  n_y: 2
+  m_x: 5
+  m_y: 5
+  layers: 3
+  thickness: 6.0
+train:
+  max_iters: 60
+  restarts: 2
+  rel_tolerance: 1.0e-2
+EOF
 # an estimate off half-wave input spacing, whose physical angles depend on d_x and d_y
 cat > "$cfg/estimate-wide.yaml" <<'EOF'
 geometry:
@@ -151,6 +165,8 @@ simdoa spectrum -c "$configs/spectrum.yaml" -o "$out/spectrum"
 simdoa fit -c "$configs/fit-2x2.yaml" -o "$out/fit"
 simdoa fit -c "$cfg/fit-4x4.yaml" -o "$out/fit-4x4"
 simdoa fit -c "$cfg/fit-rotated.yaml" -o "$out/fit-rotated"
+simdoa fit -c "$cfg/fit-converged.yaml" -o "$out/fit-converged"
+grep -q '^  stop_reason: converged$' "$out/fit-converged/fit-manifest.yaml"
 simdoa bound -c "$configs/bound.yaml" -o "$out/bound" --stack "$out/fit/stack.bin"
 simdoa bound -c "$cfg/bound-4x4.yaml" -o "$out/bound-4x4" --stack "$out/fit-4x4/stack.bin"
 PYTHONPATH="$src" python -W error::RuntimeWarning "$cfg/paired.py" > "$out/paired.sha256"

@@ -137,8 +137,8 @@ def mse_bound(field, s, rho, lattice, psi_x, psi_y):
     the peak cell carries the trivial probability 1. The result is two
     length-K arrays, entry k equal to trial k's own one-trial call bit for
     bit. Cell (n, t) is scored at the lattice's angles, so the field's
-    cells must be the lattice's. A ``rho`` that is negative, infinite or NaN, or an angle
-    that is not finite, raises a ValueError. A trial whose moments leave a float's range
+    cells must be the lattice's. A ``rho`` that is negative, infinite or NaN, or a symbol or
+    an angle that is not finite, raises a ValueError. A trial whose moments leave a float's range
     (an extreme finite ``rho``) gets NaN bounds, with no RuntimeWarning.
     """
     if not 0.0 <= rho < math.inf:  # a NaN fails the comparison
@@ -151,9 +151,9 @@ def mse_bound(field, s, rho, lattice, psi_x, psi_y):
         raise ValueError(f"field has shape {np.shape(field)} but s, psi_x and psi_y have shapes"
                          f" {np.shape(s)}, {np.shape(psi_x)} and {np.shape(psi_y)}: each needs"
                          f" one entry per trial of a (K, R, T) field")
-    for name, psi in (("psi_x", psi_x), ("psi_y", psi_y)):
-        if not np.isfinite(psi).all():
-            raise ValueError(f"{name} must be finite, got {psi}")
+    for name, value in (("s", s), ("psi_x", psi_x), ("psi_y", psi_y)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
     power = np.abs(field * np.asarray(s)[:, None, None], order="C")
     power *= power
     if not np.all(np.any(power > 0.0, axis=(1, 2))):

@@ -19,8 +19,7 @@ from . import __version__, experiments
 from .estimator import ProtocolConfig, angular_spectrum, collect_snapshots, estimate_from_map
 from .geometry import SimGeometry, build_propagation_matrices, dft_matrix, steering_vector
 from .trainer import TrainConfig
-from .wavemodel import (PhaseStack, _complex_normals, forward_response, optimal_scale,
-                        synthesize_received)
+from .wavemodel import PhaseStack, cn_noise, forward_response, optimal_scale, synthesize_received
 
 
 class ConfigError(Exception):
@@ -456,9 +455,8 @@ def _spectrum_map(config, args, command):
         rho, noise = 1.0, None
     else:
         rho = experiments.snr_rho(snr, beta, geom.n, proto.t)
-        # unit complex noise, one snapshot's (2, R) normals after another, as cn_noise draws them
-        draws = np.random.default_rng(run["seed"]).standard_normal((proto.t, 2, len(g)))
-        noise = _complex_normals(draws[:, 0], draws[:, 1]).T
+        rng = np.random.default_rng(run["seed"])  # unit complex noise, one snapshot after another
+        noise = np.stack([cn_noise(rng, len(g)) for _ in range(proto.t)], axis=1)
     lattice = proto.lattice(geom.n_x, geom.n_y, (geom.d_x / geom.wavelength,
                                                  geom.d_y / geom.wavelength))
     try:  # energies beyond a float's range: EnergyMap refuses them, with no RuntimeWarning

@@ -12,7 +12,7 @@ from .estimator import (ProtocolConfig, _power_map, collect_snapshots, estimate_
 from .geometry import build_propagation_matrices, check_feasibility, dft_matrix, steering_vector
 from .trainer import train, train_restarts
 from .wavemodel import (_complex_normals, antenna_field, cn_noise, forward_response,
-                        matvec_columns, optimal_scale, scale_field, synthesize_received)
+                        matvec_columns, scale_field, synthesize_received)
 
 
 @dataclass(frozen=True)
@@ -470,5 +470,4 @@ def fit_reference(geom, train_cfg):
     f = dft_matrix(geom.n_x, geom.n_y).matrix
     reports = train_restarts(props, f, train_cfg)
     best = min(reports, key=lambda r: r.best_loss)
-    g = forward_response(props, best.stack)
-    return best, g, optimal_scale(g, f), reports
+    return best, forward_response(props, best.stack), best.beta, reports

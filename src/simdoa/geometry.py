@@ -122,11 +122,9 @@ class PropagationSet:
 
 @dataclass(frozen=True)
 class DftTarget:
-    """2D DFT matrix over an (n_x, n_y) grid, plus the grid shape."""
+    """2D DFT matrix over an (n_x, n_y) grid."""
 
     matrix: np.ndarray
-    n_x: int
-    n_y: int
 
 
 def linear_to_grid(idx, width, height=None):
@@ -253,7 +251,7 @@ def dft_matrix(n_x, n_y):
     )
     matrix = np.exp(-2j * math.pi * phase)
     matrix.flags.writeable = False
-    return DftTarget(matrix=matrix, n_x=n_x, n_y=n_y)
+    return DftTarget(matrix=matrix)
 
 
 def check_feasibility(geom):

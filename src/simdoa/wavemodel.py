@@ -136,10 +136,14 @@ def scale_field(field, s, rho, noise=None):
 
 
 def complex_gaussian(re, im, variance=1.0):
-    """Complex samples sqrt(variance / 2) * (re + j im); ``re`` and ``im`` of two shapes, a
-    negative or non-finite variance, or samples beyond a float's range raise a ValueError."""
+    """Complex samples sqrt(variance / 2) * (re + j im); ``re`` and ``im`` of two shapes or of a
+    dtype that is not integer or float, a negative or non-finite variance, or samples beyond a
+    float's range raise a ValueError."""
     if np.shape(re) != np.shape(im):
         raise ValueError(f"re has shape {np.shape(re)} but im has shape {np.shape(im)}")
+    for name, part in (("re", re), ("im", im)):
+        if (dtype := np.asarray(part).dtype).kind not in "iuf":
+            raise ValueError(f"{name} must be integer or float, got dtype {dtype}")
     with np.errstate(over="ignore", invalid="ignore"):  # the scan below refuses what they flag
         out = _complex_normals(re, im, variance)
     if not np.isfinite(out).all():

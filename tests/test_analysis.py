@@ -241,6 +241,21 @@ def test_mse_bound_refuses_an_angle_that_is_not_finite(name, bad):
             mse_bound(field, np.ones(2, complex), 10.0, lattice, angles["psi_x"], angles["psi_y"])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                         ids=["nan", "inf", "imaginary-inf"])
+def test_mse_bound_refuses_a_symbol_that_is_not_finite(bad):
+    # a NaN symbol was refused as 'noiseless field is identically zero', and an infinite
+    # one gave NaN bounds with no refusal
+    lattice = ProtocolConfig(t_x=2, t_y=2).lattice(2, 2)
+    field = clean_field(dft_matrix(2, 2).matrix, lattice,
+                        steering_vector(np.array([0.1, 0.2]), np.zeros(2), 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^s must be finite"):
+            mse_bound(field, np.array([1.0, bad]), 10.0, lattice, np.array([0.1, 0.2]),
+                      np.zeros(2))
+
+
 def test_noncentrality_zero_without_signal():
     inp = make_inputs(0.37, -0.5, rho=0.0)
     assert np.all(noncentrality_map(inp) == 0.0)

@@ -29,7 +29,7 @@ from simdoa.geometry import (TWO_PI, SimGeometry, build_propagation_matrices,
                              dft_matrix, steering_vector)
 from simdoa.trainer import TrainConfig, train
 from simdoa.wavemodel import (antenna_field, cn_noise, complex_gaussian, matvec_columns,
-                              scale_field, synthesize_received)
+                              optimal_scale, scale_field, synthesize_received)
 
 LAM = 0.005
 
@@ -1187,3 +1187,11 @@ def test_fit_reference_returns_best_restart():
     props = build_propagation_matrices(geom)
     from simdoa.wavemodel import forward_response
     assert np.array_equal(g, forward_response(props, report.stack))
+
+
+def test_fit_reference_returns_the_best_reports_own_scale():
+    # the scale the best iterate was scored with is the fit of the returned response, bit for bit
+    report, g, beta, _ = fit_reference(small_geom(layers=3),
+                                       TrainConfig(max_iters=20, seed=4, restarts=2))
+    assert beta == report.beta
+    assert beta == optimal_scale(g, dft_matrix(2, 2).matrix)

@@ -312,6 +312,39 @@ def test_divergence_carries_history():
     assert len(err.value.loss_history) >= 1
 
 
+@pytest.mark.parametrize("bad_call,message", [(1, "initial loss is not finite"),
+                                               (4, "loss diverged at iteration 3")])
+def test_divergence_names_the_iterate_and_carries_its_loss(monkeypatch, bad_call, message):
+    # the loss of iterate bad_call - 1 is NaN: the refusal names it and the history ends there
+    calls = []
+
+    def failing_loss(g, f, beta):
+        calls.append(None)
+        loss, db = fitting_loss(g, f, beta)
+        return (math.nan, db) if len(calls) == bad_call else (loss, db)
+
+    monkeypatch.setattr(trainer, "fitting_loss", failing_loss)
+    with pytest.raises(TrainingDiverged, match=f"^{message}$") as err:
+        train(make_props(layers=2), dft_matrix(2, 2).matrix, TrainConfig(max_iters=10, seed=12))
+    assert len(err.value.loss_history) == bad_call
+    assert math.isnan(err.value.loss_history[-1])
+    assert all(math.isfinite(loss) for loss in err.value.loss_history[:-1])
+
+
+def test_converged_run_counts_its_iterates():
+    props = make_props(layers=3)
+    f = dft_matrix(2, 2).matrix
+    report = train(props, f, TrainConfig(max_iters=60, rel_tolerance=1e-2, seed=3))
+    assert report.stop_reason == "converged"
+    assert 1 <= report.iterations < 60
+    assert len(report.loss_history) == len(report.loss_db_history) == report.iterations + 1
+    assert report.best_iteration <= report.iterations
+    prev, last = report.loss_history[-2:]
+    assert (prev - last) / prev < 1e-2
+    assert all((a - b) / a >= 1e-2 for a, b in zip(report.loss_history[:-2],
+                                                     report.loss_history[1:-1]))
+
+
 def test_reference_geometry_reaches_deep_fit():
     # the (2,2) target is essentially exactly representable; even a short
     # run should pass -20 dB and keep the best iterate at the minimum

@@ -411,6 +411,26 @@ def test_complex_gaussian_refuses_parts_of_two_shapes(re_shape, im_shape):
     assert str(refusal.value) == f"re has shape {re_shape} but im has shape {im_shape}"
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("bad", [np.ones(3, complex), np.array(["1", "2", "3"]),
+                                 np.ones(3, bool), np.ones(3, object)],
+                         ids=["complex", "string", "bool", "object"])
+def test_complex_gaussian_refuses_parts_that_are_not_integer_or_float(part, bad):
+    # a complex part lost its imaginary half with only a ComplexWarning, and strings were
+    # parsed as numbers
+    parts = {"re": np.zeros(3), "im": np.ones(3), part: bad}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refusal:
+            complex_gaussian(parts["re"], parts["im"])
+    assert str(refusal.value) == f"{part} must be integer or float, got dtype {bad.dtype}"
+
+
+def test_complex_gaussian_takes_integer_and_float_parts():
+    got = complex_gaussian(np.arange(3, dtype=np.uint8), np.ones(3, np.float32), 2.0)
+    assert np.array_equal(got, np.arange(3) + 1j)
+
+
 def test_noise_unit_variance():
     u = cn_noise(np.random.default_rng(10), 100_000)
     assert np.mean(np.abs(u) ** 2) == pytest.approx(1.0, rel=0.02)
