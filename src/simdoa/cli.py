@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__, experiments
 from .estimator import ProtocolConfig, angular_spectrum, collect_snapshots, estimate_from_map
-from .geometry import SimGeometry, build_propagation_matrices, dft_matrix, steering_vector
+from .geometry import (_AT_LEAST_ONE, _FINITE, _NON_NEGATIVE, SimGeometry,
+                       build_propagation_matrices, check_value, dft_matrix, steering_vector)
 from .trainer import TrainConfig
 from .wavemodel import PhaseStack, cn_noise, forward_response, optimal_scale, synthesize_received
 
@@ -27,11 +28,6 @@ class ConfigError(Exception):
 
 
 _REQUIRED = object()  # table default of a key that must be given
-_SNR_DB = "a number or 'inf'"  # the SNR kind: dB, or 'inf' for noise-free
-_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
-_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
-_FINITE = (math.isfinite, "must be finite")
-_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
 _INDEX_MAX = int(np.iinfo(np.intp).max)
 # an array size or count of snapshots or trials; seeds take any non-negative int
 _SIZE = (lambda v: v <= _INDEX_MAX, f"must be at most {_INDEX_MAX}, numpy's largest index")
@@ -63,36 +59,23 @@ def _exponent_hint(value):
 def _value(value, kind, key, checks=()):
     """``value`` checked as ``kind`` and by each (test, message) of ``checks``.
 
-    A kind is a type (ints widen to float, nothing else is coerced), a tuple of
-    choices, ``[kind]`` for a nonempty list (read as a tuple) or _SNR_DB; a
-    ConfigError names ``key``.
+    Kinds and messages are ``geometry.check_value``'s; YAML lists must be nonempty (read
+    as a tuple), and ints and the string 'inf' widen to float. A ConfigError names ``key``.
     """
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"'{key}' must be a nonempty list")
         return tuple(_value(v, kind[0], f"{key}[{i}]", checks)
                      for i, v in enumerate(value))
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if number and kind in (float, _SNR_DB):
-        try:
+    if kind is float and (value == "inf" or isinstance(value, int) and not isinstance(value, bool)):
+        try:  # YAML reads inf as a string; as an SNR it is the noise-free run
             value = float(value)
         except OverflowError:
             raise ConfigError(f"'{key}' is too large for a float") from None
-    if kind is _SNR_DB:
-        if not (value == "inf" or number and (value == math.inf or math.isfinite(value))):
-            raise ConfigError(f"'{key}' must be {_SNR_DB}{_exponent_hint(value)}")
-        value = float(value)
-    elif isinstance(kind, tuple):
-        if value not in kind:
-            raise ConfigError(f"'{key}' must be one of: {', '.join(kind)}")
-    else:
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise ConfigError(f"'{key}' must be {kind.__name__},"
-                              f" got {type(value).__name__}"
-                              f"{_exponent_hint(value) if kind is float else ''}")
-    for test, message in checks:
-        if not test(value):
-            raise ConfigError(f"'{key}' {message}")
+    try:
+        check_value(f"'{key}'", value, kind, checks)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}{_exponent_hint(value) if kind is float else ''}") from None
     return value
 
 
@@ -113,27 +96,32 @@ def _read(section, path, table):
     return values
 
 
-def _from_fields(cls, **checks):
-    """Parser of a section whose keys, types and defaults are ``cls``'s fields.
+def _table(cls, **keys):
+    """A ``_read`` table of ``keys``, each (default, *the CLI's own checks) or () for neither.
 
-    ``checks`` maps a field name to its tuple of (test, message) checks.
+    A key takes the kind, checks and default of ``cls``'s field of its name less a unit suffix
+    (_deg, _mm), so the record and the CLI refuse a value alike.
     """
-    table = {f.name: (f.type, f.default, *checks.get(f.name, ()))
-             for f in dataclasses.fields(cls)}
+    table = {}
+    for key, entry in keys.items():
+        f = cls.__dataclass_fields__[key.removesuffix("_deg").removesuffix("_mm")]
+        default, *checks = entry or (f.default,)
+        table[key] = (f.metadata["kind"], default, *f.metadata["checks"], *checks)
+    return table
+
+
+def _from_fields(cls, **checks):
+    """Parser of a section whose keys are ``cls``'s fields, ``checks`` adding the CLI's own."""
+    table = _table(cls, **{f.name: (f.default, *checks.get(f.name, ()))
+                           for f in dataclasses.fields(cls)})
     return lambda section, path: cls(**_read(section, path, table))
 
 
 # Lengths are in wavelengths; unset stack fields give the best known 7-layer design.
-_GEOMETRY = {
-    "n_x": (int, _REQUIRED, _AT_LEAST_ONE, _SIZE), "n_y": (int, _REQUIRED, _AT_LEAST_ONE, _SIZE),
-    "d_x": (float, 0.5, _POSITIVE), "d_y": (float, 0.5, _POSITIVE),
-    "m_x": (int, 11, _AT_LEAST_ONE, _SIZE), "m_y": (int, 11, _AT_LEAST_ONE, _SIZE),
-    "s_x": (float, 0.5, _POSITIVE), "s_y": (float, 0.5, _POSITIVE),
-    "layers": (int, 7, _AT_LEAST_ONE, _SIZE), "thickness": (float, 9.0, _POSITIVE),
-    "u_x": (float, None, _POSITIVE), "u_y": (float, None, _POSITIVE),  # None: the input spacing
-    "rotation_deg": (float, 0.0, _FINITE),
-    "wavelength_mm": (float, 5.0, _POSITIVE),
-}
+_GEOMETRY = _table(SimGeometry, n_x=(_REQUIRED, _SIZE), n_y=(_REQUIRED, _SIZE), d_x=(0.5,),
+                   d_y=(0.5,), m_x=(11, _SIZE), m_y=(11, _SIZE), s_x=(0.5,), s_y=(0.5,),
+                   layers=(7, _SIZE), thickness=(9.0,), u_x=(), u_y=(),
+                   rotation_deg=(0.0,), wavelength_mm=(5.0,))  # u_x, u_y: the input spacing
 # Either angle form may be given (None: not given), not both.
 _PSI = (lambda v: -1.0 <= v < 1.0, "must lie in [-1, 1)")
 _SOURCE = {
@@ -142,27 +130,22 @@ _SOURCE = {
     "theta_deg": (float, None, (lambda v: 0.0 <= v <= 90.0, "must lie in [0, 90]")),
     "s_real": (float, 1.0, _FINITE), "s_imag": (float, 0.0, _FINITE),
 }
-_RUN = {"snr_db": (_SNR_DB, math.inf, _SNR_POWER), "seed": (int, 0, _NON_NEGATIVE),
-        "ideal": (bool, False)}
-_BOUND = {"snr_db": ([float], _REQUIRED, _FINITE, _SNR_POWER)}
 _MONTECARLO = {
-    "trials": (int, _REQUIRED, _AT_LEAST_ONE, _SIZE),
-    "snr_db": ([_SNR_DB], _REQUIRED, _SNR_POWER),
-    "seed": (int, 0, _NON_NEGATIVE),
-    "source_mode": (("parameter", "solid", "uniform-psi"), "parameter"),
-    "symbol": (("cscg", "phase"), "cscg"),
-    "pipeline": (("wave", "digital"), "wave"),
-    "with_bound": (bool, True),
+    **_table(experiments.McConfig, trials=(_REQUIRED, _SIZE), snr_db=(_REQUIRED, _SNR_POWER),
+             seed=(), source_mode=(), symbol=(), pipeline=(), with_bound=()),
     "ideal": (bool, False),
 }
+# one SNR takes the checks of each Monte Carlo SNR
+_RUN = {"snr_db": (float, math.inf, *_MONTECARLO["snr_db"][2:]), "seed": (int, 0, _NON_NEGATIVE),
+        "ideal": (bool, False)}
+_BOUND = {"snr_db": ([float], _REQUIRED, _FINITE, _SNR_POWER)}
 _SWEEP_RUNS = {"runs": (int, 3, _AT_LEAST_ONE), "seed": (int, 0, _NON_NEGATIVE)}
-_SWEEP = {  # one table per sweep mode
+_SWEEP = {  # one table per sweep mode; the receiver's lists hold SimGeometry's fields
     "ablation": {**_SWEEP_RUNS, "thickness": ([float], _REQUIRED),
                  "layers": ([int], _REQUIRED, _SIZE), "atoms": ([int], _REQUIRED, _SIZE),
                  "spacing": ([float], _REQUIRED)},
-    "receiver": {**_SWEEP_RUNS, "u_x": ([float], (), _POSITIVE),
-                 "rotation_deg": ([float], (), _FINITE),
-                 "layers": ([int], (), _AT_LEAST_ONE, _SIZE)},
+    "receiver": {**_SWEEP_RUNS, **{key: ([kind], *rest) for key, (kind, *rest) in _table(
+        SimGeometry, u_x=((),), rotation_deg=((),), layers=((), _SIZE)).items()}},
 }
 _SWEEP_MODE = {"mode": (tuple(_SWEEP), "ablation")}
 # Work caps, each (cap, what, factors); _COMMANDS names the rows each subcommand obeys.
@@ -236,13 +219,8 @@ def _parse_sweep(section, path):
 
 _SECTION_PARSERS = {
     "geometry": _parse_geometry,
-    "train": _from_fields(TrainConfig,
-                          eta0=(_POSITIVE, (lambda v: v <= 2.0, "must be at most 2, a full turn")),
-                          zeta=((lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),),
-                          max_iters=(_AT_LEAST_ONE,), rel_tolerance=(_NON_NEGATIVE,),
-                          seed=(_NON_NEGATIVE,), restarts=(_AT_LEAST_ONE,)),
-    "protocol": _from_fields(ProtocolConfig, t_x=(_AT_LEAST_ONE, _SIZE),
-                             t_y=(_AT_LEAST_ONE, _SIZE)),
+    "train": _from_fields(TrainConfig),
+    "protocol": _from_fields(ProtocolConfig, t_x=(_SIZE,), t_y=(_SIZE,)),
     "source": _parse_source,
     "estimate": lambda s, path: _read(s, path, _RUN),
     "spectrum": lambda s, path: _read(s, path, _RUN),
@@ -255,9 +233,9 @@ _SECTION_PARSERS = {
 def parse_config(path):
     """Load and validate a YAML config; returns {section: parsed object}.
 
-    Each section is read by its table above, so a bad key or value is refused
-    with its dotted path; invariant violations are rephrased with their
-    section context. The raw document is kept under "_raw" for the manifest.
+    Each section is read by its table above, which holds every rule of the
+    record it builds, so a bad key or value is refused with its dotted path.
+    The raw document is kept under "_raw" for the manifest.
     """
     import yaml  # only a run that reads or writes YAML loads it
     if not os.path.exists(path):
@@ -278,10 +256,7 @@ def parse_config(path):
                               f" (allowed: {', '.join(sorted(_SECTION_PARSERS))})")
         if not isinstance(section, dict):
             raise ConfigError(f"section '{name}' must be a mapping")
-        try:
-            parsed[name] = _SECTION_PARSERS[name](section, name)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
+        parsed[name] = _SECTION_PARSERS[name](section, name)
     return parsed
 
 
@@ -352,7 +327,7 @@ def load_stack(path):
         if layers * m * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
             raise IOError(f"{path}: truncated stack file")
         data = np.frombuffer(fh.read(layers * m * 8), dtype="<f8")
-    if not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):  # PhaseStack refuses them too, but names no file
         raise IOError(f"{path}: stack file holds non-finite phases")
     return PhaseStack(data.reshape(layers, m))
 
@@ -410,9 +385,9 @@ def _response_for(config, args, command, ideal=None):
             raise IOError(f"{args.stack}: stack dims do not match the geometry")
         with np.errstate(over="ignore", invalid="ignore"):
             g = forward_response(build_propagation_matrices(geom), stack)
+            if not np.all(np.isfinite(g)):
+                raise ValueError(f"{args.stack}: the stack's response leaves a float's range")
             beta = optimal_scale(g, dft_matrix(geom.n_x, geom.n_y).matrix)
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"{args.stack}: the stack's response leaves a float's range")
         if not np.isfinite(beta):  # a response power below 1/DBL_MAX
             raise ValueError(f"{args.stack}: the stack's fitted scale beta leaves a float's range")
         return g, beta, geom

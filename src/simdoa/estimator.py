@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, linear_to_grid
+from .geometry import _AT_LEAST_ONE, TWO_PI, check_fields, linear_to_grid, rules
 from .wavemodel import scale_field
 
 
@@ -13,13 +13,10 @@ from .wavemodel import scale_field
 class ProtocolConfig:
     """Snapshot schedule: t_y blocks of t_x slots, T = t_x * t_y total."""
 
-    t_x: int = 1
-    t_y: int = 1
+    t_x: int = rules(int, _AT_LEAST_ONE, default=1)
+    t_y: int = rules(int, _AT_LEAST_ONE, default=1)
 
-    def __post_init__(self):
-        for name, v in (("t_x", self.t_x), ("t_y", self.t_y)):
-            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"snapshot count {name} must be an integer >= 1, got {v!r}")
+    __post_init__ = check_fields
 
     @property
     def t(self):

@@ -9,7 +9,9 @@ import numpy as np
 
 from .estimator import (ProtocolConfig, _power_map, collect_snapshots, estimate_from_map,
                         wrapped_angle_error)
-from .geometry import build_propagation_matrices, check_feasibility, dft_matrix, steering_vector
+from .geometry import (_AT_LEAST_ONE, _NON_NEGATIVE, _POSITIVE, build_propagation_matrices,
+                       check_feasibility, check_fields, check_value, dft_matrix, rules,
+                       steering_vector)
 from .trainer import train, train_restarts
 from .wavemodel import (_complex_normals, antenna_field, cn_noise, forward_response,
                         matvec_columns, scale_field, synthesize_received)
@@ -34,8 +36,10 @@ def effective_rho(gamma, beta, n, t):
     quantization floors around 10 dB and the T=4 -> T=16 curves sit about
     20 dB apart, the operating points the estimator is quoted at. The
     per-snapshot received peak-cell SNR implied by gamma is gamma * T^2.
-    A rho that is not finite raises a ValueError.
+    A gamma below 0 or NaN, or a rho that is not finite, raises a ValueError.
     """
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
     try:  # a Python float's power raises OverflowError where numpy's would warn
         rho = gamma * float(abs(beta)) ** 2 * t ** 2 / n ** 2
     except OverflowError:
@@ -102,34 +106,26 @@ class McConfig:
     random draws.
     """
 
-    n_x: int
-    n_y: int
+    n_x: int = rules(int, _AT_LEAST_ONE)
+    n_y: int = rules(int, _AT_LEAST_ONE)
     proto: ProtocolConfig
-    snr_db: tuple
-    trials: int
+    snr_db: tuple = rules([float], (lambda v: v == math.inf or math.isfinite(v),
+                                    "must be finite or +inf"))
+    trials: int = rules(int, _AT_LEAST_ONE)
     g: np.ndarray = None
     beta: complex = 1.0
-    seed: int = 0
-    source_mode: str = "parameter"
-    symbol: str = "cscg"
+    seed: int = rules(int, _NON_NEGATIVE, default=0)
+    source_mode: str = rules(("parameter", "solid", "uniform-psi"), default="parameter")
+    symbol: str = rules(("cscg", "phase"), default="cscg")
     sources: tuple = None
-    pipeline: str = "wave"
-    with_bound: bool = True
-    jobs: int = 1
+    pipeline: str = rules(("wave", "digital"), default="wave")
+    with_bound: bool = rules(bool, default=True)
+    jobs: int = rules(int, _AT_LEAST_ONE, default=1)
 
     def __post_init__(self):
-        for name, low, what in (("trials", 1, "an integer >= 1"),
-                                ("seed", 0, "a non-negative integer")):
-            v = getattr(self, name)
-            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or v < low:
-                raise ValueError(f"{name} must be {what}, got {v!r}")
-        if self.pipeline not in ("wave", "digital"):
-            raise ValueError(f"unknown pipeline {self.pipeline!r}")
+        check_fields(self)
         if self.pipeline == "wave" and self.g is None:
             raise ValueError("wave pipeline needs a response matrix g")
-        for v in self.snr_db:
-            if not (v == math.inf or math.isfinite(v)):
-                raise ValueError("snr entries must be finite or +inf")
         n = self.n_x * self.n_y
         if self.g is not None and np.shape(self.g) != (n, n):
             # the estimator and the bound read receiver n as input cell n
@@ -395,8 +391,7 @@ def ablation_variant(geom, thickness, layers, atoms, spacing):
     try:
         # checked here, so that a note names the sweep key and its value in wavelengths
         for key, value in (("thickness_lam", thickness), ("spacing_lam", spacing)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{key} must be positive and finite, got {value}")
+            check_value(key, value, float, (_POSITIVE,))
         side = math.isqrt(max(atoms, 0))
         if side < 1 or side * side != atoms:
             raise ValueError(f"atoms must be a positive square, got {atoms}")

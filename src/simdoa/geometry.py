@@ -5,15 +5,59 @@ grid index maps, propagation distances, Rayleigh-Sommerfeld attenuation
 matrices, plane-wave steering vectors, and the 2D DFT target matrix.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 import cmath
 import functools
 import math
+import numbers
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 _RAMP_BEYOND_RANGE = "steering angles must be finite, as must each ramp's pi * psi * (n - 1)"
+
+# Checks, each a (test, message) pair, for the ``rules`` of a config record's fields; the command
+# line reads a key's rules from the field of its name, so both refuse a value with one message.
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_FINITE = (math.isfinite, "must be finite")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+          bool: ((bool, np.bool_), "a bool")}
+
+
+def rules(kind, *checks, **kwargs):
+    """A dataclass field that ``check_fields`` holds to ``kind`` and ``checks``; ``kwargs`` too."""
+    return field(metadata={"kind": kind, "checks": checks}, **kwargs)
+
+
+def check_value(name, value, kind, checks=()):
+    """Refuse ``value`` unless it is of ``kind`` and passes each check, naming it ``name``.
+
+    A kind is bool, int (numpy integers too), float (any real number but a bool), a tuple of
+    choices or ``[kind]`` for a sequence whose every entry must pass. The ValueError reads
+    '<name> <message>, got <value>'.
+    """
+    if isinstance(kind, list):
+        for i, entry in enumerate(value):
+            check_value(f"{name}[{i}]", entry, kind[0], checks)
+        return
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"{name} must be one of: {', '.join(kind)}, got {value!r}")
+    elif (not isinstance(value, _KINDS[kind][0])
+          or kind is not bool and isinstance(value, (bool, np.bool_))):
+        raise ValueError(f"{name} must be {_KINDS[kind][1]}, got {value!r}")
+    for test, message in checks:
+        if not test(value):
+            raise ValueError(f"{name} {message}, got {value!r}")
+
+
+def check_fields(record):
+    """Refuse the first field of the dataclass ``record`` that breaks the ``rules`` it declares."""
+    for f in fields(record):
+        if "kind" in f.metadata:
+            check_value(f.name, getattr(record, f.name), f.metadata["kind"], f.metadata["checks"])
 
 
 @dataclass(frozen=True)
@@ -46,36 +90,27 @@ class SimGeometry:
         In-plane rotation of the receiver array about its center, radians.
     """
 
-    wavelength: float
-    n_x: int
-    n_y: int
-    d_x: float
-    d_y: float
-    m_x: int
-    m_y: int
-    s_x: float
-    s_y: float
-    layers: int
-    thickness: float
-    u_x: float = None
-    u_y: float = None
-    rotation: float = 0.0
+    wavelength: float = rules(float, _POSITIVE)
+    n_x: int = rules(int, _AT_LEAST_ONE)
+    n_y: int = rules(int, _AT_LEAST_ONE)
+    d_x: float = rules(float, _POSITIVE)
+    d_y: float = rules(float, _POSITIVE)
+    m_x: int = rules(int, _AT_LEAST_ONE)
+    m_y: int = rules(int, _AT_LEAST_ONE)
+    s_x: float = rules(float, _POSITIVE)
+    s_y: float = rules(float, _POSITIVE)
+    layers: int = rules(int, _AT_LEAST_ONE)
+    thickness: float = rules(float, _POSITIVE)
+    u_x: float = rules(float, _POSITIVE, default=None)
+    u_y: float = rules(float, _POSITIVE, default=None)
+    rotation: float = rules(float, _FINITE, default=0.0)
 
     def __post_init__(self):
         if self.u_x is None:
             object.__setattr__(self, "u_x", self.d_x)
         if self.u_y is None:
             object.__setattr__(self, "u_y", self.d_y)
-        for name in ("n_x", "n_y", "m_x", "m_y", "layers"):
-            v = getattr(self, name)
-            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        for name in ("wavelength", "d_x", "d_y", "s_x", "s_y", "u_x", "u_y", "thickness"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        if not math.isfinite(self.rotation):
-            raise ValueError("rotation must be finite")
+        check_fields(self)
 
     @property
     def n(self):

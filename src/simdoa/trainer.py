@@ -4,30 +4,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .geometry import _AT_LEAST_ONE, _FINITE, _NON_NEGATIVE, _POSITIVE, check_fields, rules
 from .wavemodel import PhaseStack, random_stack, forward_response, optimal_scale, fitting_loss
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    eta0: float = 0.1
-    zeta: float = 0.8
-    max_iters: int = 200
-    rel_tolerance: float = 0.0  # 0 disables early stopping
-    seed: int = 0
-    restarts: int = 1
+    eta0: float = rules(float, _POSITIVE, (lambda v: v <= 2.0, "must be at most 2, a full turn"),
+                        default=0.1)  # the step is eta0*pi rad; 2 is a full turn
+    zeta: float = rules(float, (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"), default=0.8)
+    max_iters: int = rules(int, _AT_LEAST_ONE, default=200)
+    # 0 disables early stopping; NaN would disable it silently, and inf would stop every fit
+    rel_tolerance: float = rules(float, _NON_NEGATIVE, _FINITE, default=0.0)
+    seed: int = rules(int, _NON_NEGATIVE, default=0)
+    restarts: int = rules(int, _AT_LEAST_ONE, default=1)
 
-    def __post_init__(self):
-        if not 0.0 < self.eta0 <= 2.0:  # the step is eta0*pi rad; 2 is a full turn
-            raise ValueError("eta0 must lie in (0, 2]")
-        if not (0.0 < self.zeta <= 1.0):
-            raise ValueError("zeta must lie in (0, 1]")
-        if not self.rel_tolerance >= 0.0:  # NaN would silently disable early stopping
-            raise ValueError("rel_tolerance must be >= 0")
-        for name, low in (("max_iters", 1), ("seed", 0), ("restarts", 1)):
-            value = getattr(self, name)
-            if (isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer))
-                    or value < low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -126,7 +118,7 @@ def finite_diff_gradient(props, stack, f, beta):
     return grads
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a cascade beyond a float's range: TrainingDiverged
+@np.errstate(over="ignore", invalid="ignore")  # optimal_scale refuses a cascade beyond range
 def train(props, f, config):
     """Fit the stack phases to the target matrix by decayed gradient descent.
 

@@ -20,6 +20,8 @@ class PhaseStack:
         xi = np.asarray(self.xi, dtype=float)  # a ragged sequence raises ValueError here
         if xi.ndim != 2:
             raise ValueError(f"phases must form an (L, M) array, got shape {xi.shape}")
+        if not np.isfinite(xi).all():
+            raise ValueError("phases must be finite")
         self.xi = np.mod(xi, 2.0 * np.pi)
 
     @property
@@ -57,12 +59,12 @@ def forward_response(props, stack):
 
 
 def optimal_scale(g, f):
-    """Least-squares complex scale minimizing ||beta*G - F||_F."""
+    """Least-squares complex scale minimizing ||beta*G - F||_F, for a G of positive finite power."""
     g = np.asarray(g)
     f = np.asarray(f)
     denom = np.vdot(g, g).real
-    if denom == 0.0:
-        raise ValueError("response matrix is zero, scale undefined")
+    if not 0.0 < denom < np.inf:  # zero, NaN, or a power sum(|g|^2) beyond a float's range
+        raise ValueError(f"response power sum(|g|^2) is {denom}, scale undefined")
     return np.vdot(g, f) / denom
 
 

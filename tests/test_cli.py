@@ -780,7 +780,9 @@ def test_negative_seeds_exit_2(tmp_path, capsys, command, doc, message):
     ("zeta", 1.5, "must lie in (0, 1]"),
     ("eta0", 1.0e308, "must be at most 2"),
     ("eta0", 2.5, "must be at most 2"),
-], ids=["eta0-nan", "eta0-inf", "rel_tolerance-nan", "zeta", "eta0-huge", "eta0-past-a-turn"])
+    ("rel_tolerance", math.inf, "must be finite, got inf"),
+], ids=["eta0-nan", "eta0-inf", "rel_tolerance-nan", "zeta", "eta0-huge", "eta0-past-a-turn",
+        "rel_tolerance-inf"])
 def test_train_values_exit_2_naming_the_key(tmp_path, capsys, key, value, message):
     # a non-finite eta0 once diverged at iteration 1 (exit 1), a NaN rel_tolerance
     # silently disabled early stopping, and zeta's message named no dotted key; a
@@ -793,10 +795,10 @@ def test_train_values_exit_2_naming_the_key(tmp_path, capsys, key, value, messag
 
 
 @pytest.mark.parametrize("section,key,value,message", [
-    ("geometry", "n_x", 0, "must be >= 1"),
-    ("geometry", "d_x", -1.0, "must be positive and finite"),
-    ("geometry", "rotation_deg", math.inf, "must be finite"),
-    ("protocol", "t_x", 0, "must be >= 1"),
+    ("geometry", "n_x", 0, "must be >= 1, got 0"),
+    ("geometry", "d_x", -1.0, "must be positive and finite, got -1.0"),
+    ("geometry", "rotation_deg", math.inf, "must be finite, got inf"),
+    ("protocol", "t_x", 0, "must be >= 1, got 0"),
 ], ids=["n_x", "d_x", "rotation_deg", "t_x"])
 def test_geometry_and_protocol_ranges_exit_2_naming_the_key(tmp_path, capsys, section, key,
                                                             value, message):
@@ -1071,7 +1073,7 @@ def test_lengths_beyond_a_float_exit_1_naming_the_geometry(tmp_path, capsys, geo
 
 
 @pytest.mark.parametrize("command,geometry,message", [
-    ("fit", {"layers": 3082}, "error: initial loss is not finite\n"),
+    ("fit", {"layers": 3082}, "error: response power sum(|g|^2) is nan, scale undefined\n"),
     ("bound", {"thickness": 1.0e-100}, "the stack's response leaves a float's range\n"),
     ("estimate", {"thickness": 1.0e-100}, "the stack's response leaves a float's range\n"),
 ], ids=["fit-3082-layers", "bound-thin-stack", "estimate-thin-stack"])
@@ -1286,6 +1288,14 @@ def test_jobs_below_one_exit_2(tmp_path, capsys, jobs):
         main(["montecarlo", "--config", cfg, "--outdir", str(tmp_path / "run"), "-j", jobs])
     assert exc.value.code == 2
     assert f"argument --jobs/-j: must be >= 1, got {int(jobs)}" in capsys.readouterr().err
+
+
+def test_jobs_that_is_not_an_int_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.yaml", MC_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main(["montecarlo", "--config", cfg, "--outdir", str(tmp_path / "run"), "-j", "x"])
+    assert exc.value.code == 2
+    assert "argument --jobs/-j: invalid int value: 'x'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["fit", "-j", "2"], ["spectrum", "-j", "2"],

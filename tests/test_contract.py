@@ -74,9 +74,9 @@ def values_of(kind):
         return [*kind, "bogus", 1, None]
     if kind is bool:
         return [True, False, 0, 1, "yes", None]
-    if kind is cli._SNR_DB:
-        return NUMBERS + ["inf", "-inf", *WRONG]
-    return NUMBERS + [float(v) for v in (0, 1, -1)] + WRONG
+    # a float key, an SNR among them, reads the string 'inf' as a float
+    strings = ["inf", "-inf"] if kind is float else []
+    return NUMBERS + [float(v) for v in (0, 1, -1)] + strings + WRONG
 
 
 @st.composite

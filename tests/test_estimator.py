@@ -123,7 +123,7 @@ def test_protocol_counts():
 def test_protocol_refuses_bool_and_non_integer_counts(kwargs):
     # t_x=True ran as T=2, and t_x=2.5 failed only in the lattice: "index [1. 2. 3. 4. 5.]
     # outside grid"
-    with pytest.raises(ValueError, match=r"snapshot count t_[xy] must be an integer >= 1, got"):
+    with pytest.raises(ValueError, match=r"^t_[xy] must be an integer, got "):
         ProtocolConfig(**kwargs)
     assert ProtocolConfig(t_x=np.int64(3), t_y=2).t == 6
 
@@ -295,6 +295,15 @@ def test_energy_map_validation():
         EnergyMap(np.array([[1.0, -0.1]]))
     emap = EnergyMap(np.ones((4, 16)))
     assert emap.values.shape[-1] == 16
+
+
+def test_energy_map_converts_values_that_are_not_a_float_array():
+    values = [[1, 2], [3, 4]]
+    emap = EnergyMap(values)
+    assert isinstance(emap.values, np.ndarray) and emap.values.dtype == np.float64
+    assert np.array_equal(emap.values, values)
+    floats = np.ones((2, 3))
+    assert EnergyMap(floats).values is floats  # a float array is kept, not copied
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -112,6 +112,16 @@ def test_effective_rho_formula():
     assert effective_rho(1.0, 1.0, 4, 1) == pytest.approx(1.0 / 16.0)
 
 
+@pytest.mark.parametrize("gamma", [-1.0, -0.5, -math.inf, math.nan])
+def test_effective_rho_refuses_a_gamma_below_zero_or_nan(gamma):
+    # -1 returned a rho of -16 and NaN a NaN-laden message about rho
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^gamma must be >= 0, got {gamma!r}$"):
+            effective_rho(gamma, 1.0, 4, 16)
+    assert effective_rho(0.0, 1.0, 4, 16) == 0.0
+
+
 @pytest.mark.parametrize("beta", [1e160, np.float64(1e160), complex(1e160, 1.0)])
 def test_snr_rho_refuses_a_beta_whose_power_overflows(beta):
     # |beta|**2 of a Python float raised OverflowError past the ValueError that names the SNR,
@@ -132,7 +142,10 @@ def test_snr_rho_refuses_a_beta_whose_power_overflows(beta):
     (1.0, 1e307, 1.0 + 0j, 4, r"gamma 1e\+307 and \|beta\| 1 give a rho beyond"),
     # rho fits a float but the peak's energy does not: 'overflow encountered in multiply'
     (1.0, 1e305, 10.0 + 0j, 4, "energy values must be finite"),
-], ids=["beta-power", "rho", "energies"])
+    # effective_rho returned -16 gamma, refused as "rho must be >= 0 and finite, got -16.0"
+    (1.0, -1.0, 1.0 + 0j, 2, r"^gamma must be >= 0, got -1.0$"),
+    (1.0, math.nan, 1.0 + 0j, 2, r"^gamma must be >= 0, got nan$"),
+], ids=["beta-power", "rho", "energies", "negative-gamma", "nan-gamma"])
 def test_paired_trial_refuses_an_overflow_without_a_warning(beta, gamma, s, t_side, message):
     src = SourceTruth(psi_x=0.1, psi_y=0.2, s=s)
     with warnings.catch_warnings():
@@ -588,9 +601,39 @@ def test_mc_config_rejects_minus_inf():
 @pytest.mark.parametrize("trials", [0, 2.5, True, np.True_, np.int64(0), "3"])
 def test_mc_config_refuses_trials_that_are_not_a_positive_integer(trials):
     # True ran one trial and reported 'trials: True', 2.5 raised TypeError in range()
-    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+    with pytest.raises(ValueError, match=r"^trials must be (an integer|>= 1), got "):
         McConfig(n_x=2, n_y=2, proto=ProtocolConfig(), snr_db=(0.0,), trials=trials,
                  pipeline="digital")
+
+
+@pytest.mark.parametrize("key,value,choices", [
+    ("source_mode", "bogus", "parameter, solid, uniform-psi"),
+    ("symbol", "qpsk", "cscg, phase"),
+    ("pipeline", "analog", "wave, digital"),
+])
+@pytest.mark.parametrize("sources", [None, (SourceTruth(0.1, 0.2, 1.0 + 0j),)],
+                         ids=["drawn", "pinned"])
+def test_mc_config_refuses_an_unknown_choice(key, value, choices, sources):
+    # an unknown source_mode or symbol was accepted and failed only in the first trial, in a
+    # worker at -j 2, and never once sources were pinned
+    with pytest.raises(ValueError, match=rf"^{key} must be one of: {choices}, got '{value}'$"):
+        McConfig(n_x=2, n_y=2, proto=ProtocolConfig(), snr_db=(0.0,), trials=2,
+                 sources=sources, **{"pipeline": "digital", key: value})
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("n_x", 2.0, "must be an integer, got 2.0"),
+    ("n_y", 0, "must be >= 1, got 0"),
+    ("jobs", "2", "must be an integer, got '2'"),
+    ("jobs", 0, "must be >= 1, got 0"),
+])
+def test_mc_config_refuses_grid_sizes_and_jobs_that_are_not_positive_integers(key, value,
+                                                                              message):
+    # n_x = 2.0 and jobs = '2' raised TypeError in the run, n_y = 0 'width must be >= 1' from
+    # the lattice, and jobs = 0 ran serially
+    with pytest.raises(ValueError, match=f"^{key} {message}$"):
+        McConfig(proto=ProtocolConfig(), snr_db=(0.0,), trials=2,
+                 **{"n_x": 2, "n_y": 2, "pipeline": "digital", key: value})
 
 
 def test_mc_config_takes_numpy_integer_trials():
@@ -603,7 +646,7 @@ def test_mc_config_takes_numpy_integer_trials():
 def test_mc_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
     # -1 once failed inside numpy without naming the field, 1.5 raised TypeError and True
     # ran as seed 1
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+    with pytest.raises(ValueError, match=r"^seed must be (an integer|>= 0), got "):
         McConfig(n_x=2, n_y=2, proto=ProtocolConfig(), snr_db=(0.0,), trials=5,
                  pipeline="digital", seed=seed)
 
@@ -1048,7 +1091,7 @@ def test_ablation_grid_shape_and_flags():
         thickness_lam=(0.0, 3.0), layers=(0,), atoms=(25,), spacing_lam=(0.5,), runs=2,
     )
     assert [c.note for c in refused] == ["thickness_lam must be positive and finite, got 0.0",
-                                         "layers must be a positive integer, got 0"]
+                                         "layers must be >= 1, got 0"]
     for cell in refused:
         assert not cell.feasible
         assert cell.runs == 0

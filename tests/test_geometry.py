@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -108,6 +109,8 @@ def test_linear_to_grid_rejects_out_of_range():
         linear_to_grid(0, 4)
     with pytest.raises(ValueError):
         linear_to_grid(13, 4, 3)
+    with pytest.raises(ValueError, match="^width must be >= 1$"):
+        linear_to_grid(1, 0)
 
 
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 144))
@@ -245,11 +248,25 @@ def test_geometry_validation():
         make_geom(thickness=0.0)
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("rotation", math.nan, "must be finite, got nan"),
+    ("rotation", -math.inf, "must be finite, got -inf"),
+    ("n_x", 0, "must be >= 1, got 0"),
+    ("d_y", 0.0, "must be positive and finite, got 0.0"),
+    ("u_x", math.inf, "must be positive and finite, got inf"),
+    ("wavelength", "0.005", "must be a real number, got '0.005'"),
+    ("layers", 2.0, "must be an integer, got 2.0"),
+])
+def test_geometry_refusals_name_the_field(name, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(name + ' ' + message)}$"):
+        make_geom(**{name: value})
+
+
 @pytest.mark.parametrize("name", ["n_x", "m_y", "layers"])
 @pytest.mark.parametrize("value", [True, np.True_])
 def test_geometry_refuses_bool_counts(name, value):
     # a bool was accepted as the count 1
-    with pytest.raises(ValueError, match=f"{name} must be a positive integer, got "):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         make_geom(**{name: value})
 
 
@@ -385,6 +402,12 @@ def test_steering_unit_modulus(px, py):
 
 def test_dft_single_point():
     assert np.array_equal(dft_matrix(1, 1).matrix, [[1.0]])
+
+
+@pytest.mark.parametrize("n_x,n_y", [(0, 2), (2, 0), (-1, 3)])
+def test_dft_refuses_an_empty_grid(n_x, n_y):
+    with pytest.raises(ValueError, match="^grid sizes must be >= 1$"):
+        dft_matrix(n_x, n_y)
 
 
 def test_dft_two_point():

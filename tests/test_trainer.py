@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -434,6 +435,15 @@ def test_layers_without_a_usable_gradient_keep_their_phases(monkeypatch):
     for xi in later:
         assert np.array_equal(xi[[0, 2]], first[[0, 2]])
         assert not np.array_equal(xi[1], first[1])
+
+
+@pytest.mark.parametrize("value,message", [(math.inf, "must be finite, got inf"),
+                                           (math.nan, "must be >= 0, got nan"),
+                                           (-1e-3, "must be >= 0, got -0.001")])
+def test_rel_tolerance_refusals_name_it(value, message):
+    # inf was accepted, and every fit then stopped as converged at iteration 1
+    with pytest.raises(ValueError, match=f"^rel_tolerance {re.escape(message)}$"):
+        TrainConfig(rel_tolerance=value)
 
 
 def test_negative_seed_is_refused():

@@ -85,6 +85,15 @@ def test_phase_stack_refuses_phases_that_are_not_l_by_m(phases):
         PhaseStack(phases)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_stack_refuses_phases_that_are_not_finite(bad):
+    # a NaN phase was accepted, and forward_response then returned NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^phases must be finite$"):
+            PhaseStack([[0.0, bad], [1.0, 2.0]])
+
+
 def test_phase_stack_holds_one_array_and_all_transmissions():
     stack = PhaseStack([np.array([0.5, -0.25]), np.array([7.0, 1.0])])
     assert isinstance(stack.xi, np.ndarray) and stack.xi.shape == (2, 2)
@@ -191,6 +200,18 @@ def test_optimal_scale_minimizes_over_candidates():
 def test_optimal_scale_rejects_zero_response():
     with pytest.raises(ValueError):
         optimal_scale(np.zeros((2, 2)), dft_matrix(2, 1).matrix)
+
+
+@pytest.mark.parametrize("g,power", [(np.full((2, 2), math.nan), "nan"),
+                                     (np.full((2, 2), 1e200 + 0j), "inf")],
+                         ids=["nan", "overflowing-power"])
+def test_optimal_scale_refuses_a_response_power_that_is_not_finite(g, power):
+    # an all-NaN g warned 'invalid value encountered in scalar divide', and 1e200 entries,
+    # whose |g|**2 overflows, gave a scale of -0j with no refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^response power sum\(\|g\|\^2\) is {power},"):
+            optimal_scale(g, dft_matrix(2, 2).matrix)
 
 
 # ----------------------------------------------------------------------- loss
