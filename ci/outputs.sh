@@ -127,9 +127,11 @@ estimate:
   seed: 7
   ideal: true
 EOF
-# sha256 over every field of 3000 paired_trial estimates: the exact 2x2 DFT, a 3x3 response
+# sha256 over every field of 4200 paired_trial estimates: the exact 2x2 DFT, a 3x3 response
 # off the DFT with a complex beta, and a 2x2 one with a negative real beta, whose frame is
-# -1.0 (public API that both trees have)
+# -1.0; on each, 500 drawn sources, whose symbol is a Python complex, then 100 pairs of
+# directly built ones, whose symbol is a numpy complex and then a float (public API that both
+# trees have)
 cat > "$cfg/paired.py" <<'EOF'
 import hashlib, struct, sys
 import numpy as np
@@ -142,12 +144,19 @@ for n_side, t_side, beta in ((2, 4, 1.0), (3, 2, 1.3 - 0.4j), (2, 3, -2.0)):
     g = f if beta == 1.0 else (f + 0.05 * (rng.standard_normal(f.shape)
                                            + 1j * rng.standard_normal(f.shape))) / beta
     proto = ProtocolConfig(t_x=t_side, t_y=t_side)
-    for i in range(500):
-        src = experiments.sample_source(rng, ("parameter", "solid", "uniform-psi")[i % 3])
-        for est in experiments.paired_trial(g, beta, src, proto, n_side, n_side,
-                                            10.0 ** (i % 4), rng):
-            digest.update(struct.pack("<2q4d", est.n, est.t, est.psi_x, est.psi_y,
-                                      est.phi, est.theta))
+    for i in range(600):
+        if i < 500:
+            forms = (experiments.sample_source(rng, ("parameter", "solid", "uniform-psi")[i % 3]),)
+        else:
+            psi_x, psi_y = rng.uniform(-1.0, 1.0, 2)
+            s = np.complex128(complex(*rng.standard_normal(2)))
+            forms = (experiments.SourceTruth(psi_x, psi_y, s),
+                     experiments.SourceTruth(psi_x, psi_y, float(s.real)))
+        for src in forms:
+            for est in experiments.paired_trial(g, beta, src, proto, n_side, n_side,
+                                                10.0 ** (i % 4), rng):
+                digest.update(struct.pack("<2q4d", est.n, est.t, est.psi_x, est.psi_y,
+                                          est.phi, est.theta))
 sys.stdout.write(digest.hexdigest() + "\n")
 EOF
 simdoa() {

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _AT_LEAST_ONE, TWO_PI, check_fields, linear_to_grid, rules
+from .geometry import _AT_LEAST_ONE, TWO_PI, _record, check_fields, linear_to_grid, rules
 from .wavemodel import scale_field
 
 
@@ -146,8 +146,7 @@ def _power_map(x):
     energies = np.abs(x)
     energies *= energies  # >= 0 or NaN, and np.maximum.reduce propagates a NaN
     if energies.ndim in (2, 3) and energies.size and np.maximum.reduce(energies, None) < math.inf:
-        object.__setattr__(emap := object.__new__(EnergyMap), "values", energies)
-        return emap
+        return _record(EnergyMap, {"values": energies})
     return EnergyMap(energies)  # which refuses it with its own message
 
 
@@ -211,8 +210,10 @@ def estimate_from_map(emap, lattice):
     if values.ndim == 2:
         t_hat, n_hat = divmod(int(values.T.argmax()), cells[0])  # over (t, n)
         cell = n_hat, t_hat
-        return DoaEstimate(n_hat + 1, t_hat + 1, lattice.psi_x.item(cell), lattice.psi_y.item(cell),
-                           lattice.phi.item(cell), lattice.theta.item(cell))
+        return _record(DoaEstimate, {
+            "n": n_hat + 1, "t": t_hat + 1, "psi_x": lattice.psi_x.item(cell),
+            "psi_y": lattice.psi_y.item(cell), "phi": lattice.phi.item(cell),
+            "theta": lattice.theta.item(cell)})
     cell = n_hat, t_hat = peak_cells(values)
     return DoaEstimate(n_hat + 1, t_hat + 1, lattice.psi_x[cell], lattice.psi_y[cell],
                        lattice.phi[cell], lattice.theta[cell])
@@ -239,13 +240,18 @@ def angular_spectrum(emap, lattice):
     return axis_x, axis_y, power
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the NaN they leave is refused below
 def wrapped_angle_error(true_psi, est_psi):
     """Signed difference on the normalized-angle circle, in [-1, 1).
 
     Electrical angles wrap with period 2, so errors are scored along the
     shorter arc; without this a source near +1 estimated near -1 would
-    score as a full-span miss. Arrays give the elementwise errors.
+    score as a full-span miss. Arrays give the elementwise errors. Angles
+    that are not finite, or whose difference is not, raise a ValueError.
     """
     err = np.mod(true_psi - est_psi + 1.0, 2.0) - 1.0
+    if not np.isfinite(err).all():
+        raise ValueError(f"angles must be finite with a finite difference, got {true_psi!r}"
+                         f" and {est_psi!r}")
     return err if np.ndim(err) else float(err)
 

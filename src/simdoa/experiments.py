@@ -1,17 +1,20 @@
 """Monte Carlo estimation studies, digital reference path, and fit sweeps."""
 
+import cmath
 import dataclasses
 import itertools
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import (ProtocolConfig, _power_map, collect_snapshots, estimate_from_map,
                         wrapped_angle_error)
-from .geometry import (_AT_LEAST_ONE, _NON_NEGATIVE, _POSITIVE, build_propagation_matrices,
-                       check_feasibility, check_fields, check_value, dft_matrix, rules,
-                       steering_vector)
+from .geometry import (_AT_LEAST_ONE, _NON_NEGATIVE, _POSITIVE, _record,
+                       build_propagation_matrices, check_feasibility, check_fields, check_value,
+                       dft_matrix, rules, steering_vector)
 from .trainer import train, train_restarts
 from .wavemodel import (_complex_normals, antenna_field, cn_noise, forward_response,
                         matvec_columns, scale_field, synthesize_received)
@@ -62,7 +65,13 @@ def snr_rho(snr_db, beta, n, t):
     raise ValueError(f"snr_db {snr_db:g} gives a transmit SNR rho that overflows a float")
 
 
-def sample_source(rng, mode="parameter", symbol="cscg"):
+# The direction and symbol distributions that sample_source draws, and McConfig's choices
+SOURCE_MODES = PARAMETER, SOLID, UNIFORM_PSI = ("parameter", "solid", "uniform-psi")
+SYMBOLS = CSCG, PHASE = ("cscg", "phase")
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def sample_source(rng, mode=PARAMETER, symbol=CSCG):
     """Draw one SourceTruth.
 
     ``mode`` picks the direction distribution: "parameter" draws azimuth
@@ -72,26 +81,28 @@ def sample_source(rng, mode="parameter", symbol="cscg"):
     (a lattice-test mode; the draw may fall outside the visible region).
     Electrical angles assume half-wavelength receive spacing. ``symbol`` is
     "cscg" for a unit-variance complex Gaussian or "phase" for unit modulus.
+    Any other ``mode`` or ``symbol`` raises McConfig's ValueError for it.
     """
-    if mode == "uniform-psi":
+    if mode == UNIFORM_PSI:
         psi_x, psi_y = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
     else:
         # uniform(0.0, high) is 0.0 + high * random(), FMA-fused or not: high * random()
         phi = 2.0 * math.pi * rng.random()
-        if mode == "parameter":
+        if mode == PARAMETER:
             theta = math.pi / 2.0 * rng.random()
-        elif mode == "solid":
+        elif mode == SOLID:
             theta = math.acos(rng.random())
         else:
-            raise ValueError(f"unknown source mode {mode!r}")
-        psi_x, psi_y = math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi)
-    if symbol == "cscg":  # complex_gaussian's draws and scaling of one sample, on Python floats
-        s = complex(math.sqrt(0.5) * rng.standard_normal(), math.sqrt(0.5) * rng.standard_normal())
-    elif symbol == "phase":
+            check_value("source_mode", mode, SOURCE_MODES)  # which refuses it
+        sin_theta = math.sin(theta)
+        psi_x, psi_y = sin_theta * math.cos(phi), sin_theta * math.sin(phi)
+    if symbol == CSCG:  # complex_gaussian's draws and scaling of one sample, on Python floats
+        s = complex(_SQRT_HALF * rng.standard_normal(), _SQRT_HALF * rng.standard_normal())
+    elif symbol == PHASE:
         s = complex(np.exp(1j * (2.0 * math.pi * rng.random())))
     else:
-        raise ValueError(f"unknown symbol mode {symbol!r}")
-    return SourceTruth(psi_x, psi_y, s)
+        check_value("symbol", symbol, SYMBOLS)  # which refuses it
+    return _record(SourceTruth, {"psi_x": psi_x, "psi_y": psi_y, "s": s})
 
 
 @dataclass(frozen=True)
@@ -115,8 +126,8 @@ class McConfig:
     g: np.ndarray = None
     beta: complex = 1.0
     seed: int = rules(int, _NON_NEGATIVE, default=0)
-    source_mode: str = rules(("parameter", "solid", "uniform-psi"), default="parameter")
-    symbol: str = rules(("cscg", "phase"), default="cscg")
+    source_mode: str = rules(SOURCE_MODES, default=PARAMETER)
+    symbol: str = rules(SYMBOLS, default=CSCG)
     sources: tuple = None
     pipeline: str = rules(("wave", "digital"), default="wave")
     with_bound: bool = rules(bool, default=True)
@@ -124,8 +135,17 @@ class McConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if not isinstance(self.proto, ProtocolConfig):
+            raise ValueError(f"proto must be a ProtocolConfig, got {self.proto!r}")
+        if self.sources is not None and not (
+                isinstance(self.sources, Sequence) and self.sources
+                and all(isinstance(source, SourceTruth) for source in self.sources)):
+            raise ValueError(f"sources must be None or a nonempty sequence of SourceTruth,"
+                             f" got {self.sources!r}")
         if self.pipeline == "wave" and self.g is None:
             raise ValueError("wave pipeline needs a response matrix g")
+        if not (isinstance(self.beta, numbers.Number) and cmath.isfinite(self.beta)):
+            raise ValueError(f"beta must be a finite number, got {self.beta!r}")  # rho reads it
         n = self.n_x * self.n_y
         if self.g is not None and np.shape(self.g) != (n, n):
             # the estimator and the bound read receiver n as input cell n

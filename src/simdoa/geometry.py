@@ -60,6 +60,15 @@ def check_fields(record):
             check_value(f.name, getattr(record, f.name), f.metadata["kind"], f.metadata["checks"])
 
 
+def _record(cls, values):
+    """Frozen dataclass ``cls``, which has no slots, filled in one step from ``values``, a value
+    its constructor accepts for every field; it sets each by ``object.__setattr__`` and runs
+    ``__post_init__``, which this does not."""
+    record = object.__new__(cls)
+    record.__dict__.update(values)
+    return record
+
+
 @dataclass(frozen=True)
 class SimGeometry:
     """Physical description of the metasurface stack, input layer and receiver.

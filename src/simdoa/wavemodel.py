@@ -68,11 +68,14 @@ def optimal_scale(g, f):
     return np.vdot(g, f) / denom
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a loss beyond range is returned, not warned
 def fitting_loss(g, f, beta):
     """Squared Frobenius fitting error and its normalized dB value.
 
     Returns ``(loss, db)`` with ``db = 10*log10(loss / ||F||_F^2)``. An
-    exactly zero loss is reported as the DB_FLOOR sentinel.
+    exactly zero loss is reported as the DB_FLOOR sentinel. A beta * G
+    or a loss beyond a float's range gives a loss and dB of inf or NaN,
+    with no RuntimeWarning; ``train`` reports it as TrainingDiverged.
     """
     if g.shape != f.shape:
         raise ValueError(f"shape mismatch {g.shape} vs {f.shape}")
@@ -123,9 +126,11 @@ def scale_field(field, s, rho, noise=None):
     if not 0.0 <= rho < math.inf:  # a NaN fails every comparison
         raise ValueError(f"rho must be >= 0 and finite, got {rho}")
     r = np.multiply(math.sqrt(rho), field, dtype=complex)  # symbols and noise then go in place
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (trials := r.shape[:-2]):
-        raise ValueError(f"expected one symbol per trial, {trials}, got {s.shape}")
+    trials = r.shape[:-2]
+    if trials or not isinstance(s, complex):  # one trial's Python or numpy complex stays as it is
+        s = np.asarray(s, dtype=complex)
+        if s.shape != trials:
+            raise ValueError(f"expected one symbol per trial, {trials}, got {s.shape}")
     if not (np.isfinite(s).all() if trials else cmath.isfinite(s)):
         raise ValueError(f"symbol s must be finite, got {s}")
     r *= s[..., None, None] if trials else s  # per-trial symbols lead; R and T broadcast

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -105,6 +106,44 @@ def test_sample_source_rejects_unknown_modes():
         sample_source(rng, mode="nope")
     with pytest.raises(ValueError):
         sample_source(rng, symbol="nope")
+
+
+@pytest.mark.parametrize("key,arg", [("source_mode", "mode"), ("symbol", "symbol")])
+def test_sample_source_takes_exactly_mc_config_choices(key, arg):
+    # sample_source held its own copy of each list, with its own 'unknown ... mode' refusal
+    choices = next(f for f in dataclasses.fields(McConfig) if f.name == key).metadata["kind"]
+    for choice in choices:
+        assert isinstance(sample_source(np.random.default_rng(0), **{arg: choice}), SourceTruth)
+    for other in ("", "nope", *(c.upper() for c in choices), *(c + " " for c in choices)):
+        with pytest.raises(ValueError) as refused:
+            McConfig(n_x=2, n_y=2, proto=ProtocolConfig(), snr_db=(0.0,), trials=2,
+                     **{"pipeline": "digital", key: other})
+        message = f"{key} must be one of: {', '.join(choices)}, got {other!r}"
+        assert str(refused.value) == message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_source(np.random.default_rng(0), **{arg: other})
+
+
+def test_records_built_in_one_step_behave_as_constructed():
+    # the one-map estimate, a drawn source and an energy map are filled in one step, bypassing
+    # their frozen constructors; each must equal, hash, print and refuse writes as one of those
+    values = np.zeros((4, 4))
+    values[0, 0] = 1.0  # the broadside cell, whose physical angles are numbers
+    records = [estimate_from_map(EnergyMap(values), ProtocolConfig(2, 2).lattice(2, 2)),
+               sample_source(np.random.default_rng(5))]
+    for got in records:
+        want = type(got)(*dataclasses.astuple(got))
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert dataclasses.fields(got) == dataclasses.fields(want)
+        assert list(vars(got).items()) == list(vars(want).items())
+    emap = collect_snapshots(np.full((4, 4), 1.5 - 2j), 1.0 + 0j, 1.0)
+    assert repr(emap) == repr(EnergyMap(emap.values)) and list(vars(emap)) == ["values"]
+    for got in (*records, emap):
+        name = dataclasses.fields(got)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(got, name)
 
 
 def test_effective_rho_formula():
@@ -634,6 +673,36 @@ def test_mc_config_refuses_grid_sizes_and_jobs_that_are_not_positive_integers(ke
     with pytest.raises(ValueError, match=f"^{key} {message}$"):
         McConfig(proto=ProtocolConfig(), snr_db=(0.0,), trials=2,
                  **{"n_x": 2, "n_y": 2, "pipeline": "digital", key: value})
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("proto", None, "proto must be a ProtocolConfig, got None"),
+    ("proto", (2, 2), "proto must be a ProtocolConfig, got (2, 2)"),
+    ("sources", (1, 2), "sources must be None or a nonempty sequence of SourceTruth, got (1, 2)"),
+    ("sources", (), "sources must be None or a nonempty sequence of SourceTruth, got ()"),
+    ("sources", SourceTruth(0.1, 0.2, 1j), "sources must be None or a nonempty sequence of"
+     " SourceTruth, got SourceTruth(psi_x=0.1, psi_y=0.2, s=1j)"),
+    ("beta", math.nan, "beta must be a finite number, got nan"),
+    ("beta", complex(1.0, math.inf), "beta must be a finite number, got (1+infj)"),
+    ("beta", "1", "beta must be a finite number, got '1'"),
+])
+@pytest.mark.parametrize("pipeline", ["wave", "digital"])
+def test_mc_config_refuses_a_proto_sources_or_beta_it_cannot_run(key, value, message, pipeline):
+    # proto=None and sources=(1, 2) were built and raised AttributeError in the first block,
+    # sources=() ZeroDivisionError, and beta=nan, which both pipelines' rho reads, was refused
+    # as an SNR whose rho overflows
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        McConfig(**{"n_x": 2, "n_y": 2, "proto": ProtocolConfig(), "snr_db": (10.0,),
+                    "trials": 2, "g": dft_matrix(2, 2).matrix, "pipeline": pipeline,
+                    key: value})
+
+
+@pytest.mark.parametrize("pipeline", ["wave", "digital"])
+def test_mc_config_takes_a_list_of_sources(pipeline):
+    cfg = McConfig(n_x=2, n_y=2, proto=ProtocolConfig(), snr_db=(10.0,), trials=2,
+                   g=dft_matrix(2, 2).matrix, sources=[SourceTruth(0.1, 0.2, 1j)],
+                   pipeline=pipeline, beta=np.complex128(1.0))
+    assert run_monte_carlo(cfg)[0].trials == 2
 
 
 def test_mc_config_takes_numpy_integer_trials():

@@ -6,21 +6,23 @@ steering and complex noise of a Monte Carlo block, takes arguments drawn from su
 whose shape is now and then off by one axis. With warnings raised as errors, each call must
 give a finite result of its documented shape or raise a ValueError. An estimate's physical
 angles may be NaN, as documented for a peak outside the visible region, and must then be its
-lattice cell's.
+lattice cell's. The fitting loss and the wrapped angle error are held to it too; a loss beyond
+a float's range is documented as inf or NaN, which ``train`` refuses (``tests/test_trainer.py``).
 """
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from simdoa.estimator import (DoaEstimate, EnergyMap, ProtocolConfig, collect_snapshots,
-                              estimate_from_map)
+                              estimate_from_map, wrapped_angle_error)
 from simdoa.experiments import SourceTruth, digital_baseline, paired_trial
 from simdoa.geometry import dft_matrix, steering_vector
-from simdoa.wavemodel import cn_noise, complex_gaussian, scale_field
+from simdoa.wavemodel import cn_noise, complex_gaussian, fitting_loss, scale_field
 
 MAGNITUDES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-200, 1e-8, 0.7, 1.0, 3.0, 1e8, 1e154,
               1e200, 1e307, 4e307, 1.7976931348623157e308]
@@ -139,11 +141,15 @@ def test_steering_vector_waves(grid, data):
 
 @st.composite
 def snapshot_inputs(draw):
-    """(field, s, rho, noise) for one map on a drawn grid, or K maps when a unit axis leads."""
+    """(field, s, rho, noise) for one map on a drawn grid, or K maps when a unit axis leads.
+
+    One map's symbol is a Python or numpy complex, or a real, which takes the array path.
+    """
     n_x, n_y = draw(grids)
     field = draw(arrays((n_x * n_y, 3)))
     trials = field.shape[:-2]
-    s = draw(complexes) if not trials or draw(st.booleans()) else draw(arrays(trials))
+    symbols = complexes | complexes.map(np.complex128) | scalars
+    s = draw(symbols) if not trials or draw(st.booleans()) else draw(arrays(trials))
     noise = draw(st.none() | arrays(field.shape))
     return field, s, draw(reals), noise
 
@@ -240,3 +246,32 @@ def test_paired_trial(inputs):
     if pair is not None:
         for est in pair:
             check_estimate(est, proto.lattice(*grid))
+
+
+@pytest.mark.parametrize("g_scale,beta", [(1e200, 1e200), (1e200, 1e200 - 1e200j),
+                                          (1e160, 1.0)], ids=["product", "complex", "square"])
+def test_fitting_loss_beyond_range_is_not_finite_without_a_warning(g_scale, beta):
+    # beta * G beyond a float's range, or a norm whose square is, warned 'overflow encountered
+    # in multiply' in a direct call; train held its own errstate
+    f = dft_matrix(2, 2).matrix
+    loss, db = outcome(fitting_loss, np.full((4, 4), g_scale, complex), f, beta)
+    assert not math.isfinite(loss) and not math.isfinite(db)
+
+
+@FUZZ
+@given(true_psi=scalars, est_psi=scalars)
+@example(true_psi=math.inf, est_psi=0.0)  # warned 'invalid value encountered in remainder'
+@example(true_psi=1e308, est_psi=-1e308)  # finite angles whose difference is not
+def test_wrapped_angle_error(true_psi, est_psi):
+    err = outcome(wrapped_angle_error, true_psi, est_psi)
+    if err is not None:
+        assert isinstance(err, float) and -1.0 <= err < 1.0
+    else:
+        assert not math.isfinite(float(true_psi) - float(est_psi))  # Python's floats: no warning
+
+
+def test_wrapped_angle_error_refuses_arrays_with_an_angle_that_is_not_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^angles must be finite with a finite difference"):
+            wrapped_angle_error(np.array([0.1, math.inf]), np.zeros(2))

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -315,6 +316,32 @@ def test_scale_field_refuses_symbols_other_than_one_per_trial():
                            (batch, np.ones((2, 3)), r"\(2,\), got \(2, 3\)")):
         with pytest.raises(ValueError, match="expected one symbol per trial, " + want):
             scale_field(field, s, 1.0)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+@pytest.mark.parametrize("s", [0.6 - 0.8j, np.complex128(complex(-0.0, 1.5)), -2.5, 3,
+                               np.array(0.25 - 0j)],
+                         ids=["complex", "complex128", "float", "int", "0-d"])
+def test_scale_field_gives_one_trial_symbols_the_bits_of_a_0d_array(s, noisy):
+    # a Python or numpy complex is multiplied as it is; it was a 0-d array first, as the rest are
+    rng = np.random.default_rng(9)
+    field = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    field[0, :2] = complex(-0.0, 0.0), complex(0.0, -0.0)  # signed zeros, compared as bytes
+    noise = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)) if noisy else None
+    want = np.multiply(math.sqrt(2.5), field, dtype=complex)
+    want *= np.asarray(s, dtype=complex)
+    if noisy:
+        want += noise
+    assert scale_field(field, s, 2.5, noise).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad,shown", [(math.nan, "(nan+0j)"),
+                                       (complex(-math.inf, -0.0), "(-inf-0j)")])
+@pytest.mark.parametrize("form", [complex, np.complex128, np.array],
+                         ids=["complex", "complex128", "0-d"])
+def test_scale_field_refuses_each_form_of_a_symbol_that_is_not_finite_alike(bad, shown, form):
+    with pytest.raises(ValueError, match=f"^symbol s must be finite, got {re.escape(shown)}$"):
+        scale_field(np.ones((4, 3), complex), form(bad), 1.0)
 
 
 def test_synthesized_field_is_the_unit_field_column_by_column():
