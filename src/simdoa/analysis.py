@@ -16,7 +16,21 @@ import numpy as np
 from .estimator import peak_cells, wrapped_angle_error
 from .wavemodel import synthesize_received
 
-_ERFC_ZERO = 26.64174755704633  # least x with erfc(x) == 0.0 (scipy 1.17.1)
+_ERFC_ZERO = 26.64174755704633  # least x with erfc(x) == 0.0: (-x)*x < -MAXLOG, MAXLOG = log(max)
+# Cephes' erfc (ndtr.c), scipy's, by piece: polevl numerators, p1evl denominators, highest first
+_ERFC_PIECES = [np.array([(0.0,) * (len(q) + 1 - len(p)) + p, (1.0, *q)]).T[..., None] for p, q in (
+    ((9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051,
+      55592.30130103949), (33.56171416475031, 521.3579497801527, 4594.323829709801,
+                           22629.000061389095, 49267.39426086359)),
+    ((2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814,
+      196.5208329560771, 526.4451949954773, 934.5285271719576, 1027.5518868951572,
+      557.5353353693994), (13.228195115474499, 86.70721408859897, 354.9377788878199,
+      975.7085017432055, 1823.9091668790973, 2246.3376081871097, 1656.6630919416134,
+      557.5353408177277)),
+    ((0.5641895835477551, 1.275366707599781, 5.019050422511805, 6.160210979930536,
+      7.4097426995044895, 2.9788666537210022), (2.2605286322011726, 9.396035249380015,
+      12.048953980809666, 17.08144507475659, 9.608968090632859, 3.369076451000815)))]
+_erfc_work = [np.empty(0), np.empty(0), np.empty(0)]  # one thread's scratch: |a|, arg twice, p q
 
 
 class DegenerateField(ValueError):
@@ -44,6 +58,36 @@ def clean_field(g, lattice, sv):
     return synthesize_received(g, lattice.zeroth, sv)
 
 
+def _erfc(a):
+    """scipy's erfc of a float array contiguous in memory, written into ``a``: Cephes' operations
+    in order, per piece in kept work rows; scipy's bits where numpy's exp is libm's, else 4 ulp."""
+    flat, n = a.ravel(order="K"), a.size
+    if _erfc_work[0].size < n:  # grown on demand, so no call allocates them
+        _erfc_work[:] = [np.empty(n), np.empty(2 * n), np.empty(2 * n)]
+    x = np.abs(flat, out=_erfc_work[0][:n])
+    one, eight, zero = x < 1.0, x < 8.0, x < _ERFC_ZERO  # NaN is below none
+    pieces = [one.nonzero()[0], (eight ^ one).nonzero()[0], (zero ^ eight).nonzero()[0]]
+    signed = [flat[cells] for cells in pieces]  # a, before the line below overwrites it
+    np.subtract(1.0, np.sign(flat, out=flat), out=flat)  # beyond: 0, 2 for a < 0; NaN stays NaN
+    for first, cells, a_i, coef in zip((True, False, False), pieces, signed, _ERFC_PIECES):
+        if cells.size:  # z = a*a or |a|, in both rows: one Horner pass runs polevl and p1evl
+            arg, pq = (w[:2 * cells.size].reshape(2, -1) for w in _erfc_work[1:])
+            arg[1] = np.multiply(a_i, a_i, out=arg[0]) if first else np.abs(a_i, out=arg[0])
+            pq[...] = coef[0]
+            for c in coef[1:]:
+                pq *= arg
+                pq += c
+            y, (p, q) = arg[0], pq
+            if first:  # 1 - a p(z) / q(z)
+                np.subtract(1.0, np.divide(np.multiply(a_i, p, out=y), q, out=y), out=y)
+            else:  # exp((-a)*a) p / q, and 2 - that for a < 0 (Cephes' y == 0.0 never holds)
+                y *= y
+                np.divide(np.multiply(np.exp(np.negative(y, out=y), out=y), p, out=y), q, out=y)
+                np.subtract(2.0, y, out=y, where=a_i < 0.0)
+            flat[cells] = y
+    return a
+
+
 def _wilson_hilferty(nu1, nu2, nu3):
     """P{difference >= 0} for sign-adjusted moments, vectorized.
 
@@ -59,7 +103,6 @@ def _wilson_hilferty(nu1, nu2, nu3):
     by zero of nu3 = 0 cells silenced, and those cells are then set to 1/2.
     Moments whose powers leave a float's range give NaN, silently too.
     """
-    from scipy.special import erfc  # scipy loads only when a bound is evaluated
     nu1, nu2, nu3 = (np.asarray(v, dtype=float) for v in (nu1, nu2, nu3))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h = nu2 ** 3
@@ -80,7 +123,7 @@ def _wilson_hilferty(nu1, nu2, nu3):
         # the Gaussian tail P(Z > -z) = erfc(-z/sqrt(2))/2, clipped to [0, 1]
         np.negative(z, out=z)
         z /= np.sqrt(2.0)
-        probs = erfc(z, out=z)
+        probs = _erfc(z)
         probs *= 0.5
         np.clip(probs, 0.0, 1.0, out=probs)
     probs[nu3 == 0.0] = 0.5
@@ -171,14 +214,3 @@ def mse_bound(field, s, rho, lattice, psi_x, psi_y):
     probs[peaks] = 1.0
     return (_weighted_errors(np.asarray(psi_x), lattice.distinct_x, probs),
             _weighted_errors(np.asarray(psi_y), lattice.distinct_y, probs))
-
-
-def quantization_floor(n_x, n_y, proto):
-    """Expected squared snap-to-lattice error per normalized-angle axis.
-
-    An axis's n * t lattice angles split the period-2 circle into cells of
-    width step = 2 / (n * t). For a source angle uniform on [-1, 1) the snap
-    error is uniform on [-step/2, step/2), so its mean square is step^2 / 12.
-    """
-    step_x, step_y = 2.0 / (n_x * proto.t_x), 2.0 / (n_y * proto.t_y)
-    return step_x ** 2 / 12.0, step_y ** 2 / 12.0

@@ -96,7 +96,7 @@ def sample_source(rng, mode=PARAMETER, symbol=CSCG):
             check_value("source_mode", mode, SOURCE_MODES)  # which refuses it
         sin_theta = math.sin(theta)
         psi_x, psi_y = sin_theta * math.cos(phi), sin_theta * math.sin(phi)
-    if symbol == CSCG:  # complex_gaussian's draws and scaling of one sample, on Python floats
+    if symbol == CSCG:  # _complex_normals' draws and scaling of one sample, on Python floats
         s = complex(_SQRT_HALF * rng.standard_normal(), _SQRT_HALF * rng.standard_normal())
     elif symbol == PHASE:
         s = complex(np.exp(1j * (2.0 * math.pi * rng.random())))
@@ -145,7 +145,7 @@ class McConfig:
         if self.pipeline == "wave" and self.g is None:
             raise ValueError("wave pipeline needs a response matrix g")
         if not (isinstance(self.beta, numbers.Number) and cmath.isfinite(self.beta)):
-            raise ValueError(f"beta must be a finite number, got {self.beta!r}")  # rho reads it
+            raise ValueError(f"beta must be a finite number, got {self.beta!r}")
         n = self.n_x * self.n_y
         if self.g is not None and np.shape(self.g) != (n, n):
             # the estimator and the bound read receiver n as input cell n
@@ -325,10 +325,10 @@ def run_monte_carlo(cfg):
     """
     # built here so worker processes receive it with the pickled config
     cfg.proto.lattice(cfg.n_x, cfg.n_y)
-    n = cfg.n_x * cfg.n_y
+    n, beta = cfg.n_x * cfg.n_y, cfg.beta if cfg.pipeline == "wave" else 1.0  # digital: no stack
     size = max(1, _BLOCK_CELLS // (n * cfg.proto.t))
     starts = range(0, cfg.trials, size)
-    rhos = [None if math.isinf(snr) else snr_rho(snr, cfg.beta, n, cfg.proto.t)
+    rhos = [None if math.isinf(snr) else snr_rho(snr, beta, n, cfg.proto.t)
             for snr in cfg.snr_db]
     from .streams import point_pool  # only a Monte Carlo run loads it
     streams = [point_pool(cfg.seed, si) for si in range(len(rhos))]

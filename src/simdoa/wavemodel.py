@@ -68,14 +68,14 @@ def optimal_scale(g, f):
     return np.vdot(g, f) / denom
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a loss beyond range is returned, not warned
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # returned, not warned
 def fitting_loss(g, f, beta):
     """Squared Frobenius fitting error and its normalized dB value.
 
-    Returns ``(loss, db)`` with ``db = 10*log10(loss / ||F||_F^2)``. An
-    exactly zero loss is reported as the DB_FLOOR sentinel. A beta * G
-    or a loss beyond a float's range gives a loss and dB of inf or NaN,
-    with no RuntimeWarning; ``train`` reports it as TrainingDiverged.
+    Returns ``(loss, db)`` with ``db = 10*log10(loss / ||F||_F^2)``. An exactly zero
+    loss is reported as the DB_FLOOR sentinel, a nonzero one against an all-zero F as
+    +inf dB. A beta * G or a loss beyond a float's range gives a loss and dB of inf or
+    NaN. No case warns; ``train`` reports a loss that is not finite as TrainingDiverged.
     """
     if g.shape != f.shape:
         raise ValueError(f"shape mismatch {g.shape} vs {f.shape}")
@@ -83,7 +83,7 @@ def fitting_loss(g, f, beta):
     ref = float(np.linalg.norm(f) ** 2)
     if loss <= 0.0:
         return loss, DB_FLOOR
-    return loss, max(10.0 * np.log10(loss / ref), DB_FLOOR)
+    return loss, max(10.0 * np.log10(np.divide(loss, ref)), DB_FLOOR)
 
 
 def matvec_columns(m, x):
@@ -142,25 +142,9 @@ def scale_field(field, s, rho, noise=None):
     return r
 
 
-def complex_gaussian(re, im, variance=1.0):
-    """Complex samples sqrt(variance / 2) * (re + j im); ``re`` and ``im`` of two shapes or of a
-    dtype that is not integer or float, a negative or non-finite variance, or samples beyond a
-    float's range raise a ValueError."""
-    if np.shape(re) != np.shape(im):
-        raise ValueError(f"re has shape {np.shape(re)} but im has shape {np.shape(im)}")
-    for name, part in (("re", re), ("im", im)):
-        if (dtype := np.asarray(part).dtype).kind not in "iuf":
-            raise ValueError(f"{name} must be integer or float, got dtype {dtype}")
-    with np.errstate(over="ignore", invalid="ignore"):  # the scan below refuses what they flag
-        out = _complex_normals(re, im, variance)
-    if not np.isfinite(out).all():
-        raise ValueError(f"complex samples beyond a float's range at variance {variance}")
-    return out
-
-
 def _complex_normals(re, im, variance=1.0):
-    """``complex_gaussian`` with no scan, for numpy's normals: its ziggurat draws are finite with
-    |z| < r + log(2^53) / r < 14 (tail start r = 3.654), and sqrt(variance / 2) <= 9.5e153."""
+    """Complex samples sqrt(variance / 2) * (re + j im), unscanned: numpy's ziggurat normals are
+    finite with |z| < r + log(2^53) / r < 14 (r = 3.654), and sqrt(variance / 2) <= 9.5e153."""
     if not 0.0 <= variance < math.inf:  # a NaN fails every comparison
         raise ValueError(f"variance must be >= 0 and finite, got {variance}")
     out = np.empty(np.shape(re), dtype=complex)
@@ -171,6 +155,6 @@ def _complex_normals(re, im, variance=1.0):
 
 
 def cn_noise(rng, shape, variance=1.0):
-    """``complex_gaussian`` samples of one (2, *shape) standard normal draw, real parts first."""
+    """``_complex_normals`` samples of one (2, *shape) standard normal draw, real parts first."""
     return _complex_normals(*rng.standard_normal((2, *shape) if np.iterable(shape) else (2, shape)),
                             variance)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from simdoa.analysis import quantization_floor
+from oracles import quantization_floor
 from simdoa.estimator import ProtocolConfig
 from simdoa.experiments import (
     McConfig,

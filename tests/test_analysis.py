@@ -6,8 +6,9 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc as scipy_erfc  # the oracle of the bound's own erfc
 
+from oracles import quantization_floor
 from simdoa import analysis
 from simdoa.analysis import (
     _ERFC_ZERO,
@@ -15,7 +16,6 @@ from simdoa.analysis import (
     DegenerateField,
     clean_field,
     mse_bound,
-    quantization_floor,
 )
 from simdoa.estimator import (EnergyMap, ProtocolConfig, collect_snapshots, electrical_angles,
                               estimate_from_map, peak_cells)
@@ -27,6 +27,15 @@ from simdoa.wavemodel import synthesize_received
 # Scalar twins of the vectorized bound, kept here as oracles: the Gaussian
 # tail, per-cell moments, the single-cell detection bound, the noncentrality
 # map and the noiseless peak.
+
+def erfc(x):
+    """The bound's own erfc, ``analysis._erfc``, on a float copy of ``x``.
+
+    The oracles below read it, so each structural check of the transform
+    stays exact; ``test_erfc_is_scipys`` holds it to scipy's erfc.
+    """
+    return analysis._erfc(np.array(x, dtype=float))
+
 
 def q_function(x):
     """Standard Gaussian tail probability P(Z > x). Accepts arrays."""
@@ -417,11 +426,42 @@ def test_wilson_hilferty_in_place_equals_masked_oracle():
 
 
 def test_erfc_zero_is_the_installed_underflow_point():
-    # a scipy whose erfc underflows at another point fails here, not in the bound's bits
-    assert erfc(_ERFC_ZERO) == 0.0
-    assert erfc(np.nextafter(_ERFC_ZERO, 0.0)) > 0.0
-    assert erfc(np.inf) == 0.0
-    assert not np.any(erfc(np.geomspace(_ERFC_ZERO, 1e308, 1001)))
+    # a scipy whose erfc underflows at another point fails here; test_erfc_is_scipys holds
+    # the bound's own erfc to it
+    assert scipy_erfc(_ERFC_ZERO) == 0.0
+    assert scipy_erfc(np.nextafter(_ERFC_ZERO, 0.0)) > 0.0
+    assert scipy_erfc(np.inf) == 0.0
+    assert not np.any(scipy_erfc(np.geomspace(_ERFC_ZERO, 1e308, 1001)))
+
+
+def test_erfc_is_scipys():
+    # Cephes' erfc in numpy: scipy's bits wherever numpy's exp rounds as libm's, within 4 ulp
+    # elsewhere, and scipy's bits at the specials, from any shape, with no RuntimeWarning; a
+    # NaN stays NaN (scipy's erfc returns its one NAN, the port keeps the sign bit)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 8.0, -8.0, _ERFC_ZERO,
+                np.nextafter(_ERFC_ZERO, 0.0), -_ERFC_ZERO, 5e-324, 1e308, -1e308]
+    # 64 floats either side of each piece's edge, and a uniform draw
+    near = (np.array([1.0, 8.0, _ERFC_ZERO]).view(np.int64)[:, None] + np.arange(-64, 65))
+    near = near.view(np.float64).ravel()
+    x = np.concatenate([np.random.default_rng(7).uniform(-27.0, 27.0, 400_000), near, -near,
+                        specials])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = analysis._erfc(x.reshape(-1, 2, 1).copy()).ravel()
+    want = scipy_erfc(x)
+    with np.errstate(over="ignore"):
+        z = -x * x
+    libm = np.exp(z) == np.array([math.exp(v) for v in z.tolist()])
+    nan = np.isnan(x)
+    assert np.array_equal(np.isnan(got), nan) and np.array_equal(np.isnan(want), nan)
+    got, want, libm = got[~nan], want[~nan], libm[~nan]  # every result in [0, 2]
+    assert np.array_equal(_bits(got)[libm], _bits(want)[libm]) and np.mean(libm) > 0.5
+    assert np.max(np.abs(_bits(got).astype(np.int64) - _bits(want).astype(np.int64))) <= 4
+    assert np.array_equal(_bits(got[-len(specials) + 2:]), _bits(want[-len(specials) + 2:]))
+    # a call on fewer cells reuses the kept work rows
+    work = [id(w) for w in analysis._erfc_work]
+    analysis._erfc(x[:1000].copy())
+    assert [id(w) for w in analysis._erfc_work] == work
 
 
 def _bound_block(snr_db):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import complex_gaussian, quantization_floor
 from simdoa import analysis, estimator, experiments, streams
-from simdoa.analysis import quantization_floor
 from simdoa.estimator import (DoaEstimate, EnergyMap, ProtocolConfig, collect_snapshots,
                               electrical_angles, estimate_from_map, wrapped_angle_error)
 from simdoa.experiments import (
@@ -29,8 +29,8 @@ from simdoa.experiments import (
 from simdoa.geometry import (TWO_PI, SimGeometry, build_propagation_matrices,
                              dft_matrix, steering_vector)
 from simdoa.trainer import TrainConfig, train
-from simdoa.wavemodel import (antenna_field, cn_noise, complex_gaussian, matvec_columns,
-                              optimal_scale, scale_field, synthesize_received)
+from simdoa.wavemodel import (antenna_field, cn_noise, matvec_columns, optimal_scale, scale_field,
+                              synthesize_received)
 
 LAM = 0.005
 
@@ -630,6 +630,16 @@ def test_mc_config_validation():
                  pipeline="digital")
 
 
+@pytest.mark.parametrize("beta", [2.0, 0.5 - 3j, 1e-3])
+def test_digital_pipeline_ignores_beta(beta):
+    # the digital reference has no stack: a beta of 2 ran it at 4x the SNR (0 dB MSE 0.0448
+    # against 0.0974 at beta = 1), although the docstring says it leaves beta unused
+    proto = ProtocolConfig(t_x=2, t_y=2)
+    run = [run_monte_carlo(McConfig(n_x=2, n_y=2, proto=proto, snr_db=(0.0, 10.0), trials=60,
+                                    seed=3, beta=b, pipeline="digital")) for b in (1.0, beta)]
+    assert run[0] == run[1]
+
+
 def test_mc_config_rejects_minus_inf():
     # -inf once ran as the noise-free limit and reported the lattice floor
     with pytest.raises(ValueError):
@@ -869,9 +879,10 @@ def _mc_trial(cfg, snr_index, trial, rho):
 def _oracle_points(cfg):
     """``run_monte_carlo``'s points from one-trial calls and the pre-block aggregation."""
     points = []
+    beta = cfg.beta if cfg.pipeline == "wave" else 1.0  # the digital reference has no stack
     for si, snr in enumerate(cfg.snr_db):
         rho = None if math.isinf(snr) else effective_rho(
-            10.0 ** (snr / 10.0), cfg.beta, cfg.n_x * cfg.n_y, cfg.proto.t)
+            10.0 ** (snr / 10.0), beta, cfg.n_x * cfg.n_y, cfg.proto.t)
         rows = [_mc_trial(cfg, si, ti, rho) for ti in range(cfg.trials)]
         ex2 = np.array([r[0] for r in rows])
         ey2 = np.array([r[1] for r in rows])

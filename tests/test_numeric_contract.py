@@ -18,11 +18,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import complex_gaussian
 from simdoa.estimator import (DoaEstimate, EnergyMap, ProtocolConfig, collect_snapshots,
                               estimate_from_map, wrapped_angle_error)
 from simdoa.experiments import SourceTruth, digital_baseline, paired_trial
 from simdoa.geometry import dft_matrix, steering_vector
-from simdoa.wavemodel import cn_noise, complex_gaussian, fitting_loss, scale_field
+from simdoa.wavemodel import cn_noise, fitting_loss, scale_field
 
 MAGNITUDES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-200, 1e-8, 0.7, 1.0, 3.0, 1e8, 1e154,
               1e200, 1e307, 4e307, 1.7976931348623157e308]
@@ -256,6 +257,18 @@ def test_fitting_loss_beyond_range_is_not_finite_without_a_warning(g_scale, beta
     f = dft_matrix(2, 2).matrix
     loss, db = outcome(fitting_loss, np.full((4, 4), g_scale, complex), f, beta)
     assert not math.isfinite(loss) and not math.isfinite(db)
+
+
+@pytest.mark.parametrize("g,f,want", [
+    # an all-zero F raised ZeroDivisionError from loss / ||F||^2
+    (np.ones((4, 4)), np.zeros((4, 4)), (16.0, math.inf)),
+    (np.zeros((4, 4)), np.zeros((4, 4)), (0.0, -400.0)),
+    # a finite loss against an F of power beyond range warned 'divide by zero' in log10
+    (np.full((2, 2), 1e160) * (1.0 + 2.0 ** -52), np.full((2, 2), 1e160), (None, -400.0)),
+], ids=["zero-target", "zero-target-exact-fit", "target-beyond-range"])
+def test_fitting_loss_against_a_zero_or_unbounded_target(g, f, want):
+    loss, db = outcome(fitting_loss, g.astype(complex), f.astype(complex), 1.0)
+    assert (want[0] is None and 0.0 < loss < math.inf or loss == want[0]) and db == want[1]
 
 
 @FUZZ

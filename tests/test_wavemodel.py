@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import complex_gaussian
 from simdoa.estimator import ProtocolConfig, collect_snapshots, zeroth_layer_phase
 from simdoa.geometry import (SimGeometry, build_propagation_matrices,
                              dft_matrix, steering_vector)
@@ -13,7 +14,6 @@ from simdoa.wavemodel import (
     DB_FLOOR,
     PhaseStack,
     cn_noise,
-    complex_gaussian,
     fitting_loss,
     forward_response,
     optimal_scale,
